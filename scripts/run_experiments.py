@@ -30,7 +30,7 @@ def main(argv):
             worst = max(worst, 2)
             continue
         code = experiments.run(config)
-        status = {0: "ok", 3: "stalled"}.get(code, f"exit {code}")
+        status = {0: "ok", 3: "stalled", 4: "internal error"}.get(code, f"exit {code}")
         print(f"{path.name}: {status} -> {config.output_dir}")
         worst = max(worst, code)
     return worst

@@ -95,6 +95,11 @@ def riemannian_kmeans(M, points, K, seed):
                             result.iterations, result.converged)
 
 
+def _nearest(M, points, centroids):
+    """Index of the iso-nearest centroid of each point; ties go to the lowest."""
+    return iso_distance(M, points[:, None, :], centroids[None, :, :]).argmin(axis=1)
+
+
 def iso_kmeans(M, points, K, seed, cfg=None, movement_tol=CENTROID_MOVEMENT_TOL):
     """Lloyd's algorithm with iso-distances and iso-barycentre updates.
 
@@ -102,7 +107,8 @@ def iso_kmeans(M, points, K, seed, cfg=None, movement_tol=CENTROID_MOVEMENT_TOL)
     centroid movement drops below movement_tol (or after the outer-iteration
     cap, since convergence of the scheme is an open question).  An empty
     cluster keeps its previous centroid; a stalled barycentre solve keeps the
-    solver's best iterate.
+    solver's best iterate.  The labels are assigned against the returned
+    centroids.
     """
     cfg = cfg or LineSearchConfig(tol=1e-6)
     points = np.asarray(points, dtype=float)
@@ -111,15 +117,10 @@ def iso_kmeans(M, points, K, seed, cfg=None, movement_tol=CENTROID_MOVEMENT_TOL)
         raise ValueError(f"K must satisfy 1 <= K <= N = {n}, got {K}")
     init = riemannian_kmeans(M, points, K, seed)
     centroids = np.array(init.centroids, dtype=float)
-    labels = np.asarray(init.labels) - 1
     converged = False
     iterations = 0
     for iterations in range(1, ISO_KMEANS_MAX_OUTER + 1):
-        dists = np.empty((n, K))
-        for i in range(n):
-            for j in range(K):
-                dists[i, j] = iso_distance(M, points[i], centroids[j])
-        labels = dists.argmin(axis=1)
+        labels = _nearest(M, points, centroids)
         new_centroids = centroids.copy()
         for j in range(K):
             members = points[labels == j]
@@ -134,6 +135,7 @@ def iso_kmeans(M, points, K, seed, cfg=None, movement_tol=CENTROID_MOVEMENT_TOL)
         if movement < movement_tol:
             converged = True
             break
+    labels = _nearest(M, points, centroids)
     return ClusteringResult(labels + 1, centroids, iterations, converged)
 
 

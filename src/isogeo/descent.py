@@ -7,18 +7,18 @@ field); the ratio diagnostics bound the monotonicity and Lipschitz constants
 that govern the admissible step-size window.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import StallError
-from .isomaps import iso_distance, iso_exp, iso_log, iso_transport
+from .isomaps import _iso_log_vecs, iso_distance, iso_exp, iso_log, iso_transport
 from .pullback import TangentVector, as_point, closed_form_barycentre, lc_log
+from .serialize import write_csv
 
 
-@dataclass
+@dataclass(frozen=True)
 class LineSearchConfig:
     """Backtracking line-search settings shared by the iterative solvers.
 
@@ -75,16 +75,11 @@ class ConvergenceTrace:
         dim = len(self.iterates[0]) if self.iterates else 0
         header = ["iter", "field_norm", "step_size", "objective"]
         header += [f"x{i}" for i in range(dim)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i, (x, fn, r) in enumerate(
-                    zip(self.iterates, self.field_norms, self.step_sizes)):
-                obj = ("" if self.objectives is None
-                       else format(self.objectives[i], ".17g"))
-                row = [str(i), format(fn, ".17g"), format(r, ".17g"), obj]
-                row += [format(c, ".17g") for c in x]
-                writer.writerow(row)
+        objectives = (self.objectives if self.objectives is not None
+                      else [""] * len(self))
+        write_csv(path, header, (
+            [i, fn, r, obj, *x] for i, (x, fn, r, obj) in enumerate(
+                zip(self.iterates, self.field_norms, self.step_sizes, objectives))))
 
 
 def ird_step(M, x, v, r):
@@ -119,15 +114,20 @@ def ird_descent(M, vector_field, x0, r, tol=1e-8, max_iters=500):
     return x, trace
 
 
+def _mean_field(x, logs):
+    # The running sum from +0.0 of a loop over the points, in one call:
+    # np.sum may add the terms pairwise, which rounds differently.
+    acc = np.cumsum(np.concatenate([np.zeros((1, len(x))), logs]), axis=0)[-1]
+    return TangentVector(x, -acc / len(logs))
+
+
 def iso_barycentre_field(M, x, points):
     """The descent field -(1/N) sum iso_log_x(x_i); zero at an iso-barycentre."""
     x = as_point(x, M.dim, "x")
     if len(points) == 0:
         raise ValueError("iso_barycentre_field requires a nonempty point list")
-    acc = np.zeros(M.dim)
-    for p in points:
-        acc += iso_log(M, x, p).vec
-    return TangentVector(x, -acc / len(points))
+    pts = as_point(points, M.dim, "points", batch=True).reshape(-1, M.dim)
+    return _mean_field(x, _iso_log_vecs(M, x, pts))
 
 
 def iso_barycentre(M, points, cfg=None, x0=None):
@@ -140,9 +140,9 @@ def iso_barycentre(M, points, cfg=None, x0=None):
     cfg.max_backtracks.
     """
     cfg = cfg or LineSearchConfig()
-    pts = [as_point(p, M.dim, "point") for p in points]
-    if not pts:
+    if len(points) == 0:
         raise ValueError("iso_barycentre requires a nonempty point list")
+    pts = as_point(points, M.dim, "points", batch=True).reshape(-1, M.dim)
     x = closed_form_barycentre(M, pts) if x0 is None else as_point(x0, M.dim, "x0")
     xi = iso_barycentre_field(M, x, pts)
     trace = ConvergenceTrace()
@@ -180,10 +180,7 @@ def barycentre_ratio_field(M, x, points, use_iso_log=True):
     if use_iso_log:
         return iso_barycentre_field(M, x, points)
     x = as_point(x, M.dim, "x")
-    acc = np.zeros(M.dim)
-    for p in points:
-        acc += lc_log(M, x, p).vec
-    return TangentVector(x, -acc / len(points))
+    return _mean_field(x, [lc_log(M, x, p).vec for p in points])
 
 
 def _ratio_denominator(M, x, xbar):
@@ -219,14 +216,19 @@ def restricted_isometry_check(M, A, pairs):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != M.dim:
         raise ValueError(f"A must have {M.dim} columns, got shape {A.shape}")
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("no non-degenerate pairs to check")
+    x = as_point([p for p, _ in pairs], M.dim, "x", batch=True)
+    y = as_point([q for _, q in pairs], M.dim, "y", batch=True)
+    dists = iso_distance(M, x, y)
+    logs = _iso_log_vecs(M, x, y)
     ratios = []
-    for x, y in pairs:
-        dist = iso_distance(M, x, y)
+    for v, dist in zip(logs, dists):
         if dist == 0.0:
             warnings.warn("skipping coincident pair in restricted_isometry_check")
             continue
-        v = iso_log(M, x, y).vec
-        ratios.append(float(np.dot(A @ v, A @ v)) / dist ** 2)
+        ratios.append(float(np.dot(A @ v, A @ v)) / float(dist) ** 2)
     if not ratios:
         raise ValueError("no non-degenerate pairs to check")
     return min(ratios) - 1.0, max(ratios) - 1.0

@@ -4,11 +4,12 @@ Each experiment reads its settings from an ExperimentConfig, writes
 plot-ready CSVs plus a JSON summary into the output directory, and always
 leaves a run manifest behind, even when it fails.  Exit codes: 0 success,
 2 usage/config error, 3 stall or non-convergence (partial traces are still
-written).
+written), 4 any other exception, whose traceback the manifest records.
 """
 
 import os
 import time
+import traceback
 from importlib import metadata
 
 import numpy as np
@@ -19,8 +20,9 @@ from .config import ConfigError
 from .datasets import generate_dataset
 from .descent import barycentre_ratio_field, iso_barycentre, iso_lipschitz_ratio, iso_monotonicity_ratio
 from .diffeos import make_diffeomorphism
-from .errors import DegenerateCurveError, DomainError, StallError
-from .isomaps import iso_geodesic, iso_log
+from .errors import (DegenerateBasisError, DegenerateCurveError, DomainError,
+                     NonConvergenceError, StallError)
+from .isomaps import _iso_log_vecs, iso_geodesic
 from .pullback import PullbackManifold, closed_form_barycentre, lc_geodesic
 from .serialize import write_csv, write_json
 from .submanifold import GeodesicSubmanifold, iso_rank_r_approx, l2pg_ird, submanifold_from_rank_r
@@ -28,6 +30,11 @@ from .submanifold import GeodesicSubmanifold, iso_rank_r_approx, l2pg_ird, subma
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_STALL = 3
+EXIT_INTERNAL = 4
+
+# Typed numerical failures of the library; they exit with EXIT_STALL.
+NUMERICAL_FAILURES = (StallError, NonConvergenceError, DomainError,
+                      DegenerateCurveError, DegenerateBasisError)
 
 
 def _versions():
@@ -260,7 +267,7 @@ def _run_rankr(config, M, outdir):
     r = config.extras["r"]
     U = iso_rank_r_approx(M, pts, base, r)
     S = submanifold_from_rank_r(M, pts, base, r)
-    logs = np.stack([iso_log(M, base, p).vec for p in pts], axis=1)
+    logs = _iso_log_vecs(M, base, pts).T
     svals = np.linalg.svd(logs, compute_uv=False)
     write_csv(os.path.join(outdir, "basis.csv"),
               [f"u{j}" for j in range(r)], U)
@@ -300,7 +307,11 @@ def run(config):
     except Exception as exc:  # manifest still records the failure
         manifest["status"] = "error"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
-        code = EXIT_STALL
+        if isinstance(exc, NUMERICAL_FAILURES):
+            code = EXIT_STALL
+        else:
+            manifest["traceback"] = traceback.format_exc()
+            code = EXIT_INTERNAL
     finally:
         manifest["wall_time_s"] = time.perf_counter() - started
         write_json(os.path.join(outdir, "run_manifest.json"), manifest)

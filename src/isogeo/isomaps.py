@@ -5,6 +5,10 @@ ambient space with non-constant l2 speed.  The mappings here reparameterize
 them to constant speed: iso-distance is the l2 arc length of the geodesic,
 the timechange inverts the cumulative arc length, and the vectorchange
 rescales exponential arguments so that radial arc lengths match vector norms.
+
+Arc-length tables come from one batch engine, ``_arc_table``: a batch of
+phi-lines is evaluated at every quadrature node in one array pass, and the
+values per line are the same as for that line on its own.
 """
 
 import dataclasses
@@ -14,7 +18,11 @@ import numpy as np
 
 from .errors import DegenerateCurveError, DomainError, NonConvergenceError
 from .pullback import TangentVector, as_point, lc_exp, lc_log, lc_transport
-from .quadrature import composite_nodes, panel_integrals, refine_root
+from .quadrature import composite_nodes, panel_integrals, refine_root, unit_rule
+
+# Lines per array pass of _arc_table: with the default 256 nodes and d = 2,
+# each node array of a pass holds 2 MB, whatever the size of the batch.
+LINES_PER_PASS = 512
 
 
 @dataclass(frozen=True)
@@ -27,6 +35,29 @@ class ArcLengthTable:
     @property
     def total(self):
         return float(self.cumlen[-1])
+
+
+def _arc_table(M, a, w):
+    """Cumulative arc length at the panel knots of the phi-lines a + t w.
+
+    ``a`` and ``w`` broadcast over ``(..., d)``; returns ``(..., panels + 1)``
+    with 0 in the first column and the whole arc length in the last.
+    """
+    q = M.quad
+    ts, weights, _ = unit_rule(q)
+    a, w = np.broadcast_arrays(a, w)
+    lines = w.shape[:-1]
+    a, w = a.reshape(-1, w.shape[-1]), w.reshape(-1, w.shape[-1])
+    cumlen = np.zeros((len(w), q.panels + 1))
+    for start in range(0, len(w), LINES_PER_PASS):
+        part = slice(start, start + LINES_PER_PASS)
+        wp = w[part, None, :]
+        p = a[part, None, :] + ts[:, None] * wp
+        speeds = np.linalg.norm(
+            M.diffeo.inv_jvp(p, np.broadcast_to(wp, p.shape)), axis=-1)
+        per_panel = panel_integrals(speeds * weights, q.panels, q.nodes_per_panel)
+        np.cumsum(per_panel, axis=-1, out=cumlen[part, 1:])
+    return cumlen.reshape(*lines, q.panels + 1)
 
 
 class _Arc:
@@ -47,12 +78,8 @@ class _Arc:
 
     def table(self):
         if self._table is None:
-            q = self.quad
-            ts, w, edges = composite_nodes(0.0, 1.0, q.panels, q.nodes_per_panel)
-            per_panel = panel_integrals(self.speeds(ts) * w, q.panels,
-                                        q.nodes_per_panel)
-            cumlen = np.concatenate([[0.0], np.cumsum(per_panel)])
-            self._table = ArcLengthTable(edges, cumlen)
+            self._table = ArcLengthTable(unit_rule(self.quad)[2],
+                                         _arc_table(self.M, self.a, self.w))
         return self._table
 
     def cumulative(self, tp):
@@ -116,10 +143,16 @@ def arc_length_table(M, x, y, quad=None):
 def iso_distance(M, x, y):
     """l2 arc length of the geodesic from x to y (Gauss-Legendre composite).
 
-    Symmetric under swapping the endpoints; not claimed to be a metric.
+    Batch-first: x and y broadcast over ``(..., d)``.  One pair gives a
+    float, a batch an ``(...)`` array with the same value per pair as a
+    one-pair call.  Symmetric under swapping the endpoints; not claimed to
+    be a metric.
     """
-    x, y = _validated_pair(M, x, y)
-    return _Arc(M, x, y).table().total
+    x = as_point(x, M.dim, "x", batch=True)
+    y = as_point(y, M.dim, "y", batch=True)
+    a = M.diffeo.forward(x)
+    total = _arc_table(M, a, M.diffeo.forward(y) - a)[..., -1]
+    return float(total) if total.ndim == 0 else total
 
 
 def timechange(M, x, y, t):
@@ -212,15 +245,28 @@ def iso_exp(M, xi):
     return lc_exp(M, TangentVector(base, scale * xi.vec))
 
 
+def _iso_log_vecs(M, x, y):
+    """Iso-log vectors from x to y for validated ``(..., d)`` points.
+
+    x and y broadcast; each row equals ``iso_log(M, x_i, y_i).vec`` bit for
+    bit when the diffeomorphism maps a point alone and in a batch alike, as
+    every built-in one does.
+    """
+    a = M.diffeo.forward(x)
+    w = M.diffeo.forward(y) - a
+    v = M.diffeo.inv_jvp(a, w)
+    # vecdot runs the dot kernel of TangentVector.norm: norms agree bitwise.
+    nv = np.sqrt(np.vecdot(v, v))
+    dist = _arc_table(M, a, w)[..., -1]
+    moving = nv > 0.0
+    scale = np.divide(dist, nv, out=np.zeros_like(nv), where=moving)
+    return np.where(moving[..., None], scale[..., None] * v, 0.0)
+
+
 def iso_log(M, x, y):
     """Logarithm direction rescaled so its norm equals the iso-distance."""
     x, y = _validated_pair(M, x, y)
-    v = lc_log(M, x, y)
-    nv = v.norm
-    if nv == 0.0:
-        return TangentVector(x, np.zeros(M.dim))
-    dist = _Arc(M, x, y).table().total
-    return TangentVector(x, (dist / nv) * v.vec)
+    return TangentVector(x, _iso_log_vecs(M, x, y))
 
 
 def iso_transport(M, x, y, xi):

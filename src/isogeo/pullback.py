@@ -15,13 +15,17 @@ from .errors import DimensionError
 from .quadrature import QuadratureConfig
 
 
-def as_point(x, dim=None, name="point"):
-    """Validate and return a finite 1-D float vector."""
+def as_point(x, dim=None, name="point", batch=False):
+    """Validate and return a finite 1-D float vector.
+
+    With batch=True a ``(..., d)`` stack of such vectors is accepted too.
+    """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionError(f"{name} must be a 1-D vector, got shape {x.shape}")
-    if dim is not None and x.shape[0] != dim:
-        raise DimensionError(f"{name} has dimension {x.shape[0]}, expected {dim}")
+    if x.ndim == 0 or (x.ndim > 1 and not batch):
+        kind = "a 1-D vector or a stack of them" if batch else "a 1-D vector"
+        raise DimensionError(f"{name} must be {kind}, got shape {x.shape}")
+    if dim is not None and x.shape[-1] != dim:
+        raise DimensionError(f"{name} has dimension {x.shape[-1]}, expected {dim}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} has non-finite entries: {x}")
     return x

@@ -57,9 +57,21 @@ def composite_nodes(a, b, panels, nodes_per_panel):
     return t.ravel(), w.ravel(), edges
 
 
+@lru_cache(maxsize=16)
+def unit_rule(quad):
+    """``composite_nodes(0, 1, ...)`` for a config, built once and read-only.
+
+    Every arc-length table shares these arrays, so they must not be written.
+    """
+    rule = composite_nodes(0.0, 1.0, quad.panels, quad.nodes_per_panel)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def panel_integrals(values, panels, nodes_per_panel):
-    """Per-panel integrals from flattened node values."""
-    return values.reshape(panels, nodes_per_panel).sum(axis=1)
+    """Per-panel integrals from node values flattened along the last axis."""
+    return values.reshape(*values.shape[:-1], panels, nodes_per_panel).sum(axis=-1)
 
 
 def refine_root(g, lo, hi, refine_tol, g_lo=None, guess=None, scale=1.0):

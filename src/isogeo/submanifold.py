@@ -11,7 +11,7 @@ import numpy as np
 
 from .descent import ConvergenceTrace
 from .errors import DegenerateBasisError, DomainError, StallError
-from .isomaps import iso_exp, iso_log
+from .isomaps import _iso_log_vecs, iso_exp
 from .pullback import (TangentVector, as_point, lc_geodesic,
                        lc_geodesic_velocity)
 
@@ -134,14 +134,14 @@ def iso_rank_r_approx(M, points, base, r):
     of each column is positive.
     """
     base = as_point(base, M.dim, "base")
-    pts = [as_point(p, M.dim, "point") for p in points]
-    if not pts:
+    if len(points) == 0:
         raise ValueError("iso_rank_r_approx requires a nonempty point list")
+    pts = as_point(points, M.dim, "points", batch=True).reshape(-1, M.dim)
     if not 1 <= r <= min(M.dim, len(pts)):
         raise ValueError(
             f"rank r must satisfy 1 <= r <= min(d, N) = "
             f"{min(M.dim, len(pts))}, got {r}")
-    logs = np.stack([iso_log(M, base, p).vec for p in pts], axis=1)
+    logs = _iso_log_vecs(M, base, pts).T
     U, _, _ = np.linalg.svd(logs, full_matrices=True)
     U = U[:, :r]
     flip = np.sign(U[np.abs(U).argmax(axis=0), np.arange(r)])

@@ -1,0 +1,135 @@
+"""The batch arc-length engine: batched calls equal one-pair calls bitwise."""
+
+import numpy as np
+import pytest
+
+import isogeo as ig
+from isogeo import isomaps
+from isogeo.errors import DimensionError, DomainError
+from isogeo.isomaps import _arc_table, _iso_log_vecs
+from isogeo.quadrature import unit_rule
+
+from conftest import sample_point
+
+
+def _points(name, M, rng, shape):
+    flat = [sample_point(name, M, rng) for _ in range(int(np.prod(shape)))]
+    return np.array(flat).reshape(*shape, M.dim)
+
+
+def _pairwise(fn, x, y):
+    """fn over every pair of the broadcast of x and y, one call each."""
+    x, y = np.broadcast_arrays(x, y)
+    flat = [fn(p, q) for p, q in zip(x.reshape(-1, x.shape[-1]),
+                                     y.reshape(-1, y.shape[-1]))]
+    return np.array(flat).reshape(x.shape[:-1] + np.shape(flat[0]))
+
+
+def test_iso_distance_batches_equal_one_pair_calls(any_manifold):
+    name, M = any_manifold
+    rng = np.random.default_rng(20)
+    x = sample_point(name, M, rng)
+    Y = _points(name, M, rng, (6,))
+    P, C = _points(name, M, rng, (3,)), _points(name, M, rng, (2,))
+
+    def one(p, q):
+        return ig.iso_distance(M, p, q)
+
+    single = ig.iso_distance(M, x, Y[0])
+    assert isinstance(single, float)
+    assert single == isomaps._Arc(M, x, Y[0]).table().total
+    for got, want in [
+            (ig.iso_distance(M, x, Y), _pairwise(one, x, Y)),
+            (ig.iso_distance(M, Y, x), _pairwise(one, Y, x)),
+            (ig.iso_distance(M, Y[:3], Y[3:]), _pairwise(one, Y[:3], Y[3:])),
+            (ig.iso_distance(M, P[:, None, :], C[None, :, :]),
+             _pairwise(one, P[:, None, :], C[None, :, :]))]:
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_iso_log_vecs_equal_one_pair_calls(any_manifold):
+    name, M = any_manifold
+    rng = np.random.default_rng(21)
+    x = sample_point(name, M, rng)
+
+    def one(p, q):
+        return ig.iso_log(M, p, q).vec
+
+    for shape in [(), (5,), (3, 2)]:
+        Y = _points(name, M, rng, shape)
+        got = _iso_log_vecs(M, x, Y)
+        assert got.shape == Y.shape
+        assert np.array_equal(got, _pairwise(one, x, Y))
+    X, Y = _points(name, M, rng, (4,)), _points(name, M, rng, (4,))
+    assert np.array_equal(_iso_log_vecs(M, X, Y), _pairwise(one, X, Y))
+
+
+def test_coincident_row_gives_zero_distance_and_log(any_manifold):
+    name, M = any_manifold
+    rng = np.random.default_rng(22)
+    x = sample_point(name, M, rng)
+    Y = _points(name, M, rng, (4,))
+    Y[2] = x
+    dists = ig.iso_distance(M, x, Y)
+    logs = _iso_log_vecs(M, x, Y)
+    assert dists[2] == 0.0
+    assert np.array_equal(logs[2], np.zeros(M.dim))
+    assert not np.signbit(logs[2]).any()
+    assert np.all(dists[[0, 1, 3]] > 0.0)
+
+
+def test_batch_validation(any_manifold):
+    name, M = any_manifold
+    rng = np.random.default_rng(23)
+    x = sample_point(name, M, rng)
+    Y = _points(name, M, rng, (3,))
+    with pytest.raises(DimensionError):
+        ig.iso_distance(M, x, np.zeros((3, M.dim + 1)))
+    with pytest.raises(DimensionError):
+        ig.iso_distance(M, 1.0, Y)
+    Y[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        ig.iso_distance(M, x, Y)
+
+
+def test_spiral_row_through_origin_raises_from_batch(spiral_manifold):
+    M = spiral_manifold
+    rng = np.random.default_rng(24)
+    x = sample_point("spiral", M, rng)
+    Y = _points("spiral", M, rng, (3,))
+    Y[1] = 0.0
+    with pytest.raises(DomainError):
+        ig.iso_distance(M, x, Y)
+    # A phi-line whose radial coordinate crosses r <= 0.
+    a = np.array([2.0, 1.0])
+    W = np.array([[1.0, 0.5], [-3.0, 0.0], [0.5, 0.5]])
+    with pytest.raises(DomainError):
+        _arc_table(M, a, W)
+
+
+def test_arc_table_passes_split_lines_without_changing_values(
+        river_manifold, monkeypatch):
+    M = river_manifold
+    rng = np.random.default_rng(25)
+    x = sample_point("river", M, rng)
+    Y = _points("river", M, rng, (7,))
+    whole = ig.iso_distance(M, x, Y)
+    monkeypatch.setattr(isomaps, "LINES_PER_PASS", 3)
+    assert np.array_equal(ig.iso_distance(M, x, Y), whole)
+
+
+def test_arc_table_shape_and_shared_read_only_rule(river_manifold):
+    M = river_manifold
+    q = M.quad
+    a, w = np.zeros(2), np.ones((4, 3, 2))
+    table = _arc_table(M, a, w)
+    assert table.shape == (4, 3, q.panels + 1)
+    assert np.all(table[..., 0] == 0.0)
+    rule = unit_rule(q)
+    assert unit_rule(ig.QuadratureConfig()) is rule
+    for array in rule:
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    knots = ig.arc_length_table(M, a, np.ones(2)).knots
+    assert knots is rule[2]

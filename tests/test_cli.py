@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from isogeo import experiments
 from isogeo.cli import main
 from isogeo.config import ConfigError, load_config
+from isogeo.errors import DegenerateCurveError, DomainError, NonConvergenceError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -266,6 +267,34 @@ def test_manifest_written_on_error(tmp_path, monkeypatch):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["status"] == "error"
     assert "error" in manifest
+
+
+@pytest.mark.parametrize("error, code", [
+    (TypeError("bad operand"), experiments.EXIT_INTERNAL),
+    (KeyError("missing"), experiments.EXIT_INTERNAL),
+    (NonConvergenceError("no bracket"), experiments.EXIT_STALL),
+    (DomainError("left the chart"), experiments.EXIT_STALL),
+    (DegenerateCurveError("coinciding endpoints"), experiments.EXIT_STALL),
+])
+def test_run_exit_code_by_exception_type(tmp_path, monkeypatch, error, code):
+    # Only the library's typed numerical failures count as stalls; anything
+    # else is an internal error and its traceback goes into the manifest.
+    monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    out = tmp_path / "out"
+
+    def failing(config, M, outdir):
+        raise error
+
+    monkeypatch.setitem(experiments._RUNNERS, "barycentre", failing)
+    path = write_config(tmp_path, BARY_CONFIG.format(out=out))
+    assert experiments.run(load_config(path)) == code
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"].startswith(type(error).__name__)
+    if code == experiments.EXIT_INTERNAL:
+        assert "in failing" in manifest["traceback"]
+    else:
+        assert "traceback" not in manifest
 
 
 def test_cli_validate_and_run(tmp_path, monkeypatch):

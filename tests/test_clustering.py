@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isogeo as ig
+from isogeo import clustering
 
 
 def two_blobs(rng, n=30, spread=0.4, offset=5.0):
@@ -117,6 +118,21 @@ def test_iso_kmeans_assignment_optimal_at_convergence(river_manifold):
     for i, p in enumerate(data.points):
         dists = [ig.iso_distance(river_manifold, p, c) for c in res.centroids]
         assert dists[res.labels[i] - 1] <= min(dists) + 1e-10
+
+
+def test_iso_kmeans_labels_match_returned_centroids_when_capped(
+        river_manifold, monkeypatch):
+    # One outer iteration leaves the scheme unconverged; the labels must
+    # still come from the centroids it returns, not the ones it replaced.
+    monkeypatch.setattr(clustering, "ISO_KMEANS_MAX_OUTER", 1)
+    spec = ig.DatasetSpec(kind="two_clusters", n=40, seed=0, noise_sigma=1.0,
+                          t_min=-8.0, t_max=8.0, gap=3.0)
+    pts = ig.generate_dataset(spec, river_manifold).points
+    res = ig.iso_kmeans(river_manifold, pts, 2, seed=0)
+    assert res.iterations == 1 and not res.converged
+    for p, label in zip(pts, res.labels):
+        dists = [ig.iso_distance(river_manifold, p, c) for c in res.centroids]
+        assert label == int(np.argmin(dists)) + 1
 
 
 def test_empty_cluster_policies_with_duplicates(identity2):

@@ -136,3 +136,19 @@ def test_bad_parameters_rejected():
         ig.spiral(beta=0.0)
     with pytest.raises(ig.DimensionError):
         ig.Diffeomorphism(0, lambda x: x, lambda x: x)
+
+
+def test_batch_maps_equal_point_by_point_maps(any_manifold):
+    # A point mapped alone and inside a batch gets the same bits, which the
+    # batch arc-length engine relies on.
+    name, M = any_manifold
+    rng = np.random.default_rng(40)
+    X = np.array([sample_point(name, M, rng) for _ in range(3000)])
+    V = rng.standard_normal(X.shape)
+    d = M.diffeo
+    Y = d.forward(X)
+    for got, one in [(Y, lambda i: d.forward(X[i])),
+                     (d.inverse(Y), lambda i: d.inverse(Y[i])),
+                     (d.jvp(X, V), lambda i: d.jvp(X[i], V[i])),
+                     (d.inv_jvp(Y, V), lambda i: d.inv_jvp(Y[i], V[i]))]:
+        assert np.array_equal(got, np.array([one(i) for i in range(len(X))]))
