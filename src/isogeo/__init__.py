@@ -13,9 +13,8 @@ from .diffeos import (Diffeomorphism, banana, identity, make_diffeomorphism,
 from .errors import (DegenerateBasisError, DegenerateCurveError,
                      DimensionError, DomainError, NonConvergenceError,
                      StallError)
-from .isomaps import (ArcLengthTable, arc_length_table, iso_distance,
-                      iso_exp, iso_geodesic, iso_log, iso_transport,
-                      speed_profile, timechange, vectorchange)
+from .isomaps import (iso_distance, iso_exp, iso_geodesic, iso_log,
+                      iso_transport, speed_profile, timechange, vectorchange)
 from .pullback import (PullbackManifold, TangentVector, as_point,
                        closed_form_barycentre, lc_distance, lc_exp,
                        lc_geodesic, lc_geodesic_velocity, lc_log,

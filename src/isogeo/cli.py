@@ -1,5 +1,6 @@
 """isogeo command line: run configs, validate them, sample geodesics."""
 
+import os
 import sys
 
 import click
@@ -17,28 +18,49 @@ def main():
     """Iso-Riemannian geometry experiments on pullback manifolds."""
 
 
-@main.command()
-@click.argument("config_file", type=click.Path(exists=True, dir_okay=False))
-def run(config_file):
-    """Run the experiment described by CONFIG_FILE."""
+def _load_or_report(config_file):
+    """The loaded config, or None after printing its problems to stderr."""
     try:
-        config = load_config(config_file)
+        return load_config(config_file)
     except ConfigError as exc:
         for problem in exc.problems:
             click.echo(f"error: {problem}", err=True)
-        sys.exit(experiments.EXIT_USAGE)
-    sys.exit(experiments.run(config))
+        return None
+
+
+_STATUS = {experiments.EXIT_OK: "ok", experiments.EXIT_USAGE: "config error",
+           experiments.EXIT_STALL: "stalled",
+           experiments.EXIT_INTERNAL: "internal error"}
+
+
+@main.command()
+@click.argument("config_files", nargs=-1, required=True,
+                type=click.Path(exists=True, dir_okay=False))
+def run(config_files):
+    """Run the experiment of each CONFIG_FILE in turn.
+
+    Prints one status line per config and exits with the highest exit code.
+    """
+    worst = experiments.EXIT_OK
+    for config_file in config_files:
+        name = os.path.basename(config_file)
+        config = _load_or_report(config_file)
+        if config is None:
+            code = experiments.EXIT_USAGE
+            click.echo(f"{name}: {_STATUS[code]}")
+        else:
+            code = experiments.run(config)
+            click.echo(f"{name}: {_STATUS[code]} -> {config.output_dir}")
+        worst = max(worst, code)
+    sys.exit(worst)
 
 
 @main.command()
 @click.argument("config_file", type=click.Path(exists=True, dir_okay=False))
 def validate(config_file):
     """Check CONFIG_FILE and report problems without running anything."""
-    try:
-        config = load_config(config_file)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            click.echo(f"error: {problem}", err=True)
+    config = _load_or_report(config_file)
+    if config is None:
         sys.exit(experiments.EXIT_USAGE)
     click.echo(f"ok: {config.experiment} experiment on "
                f"{config.geometry_name} geometry -> {config.output_dir}")

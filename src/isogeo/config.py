@@ -40,7 +40,7 @@ EXPERIMENT_KINDS = ("geodesic", "barycentre", "kmeans", "inverse", "ratios",
 
 _SOLVER_FIELDS = {"r0": float, "c": float, "max_backtracks": int,
                   "max_iters": int, "tol": float}
-_QUAD_FIELDS = {"panels": int, "nodes_per_panel": int, "refine_tol": float,
+_QUAD_FIELDS = {"panels": int, "nodes_per_panel": int,
                 "max_bracket_doublings": int}
 _DATASET_FIELDS = {"kind": str, "n": int, "seed": int, "noise_sigma": float,
                    "t_min": float, "t_max": float, "center": float,

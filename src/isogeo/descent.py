@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StallError
-from .isomaps import _iso_log_vecs, iso_distance, iso_exp, iso_log, iso_transport
+from .isomaps import _iso_log_vecs, _validated_pair, iso_distance, iso_exp, iso_transport
 from .pullback import TangentVector, as_point, closed_form_barycentre, lc_log
 from .serialize import write_csv
 
@@ -127,7 +127,7 @@ def iso_barycentre_field(M, x, points):
     if len(points) == 0:
         raise ValueError("iso_barycentre_field requires a nonempty point list")
     pts = as_point(points, M.dim, "points", batch=True).reshape(-1, M.dim)
-    return _mean_field(x, _iso_log_vecs(M, x, pts))
+    return _mean_field(x, _iso_log_vecs(M, x, pts)[0])
 
 
 def iso_barycentre(M, points, cfg=None, x0=None):
@@ -183,11 +183,10 @@ def barycentre_ratio_field(M, x, points, use_iso_log=True):
     return _mean_field(x, [lc_log(M, x, p).vec for p in points])
 
 
-def _ratio_denominator(M, x, xbar):
-    dist = iso_distance(M, xbar, x)
+def _ratio_denominator(dist):
     if dist == 0.0:
         raise ValueError("ratios are undefined at x = xbar")
-    return dist
+    return float(dist)
 
 
 def iso_monotonicity_ratio(M, x, xbar, field_at_x):
@@ -196,14 +195,16 @@ def iso_monotonicity_ratio(M, x, xbar, field_at_x):
     <field(x), iso-transport of iso_log_xbar(x)> / iso_distance(xbar, x)^2;
     lower bound witnesses for the monotonicity constant alpha.
     """
-    dist = _ratio_denominator(M, x, xbar)
-    moved = iso_transport(M, xbar, x, iso_log(M, xbar, x))
+    xbar, x = _validated_pair(M, xbar, x)
+    log, dist = _iso_log_vecs(M, xbar, x)
+    dist = _ratio_denominator(dist)
+    moved = iso_transport(M, xbar, x, TangentVector(xbar, log))
     return float(np.dot(field_at_x.vec, moved.vec)) / dist ** 2
 
 
 def iso_lipschitz_ratio(M, x, xbar, field_at_x):
     """|field(x)| / iso_distance(xbar, x); witnesses the Lipschitz constant."""
-    return field_at_x.norm / _ratio_denominator(M, x, xbar)
+    return field_at_x.norm / _ratio_denominator(iso_distance(M, xbar, x))
 
 
 def restricted_isometry_check(M, A, pairs):
@@ -221,8 +222,7 @@ def restricted_isometry_check(M, A, pairs):
         raise ValueError("no non-degenerate pairs to check")
     x = as_point([p for p, _ in pairs], M.dim, "x", batch=True)
     y = as_point([q for _, q in pairs], M.dim, "y", batch=True)
-    dists = iso_distance(M, x, y)
-    logs = _iso_log_vecs(M, x, y)
+    logs, dists = _iso_log_vecs(M, x, y)
     ratios = []
     for v, dist in zip(logs, dists):
         if dist == 0.0:

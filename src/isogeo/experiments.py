@@ -63,14 +63,15 @@ def _parse_point(raw, dim, where):
 
 def geodesic_rows(M, start, end, samples, iso):
     ts = np.linspace(0.0, 1.0, samples)
-    rows = []
-    for t in ts:
-        if iso:
-            p = start if t == 0.0 else end if t == 1.0 else iso_geodesic(M, start, end, t)
-        else:
-            p = lc_geodesic(M, start, end, t)
-        rows.append([t, *p])
-    return rows
+    if not iso:
+        return [[t, *lc_geodesic(M, start, end, t)] for t in ts]
+    # The endpoints are written as given; the interior times share one
+    # table, and with none (samples <= 2) coincident endpoints are fine.
+    points = np.where((ts == 0.0)[:, None], start, end).astype(float)
+    inner = (ts > 0.0) & (ts < 1.0)
+    if inner.any():
+        points[inner] = iso_geodesic(M, start, end, ts[inner])
+    return [[t, *p] for t, p in zip(ts, points)]
 
 
 def _run_geodesic(config, M, outdir):
@@ -267,7 +268,7 @@ def _run_rankr(config, M, outdir):
     r = config.extras["r"]
     U = iso_rank_r_approx(M, pts, base, r)
     S = submanifold_from_rank_r(M, pts, base, r)
-    logs = _iso_log_vecs(M, base, pts).T
+    logs = _iso_log_vecs(M, base, pts)[0].T
     svals = np.linalg.svd(logs, compute_uv=False)
     write_csv(os.path.join(outdir, "basis.csv"),
               [f"u{j}" for j in range(r)], U)

@@ -11,9 +11,6 @@ phi-lines is evaluated at every quadrature node in one array pass, and the
 values per line are the same as for that line on its own.
 """
 
-import dataclasses
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateCurveError, DomainError, NonConvergenceError
@@ -25,16 +22,10 @@ from .quadrature import composite_nodes, panel_integrals, refine_root, unit_rule
 LINES_PER_PASS = 512
 
 
-@dataclass(frozen=True)
-class ArcLengthTable:
-    """Cumulative l2 arc length of a geodesic at the quadrature panel knots."""
-
-    knots: np.ndarray
-    cumlen: np.ndarray
-
-    @property
-    def total(self):
-        return float(self.cumlen[-1])
+def _speeds(M, a, w, ts):
+    """l2 speeds of the phi-lines a + t w at the times ts (last axis of the result)."""
+    p = a + ts[:, None] * w
+    return np.linalg.norm(M.diffeo.inv_jvp(p, np.broadcast_to(w, p.shape)), axis=-1)
 
 
 def _arc_table(M, a, w):
@@ -51,93 +42,43 @@ def _arc_table(M, a, w):
     cumlen = np.zeros((len(w), q.panels + 1))
     for start in range(0, len(w), LINES_PER_PASS):
         part = slice(start, start + LINES_PER_PASS)
-        wp = w[part, None, :]
-        p = a[part, None, :] + ts[:, None] * wp
-        speeds = np.linalg.norm(
-            M.diffeo.inv_jvp(p, np.broadcast_to(wp, p.shape)), axis=-1)
+        speeds = _speeds(M, a[part, None, :], w[part, None, :], ts)
         per_panel = panel_integrals(speeds * weights, q.panels, q.nodes_per_panel)
         np.cumsum(per_panel, axis=-1, out=cumlen[part, 1:])
     return cumlen.reshape(*lines, q.panels + 1)
 
 
-class _Arc:
-    """Arc-length machinery for the phi-line from phi(x) to phi(y)."""
+def _invert(M, a, w, cumlen, target):
+    """Smallest t' whose arc length along a + t w is target, refined past the table.
 
-    def __init__(self, M, x, y):
-        self.M = M
-        self.a = M.diffeo.forward(x)
-        self.w = M.diffeo.forward(y) - self.a
-        self.quad = M.quad
-        self._table = None
+    ``cumlen`` is the ``_arc_table`` row of the one line ``a + t w``.
+    """
+    knots = unit_rule(M.quad)[2]
+    total = float(cumlen[-1])
+    if target <= 0.0:
+        return 0.0
+    if target >= total:
+        return 1.0
+    idx = int(np.searchsorted(cumlen, target, side="left"))
+    idx = min(max(idx, 1), len(knots) - 1)
+    lo, hi = knots[idx - 1], knots[idx]
+    c_lo, c_hi = cumlen[idx - 1], cumlen[idx]
+    guess = lo + (hi - lo) * (target - c_lo) / max(c_hi - c_lo, 1e-300)
 
-    def speeds(self, ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        p = self.a + ts[:, None] * self.w
-        vel = self.M.diffeo.inv_jvp(p, np.broadcast_to(self.w, p.shape))
-        return np.linalg.norm(vel, axis=-1)
+    def g(tp):
+        # Arc length from 0 to tp, exact on panel knots, minus the target.
+        k = int(np.searchsorted(knots, tp, side="right")) - 1
+        k = min(max(k, 0), len(knots) - 2)
+        if tp <= knots[k]:
+            return float(cumlen[k]) - target
+        ts, weights, _ = composite_nodes(knots[k], tp, 1, M.quad.nodes_per_panel)
+        return float(cumlen[k] + np.dot(_speeds(M, a, w, ts), weights)) - target
 
-    def table(self):
-        if self._table is None:
-            self._table = ArcLengthTable(unit_rule(self.quad)[2],
-                                         _arc_table(self.M, self.a, self.w))
-        return self._table
-
-    def cumulative(self, tp):
-        """Arc length from 0 to tp, exact on panel knots."""
-        table = self.table()
-        k = int(np.searchsorted(table.knots, tp, side="right")) - 1
-        k = min(max(k, 0), len(table.knots) - 2)
-        lo = table.knots[k]
-        if tp <= lo:
-            return float(table.cumlen[k])
-        ts, w, _ = composite_nodes(lo, tp, 1, self.quad.nodes_per_panel)
-        return float(table.cumlen[k] + np.dot(self.speeds(ts), w))
-
-    def invert(self, target):
-        """Smallest t' with cumulative(t') = target, refined past the table."""
-        table = self.table()
-        total = table.total
-        if target <= 0.0:
-            return 0.0
-        if target >= total:
-            return 1.0
-        idx = int(np.searchsorted(table.cumlen, target, side="left"))
-        idx = min(max(idx, 1), len(table.knots) - 1)
-        lo, hi = table.knots[idx - 1], table.knots[idx]
-        c_lo, c_hi = table.cumlen[idx - 1], table.cumlen[idx]
-        guess = lo + (hi - lo) * (target - c_lo) / max(c_hi - c_lo, 1e-300)
-        return refine_root(lambda tp: self.cumulative(tp) - target,
-                           lo, hi, self.quad.refine_tol,
-                           g_lo=c_lo - target, guess=guess, scale=total)
-
-
-class _RayArc:
-    """Arc length along the geodesic ray t' -> lc_exp(t' xi)."""
-
-    def __init__(self, M, xi):
-        self.M = M
-        self.a = M.diffeo.forward(xi.base)
-        self.w = M.diffeo.jvp(xi.base, xi.vec)
-        self.quad = M.quad
-
-    def length_to(self, T):
-        q = self.quad
-        ts, w, _ = composite_nodes(0.0, T, q.panels, q.nodes_per_panel)
-        p = self.a + ts[:, None] * self.w
-        vel = self.M.diffeo.inv_jvp(p, np.broadcast_to(self.w, p.shape))
-        return float(np.dot(np.linalg.norm(vel, axis=-1), w))
+    return refine_root(g, lo, hi, g_lo=c_lo - target, guess=guess, scale=total)
 
 
 def _validated_pair(M, x, y):
     return as_point(x, M.dim, "x"), as_point(y, M.dim, "y")
-
-
-def arc_length_table(M, x, y, quad=None):
-    """Cumulative quadrature of the geodesic speed at panel boundaries."""
-    x, y = _validated_pair(M, x, y)
-    if quad is not None:
-        M = dataclasses.replace(M, quad=quad)
-    return _Arc(M, x, y).table()
 
 
 def iso_distance(M, x, y):
@@ -155,39 +96,48 @@ def iso_distance(M, x, y):
     return float(total) if total.ndim == 0 else total
 
 
+def _changed_times(M, x, y, t):
+    """The phi-line a + t' w from x to y and the changed times t'(t).
+
+    t' is the smallest time whose arc length is t times the whole; t = 0 and
+    t = 1 map to 0 and 1 exactly (``_invert`` clamps the targets 0 and the
+    whole length).  One table serves every entry of t.
+    """
+    x, y = _validated_pair(M, x, y)
+    t = np.asarray(t, dtype=float)
+    outside = t[~((t >= 0.0) & (t <= 1.0))]
+    if outside.size:
+        raise ValueError(f"the time change requires t in [0, 1], got {outside[0]}")
+    a = M.diffeo.forward(x)
+    w = M.diffeo.forward(y) - a
+    cumlen = _arc_table(M, a, w)
+    total = float(cumlen[-1])
+    if total == 0.0:
+        raise DegenerateCurveError(
+            "the time change is undefined for coinciding endpoints")
+    tp = [_invert(M, a, w, cumlen, s * total) for s in t.ravel()]
+    return a, w, np.reshape(tp, t.shape)
+
+
 def timechange(M, x, y, t):
     """Monotone reparameterization s with equal arc length in equal time.
 
     Returns the smallest t' such that the arc length up to t' is t times the
-    total; s(0) = 0 and s(1) = 1 exactly.
+    total; s(0) = 0 and s(1) = 1 exactly.  Batch-first in t: a float for a
+    scalar t, an array of the shape of t otherwise.
     """
-    x, y = _validated_pair(M, x, y)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"timechange requires t in [0, 1], got {t}")
-    arc = _Arc(M, x, y)
-    total = arc.table().total
-    if total == 0.0:
-        raise DegenerateCurveError(
-            "timechange is undefined for coinciding endpoints")
-    if t == 0.0:
-        return 0.0
-    if t == 1.0:
-        return 1.0
-    return arc.invert(t * total)
+    tp = _changed_times(M, x, y, t)[2]
+    return float(tp) if tp.ndim == 0 else tp
 
 
 def iso_geodesic(M, x, y, t):
-    """Constant-speed geodesic: the Levi-Civita curve at the changed time."""
-    x, y = _validated_pair(M, x, y)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"iso_geodesic requires t in [0, 1], got {t}")
-    arc = _Arc(M, x, y)
-    total = arc.table().total
-    if total == 0.0:
-        raise DegenerateCurveError(
-            "iso_geodesic is undefined for coinciding endpoints")
-    tp = 0.0 if t == 0.0 else 1.0 if t == 1.0 else arc.invert(t * total)
-    return M.diffeo.inverse(arc.a + tp * arc.w)
+    """Constant-speed geodesic: the Levi-Civita curve at the changed time.
+
+    Batch-first in t: a ``(d,)`` point for a scalar t, ``(..., d)`` for an
+    ``(...)`` array of times.
+    """
+    a, w, tp = _changed_times(M, x, y, t)
+    return M.diffeo.inverse(a + tp[..., None] * w)
 
 
 def vectorchange(M, xi):
@@ -202,10 +152,13 @@ def vectorchange(M, xi):
     nv = xi.norm
     if nv == 0.0:
         return 0.0
-    ray = _RayArc(M, xi)
+    a = M.diffeo.forward(xi.base)
+    w = M.diffeo.jvp(xi.base, xi.vec)
+    q = M.quad
 
     def g(T):
-        return ray.length_to(T) - nv
+        ts, weights, _ = composite_nodes(0.0, T, q.panels, q.nodes_per_panel)
+        return float(np.dot(_speeds(M, a, w, ts), weights)) - nv
 
     lo, g_lo = 0.0, -nv
     hi = 1.0
@@ -233,7 +186,7 @@ def vectorchange(M, xi):
         raise NonConvergenceError(
             f"vectorchange failed to bracket within "
             f"{M.quad.max_bracket_doublings} doublings (|xi| = {nv})")
-    return refine_root(g, lo, hi, M.quad.refine_tol, g_lo=g_lo, scale=nv)
+    return refine_root(g, lo, hi, g_lo=g_lo, scale=nv)
 
 
 def iso_exp(M, xi):
@@ -246,11 +199,12 @@ def iso_exp(M, xi):
 
 
 def _iso_log_vecs(M, x, y):
-    """Iso-log vectors from x to y for validated ``(..., d)`` points.
+    """Iso-log vectors and iso-distances from x to y, validated ``(..., d)`` points.
 
-    x and y broadcast; each row equals ``iso_log(M, x_i, y_i).vec`` bit for
-    bit when the diffeomorphism maps a point alone and in a batch alike, as
-    every built-in one does.
+    x and y broadcast; returns the ``(..., d)`` vectors and the ``(...)``
+    distances their norms are scaled to.  Each vector equals
+    ``iso_log(M, x_i, y_i).vec`` bit for bit when the diffeomorphism maps a
+    point alone and in a batch alike, as every built-in one does.
     """
     a = M.diffeo.forward(x)
     w = M.diffeo.forward(y) - a
@@ -260,13 +214,13 @@ def _iso_log_vecs(M, x, y):
     dist = _arc_table(M, a, w)[..., -1]
     moving = nv > 0.0
     scale = np.divide(dist, nv, out=np.zeros_like(nv), where=moving)
-    return np.where(moving[..., None], scale[..., None] * v, 0.0)
+    return np.where(moving[..., None], scale[..., None] * v, 0.0), dist
 
 
 def iso_log(M, x, y):
     """Logarithm direction rescaled so its norm equals the iso-distance."""
     x, y = _validated_pair(M, x, y)
-    return TangentVector(x, _iso_log_vecs(M, x, y))
+    return TangentVector(x, _iso_log_vecs(M, x, y)[0])
 
 
 def iso_transport(M, x, y, xi):
@@ -286,15 +240,14 @@ def speed_profile(M, x, y, n_samples=33, h=1e-5):
     Returns an (n_samples, 2) array of (t, speed) rows at interior times;
     diagnostic for the constant-speed guarantee.
     """
-    x, y = _validated_pair(M, x, y)
     ts = np.arange(1, n_samples + 1) / (n_samples + 1.0)
-    arc = _Arc(M, x, y)
-    total = arc.table().total
-    if total == 0.0:
+    # A stencil time past [0, 1] (h >= ts[0]) reads the endpoint, as an
+    # arc-length target beyond either end of the curve does.
+    stencil = np.clip(np.concatenate([ts - h, ts + h]), 0.0, 1.0)
+    try:
+        pts = iso_geodesic(M, x, y, stencil)
+    except DegenerateCurveError:
         return np.stack([ts, np.zeros_like(ts)], axis=-1)
-    stencil = np.concatenate([ts - h, ts + h])
-    s_vals = np.array([arc.invert(t * total) for t in stencil])
-    pts = M.diffeo.inverse(arc.a + s_vals[:, None] * arc.w)
     lo, hi = pts[:n_samples], pts[n_samples:]
     speeds = np.linalg.norm(hi - lo, axis=-1) / (2.0 * h)
     return np.stack([ts, speeds], axis=-1)

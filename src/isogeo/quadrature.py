@@ -12,20 +12,22 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
+# Parameter tolerance of every root solve: tight enough that exp/log round
+# trips keep headroom over the quadrature error.
+REFINE_XTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Numerical settings threaded through every iso mapping.
 
     panels x nodes_per_panel Gauss-Legendre points discretize each unit of
-    curve parameter; refine_tol bounds the parameter error of the
-    reparameterization and vectorchange solves; max_bracket_doublings caps
-    the bracket search in vectorchange.
+    curve parameter; max_bracket_doublings caps the bracket search in
+    vectorchange.  The root solves use the fixed tolerance REFINE_XTOL.
     """
 
     panels: int = 64
     nodes_per_panel: int = 4
-    refine_tol: float = 1e-10
     max_bracket_doublings: int = 60
 
     def __post_init__(self):
@@ -34,8 +36,6 @@ class QuadratureConfig:
         if self.nodes_per_panel < 1:
             raise ValueError(
                 f"nodes_per_panel must be >= 1, got {self.nodes_per_panel}")
-        if self.refine_tol <= 0:
-            raise ValueError(f"refine_tol must be > 0, got {self.refine_tol}")
         if self.max_bracket_doublings < 1:
             raise ValueError("max_bracket_doublings must be >= 1")
 
@@ -74,13 +74,13 @@ def panel_integrals(values, panels, nodes_per_panel):
     return values.reshape(*values.shape[:-1], panels, nodes_per_panel).sum(axis=-1)
 
 
-def refine_root(g, lo, hi, refine_tol, g_lo=None, guess=None, scale=1.0):
+def refine_root(g, lo, hi, g_lo=None, guess=None, scale=1.0):
     """Solve g = 0 on a bracketing interval [lo, hi] with g(lo) <= 0 <= g(hi).
 
     An interpolated guess with negligible residual is accepted outright (this
     keeps exactly-linear cases, e.g. the identity geometry, exact to rounding).
-    Otherwise Brent's method refines the bracket; the parameter tolerance is
-    refine_tol, tightened to 1e-12 so downstream round trips keep headroom.
+    Otherwise Brent's method refines the bracket to REFINE_XTOL in the
+    parameter.
     """
     residual_eps = 1e-15 * (1.0 + abs(scale))
     if guess is not None and lo <= guess <= hi:
@@ -93,5 +93,4 @@ def refine_root(g, lo, hi, refine_tol, g_lo=None, guess=None, scale=1.0):
     g_hi = g(hi)
     if abs(g_hi) <= residual_eps:
         return float(hi)
-    xtol = max(min(refine_tol, 1e-12), 1e-15)
-    return float(brentq(g, lo, hi, xtol=xtol, rtol=8.9e-16))
+    return float(brentq(g, lo, hi, xtol=REFINE_XTOL, rtol=8.9e-16))

@@ -141,7 +141,7 @@ def iso_rank_r_approx(M, points, base, r):
         raise ValueError(
             f"rank r must satisfy 1 <= r <= min(d, N) = "
             f"{min(M.dim, len(pts))}, got {r}")
-    logs = _iso_log_vecs(M, base, pts).T
+    logs = _iso_log_vecs(M, base, pts)[0].T
     U, _, _ = np.linalg.svd(logs, full_matrices=True)
     U = U[:, :r]
     flip = np.sign(U[np.abs(U).argmax(axis=0), np.arange(r)])

@@ -5,7 +5,7 @@ import pytest
 
 import isogeo as ig
 from isogeo import isomaps
-from isogeo.errors import DimensionError, DomainError
+from isogeo.errors import DegenerateCurveError, DimensionError, DomainError
 from isogeo.isomaps import _arc_table, _iso_log_vecs
 from isogeo.quadrature import unit_rule
 
@@ -37,7 +37,8 @@ def test_iso_distance_batches_equal_one_pair_calls(any_manifold):
 
     single = ig.iso_distance(M, x, Y[0])
     assert isinstance(single, float)
-    assert single == isomaps._Arc(M, x, Y[0]).table().total
+    a = M.diffeo.forward(x)
+    assert single == _arc_table(M, a, M.diffeo.forward(Y[0]) - a)[-1]
     for got, want in [
             (ig.iso_distance(M, x, Y), _pairwise(one, x, Y)),
             (ig.iso_distance(M, Y, x), _pairwise(one, Y, x)),
@@ -58,11 +59,12 @@ def test_iso_log_vecs_equal_one_pair_calls(any_manifold):
 
     for shape in [(), (5,), (3, 2)]:
         Y = _points(name, M, rng, shape)
-        got = _iso_log_vecs(M, x, Y)
+        got, dists = _iso_log_vecs(M, x, Y)
         assert got.shape == Y.shape
         assert np.array_equal(got, _pairwise(one, x, Y))
+        assert np.array_equal(dists, ig.iso_distance(M, x, Y))
     X, Y = _points(name, M, rng, (4,)), _points(name, M, rng, (4,))
-    assert np.array_equal(_iso_log_vecs(M, X, Y), _pairwise(one, X, Y))
+    assert np.array_equal(_iso_log_vecs(M, X, Y)[0], _pairwise(one, X, Y))
 
 
 def test_coincident_row_gives_zero_distance_and_log(any_manifold):
@@ -72,7 +74,8 @@ def test_coincident_row_gives_zero_distance_and_log(any_manifold):
     Y = _points(name, M, rng, (4,))
     Y[2] = x
     dists = ig.iso_distance(M, x, Y)
-    logs = _iso_log_vecs(M, x, Y)
+    logs, log_dists = _iso_log_vecs(M, x, Y)
+    assert np.array_equal(log_dists, dists)
     assert dists[2] == 0.0
     assert np.array_equal(logs[2], np.zeros(M.dim))
     assert not np.signbit(logs[2]).any()
@@ -131,5 +134,40 @@ def test_arc_table_shape_and_shared_read_only_rule(river_manifold):
     for array in rule:
         with pytest.raises(ValueError):
             array[0] = 1.0
-    knots = ig.arc_length_table(M, a, np.ones(2)).knots
-    assert knots is rule[2]
+    # The table columns sit at the shared rule's knots: on a flat line the
+    # cumulative length is |w| times the knot.
+    flat = ig.PullbackManifold(ig.identity(2), q)
+    np.testing.assert_allclose(_arc_table(flat, a, np.ones(2)),
+                               np.sqrt(2.0) * rule[2], rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+def test_time_change_batches_equal_per_t_calls(any_manifold, shape):
+    name, M = any_manifold
+    rng = np.random.default_rng(26)
+    x, y = sample_point(name, M, rng), sample_point(name, M, rng)
+    t = rng.uniform(0.0, 1.0, shape)
+    if t.ndim:
+        t.flat[0], t.flat[-1] = 0.0, 1.0
+    tp = ig.timechange(M, x, y, t)
+    pts = ig.iso_geodesic(M, x, y, t)
+    if not shape:
+        assert isinstance(tp, float)
+    assert np.shape(tp) == shape and pts.shape == shape + (M.dim,)
+    one_tp = np.reshape([ig.timechange(M, x, y, s) for s in t.ravel()], shape)
+    one_pts = np.reshape([ig.iso_geodesic(M, x, y, s) for s in t.ravel()],
+                         shape + (M.dim,))
+    assert np.array_equal(tp, one_tp)
+    assert np.array_equal(pts, one_pts)
+
+
+def test_time_change_batch_errors(river_manifold):
+    M = river_manifold
+    x, y = np.array([1.0, 2.0]), np.array([-2.0, 0.5])
+    for fn in (ig.timechange, ig.iso_geodesic):
+        with pytest.raises(ValueError, match="got 1.5"):
+            fn(M, x, y, np.array([0.0, 0.5, 1.5, 1.0]))
+        with pytest.raises(ValueError):
+            fn(M, x, y, np.array([[0.5, np.nan]]))
+        with pytest.raises(DegenerateCurveError):
+            fn(M, x, x, np.array([0.0, 0.5, 1.0]))

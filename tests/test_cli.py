@@ -84,6 +84,16 @@ x = 1
     assert "typo_section" in text
 
 
+def test_config_rejects_refine_tol(tmp_path):
+    text = BARY_CONFIG.format(out=tmp_path / "out") + "\n[quadrature]\nrefine_tol = 1e-10\n"
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert excinfo.value.problems == ["quadrature.refine_tol: unknown key"]
+    result = CliRunner().invoke(main, ["validate", str(path)])
+    assert result.exit_code == experiments.EXIT_USAGE
+
+
 def test_config_requires_sections(tmp_path):
     path = write_config(tmp_path, "[output]\ndir = x\n")
     with pytest.raises(ConfigError) as excinfo:
@@ -305,6 +315,27 @@ def test_cli_validate_and_run(tmp_path, monkeypatch):
     assert result.exit_code == 0 and "ok:" in result.output
     result = runner.invoke(main, ["run", str(path)])
     assert result.exit_code == 0
+    assert result.output == f"config.ini: ok -> {tmp_path / 'out'}\n"
+
+
+def test_cli_run_several_configs_exits_with_highest_code(tmp_path, monkeypatch):
+    monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    good = write_config(tmp_path, BARY_CONFIG.format(out=tmp_path / "good"),
+                        name="good.ini")
+    stall = write_config(tmp_path, BARY_CONFIG.format(out=tmp_path / "stall").replace(
+        "tol = 1e-2", "tol = 1e-12\nr0 = 8.0\nc = 0.95\nmax_backtracks = 3"),
+        name="stall.ini")
+    bad = write_config(tmp_path, "[geometry]\nname = escher\n", name="bad.ini")
+    runner = CliRunner()
+    result = runner.invoke(main, ["run", str(bad), str(good)])
+    assert result.exit_code == experiments.EXIT_USAGE
+    assert result.stdout.splitlines() == [
+        "bad.ini: config error", f"good.ini: ok -> {tmp_path / 'good'}"]
+    assert "error: geometry.name" in result.stderr
+    assert (tmp_path / "good" / "summary.json").exists()
+    result = runner.invoke(main, ["run", str(stall), str(bad), str(good)])
+    assert result.exit_code == experiments.EXIT_STALL
+    assert result.stdout.splitlines()[0] == f"stall.ini: stalled -> {tmp_path / 'stall'}"
 
 
 def test_cli_rejects_bad_config(tmp_path):
@@ -341,6 +372,15 @@ def test_cli_geodesic_argument_validation():
     result = runner.invoke(main, ["geodesic", "--geometry", "river",
                                   "--from", "zero", "--to", "1,1"])
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("samples", [1, 2])
+def test_geodesic_rows_coincident_endpoints_without_interior(river_manifold, samples):
+    x = np.array([1.0, -2.0])
+    rows = experiments.geodesic_rows(river_manifold, x, x.copy(), samples, True)
+    assert rows == [[t, 1.0, -2.0] for t in np.linspace(0.0, 1.0, samples)]
+    with pytest.raises(DegenerateCurveError):
+        experiments.geodesic_rows(river_manifold, x, x.copy(), 3, True)
 
 
 def test_geodesic_experiment_config(tmp_path, monkeypatch):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import isogeo as ig
 from isogeo.errors import DegenerateCurveError, DomainError
+from isogeo.isomaps import _arc_table
+from isogeo.quadrature import unit_rule
 
 from conftest import make_manifold, safe_tangent, sample_pairs
 
@@ -54,22 +56,30 @@ def test_iso_distance_quadrature_convergence(river_manifold):
         assert abs(d64 - d128) <= 1e-8 * (1 + d128)
 
 
+def _pair_table(M, x, y):
+    """Cumulative arc length of the geodesic from x to y at the panel knots."""
+    a = M.diffeo.forward(x)
+    return _arc_table(M, a, M.diffeo.forward(y) - a)
+
+
 def test_arc_length_table_identity(identity2):
     x, y = np.array([0.0, 0.0]), np.array([3.0, 4.0])
-    table = ig.arc_length_table(identity2, x, y)
-    np.testing.assert_allclose(table.cumlen, 5.0 * table.knots, atol=1e-12)
-    assert table.total == pytest.approx(5.0, abs=1e-12)
+    cumlen = _pair_table(identity2, x, y)
+    knots = unit_rule(identity2.quad)[2]
+    np.testing.assert_allclose(cumlen, 5.0 * knots, atol=1e-12)
+    assert cumlen[-1] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_arc_length_table_degenerate_and_quad_override(river_manifold):
     x = np.array([1.0, 1.0])
-    table = ig.arc_length_table(river_manifold, x, x)
-    assert table.total == 0.0
-    np.testing.assert_array_equal(table.cumlen, np.zeros_like(table.cumlen))
-    coarse = ig.arc_length_table(river_manifold, x, np.array([2.0, 0.5]),
-                                 quad=ig.QuadratureConfig(panels=8))
-    assert len(coarse.knots) == 9
-    assert np.all(np.diff(coarse.cumlen) > 0)
+    cumlen = _pair_table(river_manifold, x, x)
+    assert cumlen[-1] == 0.0
+    np.testing.assert_array_equal(cumlen, np.zeros_like(cumlen))
+    coarse = ig.PullbackManifold(river_manifold.diffeo,
+                                 ig.QuadratureConfig(panels=8))
+    cumlen = _pair_table(coarse, x, np.array([2.0, 0.5]))
+    assert len(unit_rule(coarse.quad)[2]) == 9 and cumlen.shape == (9,)
+    assert np.all(np.diff(cumlen) > 0)
 
 
 def test_timechange_endpoints_and_monotonicity(river_manifold):
@@ -227,6 +237,15 @@ def test_speed_profile_identity_constant(identity2):
     x, y = np.array([0.0, 0.0]), np.array([3.0, 4.0])
     prof = ig.speed_profile(identity2, x, y, 15)
     np.testing.assert_allclose(prof[:, 1], 5.0, rtol=1e-7)
+
+
+def test_speed_profile_stencil_past_the_ends_reads_the_endpoints(identity2):
+    # With h >= 1 / (n_samples + 1) the stencil leaves [0, 1]; those times
+    # read the endpoints instead of raising.
+    x, y = np.array([0.0, 0.0]), np.array([3.0, 4.0])
+    prof = ig.speed_profile(identity2, x, y, 3, h=0.3)
+    lo, hi = np.array([0.0, 0.2, 0.45]), np.array([0.55, 0.8, 1.0])
+    np.testing.assert_allclose(prof[:, 1], 5.0 * (hi - lo) / 0.6, rtol=1e-12)
 
 
 def test_speed_profile_river_nearly_constant(river_manifold):
