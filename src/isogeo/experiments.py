@@ -171,8 +171,12 @@ def inverse_problem(M, extras):
     b = A @ x_true + extras["noise"] * rng.standard_normal(extras["rows"])
 
     def f(x):
-        r = A @ x - b
-        return 0.5 * float(np.dot(r, r))
+        # Batch-first: a float for one (d,) point, an (...) array for
+        # (..., d).  The stacked matvec is bitwise A @ x for every point
+        # (``x @ A.T`` is not), and vecdot runs the dot kernel of np.dot.
+        r = (A @ x[..., None])[..., 0] - b
+        value = 0.5 * np.vecdot(r, r)
+        return float(value) if value.ndim == 0 else value
 
     def grad(x):
         return A.T @ (A @ x - b)
@@ -181,10 +185,10 @@ def inverse_problem(M, extras):
 
 
 def grid_search_1d(S, f, s_min, s_max, n_points):
-    """Brute-force minimizer of f over the 1D submanifold parameter."""
+    """Brute-force minimizer of a batch-first f over the 1D submanifold parameter."""
     s = np.linspace(s_min, s_max, n_points)
     X = S.points_at(s)
-    values = np.array([f(x) for x in X])
+    values = f(X)
     best = int(values.argmin())
     return s[best], X[best], values[best], s[1] - s[0]
 

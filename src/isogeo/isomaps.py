@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import DegenerateCurveError, DomainError, NonConvergenceError
 from .pullback import TangentVector, as_point, lc_exp, lc_log, lc_transport
-from .quadrature import composite_nodes, panel_integrals, refine_root, unit_rule
+from .quadrature import (_leggauss, composite_nodes, panel_integrals, refine_root,
+                         refine_roots, unit_rule)
 
 # Lines per array pass of _arc_table: with the default 256 nodes and d = 2,
 # each node array of a pass holds 2 MB, whatever the size of the batch.
@@ -49,32 +50,42 @@ def _arc_table(M, a, w):
 
 
 def _invert(M, a, w, cumlen, target):
-    """Smallest t' whose arc length along a + t w is target, refined past the table.
+    """Smallest t' whose arc length along a + t w is each target, refined past the table.
 
-    ``cumlen`` is the ``_arc_table`` row of the one line ``a + t w``.
+    ``cumlen`` is the ``_arc_table`` row of the one line ``a + t w`` and
+    ``target`` an ``(n,)`` array; targets at or below 0 map to 0 and at or
+    above the whole length to 1.  The other targets are solved together by
+    ``refine_roots``, each one equal to its own ``refine_root`` solve.
     """
-    knots = unit_rule(M.quad)[2]
-    total = float(cumlen[-1])
-    if target <= 0.0:
-        return 0.0
-    if target >= total:
-        return 1.0
-    idx = int(np.searchsorted(cumlen, target, side="left"))
-    idx = min(max(idx, 1), len(knots) - 1)
+    q = M.quad
+    knots = unit_rule(q)[2]
+    nodes, weights = _leggauss(q.nodes_per_panel)
+    changed = np.where(target <= 0.0, 0.0, 1.0)
+    inner = np.flatnonzero((target > 0.0) & (target < cumlen[-1]))
+    target = target[inner]
+    idx = np.clip(np.searchsorted(cumlen, target, side="left"), 1, len(knots) - 1)
     lo, hi = knots[idx - 1], knots[idx]
     c_lo, c_hi = cumlen[idx - 1], cumlen[idx]
-    guess = lo + (hi - lo) * (target - c_lo) / max(c_hi - c_lo, 1e-300)
+    guess = lo + (hi - lo) * (target - c_lo) / np.maximum(c_hi - c_lo, 1e-300)
 
-    def g(tp):
-        # Arc length from 0 to tp, exact on panel knots, minus the target.
-        k = int(np.searchsorted(knots, tp, side="right")) - 1
-        k = min(max(k, 0), len(knots) - 2)
-        if tp <= knots[k]:
-            return float(cumlen[k]) - target
-        ts, weights, _ = composite_nodes(knots[k], tp, 1, M.quad.nodes_per_panel)
-        return float(cumlen[k] + np.dot(_speeds(M, a, w, ts), weights)) - target
+    def g(lanes, tp):
+        # Arc length from 0 to tp, exact on panel knots, minus the target;
+        # off the knots the stencil is composite_nodes(knots[k], tp, 1, n).
+        k = np.searchsorted(knots, tp, side="right") - 1
+        k = np.minimum(np.maximum(k, 0), len(knots) - 2)
+        length = cumlen[k]
+        off = np.flatnonzero(tp > knots[k])
+        if off.size:
+            t, kn = tp[off], knots[k[off]]
+            half, mid = 0.5 * (t - kn), 0.5 * (t + kn)
+            ts = mid[:, None] + half[:, None] * nodes
+            speeds = _speeds(M, a, w, ts.ravel()).reshape(ts.shape)
+            # vecdot runs the dot kernel of np.dot: each sum is the scalar one.
+            length[off] += np.vecdot(speeds, half[:, None] * weights)
+        return length - target[lanes]
 
-    return refine_root(g, lo, hi, g_lo=c_lo - target, guess=guess, scale=total)
+    changed[inner] = refine_roots(g, lo, hi, c_lo - target, guess, cumlen[-1])
+    return changed
 
 
 def _validated_pair(M, x, y):
@@ -115,8 +126,7 @@ def _changed_times(M, x, y, t):
     if total == 0.0:
         raise DegenerateCurveError(
             "the time change is undefined for coinciding endpoints")
-    tp = [_invert(M, a, w, cumlen, s * total) for s in t.ravel()]
-    return a, w, np.reshape(tp, t.shape)
+    return a, w, _invert(M, a, w, cumlen, t.ravel() * total).reshape(t.shape)
 
 
 def timechange(M, x, y, t):

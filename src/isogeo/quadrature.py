@@ -1,9 +1,10 @@
-"""Composite Gauss-Legendre quadrature and scalar root refinement.
+"""Composite Gauss-Legendre quadrature and root refinement.
 
 The iso mappings need two numerical primitives: cumulative arc-length
 integrals of smooth positive speeds, and inverses of the resulting monotone
 functions.  Both live here so the geometry modules stay free of numerics
-plumbing.
+plumbing.  ``refine_root`` solves one root with scipy's ``brentq``;
+``refine_roots`` solves a batch with the same steps, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -12,9 +13,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
+from .errors import NonConvergenceError
+
 # Parameter tolerance of every root solve: tight enough that exp/log round
 # trips keep headroom over the quadrature error.
 REFINE_XTOL = 1e-12
+# Relative tolerance and iteration cap of every Brent solve (the smallest
+# rtol brentq accepts, and its default maxiter).
+REFINE_RTOL = 8.9e-16
+BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -93,4 +100,112 @@ def refine_root(g, lo, hi, g_lo=None, guess=None, scale=1.0):
     g_hi = g(hi)
     if abs(g_hi) <= residual_eps:
         return float(hi)
-    return float(brentq(g, lo, hi, xtol=REFINE_XTOL, rtol=8.9e-16))
+    return float(brentq(g, lo, hi, xtol=REFINE_XTOL, rtol=REFINE_RTOL))
+
+
+def refine_roots(g, lo, hi, g_lo, guess, scale):
+    """Batch-first ``refine_root``: one solve per lane, all lanes in lockstep.
+
+    ``lo``, ``hi``, ``g_lo`` and ``guess`` are ``(n,)`` arrays and ``scale``
+    broadcasts to them; ``g(i, x)`` returns the residuals of the lanes ``i``
+    (an index array) at the times ``x``.  Each root equals
+    ``refine_root(g_i, lo[i], hi[i], g_lo[i], guess[i], scale)`` bit for bit:
+    the prologue accepts the guess, then ``lo``, then ``hi``, and the other
+    lanes take the steps of scipy's ``brentq``.  Raises NonConvergenceError
+    for a non-finite residual, a bracket without a sign change, or a lane
+    still open after BRENT_MAXITER iterations.
+    """
+    lo, hi, g_lo, guess = np.broadcast_arrays(lo, hi, g_lo, guess)
+    eps = np.broadcast_to(1e-15 * (1.0 + np.abs(scale)), lo.shape)
+    root = np.empty(lo.shape)
+    done = np.zeros(lo.shape, dtype=bool)
+
+    def accept(lanes, x, residual):
+        hit = np.abs(residual) <= eps[lanes]
+        root[lanes[hit]] = x[hit]
+        done[lanes[hit]] = True
+        return ~hit
+
+    lanes = np.flatnonzero((lo <= guess) & (guess <= hi))
+    if lanes.size:
+        accept(lanes, guess[lanes], g(lanes, guess[lanes]))
+    lanes = np.flatnonzero(~done)
+    accept(lanes, lo[lanes], g_lo[lanes])
+    lanes = np.flatnonzero(~done)
+    if lanes.size:
+        g_hi = g(lanes, hi[lanes])
+        open_ = accept(lanes, hi[lanes], g_hi)
+        lanes = lanes[open_]
+        root[lanes] = _brent(g, lanes, lo[lanes], hi[lanes], g_lo[lanes],
+                             g_hi[open_])
+    return root
+
+
+def _check_finite(x, residual):
+    if not np.isfinite(residual).all():
+        bad = ~np.isfinite(residual)
+        raise NonConvergenceError(
+            f"root solve: residual {residual[bad][0]} at x = {x[bad][0]}")
+
+
+def _brent(g, lanes, xpre, xcur, fpre, fcur):
+    """scipy's ``brentq.c`` stepped on every lane at once (Brent, 1973).
+
+    ``xpre``/``xcur`` bracket each root with residuals ``fpre``/``fcur``;
+    returns the roots of ``lanes``.  Every branch is taken per lane with
+    ``np.where`` on the same arithmetic, and a lane leaves at convergence.
+    """
+    _check_finite(xpre, fpre)
+    _check_finite(xcur, fcur)
+    same = np.signbit(fpre) == np.signbit(fcur)
+    if same.any():
+        raise NonConvergenceError(
+            f"root solve: no sign change on [{xpre[same][0]}, {xcur[same][0]}]")
+    root = np.empty(len(lanes))
+    live = np.arange(len(lanes))
+    xblk, fblk, spre, scur = (np.zeros(len(lanes)) for _ in range(4))
+    for _ in range(BRENT_MAXITER):
+        # A sign change between pre and cur makes pre the block end.
+        flip = np.sign(fpre) * np.sign(fcur) < 0
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        step = xcur - xpre
+        spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+        # When the block end has the smaller residual, it becomes current.
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (REFINE_XTOL + REFINE_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        converged = (fcur == 0) | (np.abs(sbis) < delta)
+        if converged.any():
+            root[live[converged]] = xcur[converged]
+            keep = ~converged
+            if not keep.any():
+                return root
+            (live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
+             sbis) = (v[keep] for v in (live, xpre, xcur, xblk, fpre, fcur,
+                                        fblk, spre, scur, delta, sbis))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = (-fcur * (fblk * dblk - fpre * dpre)
+                           / (dblk * dpre * (fblk - fpre)))
+        stry = np.where(xpre == xblk, interpolate, extrapolate)
+        # brentq.c's MIN(|spre|, 3 |sbis| - delta), NaN ordering included.
+        aspre = np.abs(spre)
+        bis_limit = 3 * np.abs(sbis) - delta
+        limit = np.where(aspre < bis_limit, aspre, bis_limit)
+        short = ((aspre > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry) < limit))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                               np.where(sbis > 0, delta, -delta))
+        fcur = g(lanes[live], xcur)
+        _check_finite(xcur, fcur)
+    raise NonConvergenceError(
+        f"root solve: {len(live)} of {len(lanes)} lanes open after "
+        f"{BRENT_MAXITER} Brent iterations")

@@ -238,6 +238,23 @@ dir = {out}
     assert (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("rows", [2, 3])
+def test_inverse_objective_batch_equals_point_by_point(banana_manifold, rows):
+    for op_seed in (2, 5, 11, 23):
+        extras = {"rows": rows, "op_seed": op_seed, "noise": 0.05, "offset": 4.0,
+                  "s_true": 1.5}
+        S, A, b, _, f, _ = experiments.inverse_problem(banana_manifold, extras)
+        X = S.points_at(np.linspace(-6.0, 6.0, 2001))
+        one = [f(x) for x in X]
+        assert all(type(v) is float for v in one)
+        assert np.array_equal(f(X), one)
+        # Each value is the plain per-point residual norm, bit for bit.
+        assert one == [0.5 * float(np.dot(A @ x - b, A @ x - b)) for x in X]
+        assert np.array_equal(f(X.reshape(1, -1, 1, 2)), f(X).reshape(1, -1, 1))
+        s, x, value, _ = experiments.grid_search_1d(S, f, -6.0, 6.0, 2001)
+        assert value == min(one) and np.array_equal(x, X[int(np.argmin(one))])
+
+
 def test_run_determinism_byte_identical(tmp_path, monkeypatch):
     monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
     outs = []
