@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import StallError
 from .isomaps import _iso_log_vecs, _validated_pair, iso_distance, iso_exp, iso_transport
-from .pullback import TangentVector, as_point, closed_form_barycentre, lc_log
+from .pullback import TangentVector, as_point, closed_form_barycentre
 from .serialize import write_csv
 
 
@@ -114,20 +114,27 @@ def ird_descent(M, vector_field, x0, r, tol=1e-8, max_iters=500):
     return x, trace
 
 
-def _mean_field(x, logs):
+def _mean_vecs(logs):
+    """-(1/N) times the sum of the N vectors of each ``(..., N, d)`` stack."""
     # The running sum from +0.0 of a loop over the points, in one call:
     # np.sum may add the terms pairwise, which rounds differently.
-    acc = np.cumsum(np.concatenate([np.zeros((1, len(x))), logs]), axis=0)[-1]
-    return TangentVector(x, -acc / len(logs))
+    zero = np.zeros(logs.shape[:-2] + (1, logs.shape[-1]))
+    acc = np.cumsum(np.concatenate([zero, logs], axis=-2), axis=-2)[..., -1, :]
+    return -acc / logs.shape[-2]
+
+
+def _field_points(M, points):
+    """The data points of a barycentre field as a validated ``(N, d)`` array."""
+    if len(points) == 0:
+        raise ValueError("a barycentre field requires a nonempty point list")
+    return as_point(points, M.dim, "points", batch=True).reshape(-1, M.dim)
 
 
 def iso_barycentre_field(M, x, points):
     """The descent field -(1/N) sum iso_log_x(x_i); zero at an iso-barycentre."""
     x = as_point(x, M.dim, "x")
-    if len(points) == 0:
-        raise ValueError("iso_barycentre_field requires a nonempty point list")
-    pts = as_point(points, M.dim, "points", batch=True).reshape(-1, M.dim)
-    return _mean_field(x, _iso_log_vecs(M, x, pts)[0])
+    pts = _field_points(M, points)
+    return TangentVector(x, _mean_vecs(_iso_log_vecs(M, x, pts)[0]))
 
 
 def iso_barycentre(M, points, cfg=None, x0=None):
@@ -140,9 +147,7 @@ def iso_barycentre(M, points, cfg=None, x0=None):
     cfg.max_backtracks.
     """
     cfg = cfg or LineSearchConfig()
-    if len(points) == 0:
-        raise ValueError("iso_barycentre requires a nonempty point list")
-    pts = as_point(points, M.dim, "points", batch=True).reshape(-1, M.dim)
+    pts = _field_points(M, points)
     x = closed_form_barycentre(M, pts) if x0 is None else as_point(x0, M.dim, "x0")
     xi = iso_barycentre_field(M, x, pts)
     trace = ConvergenceTrace()
@@ -180,7 +185,9 @@ def barycentre_ratio_field(M, x, points, use_iso_log=True):
     if use_iso_log:
         return iso_barycentre_field(M, x, points)
     x = as_point(x, M.dim, "x")
-    return _mean_field(x, [lc_log(M, x, p).vec for p in points])
+    a = M.diffeo.forward(x)
+    logs = M.diffeo.inv_jvp(a, M.diffeo.forward(_field_points(M, points)) - a)
+    return TangentVector(x, _mean_vecs(logs))
 
 
 def _ratio_denominator(dist):

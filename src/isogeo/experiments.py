@@ -18,12 +18,13 @@ import scipy
 from .clustering import adjusted_rand_index, euclidean_kmeans, iso_kmeans, riemannian_kmeans
 from .config import ConfigError
 from .datasets import generate_dataset
-from .descent import barycentre_ratio_field, iso_barycentre, iso_lipschitz_ratio, iso_monotonicity_ratio
+from .descent import (_field_points, _mean_vecs, barycentre_ratio_field, iso_barycentre,
+                      iso_lipschitz_ratio, iso_monotonicity_ratio)
 from .diffeos import make_diffeomorphism
 from .errors import (DegenerateBasisError, DegenerateCurveError, DomainError,
                      NonConvergenceError, StallError)
-from .isomaps import _iso_log_vecs, iso_geodesic
-from .pullback import PullbackManifold, closed_form_barycentre, lc_geodesic
+from .isomaps import _iso_log_vecs, _iso_transport_vecs, iso_geodesic
+from .pullback import PullbackManifold, as_point, closed_form_barycentre, lc_geodesic
 from .serialize import write_csv, write_json
 from .submanifold import GeodesicSubmanifold, iso_rank_r_approx, l2pg_ird, submanifold_from_rank_r
 
@@ -222,18 +223,55 @@ def _run_inverse(config, M, outdir):
     return code, summary
 
 
-def ratio_grid_rows(M, points, xbar, grid):
-    """(coords, monotonicity, lipschitz) rows; NaN where ratios are undefined."""
+# Failures that make a node's ratios undefined: its row reads NaN.
+RATIO_UNDEFINED = (ValueError, DomainError, DegenerateCurveError)
+
+
+def _node_ratio_row(M, points, xbar, node):
+    try:
+        field = barycentre_ratio_field(M, node, points)
+        mono = iso_monotonicity_ratio(M, node, xbar, field)
+        lips = iso_lipschitz_ratio(M, node, xbar, field)
+    except RATIO_UNDEFINED:
+        mono = lips = float("nan")
+    return [*node, mono, lips]
+
+
+def _batch_ratio_rows(M, points, xbar, grid):
+    nodes = as_point(grid, M.dim, "grid", batch=True).reshape(-1, M.dim)
+    xbar = as_point(xbar, M.dim, "xbar")
+    pts = _field_points(M, points)
+    fields = _mean_vecs(_iso_log_vecs(M, nodes[:, None], pts[None])[0])
+    logs, dists = _iso_log_vecs(M, xbar, nodes)
+    moved = _iso_transport_vecs(M, xbar, nodes, logs)
+    # Non-finite vectors are a ValueError, as for one node's TangentVector.
+    for name, vecs in [("field", fields), ("log", logs), ("transport", moved)]:
+        as_point(vecs, M.dim, name, batch=True)
+    dots = np.vecdot(fields, moved).tolist()
+    norms = np.sqrt(np.vecdot(fields, fields)).tolist()
     rows = []
-    for node in grid:
-        try:
-            field = barycentre_ratio_field(M, node, points)
-            mono = iso_monotonicity_ratio(M, node, xbar, field)
-            lips = iso_lipschitz_ratio(M, node, xbar, field)
-        except (ValueError, DomainError, DegenerateCurveError):
+    for node, dot, norm, dist in zip(grid, dots, norms, dists.tolist()):
+        # Python floats, as in the one-node ratios: float ** 2 calls libm
+        # pow, which can differ by an ulp from numpy's squaring of an array.
+        if dist == 0.0:
             mono = lips = float("nan")
+        else:
+            mono, lips = dot / dist ** 2, norm / dist
         rows.append([*node, mono, lips])
     return rows
+
+
+def ratio_grid_rows(M, points, xbar, grid):
+    """(coords, monotonicity, lipschitz) rows; NaN where ratios are undefined.
+
+    The whole grid is one batch, with the values of one-node ratio calls.
+    When the batch fails (a node off the domain, say), every node is rerun
+    alone, so only the nodes that fail get NaN rows.
+    """
+    try:
+        return _batch_ratio_rows(M, points, xbar, grid)
+    except RATIO_UNDEFINED:
+        return [_node_ratio_row(M, points, xbar, node) for node in grid]
 
 
 def _run_ratios(config, M, outdir):

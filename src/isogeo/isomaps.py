@@ -14,13 +14,15 @@ values per line are the same as for that line on its own.
 import numpy as np
 
 from .errors import DegenerateCurveError, DomainError, NonConvergenceError
-from .pullback import TangentVector, as_point, lc_exp, lc_log, lc_transport
+from .pullback import TangentVector, as_point, lc_exp
 from .quadrature import (_leggauss, composite_nodes, panel_integrals, refine_root,
                          refine_roots, unit_rule)
 
 # Lines per array pass of _arc_table: with the default 256 nodes and d = 2,
-# each node array of a pass holds 2 MB, whatever the size of the batch.
-LINES_PER_PASS = 512
+# each node array of a pass holds 512 kB, whatever the size of the batch.
+# A ratio grid makes one batch of grid nodes x data points (hundreds of
+# lines); passes of 128 keep its peak memory near that of one-pair calls.
+LINES_PER_PASS = 128
 
 
 def _speeds(M, a, w, ts):
@@ -233,15 +235,31 @@ def iso_log(M, x, y):
     return TangentVector(x, _iso_log_vecs(M, x, y)[0])
 
 
+def _iso_transport_vecs(M, x, y, v):
+    """Iso-transports of the vectors v from x to y, validated ``(..., d)`` arrays.
+
+    x, y and v broadcast.  Each pair scales the parallel transport of its
+    vector by |log_x y| / |log_y x|; a pair whose forward log is zero keeps
+    its vector.
+    """
+    a, b = M.diffeo.forward(x), M.diffeo.forward(y)
+    fwd = M.diffeo.inv_jvp(a, b - a)
+    bwd = M.diffeo.inv_jvp(b, a - b)
+    # vecdot runs the dot kernel of TangentVector.norm: norms agree bitwise.
+    fwd_norm = np.sqrt(np.vecdot(fwd, fwd))
+    bwd_norm = np.sqrt(np.vecdot(bwd, bwd))
+    moving = fwd_norm != 0.0
+    scale = np.divide(fwd_norm, bwd_norm, out=np.ones_like(fwd_norm), where=moving)
+    moved = M.diffeo.inv_jvp(b, M.diffeo.jvp(x, v))
+    return np.where(moving[..., None], scale[..., None] * moved, v)
+
+
 def iso_transport(M, x, y, xi):
     """Parallel transport rescaled by the log-norm ratio of the endpoints."""
     x, y = _validated_pair(M, x, y)
-    forward_norm = lc_log(M, x, y).norm
-    if forward_norm == 0.0:
-        return TangentVector(y, np.asarray(xi.vec, dtype=float).copy())
-    backward_norm = lc_log(M, y, x).norm
-    moved = lc_transport(M, x, y, xi)
-    return TangentVector(y, (forward_norm / backward_norm) * moved.vec)
+    if not np.array_equal(xi.base, x):
+        raise ValueError("transported vector must be based at x")
+    return TangentVector(y, _iso_transport_vecs(M, x, y, xi.vec))
 
 
 def speed_profile(M, x, y, n_samples=33, h=1e-5):

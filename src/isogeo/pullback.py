@@ -119,8 +119,9 @@ def lc_transport(M, x, y, xi):
 
 def closed_form_barycentre(M, points):
     """Riemannian barycentre phi^-1(mean of phi(x_i))."""
-    pts = [as_point(p, M.dim, "point") for p in points]
-    if not pts:
+    if len(points) == 0:
         raise ValueError("closed_form_barycentre requires a nonempty point list")
-    images = np.stack([M.diffeo.forward(p) for p in pts])
-    return M.diffeo.inverse(images.mean(axis=0))
+    pts = as_point(points, M.dim, "points", batch=True)
+    if pts.ndim != 2:
+        raise DimensionError(f"points must be a stack of 1-D vectors, got shape {pts.shape}")
+    return M.diffeo.inverse(M.diffeo.forward(pts).mean(axis=0))

@@ -6,7 +6,7 @@ import pytest
 import isogeo as ig
 from isogeo import isomaps
 from isogeo.errors import DegenerateCurveError, DimensionError, DomainError
-from isogeo.isomaps import _arc_table, _iso_log_vecs
+from isogeo.isomaps import _arc_table, _iso_log_vecs, _iso_transport_vecs
 from isogeo.quadrature import unit_rule
 
 from conftest import sample_point
@@ -80,6 +80,27 @@ def test_coincident_row_gives_zero_distance_and_log(any_manifold):
     assert np.array_equal(logs[2], np.zeros(M.dim))
     assert not np.signbit(logs[2]).any()
     assert np.all(dists[[0, 1, 3]] > 0.0)
+
+
+def test_iso_transport_vecs_equal_one_pair_calls(any_manifold):
+    name, M = any_manifold
+    rng = np.random.default_rng(27)
+    x = sample_point(name, M, rng)
+    Y, V = _points(name, M, rng, (5,)), rng.standard_normal((5, M.dim))
+    Y[1] = x  # the coincident branch keeps its vector
+
+    def one(p, q, v):
+        return ig.iso_transport(M, p, q, ig.TangentVector(p, v)).vec
+
+    got = _iso_transport_vecs(M, x, Y, V)
+    assert got.shape == Y.shape
+    assert np.array_equal(got, np.array([one(x, y, v) for y, v in zip(Y, V)]))
+    assert np.array_equal(got[1], V[1])
+    X = _points(name, M, rng, (5,))
+    X[3] = Y[3]
+    got = _iso_transport_vecs(M, X, Y, V)
+    assert np.array_equal(got, np.array([one(*row) for row in zip(X, Y, V)]))
+    assert np.array_equal(got[3], V[3])
 
 
 def test_batch_validation(any_manifold):

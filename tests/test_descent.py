@@ -6,7 +6,7 @@ import pytest
 import isogeo as ig
 from isogeo.errors import StallError
 
-from conftest import sample_pairs
+from conftest import sample_pairs, sample_point
 
 
 def barycentre_field(M, pts):
@@ -184,6 +184,37 @@ def test_ratios_are_one_on_1d_pullbacks(sinh_manifold):
         lips = ig.iso_lipschitz_ratio(sinh_manifold, x, xbar, field)
         assert mono == pytest.approx(1.0, abs=1e-6)
         assert lips == pytest.approx(1.0, abs=1e-6)
+
+
+def test_lc_log_ratio_field_equals_point_by_point_loop(any_manifold):
+    name, M = any_manifold
+    rng = np.random.default_rng(11)
+    pts = [sample_point(name, M, rng) for _ in range(8)]
+    x = sample_point(name, M, rng)
+    acc = np.zeros(M.dim)
+    for p in pts:
+        acc = acc + ig.lc_log(M, x, p).vec
+    field = ig.barycentre_ratio_field(M, x, pts, use_iso_log=False)
+    assert np.array_equal(field.base, x)
+    assert np.array_equal(field.vec, -acc / len(pts))
+    with pytest.raises(ValueError):
+        ig.barycentre_ratio_field(M, x, [], use_iso_log=False)
+
+
+def test_lc_log_ratio_field_on_identity_points_to_the_mean(identity2):
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-3, 3, (10, 2))
+    x = rng.uniform(-3, 3, 2)
+    field = ig.barycentre_ratio_field(identity2, x, pts, use_iso_log=False)
+    np.testing.assert_allclose(
+        field.vec, x - ig.closed_form_barycentre(identity2, pts), atol=1e-14)
+
+
+def test_iso_transport_requires_base_at_x(identity2):
+    x = np.array([1.0, 2.0])
+    for y in (x, np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match="based at x"):
+            ig.iso_transport(identity2, x, y, ig.TangentVector(x + 1.0, x))
 
 
 def test_ratio_undefined_at_barycentre(identity2):

@@ -8,7 +8,7 @@ import pytest
 import isogeo as ig
 from isogeo.errors import DimensionError
 
-from conftest import sample_pairs
+from conftest import sample_pairs, sample_point
 
 
 def test_lc_distance_identity_reduction(identity2):
@@ -144,6 +144,25 @@ def test_barycentre_single_and_empty(river_manifold):
         ig.closed_form_barycentre(river_manifold, [p]), p, atol=1e-12)
     with pytest.raises(ValueError):
         ig.closed_form_barycentre(river_manifold, [])
+
+
+def test_barycentre_equals_point_by_point_formula(any_manifold):
+    name, M = any_manifold
+    rng = np.random.default_rng(8)
+    pts = [sample_point(name, M, rng) for _ in range(9)]
+    images = np.stack([M.diffeo.forward(p) for p in pts])
+    want = M.diffeo.inverse(images.mean(axis=0))
+    assert np.array_equal(ig.closed_form_barycentre(M, pts), want)
+    assert np.array_equal(ig.closed_form_barycentre(M, np.array(pts)), want)
+
+
+def test_barycentre_rejects_bad_shapes(river_manifold):
+    with pytest.raises(DimensionError):
+        ig.closed_form_barycentre(river_manifold, np.zeros((3, 3)))
+    with pytest.raises(DimensionError):
+        ig.closed_form_barycentre(river_manifold, np.zeros(2))
+    with pytest.raises(DimensionError):
+        ig.closed_form_barycentre(river_manifold, np.zeros((2, 3, 2)))
 
 
 def test_barycentre_minimizes_squared_distance(sinh_manifold):
