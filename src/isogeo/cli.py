@@ -95,7 +95,7 @@ def geodesic(geometry, beta, eta, a_param, z_param, dim, start, end, samples,
                ("dim", dim)) if v is not None}
     try:
         diffeo = make_diffeomorphism(geometry, params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise click.UsageError(f"bad parameters for {geometry}: {exc}")
     M = PullbackManifold(diffeo)
     x = _parse_coords(start, "--from")

@@ -22,30 +22,24 @@ A config is a flat-section key-value file::
     [output]
     dir = out/river_barycentre
 
+The [dataset], [solver] and [quadrature] keys are the int, float and str
+fields of DatasetSpec, LineSearchConfig and QuadratureConfig; the [geometry]
+keys are checked by building the named diffeomorphism.
 Unknown sections or keys are reported with their location; every value error
 names the section and key it came from.
 """
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .datasets import DATASET_KINDS, DatasetSpec
 from .descent import LineSearchConfig
-from .diffeos import registered_names
+from .diffeos import _REGISTRY, registered_names
 from .quadrature import QuadratureConfig
 
-EXPERIMENT_KINDS = ("geodesic", "barycentre", "kmeans", "inverse", "ratios",
-                    "rankr")
-
-_SOLVER_FIELDS = {"r0": float, "c": float, "max_backtracks": int,
-                  "max_iters": int, "tol": float}
-_QUAD_FIELDS = {"panels": int, "nodes_per_panel": int,
-                "max_bracket_doublings": int}
-_DATASET_FIELDS = {"kind": str, "n": int, "seed": int, "noise_sigma": float,
-                   "t_min": float, "t_max": float, "center": float,
-                   "gap": float}
-# Per-experiment extra keys accepted in [experiment], with type and default.
+# Per-experiment extra keys accepted in [experiment], with type and default:
+# the one schema that no settings dataclass owns.
 _EXPERIMENT_FIELDS = {
     "geodesic": {"from": (str, None), "to": (str, None),
                  "samples": (int, 100), "iso": (bool, True)},
@@ -60,6 +54,7 @@ _EXPERIMENT_FIELDS = {
                "x2_max": (float, 8.0)},
     "rankr": {"r": (int, 2)},
 }
+EXPERIMENT_KINDS = tuple(_EXPERIMENT_FIELDS)
 _STOCHASTIC_KINDS = ("river_band", "spiral_band", "two_clusters")
 
 
@@ -106,14 +101,35 @@ def _convert(raw, typ):
     return typ(raw)
 
 
-def _take(section, key, typ, problems, where, default=None):
-    if key not in section:
-        return default
+def _schema(cls):
+    """The INI keys of a settings dataclass: its int, float and str fields."""
+    return {f.name: f.type for f in fields(cls) if f.type in (int, float, str)}
+
+
+def _read(section, where, schema, problems):
+    """Typed values of the schema keys present in a section.
+
+    Reports ``where.key: <message>`` for a value that does not convert, and
+    ``where.key: unknown key`` for every key outside the schema.
+    """
+    values = {}
+    for key, typ in schema.items():
+        if key in section:
+            try:
+                values[key] = _convert(section.pop(key), typ)
+            except ValueError as exc:
+                problems.append(f"{where}.{key}: {exc}")
+    problems.extend(f"{where}.{key}: unknown key" for key in section)
+    return values
+
+
+def _build(make, kwargs, where, problems):
+    """make(**kwargs), or None after reporting ``where: <message>``."""
     try:
-        return _convert(section.pop(key), typ)
-    except ValueError as exc:
-        problems.append(f"{where}.{key}: {exc}")
-        return default
+        return make(**kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        problems.append(f"{where}: {exc}")
+        return None
 
 
 def load_config(path):
@@ -140,12 +156,8 @@ def load_config(path):
             problems.append(
                 f"geometry.name: unknown geometry {geometry_name!r}; "
                 f"registered: {', '.join(registered_names())}")
-        geometry_params = {}
-        for key, raw in geometry.items():
-            try:
-                geometry_params[key] = _convert(raw, float)
-            except ValueError as exc:
-                problems.append(f"geometry.{key}: {exc}")
+        geometry_params = _read(geometry, "geometry",
+                                dict.fromkeys(geometry, float), problems)
 
     experiment_section = sections.pop("experiment", None)
     experiment, extras = None, {}
@@ -157,23 +169,16 @@ def load_config(path):
             problems.append(
                 f"experiment.kind: must be one of {', '.join(EXPERIMENT_KINDS)}, "
                 f"got {experiment!r}")
-        else:
-            for key, (typ, default) in _EXPERIMENT_FIELDS[experiment].items():
-                extras[key] = _take(experiment_section, key, typ, problems,
-                                    "experiment", default)
-        for key in experiment_section:
-            problems.append(f"experiment.{key}: unknown key")
+        schema = _EXPERIMENT_FIELDS.get(experiment, {})
+        extras = {key: default for key, (_, default) in schema.items()}
+        extras.update(_read(experiment_section, "experiment",
+                            {key: typ for key, (typ, _) in schema.items()},
+                            problems))
 
     dataset_section = sections.pop("dataset", None)
     dataset = None
     if dataset_section is not None:
-        kwargs = {}
-        for key, typ in _DATASET_FIELDS.items():
-            value = _take(dataset_section, key, typ, problems, "dataset")
-            if value is not None:
-                kwargs[key] = value
-        for key in dataset_section:
-            problems.append(f"dataset.{key}: unknown key")
+        kwargs = _read(dataset_section, "dataset", _schema(DatasetSpec), problems)
         kind = kwargs.get("kind")
         if kind is None:
             problems.append("dataset.kind: key is required")
@@ -185,50 +190,26 @@ def load_config(path):
             problems.append(
                 f"dataset.seed: required for stochastic generator {kind!r}")
         if not problems:
-            try:
-                dataset = DatasetSpec(**kwargs)
-            except (TypeError, ValueError) as exc:
-                problems.append(f"dataset: {exc}")
+            dataset = _build(DatasetSpec, kwargs, "dataset", problems)
     elif experiment not in (None, "geodesic", "inverse"):
         problems.append(f"dataset: section is required for {experiment!r}")
 
-    solver_kwargs = {}
-    solver_section = sections.pop("solver", {})
-    for key, typ in _SOLVER_FIELDS.items():
-        value = _take(solver_section, key, typ, problems, "solver")
-        if value is not None:
-            solver_kwargs[key] = value
-    for key in solver_section:
-        problems.append(f"solver.{key}: unknown key")
-
-    quad_kwargs = {}
-    quad_section = sections.pop("quadrature", {})
-    for key, typ in _QUAD_FIELDS.items():
-        value = _take(quad_section, key, typ, problems, "quadrature")
-        if value is not None:
-            quad_kwargs[key] = value
-    for key in quad_section:
-        problems.append(f"quadrature.{key}: unknown key")
-
-    output = sections.pop("output", {})
-    output_dir = output.pop("dir", "out")
-    for key in output:
-        problems.append(f"output.{key}: unknown key")
-    output_dir = os.environ.get("ISOGEO_OUTPUT_DIR", output_dir)
+    solver_kwargs = _read(sections.pop("solver", {}), "solver",
+                          _schema(LineSearchConfig), problems)
+    quad_kwargs = _read(sections.pop("quadrature", {}), "quadrature",
+                        _schema(QuadratureConfig), problems)
+    output = _read(sections.pop("output", {}), "output", {"dir": str}, problems)
+    output_dir = os.environ.get("ISOGEO_OUTPUT_DIR", output.get("dir", "out"))
 
     for name in sections:
         problems.append(f"{name}: unknown section")
 
     solver = quad = None
     if not problems:
-        try:
-            solver = LineSearchConfig(**solver_kwargs)
-        except ValueError as exc:
-            problems.append(f"solver: {exc}")
-        try:
-            quad = QuadratureConfig(**quad_kwargs)
-        except ValueError as exc:
-            problems.append(f"quadrature: {exc}")
+        # The factory names a misspelled or out-of-range parameter.
+        _build(_REGISTRY[geometry_name], geometry_params, "geometry", problems)
+        solver = _build(LineSearchConfig, solver_kwargs, "solver", problems)
+        quad = _build(QuadratureConfig, quad_kwargs, "quadrature", problems)
 
     if problems:
         raise ConfigError(problems)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StallError
-from .isomaps import _iso_log_vecs, _validated_pair, iso_distance, iso_exp, iso_transport
-from .pullback import TangentVector, as_point, closed_form_barycentre
+from .isomaps import _iso_log_vecs, iso_distance, iso_exp, iso_transport
+from .pullback import TangentVector, _point_pair, as_point, closed_form_barycentre
 from .serialize import write_csv
 
 
@@ -202,7 +202,7 @@ def iso_monotonicity_ratio(M, x, xbar, field_at_x):
     <field(x), iso-transport of iso_log_xbar(x)> / iso_distance(xbar, x)^2;
     lower bound witnesses for the monotonicity constant alpha.
     """
-    xbar, x = _validated_pair(M, xbar, x)
+    xbar, x = _point_pair(M, xbar, x)
     log, dist = _iso_log_vecs(M, xbar, x)
     dist = _ratio_denominator(dist)
     moved = iso_transport(M, xbar, x, TangentVector(xbar, log))

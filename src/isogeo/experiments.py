@@ -18,8 +18,7 @@ import scipy
 from .clustering import adjusted_rand_index, euclidean_kmeans, iso_kmeans, riemannian_kmeans
 from .config import ConfigError
 from .datasets import generate_dataset
-from .descent import (_field_points, _mean_vecs, barycentre_ratio_field, iso_barycentre,
-                      iso_lipschitz_ratio, iso_monotonicity_ratio)
+from .descent import _field_points, _mean_vecs, iso_barycentre
 from .diffeos import make_diffeomorphism
 from .errors import (DegenerateBasisError, DegenerateCurveError, DomainError,
                      NonConvergenceError, StallError)
@@ -227,16 +226,6 @@ def _run_inverse(config, M, outdir):
 RATIO_UNDEFINED = (ValueError, DomainError, DegenerateCurveError)
 
 
-def _node_ratio_row(M, points, xbar, node):
-    try:
-        field = barycentre_ratio_field(M, node, points)
-        mono = iso_monotonicity_ratio(M, node, xbar, field)
-        lips = iso_lipschitz_ratio(M, node, xbar, field)
-    except RATIO_UNDEFINED:
-        mono = lips = float("nan")
-    return [*node, mono, lips]
-
-
 def _batch_ratio_rows(M, points, xbar, grid):
     nodes = as_point(grid, M.dim, "grid", batch=True).reshape(-1, M.dim)
     xbar = as_point(xbar, M.dim, "xbar")
@@ -265,13 +254,17 @@ def ratio_grid_rows(M, points, xbar, grid):
     """(coords, monotonicity, lipschitz) rows; NaN where ratios are undefined.
 
     The whole grid is one batch, with the values of one-node ratio calls.
-    When the batch fails (a node off the domain, say), every node is rerun
-    alone, so only the nodes that fail get NaN rows.
+    A batch that fails (a node off the domain, say) is split in half and
+    each half retried, so only a node that fails on its own gets a NaN row.
     """
     try:
         return _batch_ratio_rows(M, points, xbar, grid)
     except RATIO_UNDEFINED:
-        return [_node_ratio_row(M, points, xbar, node) for node in grid]
+        if len(grid) > 1:
+            half = len(grid) // 2
+            return (ratio_grid_rows(M, points, xbar, grid[:half])
+                    + ratio_grid_rows(M, points, xbar, grid[half:]))
+        return [[*node, float("nan"), float("nan")] for node in grid]
 
 
 def _run_ratios(config, M, outdir):

@@ -14,7 +14,7 @@ values per line are the same as for that line on its own.
 import numpy as np
 
 from .errors import DegenerateCurveError, DomainError, NonConvergenceError
-from .pullback import TangentVector, as_point, lc_exp
+from .pullback import TangentVector, _point_pair, as_point, lc_exp
 from .quadrature import (_leggauss, composite_nodes, panel_integrals, refine_root,
                          refine_roots, unit_rule)
 
@@ -90,10 +90,6 @@ def _invert(M, a, w, cumlen, target):
     return changed
 
 
-def _validated_pair(M, x, y):
-    return as_point(x, M.dim, "x"), as_point(y, M.dim, "y")
-
-
 def iso_distance(M, x, y):
     """l2 arc length of the geodesic from x to y (Gauss-Legendre composite).
 
@@ -116,7 +112,7 @@ def _changed_times(M, x, y, t):
     t = 1 map to 0 and 1 exactly (``_invert`` clamps the targets 0 and the
     whole length).  One table serves every entry of t.
     """
-    x, y = _validated_pair(M, x, y)
+    x, y = _point_pair(M, x, y)
     t = np.asarray(t, dtype=float)
     outside = t[~((t >= 0.0) & (t <= 1.0))]
     if outside.size:
@@ -231,7 +227,7 @@ def _iso_log_vecs(M, x, y):
 
 def iso_log(M, x, y):
     """Logarithm direction rescaled so its norm equals the iso-distance."""
-    x, y = _validated_pair(M, x, y)
+    x, y = _point_pair(M, x, y)
     return TangentVector(x, _iso_log_vecs(M, x, y)[0])
 
 
@@ -256,7 +252,7 @@ def _iso_transport_vecs(M, x, y, v):
 
 def iso_transport(M, x, y, xi):
     """Parallel transport rescaled by the log-norm ratio of the endpoints."""
-    x, y = _validated_pair(M, x, y)
+    x, y = _point_pair(M, x, y)
     if not np.array_equal(xi.base, x):
         raise ValueError("transported vector must be based at x")
     return TangentVector(y, _iso_transport_vecs(M, x, y, xi.vec))

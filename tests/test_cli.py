@@ -391,6 +391,14 @@ def test_cli_geodesic_argument_validation():
     assert result.exit_code != 0
 
 
+def test_cli_geodesic_rejects_out_of_range_geometry_parameters():
+    result = CliRunner().invoke(main, ["geodesic", "--geometry", "river", "--beta", "-1",
+                                       "--from", "0,0", "--to", "1,1"])
+    assert result.exit_code == 2
+    assert ("bad parameters for river: river requires beta, eta > 0, got -1.0, 0.25"
+            in result.stderr)
+
+
 @pytest.mark.parametrize("samples", [1, 2])
 def test_geodesic_rows_coincident_endpoints_without_interior(river_manifold, samples):
     x = np.array([1.0, -2.0])

@@ -1,0 +1,182 @@
+"""Config loading: the exact diagnostics of each section, defaults, round trips."""
+
+import dataclasses
+
+import pytest
+from click.testing import CliRunner
+
+from isogeo import experiments
+from isogeo.cli import main
+from isogeo.config import ConfigError, load_config
+from isogeo.datasets import DatasetSpec
+from isogeo.descent import LineSearchConfig
+from isogeo.quadrature import QuadratureConfig
+
+BASE = {
+    "geometry": {"name": "river", "beta": "5.0", "eta": "0.25"},
+    "experiment": {"kind": "kmeans", "k": "2"},
+    "dataset": {"kind": "two_clusters", "n": "40", "seed": "7",
+                "noise_sigma": "0.1", "t_min": "-8.0", "t_max": "8.0",
+                "gap": "6.0"},
+    "solver": {"tol": "1e-5"},
+    "quadrature": {"panels": "32"},
+    "output": {"dir": "out/config_test"},
+}
+
+
+def render(sections):
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+def write(tmp_path, edits=None, drop=()):
+    """BASE with per-section key edits (None deletes a key) and dropped sections."""
+    sections = {name: dict(keys) for name, keys in BASE.items() if name not in drop}
+    for name, keys in (edits or {}).items():
+        section = sections.setdefault(name, {})
+        for key, value in keys.items():
+            if value is None:
+                section.pop(key, None)
+            else:
+                section[key] = value
+    path = tmp_path / "config.ini"
+    path.write_text(render(sections))
+    return path
+
+
+def problems(tmp_path, edits=None, drop=()):
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(write(tmp_path, edits, drop))
+    return excinfo.value.problems
+
+
+@pytest.mark.parametrize("edits, want", [
+    ({"experiment": {"k": "two"}},
+     ["experiment.k: invalid literal for int() with base 10: 'two'"]),
+    ({"experiment": {"kk": "3"}}, ["experiment.kk: unknown key"]),
+    ({"experiment": {"kind": "mystery"}},
+     ["experiment.kind: must be one of geodesic, barycentre, kmeans, inverse, "
+      "ratios, rankr, got 'mystery'", "experiment.k: unknown key"]),
+    ({"experiment": {"kind": "geodesic", "k": None, "iso": "maybe"}},
+     ["experiment.iso: expected a boolean, got 'maybe'"]),
+    ({"dataset": {"n": "ten"}},
+     ["dataset.n: invalid literal for int() with base 10: 'ten'"]),
+    ({"dataset": {"colour": "red"}}, ["dataset.colour: unknown key"]),
+    ({"dataset": {"n": "0"}}, ["dataset: n must be >= 1, got 0"]),
+    ({"solver": {"tol": "small"}},
+     ["solver.tol: could not convert string to float: 'small'"]),
+    ({"solver": {"tolerance": "1e-3"}}, ["solver.tolerance: unknown key"]),
+    ({"solver": {"c": "2"}}, ["solver: c must lie in (0, 1), got 2.0"]),
+    ({"quadrature": {"panels": "many"}},
+     ["quadrature.panels: invalid literal for int() with base 10: 'many'"]),
+    ({"quadrature": {"order": "3"}}, ["quadrature.order: unknown key"]),
+    ({"quadrature": {"panels": "0"}}, ["quadrature: panels must be >= 1, got 0"]),
+    # The dataset is built only when no earlier key has a problem, the solver
+    # and quadrature settings only when no key has one; key problems are
+    # listed section by section.
+    ({"dataset": {"n": "0"}, "solver": {"c": "2"}, "quadrature": {"panels": "0"}},
+     ["dataset: n must be >= 1, got 0"]),
+    ({"solver": {"c": "2"}, "quadrature": {"panels": "0"}},
+     ["solver: c must lie in (0, 1), got 2.0",
+      "quadrature: panels must be >= 1, got 0"]),
+    ({"quadrature": {"panels": "0", "order": "3"}, "solver": {"c": "x"},
+      "output": {"format": "csv"}, "extra": {"a": "1"}},
+     ["solver.c: could not convert string to float: 'x'",
+      "quadrature.order: unknown key", "output.format: unknown key",
+      "extra: unknown section"]),
+    ({"dataset": {"kind": "river_band", "seed": None, "n": "0"}},
+     ["dataset.seed: required for stochastic generator 'river_band'"]),
+    ({"geometry": {"name": "escher", "beta": "fast"}},
+     ["geometry.name: unknown geometry 'escher'; registered: banana, identity, "
+      "river, sinh_shift_1d, spiral",
+      "geometry.beta: could not convert string to float: 'fast'"]),
+    ({"dataset": {"kind": "lattice"}},
+     ["dataset.kind: unknown kind 'lattice'; known: river_band, spiral_band, "
+      "two_clusters, grid, custom_points"]),
+])
+def test_config_problems_are_exact(tmp_path, edits, want):
+    assert problems(tmp_path, edits) == want
+
+
+def test_config_missing_sections_are_exact(tmp_path):
+    assert problems(tmp_path, drop=("geometry", "experiment")) == [
+        "geometry: section is required", "experiment: section is required"]
+    assert problems(tmp_path, drop=("dataset",)) == [
+        "dataset: section is required for 'kmeans'"]
+    assert problems(tmp_path, {"geometry": {"name": None}, "dataset": {"kind": None}}) == [
+        "geometry.name: key is required", "dataset.kind: key is required"]
+
+
+@pytest.mark.parametrize("kind, want", [
+    ("geodesic", {"from": None, "to": None, "samples": 100, "iso": True}),
+    ("barycentre", {}),
+    ("kmeans", {"k": 2}),
+    ("inverse", {"rows": 2, "op_seed": 0, "noise": 0.0, "offset": 4.0,
+                 "s_true": 1.5, "s0": 2.0, "grid_points": 100001,
+                 "grid_min": -6.0, "grid_max": 6.0}),
+    ("ratios", {"grid_n": 41, "x1_min": -8.0, "x1_max": 8.0, "x2_min": -8.0,
+                "x2_max": 8.0}),
+    ("rankr", {"r": 2}),
+])
+def test_omitted_extras_take_their_defaults(tmp_path, kind, want):
+    cfg = load_config(write(tmp_path, {"experiment": {"kind": kind, "k": None}}))
+    assert cfg.extras == want
+    assert list(cfg.echo()["experiment"]) == ["kind", *want]
+
+
+# A non-default value for every int, float and str field of each settings
+# dataclass; the test fails when a field is added without a value here.
+ROUND_TRIP = {
+    ("solver", LineSearchConfig): {"r0": 2.5, "c": 0.25, "max_backtracks": 7,
+                                   "max_iters": 33, "tol": 1e-3},
+    ("quadrature", QuadratureConfig): {"panels": 16, "nodes_per_panel": 8,
+                                       "max_bracket_doublings": 12},
+    ("dataset", DatasetSpec): {"kind": "spiral_band", "n": 17, "seed": 3,
+                               "noise_sigma": 0.125, "t_min": -2.5,
+                               "t_max": 3.5, "center": 1.75, "gap": 1.5},
+}
+
+
+def test_every_schema_field_round_trips(tmp_path):
+    edits = {}
+    for (section, cls), values in ROUND_TRIP.items():
+        scalar = [f for f in dataclasses.fields(cls) if f.type in (int, float, str)]
+        assert list(values) == [f.name for f in scalar]
+        assert all(values[f.name] != f.default for f in scalar)
+        edits[section] = {key: repr(v) if isinstance(v, float) else str(v)
+                          for key, v in values.items()}
+    cfg = load_config(write(tmp_path, edits))
+    for (section, _), values in ROUND_TRIP.items():
+        loaded = {"solver": cfg.solver, "quadrature": cfg.quad,
+                  "dataset": cfg.dataset}[section]
+        for key, value in values.items():
+            got = getattr(loaded, key)
+            assert got == value and type(got) is type(value), key
+
+
+@pytest.mark.parametrize("edits, want", [
+    ({"geometry": {"betta": "5.0"}},
+     "geometry: river() got an unexpected keyword argument 'betta'"),
+    ({"geometry": {"beta": "-1"}},
+     "geometry: river requires beta, eta > 0, got -1.0, 0.25"),
+    ({"geometry": {"name": "identity", "beta": None, "eta": None, "dim": "0"}},
+     "geometry: dim must be a positive integer, got 0"),
+    ({"geometry": {"name": "identity", "beta": None, "eta": None, "dim": "inf"}},
+     "geometry: cannot convert float infinity to integer"),
+    ({"geometry": {"name": "sinh_shift_1d", "eta": None}},
+     "geometry: sinh_shift_1d() got an unexpected keyword argument 'beta'"),
+])
+def test_geometry_parameters_are_checked_at_load(tmp_path, monkeypatch, edits, want):
+    monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    # Newer Pythons may append a "Did you mean" hint to a keyword TypeError.
+    [problem] = problems(tmp_path, edits)
+    assert problem.startswith(want)
+    path = str(write(tmp_path, edits))
+    runner = CliRunner()
+    result = runner.invoke(main, ["validate", path])
+    assert result.exit_code == experiments.EXIT_USAGE
+    assert result.stderr == f"error: {problem}\n"
+    result = runner.invoke(main, ["run", path])
+    assert result.exit_code == experiments.EXIT_USAGE
+    assert result.stdout == "config.ini: config error\n"
+
