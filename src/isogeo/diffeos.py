@@ -30,6 +30,12 @@ def _fd_jvp(mapping):
     return jvp
 
 
+def _require_finite(factory, **params):
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{factory} requires a finite {key}, got {value}")
+
+
 class Diffeomorphism:
     """A smooth invertible map of R^d bundled with its Jacobian actions.
 
@@ -66,6 +72,8 @@ class Diffeomorphism:
 
 def identity(dim=2):
     """The identity map; every operation reduces to its Euclidean form."""
+    if int(dim) != dim:
+        raise DimensionError(f"dim must be a positive integer, got {dim}")
     dim = int(dim)
 
     def fwd(x):
@@ -80,6 +88,7 @@ def identity(dim=2):
 
 def river(beta=5.0, eta=0.25):
     """Shear along a meandering channel: (x1 - beta sin x2, sinh(eta x2))."""
+    _require_finite("river", beta=beta, eta=eta)
     if beta <= 0 or eta <= 0:
         raise ValueError(f"river requires beta, eta > 0, got {beta}, {eta}")
 
@@ -120,6 +129,7 @@ def spiral(beta=0.25):
     library does not unwrap.  The map is undefined at the origin, and the
     inverse is restricted to positive radial coordinate.
     """
+    _require_finite("spiral", beta=beta)
     if beta <= 0:
         raise ValueError(f"spiral requires beta > 0, got {beta}")
 
@@ -168,6 +178,7 @@ def spiral(beta=0.25):
 
 def banana(a=1.0 / 9.0, z=0.0):
     """Quadratic shear (x1 - a x2^2 - z, x2); the identity when a = z = 0."""
+    _require_finite("banana", a=a, z=z)
 
     def forward(x):
         x = np.asarray(x, dtype=float)

@@ -18,17 +18,31 @@ from .pullback import TangentVector, _point_pair, as_point, lc_exp
 from .quadrature import (_leggauss, composite_nodes, panel_integrals, refine_root,
                          refine_roots, unit_rule)
 
-# Lines per array pass of _arc_table: with the default 256 nodes and d = 2,
-# each node array of a pass holds 512 kB, whatever the size of the batch.
+# Lines per array pass of _arc_table: with the default 256 nodes, each
+# per-coordinate array of a pass holds 256 kB, whatever the size of the batch.
 # A ratio grid makes one batch of grid nodes x data points (hundreds of
 # lines); passes of 128 keep its peak memory near that of one-pair calls.
 LINES_PER_PASS = 128
 
 
 def _speeds(M, a, w, ts):
-    """l2 speeds of the phi-lines a + t w at the times ts (last axis of the result)."""
-    p = a + ts[:, None] * w
-    return np.linalg.norm(M.diffeo.inv_jvp(p, np.broadcast_to(w, p.shape)), axis=-1)
+    """l2 speeds ``(n,)`` or ``(L, n)`` of one ``(d,)`` or ``(L, d)`` phi-line a + t w.
+
+    The points at the ``(n,)`` times ts are one C-contiguous ``(d, L, n)`` array:
+    the diffeomorphism reads its ``(L, n, d)`` view one contiguous coordinate at a time.
+    """
+    p = np.multiply(w.T[..., None], ts, order="C")
+    p += a.T[..., None]
+    p = p.T.swapaxes(0, -2)
+    v = M.diffeo.inv_jvp(p, np.broadcast_to(w[..., None, :], p.shape))
+    if v.shape[-1] >= 8:
+        # add.reduce sums 8 or more terms in pairwise blocks: keep its order.
+        return np.linalg.norm(v, axis=-1)
+    # Below 8 terms add.reduce adds in this order, so the sums are its bits.
+    sq = np.square(v[..., 0])
+    for k in range(1, v.shape[-1]):
+        sq += np.square(v[..., k])
+    return np.sqrt(sq, out=sq)
 
 
 def _arc_table(M, a, w):
@@ -45,7 +59,7 @@ def _arc_table(M, a, w):
     cumlen = np.zeros((len(w), q.panels + 1))
     for start in range(0, len(w), LINES_PER_PASS):
         part = slice(start, start + LINES_PER_PASS)
-        speeds = _speeds(M, a[part, None, :], w[part, None, :], ts)
+        speeds = _speeds(M, a[part], w[part], ts)
         per_panel = panel_integrals(speeds * weights, q.panels, q.nodes_per_panel)
         np.cumsum(per_panel, axis=-1, out=cumlen[part, 1:])
     return cumlen.reshape(*lines, q.panels + 1)

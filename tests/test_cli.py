@@ -399,6 +399,14 @@ def test_cli_geodesic_rejects_out_of_range_geometry_parameters():
             in result.stderr)
 
 
+def test_cli_geodesic_rejects_non_finite_geometry_parameters():
+    result = CliRunner().invoke(main, ["geodesic", "--geometry", "river", "--beta", "nan",
+                                       "--from", "0,-3", "--to", "1,3"])
+    assert result.exit_code == 2
+    assert "bad parameters for river: river requires a finite beta, got nan" in result.stderr
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("samples", [1, 2])
 def test_geodesic_rows_coincident_endpoints_without_interior(river_manifold, samples):
     x = np.array([1.0, -2.0])

@@ -10,6 +10,7 @@ from isogeo.cli import main
 from isogeo.config import ConfigError, load_config
 from isogeo.datasets import DatasetSpec
 from isogeo.descent import LineSearchConfig
+from isogeo.diffeos import make_diffeomorphism
 from isogeo.quadrature import QuadratureConfig
 
 BASE = {
@@ -165,6 +166,16 @@ def test_every_schema_field_round_trips(tmp_path):
      "geometry: cannot convert float infinity to integer"),
     ({"geometry": {"name": "sinh_shift_1d", "eta": None}},
      "geometry: sinh_shift_1d() got an unexpected keyword argument 'beta'"),
+    ({"geometry": {"name": "identity", "beta": None, "eta": None, "dim": "2.5"}},
+     "geometry: dim must be a positive integer, got 2.5"),
+    ({"geometry": {"beta": "nan"}}, "geometry: river requires a finite beta, got nan"),
+    ({"geometry": {"eta": "inf"}}, "geometry: river requires a finite eta, got inf"),
+    ({"geometry": {"name": "spiral", "beta": "nan", "eta": None}},
+     "geometry: spiral requires a finite beta, got nan"),
+    ({"geometry": {"name": "banana", "beta": None, "eta": None, "a": "nan"}},
+     "geometry: banana requires a finite a, got nan"),
+    ({"geometry": {"name": "banana", "beta": None, "eta": None, "z": "-inf"}},
+     "geometry: banana requires a finite z, got -inf"),
 ])
 def test_geometry_parameters_are_checked_at_load(tmp_path, monkeypatch, edits, want):
     monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
@@ -180,3 +191,11 @@ def test_geometry_parameters_are_checked_at_load(tmp_path, monkeypatch, edits, w
     assert result.exit_code == experiments.EXIT_USAGE
     assert result.stdout == "config.ini: config error\n"
 
+
+def test_identity_dim_read_as_a_float_loads(tmp_path):
+    # INI geometry values are floats: an integral dim = 3 is the 3-D identity.
+    cfg = load_config(write(tmp_path, {"geometry": {
+        "name": "identity", "beta": None, "eta": None, "dim": "3"}}))
+    assert cfg.geometry_params == {"dim": 3.0}
+    diffeo = make_diffeomorphism(cfg.geometry_name, cfg.geometry_params)
+    assert diffeo.dim == 3 and diffeo.params == {"dim": 3}

@@ -138,6 +138,28 @@ def test_bad_parameters_rejected():
         ig.Diffeomorphism(0, lambda x: x, lambda x: x)
 
 
+@pytest.mark.parametrize("factory, params, message", [
+    (ig.river, {"beta": math.nan}, "river requires a finite beta, got nan"),
+    (ig.river, {"eta": math.inf}, "river requires a finite eta, got inf"),
+    (ig.spiral, {"beta": math.nan}, "spiral requires a finite beta, got nan"),
+    (ig.spiral, {"beta": math.inf}, "spiral requires a finite beta, got inf"),
+    (ig.banana, {"a": math.nan}, "banana requires a finite a, got nan"),
+    (ig.banana, {"z": -math.inf}, "banana requires a finite z, got -inf"),
+])
+def test_non_finite_parameters_rejected(factory, params, message):
+    with pytest.raises(ValueError) as excinfo:
+        factory(**params)
+    assert str(excinfo.value) == message
+
+
+def test_identity_dim_must_be_integral():
+    with pytest.raises(ig.DimensionError, match="dim must be a positive integer, got 2.5"):
+        ig.identity(2.5)
+    d = ig.identity(3.0)
+    assert d.dim == 3 and d.params == {"dim": 3}
+    assert d.forward(np.ones(3)).shape == (3,)
+
+
 def test_batch_maps_equal_point_by_point_maps(any_manifold):
     # A point mapped alone and inside a batch gets the same bits, which the
     # batch arc-length engine relies on.
