@@ -6,13 +6,22 @@ Prints one JSON object:
 - ``arc_table_ms``: best-of-N time of one ``isomaps._arc_table`` call for
   each built-in geometry at 1, 30, 128 and 480 phi-lines (default 64x4
   rule; the lines join seeded random points of the geometry);
+- ``arc_table_minflt``: minor page faults (``ru_minflt``) per warm
+  480-line ``_arc_table`` call of each geometry, over 5 calls;
 - ``per_call_us``: best of 5 x 50 calls of ``lc_distance``,
   ``iso_distance``, ``iso_log``, ``iso_transport``, scalar-t
-  ``iso_geodesic`` and ``iso_exp`` on river(5, 0.25), (0,-8) -> (3,8).
+  ``iso_geodesic`` and ``iso_exp`` on river(5, 0.25), (0,-8) -> (3,8);
+- ``iso_exp_quadratures``: full quadratures (``composite_nodes`` rules
+  built by ``isomaps``) per ``iso_exp`` call, over 50 seeded river
+  tangents at (0,-8): median, min, max and total;
+- ``identity_batch``: for d = 2, 64 and 256, one 480-line
+  ``iso_distance`` batch on ``identity(d)`` in a fresh child process: its
+  rise of peak RSS over the process after a one-pair warm-up call, and its
+  time.
 
-It uses public functions and ``_arc_table`` only, and imports ``isogeo``
-from the ``src/`` next to this script, so a copy placed in an older
-checkout times that checkout.
+It uses public functions, ``_arc_table`` and ``isomaps.composite_nodes``
+only, and imports ``isogeo`` from the ``src/`` next to this script, so a
+copy placed in an older checkout measures that checkout.
 
 Usage:
     python scripts/bench_layers.py > layers.json
@@ -20,7 +29,11 @@ Usage:
 
 import json
 import platform
+import resource
+import statistics
+import subprocess
 import sys
+import time
 import timeit
 from pathlib import Path
 
@@ -29,9 +42,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 import isogeo as ig  # noqa: E402
+from isogeo import isomaps  # noqa: E402
 from isogeo.isomaps import _arc_table  # noqa: E402
 
 LINE_COUNTS = (1, 30, 128, 480)
+BATCH_DIMS = (2, 64, 256)
 GEOMETRIES = {
     "identity": lambda: ig.identity(2),
     "river": ig.river,
@@ -54,19 +69,29 @@ def _best(fn, number, repeat=5):
     return min(timeit.repeat(fn, number=number, repeat=repeat)) / number
 
 
+def _minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def arc_table_times():
+    """Times per line count, and minor faults per warm call at the most lines."""
     rng = np.random.default_rng(0)
-    out = {}
+    times, faults = {}, {}
     for name, make in GEOMETRIES.items():
         M = ig.PullbackManifold(make())
         n = max(LINE_COUNTS)
         a = M.diffeo.forward(_points(name, M, rng, n))
         w = M.diffeo.forward(_points(name, M, rng, n)) - a
-        out[name] = {
+        times[name] = {
             str(lines): 1e3 * _best(lambda: _arc_table(M, a[:lines], w[:lines]),
                                     number=max(1, 960 // lines))
             for lines in LINE_COUNTS}
-    return out
+        _arc_table(M, a, w)
+        before = _minflt()
+        for _ in range(5):
+            _arc_table(M, a, w)
+        faults[name] = (_minflt() - before) / 5
+    return times, faults
 
 
 def per_call_times():
@@ -85,16 +110,70 @@ def per_call_times():
     return {name: 1e6 * _best(fn, number=50) for name, fn in calls.items()}
 
 
-def main():
+def iso_exp_quadratures():
+    M = ig.PullbackManifold(ig.river(5.0, 0.25))
+    x = np.array([0.0, -8.0])
+    rng = np.random.default_rng(1)
+    built = []
+    rule = isomaps.composite_nodes
+
+    def counted(*args):
+        built.append(1)
+        return rule(*args)
+
+    isomaps.composite_nodes = counted
+    try:
+        counts = []
+        for _ in range(50):
+            built.clear()
+            ig.iso_exp(M, ig.TangentVector(x, rng.standard_normal(2)))
+            counts.append(len(built))
+    finally:
+        isomaps.composite_nodes = rule
+    return {"median": statistics.median(counts), "min": min(counts),
+            "max": max(counts), "total": sum(counts)}
+
+
+def identity_batch(dim):
+    """Peak-RSS rise (MB) and time (ms) of one 480-line identity(dim) batch."""
+    M = ig.PullbackManifold(ig.identity(dim))
+    rng = np.random.default_rng(2)
+    x, y = rng.standard_normal((2, max(LINE_COUNTS), dim))
+    ig.iso_distance(M, x[0], y[0])
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    started = time.perf_counter()
+    ig.iso_distance(M, x, y)
+    elapsed = time.perf_counter() - started
+    rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    return {"peak_rss_rise_mb": rise / 1024.0, "ms": 1e3 * elapsed}
+
+
+def identity_batches():
+    out = {}
+    for dim in BATCH_DIMS:
+        done = subprocess.run([sys.executable, __file__, "--identity-batch", str(dim)],
+                              capture_output=True, text=True, check=True, timeout=300)
+        out[str(dim)] = json.loads(done.stdout)
+    return out
+
+
+def main(argv):
+    if argv[:1] == ["--identity-batch"]:
+        print(json.dumps(identity_batch(int(argv[1]))))
+        return 0
+    times, faults = arc_table_times()
     result = {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "arc_table_ms": arc_table_times(),
+        "arc_table_ms": times,
+        "arc_table_minflt": faults,
         "per_call_us": per_call_times(),
+        "iso_exp_quadratures": iso_exp_quadratures(),
+        "identity_batch": identity_batches(),
     }
     print(json.dumps(result, indent=1))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

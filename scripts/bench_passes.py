@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Minor page faults, wall time and iso_exp quadratures per warm workload pass.
+
+Builds one ``perfbench`` workload at a seed, runs every task once to warm
+up, then runs ``--passes`` more passes and prints one JSON object with, per
+pass:
+
+- ``minflt``: minor page faults (``resource.getrusage(...).ru_minflt``);
+- ``wall_s``: the pass time as measured (not scaled to host speed);
+- ``quadratures``: full quadrature rules built by ``isomaps`` (one per
+  ``vectorchange`` probe that integrates), counted through
+  ``isomaps.composite_nodes``;
+
+and the process's peak RSS.  ``--pass-bytes`` sets ``isomaps.PASS_BYTES``
+for a sweep of the pass size; it is ignored by a checkout without it.
+
+It imports ``isogeo`` from the ``src/`` and the workloads from the
+``perfbench/`` next to this script, so a copy placed in an older checkout
+measures that checkout.  Outputs go to a temporary directory, removed at
+the end.
+
+Usage:
+    python scripts/bench_passes.py --workload ratio_grid --seed 7 --passes 15
+"""
+
+import argparse
+import json
+import resource
+import shutil
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from isogeo import isomaps  # noqa: E402
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), required=True)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--passes", type=int, default=15)
+    parser.add_argument("--pass-bytes", type=int, default=None)
+    args = parser.parse_args(argv)
+    if args.pass_bytes is not None and hasattr(isomaps, "PASS_BYTES"):
+        isomaps.PASS_BYTES = args.pass_bytes
+
+    built = []
+    rule = isomaps.composite_nodes
+
+    def counted(*rule_args):
+        built.append(1)
+        return rule(*rule_args)
+
+    isomaps.composite_nodes = counted
+    workdir = tempfile.mkdtemp(prefix="bench-passes-")
+    try:
+        tasks = workloads.WORKLOADS[args.workload](args.seed, workdir).tasks
+        for task in tasks:
+            task.call()
+        minflt, walls, quadratures = [], [], []
+        for _ in range(args.passes):
+            built.clear()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            started = time.perf_counter()
+            for task in tasks:
+                task.call()
+            walls.append(time.perf_counter() - started)
+            minflt.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            quadratures.append(len(built))
+    finally:
+        shutil.rmtree(workdir)
+    print(json.dumps({
+        "workload": args.workload, "seed": args.seed,
+        "pass_bytes": getattr(isomaps, "PASS_BYTES", None),
+        "minflt": minflt, "wall_s": [round(t, 4) for t in walls],
+        "quadratures": quadratures,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

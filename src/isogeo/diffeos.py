@@ -30,6 +30,18 @@ def _fd_jvp(mapping):
     return jvp
 
 
+def _positive_dim(dim):
+    """``dim`` as an int; DimensionError unless it is a positive integral number."""
+    if int(dim) != dim or dim < 1:
+        raise DimensionError(f"dim must be a positive integer, got {dim}")
+    return int(dim)
+
+
+def _component_out(x, v):
+    """One C-contiguous float ``(..., d)`` array for a Jacobian action at x on v."""
+    return np.empty(np.broadcast(x, v).shape)
+
+
 def _require_finite(factory, **params):
     for key, value in params.items():
         if not math.isfinite(value):
@@ -55,9 +67,7 @@ class Diffeomorphism:
 
     def __init__(self, dim, forward, inverse, jvp=None, inv_jvp=None,
                  name="custom", params=None):
-        if dim < 1:
-            raise DimensionError(f"dim must be a positive integer, got {dim}")
-        self.dim = int(dim)
+        self.dim = _positive_dim(dim)
         self.forward = forward
         self.inverse = inverse
         self.jvp = jvp if jvp is not None else _fd_jvp(forward)
@@ -72,9 +82,7 @@ class Diffeomorphism:
 
 def identity(dim=2):
     """The identity map; every operation reduces to its Euclidean form."""
-    if int(dim) != dim:
-        raise DimensionError(f"dim must be a positive integer, got {dim}")
-    dim = int(dim)
+    dim = _positive_dim(dim)
 
     def fwd(x):
         return np.asarray(x, dtype=float).copy()
@@ -104,18 +112,29 @@ def river(beta=5.0, eta=0.25):
         return np.stack([y1 + beta * np.sin(x2), x2], axis=-1)
 
     def jvp(x, v):
-        x2 = x[..., 1]
-        return np.stack(
-            [v[..., 0] - beta * np.cos(x2) * v[..., 1],
-             eta * np.cosh(eta * x2) * v[..., 1]],
-            axis=-1,
-        )
+        out = _component_out(x, v)
+        dy1, dy2 = out[..., 0], out[..., 1]
+        x2, v2 = x[..., 1], v[..., 1]
+        # (v1 - beta cos(x2) v2, eta cosh(eta x2) v2)
+        t = np.cos(x2)
+        t *= beta
+        np.multiply(t, v2, out=dy1)
+        np.subtract(v[..., 0], dy1, out=dy1)
+        t = np.cosh(eta * x2)
+        t *= eta
+        np.multiply(t, v2, out=dy2)
+        return out
 
     def inv_jvp(y, w):
-        y2 = y[..., 1]
-        dx2 = w[..., 1] / (eta * np.sqrt(1.0 + y2 ** 2))
-        x2 = np.arcsinh(y2) / eta
-        return np.stack([w[..., 0] + beta * np.cos(x2) * dx2, dx2], axis=-1)
+        out = _component_out(y, w)
+        y2, dx1, dx2 = y[..., 1], out[..., 0], out[..., 1]
+        np.divide(w[..., 1], eta * np.sqrt(1.0 + y2 ** 2), out=dx2)
+        # w1 + beta cos(x2) dx2 at x2 = arcsinh(y2) / eta
+        t = np.cos(np.arcsinh(y2) / eta)
+        t *= beta
+        np.multiply(t, dx2, out=dx1)
+        dx1 += w[..., 0]
+        return out
 
     return Diffeomorphism(2, forward, inverse, jvp, inv_jvp, name="river",
                           params={"beta": beta, "eta": eta})
@@ -156,21 +175,30 @@ def spiral(beta=0.25):
         radius = np.hypot(x1, x2)
         if np.any(radius == 0.0):
             raise DomainError("spiral map is undefined at the origin")
-        radial = (x1 * v[..., 0] + x2 * v[..., 1]) / (beta * radius)
-        angular = (x1 * v[..., 1] - x2 * v[..., 0]) / radius ** 2
-        return np.stack([radial, angular - radial], axis=-1)
+        out = _component_out(x, v)
+        radial, angular = out[..., 0], out[..., 1]
+        np.divide(x1 * v[..., 0] + x2 * v[..., 1], beta * radius, out=radial)
+        # radius ** 2 as written: a numpy scalar's ** calls libm pow, an array's squares.
+        np.divide(x1 * v[..., 1] - x2 * v[..., 0], radius ** 2, out=angular)
+        angular -= radial
+        return out
 
     def inv_jvp(p, w):
         r, theta = p[..., 0], p[..., 1]
         if np.any(r <= 0.0):
             raise DomainError("spiral inverse requires positive radial coordinate")
-        c, s = np.cos(r + theta), np.sin(r + theta)
+        out = _component_out(p, w)
+        dx1, dx2 = out[..., 0], out[..., 1]
         wr, wt = w[..., 0], w[..., 1]
-        return beta * np.stack(
-            [(c - r * s) * wr - r * s * wt,
-             (s + r * c) * wr + r * c * wt],
-            axis=-1,
-        )
+        c, s = np.cos(r + theta), np.sin(r + theta)
+        rs, rc = r * s, r * c
+        # beta ((c - r s) wr - r s wt, (s + r c) wr + r c wt)
+        np.multiply(c - rs, wr, out=dx1)
+        dx1 -= rs * wt
+        np.multiply(s + rc, wr, out=dx2)
+        dx2 += rc * wt
+        out *= beta
+        return out
 
     return Diffeomorphism(2, forward, inverse, jvp, inv_jvp, name="spiral",
                           params={"beta": beta})
@@ -191,12 +219,22 @@ def banana(a=1.0 / 9.0, z=0.0):
         return np.stack([y1 + a * y2 ** 2 + z, y2], axis=-1)
 
     def jvp(x, v):
-        return np.stack([v[..., 0] - 2.0 * a * x[..., 1] * v[..., 1],
-                         v[..., 1]], axis=-1)
+        # (v1 - 2 a x2 v2, v2)
+        out = _component_out(x, v)
+        dy1 = out[..., 0]
+        np.multiply(2.0 * a * x[..., 1], v[..., 1], out=dy1)
+        np.subtract(v[..., 0], dy1, out=dy1)
+        out[..., 1] = v[..., 1]
+        return out
 
     def inv_jvp(y, w):
-        return np.stack([w[..., 0] + 2.0 * a * y[..., 1] * w[..., 1],
-                         w[..., 1]], axis=-1)
+        # (w1 + 2 a y2 w2, w2)
+        out = _component_out(y, w)
+        dx1 = out[..., 0]
+        np.multiply(2.0 * a * y[..., 1], w[..., 1], out=dx1)
+        dx1 += w[..., 0]
+        out[..., 1] = w[..., 1]
+        return out
 
     return Diffeomorphism(2, forward, inverse, jvp, inv_jvp, name="banana",
                           params={"a": a, "z": z})

@@ -22,7 +22,7 @@ from .descent import _field_points, _mean_vecs, iso_barycentre
 from .diffeos import make_diffeomorphism
 from .errors import (DegenerateBasisError, DegenerateCurveError, DomainError,
                      NonConvergenceError, StallError)
-from .isomaps import _iso_log_vecs, _iso_transport_vecs, iso_geodesic
+from .isomaps import PASS_BYTES, _iso_log_vecs, _iso_transport_vecs, iso_geodesic
 from .pullback import PullbackManifold, as_point, closed_form_barycentre, lc_geodesic
 from .serialize import write_csv, write_json
 from .submanifold import GeodesicSubmanifold, iso_rank_r_approx, l2pg_ird, submanifold_from_rank_r
@@ -185,12 +185,18 @@ def inverse_problem(M, extras):
 
 
 def grid_search_1d(S, f, s_min, s_max, n_points):
-    """Brute-force minimizer of a batch-first f over the 1D submanifold parameter."""
+    """Brute-force minimizer of a batch-first f over the 1D submanifold parameter.
+
+    The grid is mapped and evaluated in chunks of PASS_BYTES of points, so
+    its arrays stay small at any n_points; f must map a batch of points as
+    it maps each one.
+    """
     s = np.linspace(s_min, s_max, n_points)
-    X = S.points_at(s)
-    values = f(X)
+    chunk = max(1, PASS_BYTES // (8 * S.manifold.dim))
+    values = np.concatenate([f(S.points_at(s[start:start + chunk]))
+                             for start in range(0, n_points, chunk)])
     best = int(values.argmin())
-    return s[best], X[best], values[best], s[1] - s[0]
+    return s[best], S.points_at(s[best:best + 1])[0], values[best], s[1] - s[0]
 
 
 def _run_inverse(config, M, outdir):

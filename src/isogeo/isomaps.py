@@ -18,11 +18,12 @@ from .pullback import TangentVector, _point_pair, as_point, lc_exp
 from .quadrature import (_leggauss, composite_nodes, panel_integrals, refine_root,
                          refine_roots, unit_rule)
 
-# Lines per array pass of _arc_table: with the default 256 nodes, each
-# per-coordinate array of a pass holds 256 kB, whatever the size of the batch.
-# A ratio grid makes one batch of grid nodes x data points (hundreds of
-# lines); passes of 128 keep its peak memory near that of one-pair calls.
-LINES_PER_PASS = 128
+# Bytes of the float (d, L, n) point array of one _arc_table pass: a pass takes
+# max(1, PASS_BYTES // (8 n d)) of the L lines of a batch, so peak memory does
+# not grow with d.  Under glibc's 128 kB mmap threshold the per-pass arrays are
+# reused from the heap (at 256 kB every pass faulted in fresh pages), and
+# smaller passes pay more per-pass overhead; BENCH_8.json records the sweep.
+PASS_BYTES = 96 * 1024
 
 
 def _speeds(M, a, w, ts):
@@ -57,8 +58,9 @@ def _arc_table(M, a, w):
     lines = w.shape[:-1]
     a, w = a.reshape(-1, w.shape[-1]), w.reshape(-1, w.shape[-1])
     cumlen = np.zeros((len(w), q.panels + 1))
-    for start in range(0, len(w), LINES_PER_PASS):
-        part = slice(start, start + LINES_PER_PASS)
+    step = max(1, PASS_BYTES // (8 * len(ts) * w.shape[-1]))
+    for start in range(0, len(w), step):
+        part = slice(start, start + step)
         speeds = _speeds(M, a[part], w[part], ts)
         per_panel = panel_integrals(speeds * weights, q.panels, q.nodes_per_panel)
         np.cumsum(per_panel, axis=-1, out=cumlen[part, 1:])
@@ -170,6 +172,8 @@ def vectorchange(M, xi):
     pullback closed forms, so the root is unique.  Probes past the
     diffeomorphism domain are pulled back toward the last valid parameter;
     DomainError is raised when the available arc length cannot reach |xi|.
+    Each probe runs one quadrature: a repeat probe (the root solve's bracket
+    ends, a retried domain edge) is read back, and g(0) = -|xi| needs none.
     """
     nv = xi.norm
     if nv == 0.0:
@@ -178,9 +182,19 @@ def vectorchange(M, xi):
     w = M.diffeo.jvp(xi.base, xi.vec)
     q = M.quad
 
+    # g(0) is -|xi| by construction: the rule on [0, 0] has zero weights.
+    probed = {0.0: -nv}
+
     def g(T):
-        ts, weights, _ = composite_nodes(0.0, T, q.panels, q.nodes_per_panel)
-        return float(np.dot(_speeds(M, a, w, ts), weights)) - nv
+        if T not in probed:
+            ts, weights, _ = composite_nodes(0.0, T, q.panels, q.nodes_per_panel)
+            try:
+                probed[T] = float(np.dot(_speeds(M, a, w, ts), weights)) - nv
+            except DomainError as exc:
+                probed[T] = exc
+        if isinstance(probed[T], DomainError):
+            raise probed[T]
+        return probed[T]
 
     lo, g_lo = 0.0, -nv
     hi = 1.0

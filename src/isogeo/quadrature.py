@@ -77,8 +77,21 @@ def unit_rule(quad):
 
 
 def panel_integrals(values, panels, nodes_per_panel):
-    """Per-panel integrals from node values flattened along the last axis."""
-    return values.reshape(*values.shape[:-1], panels, nodes_per_panel).sum(axis=-1)
+    """Per-panel integrals from node values flattened along the last axis.
+
+    Equal bit for bit to ``.sum(axis=-1)`` over the nodes of each panel.
+    """
+    v = values.reshape(*values.shape[:-1], panels, nodes_per_panel)
+    if nodes_per_panel >= 8:
+        # add.reduce sums 8 or more terms in pairwise blocks: keep its order.
+        return v.sum(axis=-1)
+    # Below 8 terms add.reduce adds the nodes in order onto +0.0 (a panel of
+    # -0.0 sums to +0.0).  Column adds do the same without its slow reduction
+    # over a short axis.
+    acc = np.add(v[..., 0], 0.0)
+    for k in range(1, nodes_per_panel):
+        acc += v[..., k]
+    return acc
 
 
 def refine_root(g, lo, hi, g_lo=None, guess=None, scale=1.0):

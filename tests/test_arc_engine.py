@@ -139,8 +139,15 @@ def test_arc_table_passes_split_lines_without_changing_values(
     x = sample_point("river", M, rng)
     Y = _points("river", M, rng, (7,))
     whole = ig.iso_distance(M, x, Y)
-    monkeypatch.setattr(isomaps, "LINES_PER_PASS", 3)
+    # A byte budget of 3 lines per pass: the 7 lines take 3 passes.
+    monkeypatch.setattr(isomaps, "PASS_BYTES",
+                        3 * 8 * M.dim * len(unit_rule(M.quad)[0]))
+    passes = []
+    speeds = isomaps._speeds
+    monkeypatch.setattr(isomaps, "_speeds",
+                        lambda M, a, w, ts: passes.append(len(a)) or speeds(M, a, w, ts))
     assert np.array_equal(ig.iso_distance(M, x, Y), whole)
+    assert passes == [3, 3, 1]
 
 
 def test_arc_table_shape_and_shared_read_only_rule(river_manifold):

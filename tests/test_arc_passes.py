@@ -1,0 +1,264 @@
+"""Byte-budgeted passes, in-place Jacobian actions, in-order panel sums and
+single-quadrature vectorchange probes: each equals its old formula bit for bit."""
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq
+
+import isogeo as ig
+from isogeo import isomaps
+from isogeo.errors import DomainError, NonConvergenceError
+from isogeo.isomaps import PASS_BYTES, _arc_table, _speeds
+from isogeo.pullback import TangentVector, lc_exp
+from isogeo.quadrature import (REFINE_RTOL, REFINE_XTOL, composite_nodes,
+                               panel_integrals, unit_rule)
+
+from conftest import make_manifold, sample_point
+
+GEOMETRIES = ["identity", "river", "spiral", "banana", "sinh"]
+
+
+# The Jacobian actions as np.stack formulas: the oracles of the in-place ones.
+def stacked_actions(name, params):
+    if name == "river":
+        beta, eta = params["beta"], params["eta"]
+
+        def jvp(x, v):
+            x2 = x[..., 1]
+            return np.stack([v[..., 0] - beta * np.cos(x2) * v[..., 1],
+                             eta * np.cosh(eta * x2) * v[..., 1]], axis=-1)
+
+        def inv_jvp(y, w):
+            y2 = y[..., 1]
+            dx2 = w[..., 1] / (eta * np.sqrt(1.0 + y2 ** 2))
+            x2 = np.arcsinh(y2) / eta
+            return np.stack([w[..., 0] + beta * np.cos(x2) * dx2, dx2], axis=-1)
+    elif name == "spiral":
+        beta = params["beta"]
+
+        def jvp(x, v):
+            x1, x2 = x[..., 0], x[..., 1]
+            radius = np.hypot(x1, x2)
+            radial = (x1 * v[..., 0] + x2 * v[..., 1]) / (beta * radius)
+            angular = (x1 * v[..., 1] - x2 * v[..., 0]) / radius ** 2
+            return np.stack([radial, angular - radial], axis=-1)
+
+        def inv_jvp(p, w):
+            r, theta = p[..., 0], p[..., 1]
+            c, s = np.cos(r + theta), np.sin(r + theta)
+            wr, wt = w[..., 0], w[..., 1]
+            return beta * np.stack([(c - r * s) * wr - r * s * wt,
+                                    (s + r * c) * wr + r * c * wt], axis=-1)
+    else:
+        a = params["a"]
+
+        def jvp(x, v):
+            return np.stack([v[..., 0] - 2.0 * a * x[..., 1] * v[..., 1],
+                             v[..., 1]], axis=-1)
+
+        def inv_jvp(y, w):
+            return np.stack([w[..., 0] + 2.0 * a * y[..., 1] * w[..., 1],
+                             w[..., 1]], axis=-1)
+    return jvp, inv_jvp
+
+
+def speeds_view(a, w, ts):
+    """The (L, n, d) points and broadcast directions that _speeds hands a map."""
+    p = np.multiply(w.T[..., None], ts, order="C")
+    p += a.T[..., None]
+    p = p.T.swapaxes(0, -2)
+    return p, np.broadcast_to(w[..., None, :], p.shape)
+
+
+def assert_same_action(got, want):
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["river", "spiral", "banana"])
+def test_builtin_jacobian_actions_equal_stacked_formulas(name):
+    M = make_manifold(name)
+    diffeo = M.diffeo
+    jvp, inv_jvp = stacked_actions(name, diffeo.params)
+    rng = np.random.default_rng(80)
+    x = np.array([sample_point(name, M, rng) for _ in range(2000)])
+    v = rng.standard_normal(x.shape)
+    y = diffeo.forward(x)
+    for new, old, base in ((diffeo.jvp, jvp, x), (diffeo.inv_jvp, inv_jvp, y)):
+        # Single points: their scalar temporaries take other numpy paths.
+        for b, u in zip(base[:300], v[:300]):
+            assert_same_action(new(b, u), old(b, u))
+        assert_same_action(new(base, v), old(base, v))
+        assert_same_action(new(base[0], v), old(base[0], v))
+        assert_same_action(new(base[:50], v.reshape(40, 50, 2)),
+                           old(base[:50], v.reshape(40, 50, 2)))
+    # The component-major (L, n, d) view of _speeds, default and 8x16 rules.
+    a, w = y[:7], y[7:14] - y[:7]
+    for quad in (ig.QuadratureConfig(), ig.QuadratureConfig(8, 16)):
+        p, dirs = speeds_view(a, w, unit_rule(quad)[0])
+        assert_same_action(diffeo.inv_jvp(p, dirs), inv_jvp(p, dirs))
+
+
+@pytest.mark.parametrize("nodes_per_panel", range(1, 13))
+def test_panel_integrals_equal_add_reduce(nodes_per_panel):
+    rng = np.random.default_rng(81 + nodes_per_panel)
+    panels = 9
+    values = rng.standard_normal((3, 5, panels * nodes_per_panel))
+    values *= np.exp(rng.uniform(-30.0, 30.0, values.shape))
+    values[rng.random(values.shape) < 0.2] = 0.0
+    values[rng.random(values.shape) < 0.2] = -0.0
+    values[0, 0, :nodes_per_panel] = -0.0   # a panel of negative zeros only
+    values[0, 1, :nodes_per_panel] = 0.0
+    got = panel_integrals(values, panels, nodes_per_panel)
+    want = values.reshape(3, 5, panels, nodes_per_panel).sum(axis=-1)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def one_pass_arc_table(M, a, w):
+    """The arc-length table of every line in one pass, panels by add.reduce."""
+    q = M.quad
+    ts, weights, _ = unit_rule(q)
+    per_panel = (_speeds(M, a, w, ts) * weights).reshape(
+        len(w), q.panels, q.nodes_per_panel).sum(axis=-1)
+    return np.concatenate([np.zeros((len(w), 1)), np.cumsum(per_panel, axis=-1)],
+                          axis=-1)
+
+
+def linear_manifold(dim, quad, rng):
+    B = rng.standard_normal((dim, dim)) + 3.0 * np.eye(dim)
+    B_inv = np.linalg.inv(B)
+    return ig.PullbackManifold(
+        ig.Diffeomorphism(dim, lambda x: x @ B_inv.T, lambda y: y @ B.T,
+                          jvp=lambda x, v: v @ B_inv.T, inv_jvp=lambda y, w: w @ B.T),
+        quad)
+
+
+@pytest.mark.parametrize("quad", [ig.QuadratureConfig(), ig.QuadratureConfig(8, 16)],
+                         ids=["64x4", "8x16"])
+@pytest.mark.parametrize("dim", [1, 2, 12])
+def test_arc_table_across_pass_boundaries(dim, quad, monkeypatch):
+    rng = np.random.default_rng(82 + dim)
+    step = max(1, PASS_BYTES // (8 * len(unit_rule(quad)[0]) * dim))
+    lines = 2 * step + 1
+    names = {1: "sinh", 2: "river"}
+    if dim in names:
+        M = make_manifold(names[dim], quad)
+        pts = np.array([sample_point(names[dim], M, rng) for _ in range(2 * lines)])
+        ends = M.diffeo.forward(pts)
+    else:
+        M = linear_manifold(dim, quad, rng)
+        ends = rng.standard_normal((2 * lines, dim))
+    a, w = ends[:lines], ends[lines:] - ends[:lines]
+    passes = []
+    monkeypatch.setattr(isomaps, "_speeds",
+                        lambda M, a, w, ts: passes.append(len(a)) or _speeds(M, a, w, ts))
+    got = _arc_table(M, a, w)
+    assert passes == [step, step, 1]
+    assert np.array_equal(got, one_pass_arc_table(M, a, w))
+
+
+# vectorchange as a bracket search with one full quadrature per probe, its
+# repeats included: the oracle of the single-quadrature probes.
+def probing_vectorchange(M, xi, probes):
+    nv = xi.norm
+    if nv == 0.0:
+        return 0.0
+    a = M.diffeo.forward(xi.base)
+    w = M.diffeo.jvp(xi.base, xi.vec)
+    q = M.quad
+
+    def g(T):
+        probes.append(T)
+        ts, weights, _ = composite_nodes(0.0, T, q.panels, q.nodes_per_panel)
+        return float(np.dot(_speeds(M, a, w, ts), weights)) - nv
+
+    lo, g_lo = 0.0, -nv
+    hi, g_hi = 1.0, None
+    hit_domain_edge = False
+    for _ in range(2 * q.max_bracket_doublings):
+        try:
+            g_hi = g(hi)
+        except DomainError:
+            hit_domain_edge = True
+            g_hi = None
+            hi = 0.5 * (lo + hi)
+            continue
+        if abs(g_hi) <= 1e-15 * (1.0 + nv):
+            return float(hi)
+        if g_hi >= 0.0:
+            break
+        lo, g_lo = hi, g_hi
+        hi *= 2.0
+    if g_hi is None or g_hi < 0.0:
+        if hit_domain_edge:
+            raise DomainError("leaves the domain")
+        raise NonConvergenceError("no bracket")
+    eps = 1e-15 * (1.0 + nv)
+    if abs(g_lo) <= eps:
+        return float(lo)
+    if abs(g(hi)) <= eps:
+        return float(hi)
+    return float(brentq(g, lo, hi, xtol=REFINE_XTOL, rtol=REFINE_RTOL))
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (DomainError, NonConvergenceError) as exc:
+        return type(exc)
+
+
+# River tangents that need T > 2: with one bracket doubling they fail to bracket.
+LONG_RIVER_TANGENTS = [([-1.5, 1.7], [5.0, -0.75]), ([2.0, 0.75], [3.4, 0.8])]
+
+
+@pytest.mark.parametrize("name", GEOMETRIES)
+def test_vectorchange_probes_once_and_equals_repeat_probing(name, monkeypatch):
+    # One doubling: river and sinh then also fail to bracket, spiral leaves its domain.
+    rng = np.random.default_rng(83)
+    speeds_calls = []
+    monkeypatch.setattr(isomaps, "_speeds",
+                        lambda *args: speeds_calls.append(1) or _speeds(*args))
+    seen = set()
+    for quad in (ig.QuadratureConfig(), ig.QuadratureConfig(max_bracket_doublings=1)):
+        M = make_manifold(name, quad)
+        tangents = [TangentVector(x, rng.standard_normal(M.dim) * rng.choice([0.1, 1.0, 5.0, 20.0]))
+                    for x in (sample_point(name, M, rng) for _ in range(40))]
+        if name == "river":
+            tangents += [TangentVector(np.array(x), np.array(v)) for x, v in LONG_RIVER_TANGENTS]
+        for xi in tangents:
+            x = xi.base
+            probes = []
+            want = outcome(lambda: probing_vectorchange(M, xi, probes))
+            speeds_calls.clear()
+            got = outcome(lambda: ig.vectorchange(M, xi))
+            assert got == want
+            assert len(speeds_calls) == len(set(probes) - {0.0})
+            failed = isinstance(want, type)
+            seen.add(want if failed else float)
+            got = outcome(lambda: ig.iso_exp(M, xi))
+            if failed:
+                assert got == want
+            else:
+                assert np.array_equal(got, lc_exp(M, TangentVector(x, want * xi.vec)))
+    expected = {"identity": {float}, "banana": {float},
+                "river": {float, NonConvergenceError}, "sinh": {float, NonConvergenceError},
+                "spiral": {float, DomainError}}[name]
+    assert seen == expected
+
+
+@pytest.mark.parametrize("name", GEOMETRIES)
+def test_zero_width_probe_is_minus_the_norm(name):
+    # The rule on [0, 0] has zero weights, so the quadrature of g(0) is exactly 0.
+    M = make_manifold(name)
+    rng = np.random.default_rng(84)
+    ts, weights, _ = composite_nodes(0.0, 0.0, M.quad.panels, M.quad.nodes_per_panel)
+    for _ in range(50):
+        x = sample_point(name, M, rng)
+        xi = TangentVector(x, rng.standard_normal(M.dim))
+        a, w = M.diffeo.forward(x), M.diffeo.jvp(x, xi.vec)
+        value = float(np.dot(_speeds(M, a, w, ts), weights)) - xi.norm
+        assert value == -xi.norm

@@ -255,6 +255,21 @@ def test_inverse_objective_batch_equals_point_by_point(banana_manifold, rows):
         assert value == min(one) and np.array_equal(x, X[int(np.argmin(one))])
 
 
+def test_grid_search_in_chunks_equals_one_shot_search(banana_manifold):
+    extras = {"rows": 3, "op_seed": 5, "noise": 0.05, "offset": 4.0, "s_true": 1.5}
+    S, _, _, _, f, _ = experiments.inverse_problem(banana_manifold, extras)
+    chunk = experiments.PASS_BYTES // (8 * banana_manifold.dim)
+    for n_points in (2 * chunk + 123, chunk, 2):
+        # The one-shot search: every grid point mapped and evaluated at once.
+        s = np.linspace(-6.0, 6.0, n_points)
+        X = S.points_at(s)
+        values = f(X)
+        best = int(values.argmin())
+        got = experiments.grid_search_1d(S, f, -6.0, 6.0, n_points)
+        assert got[0] == s[best] and got[2] == values[best] and got[3] == s[1] - s[0]
+        assert np.array_equal(got[1], X[best])
+
+
 def test_run_determinism_byte_identical(tmp_path, monkeypatch):
     monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
     outs = []

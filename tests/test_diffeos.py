@@ -160,6 +160,15 @@ def test_identity_dim_must_be_integral():
     assert d.forward(np.ones(3)).shape == (3,)
 
 
+def test_diffeomorphism_dim_must_be_integral():
+    river = ig.river()
+    for dim in (2.5, 0, -1, 0.5):
+        with pytest.raises(ig.DimensionError, match=f"dim must be a positive integer, got {dim}"):
+            ig.Diffeomorphism(dim, river.forward, river.inverse)
+    d = ig.Diffeomorphism(2.0, river.forward, river.inverse)
+    assert d.dim == 2 and type(d.dim) is int
+
+
 def test_batch_maps_equal_point_by_point_maps(any_manifold):
     # A point mapped alone and inside a batch gets the same bits, which the
     # batch arc-length engine relies on.

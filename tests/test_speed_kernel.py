@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import isogeo as ig
-from isogeo.isomaps import LINES_PER_PASS, _arc_table, _speeds
+from isogeo.isomaps import PASS_BYTES, _arc_table, _speeds
 from isogeo.quadrature import panel_integrals, unit_rule
 
 from conftest import make_manifold, sample_point
 
-BATCH = LINES_PER_PASS + 7
+# More lines than one _arc_table pass takes at any d (d = 1 passes take the most).
+BATCH = PASS_BYTES // (8 * len(unit_rule(ig.QuadratureConfig())[0])) + 7
 
 
 def aos_speeds(M, a, w, ts):
