@@ -17,36 +17,54 @@ Prints one JSON object:
 - ``identity_batch``: for d = 2, 64 and 256, one 480-line
   ``iso_distance`` batch on ``identity(d)`` in a fresh child process: its
   rise of peak RSS over the process after a one-pair warm-up call, and its
-  time.
+  time;
+- ``root_solve_us``: best of 5 passes over 2000 seeded increasing cubics,
+  the time per solve of ``quadrature.refine_root`` (guess outside the
+  bracket, so every solve runs Brent) and of scipy's ``brentq``;
+- ``cold_start``: in fresh child interpreters, the median time of
+  ``import isogeo, isogeo.cli`` inside the child and whether it loaded
+  scipy, and for each ``configs/*.ini`` the median whole-process time of
+  ``python -m isogeo.cli run`` (output into a temporary directory) with
+  its exit code.
 
-It uses public functions, ``_arc_table`` and ``isomaps.composite_nodes``
-only, and imports ``isogeo`` from the ``src/`` next to this script, so a
-copy placed in an older checkout measures that checkout.
+It uses public functions, ``_arc_table``, ``isomaps.composite_nodes`` and
+the quadrature constants only, and imports ``isogeo`` from the ``src/``
+next to this script, so a copy placed in an older checkout measures that
+checkout.  scipy, the oracle of the root-solve timing, is imported there
+only.
 
 Usage:
     python scripts/bench_layers.py > layers.json
 """
 
 import json
+import os
 import platform
 import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import timeit
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
 import isogeo as ig  # noqa: E402
 from isogeo import isomaps  # noqa: E402
 from isogeo.isomaps import _arc_table  # noqa: E402
+from isogeo.quadrature import REFINE_RTOL, REFINE_XTOL, refine_root  # noqa: E402
 
 LINE_COUNTS = (1, 30, 128, 480)
 BATCH_DIMS = (2, 64, 256)
+COLD_SAMPLES = 5
+IMPORT_PROBE = ("import sys, time; started = time.perf_counter(); "
+                "import isogeo, isogeo.cli; elapsed = time.perf_counter() - started; "
+                "print(elapsed, any(m.startswith('scipy') for m in sys.modules))")
 GEOMETRIES = {
     "identity": lambda: ig.identity(2),
     "river": ig.river,
@@ -157,6 +175,62 @@ def identity_batches():
     return out
 
 
+def _cubic(c3, c2, c1, c0):
+    return lambda x: ((c3 * x + c2) * x + c1) * x + c0
+
+
+def root_solve_times():
+    """Per-solve time (us) of refine_root and of brentq on the same brackets."""
+    from scipy.optimize import brentq
+    rng = np.random.default_rng(3)
+    problems = []
+    for _ in range(2000):
+        # Strictly increasing cubics with a root inside (lo, hi).
+        lo, width, share, c2, c3, c1 = rng.uniform(
+            [-20, -3, 0.01, -1, -3, -3], [5, 1.5, 0.99, 1, 3, 3]).tolist()
+        hi = lo + 10.0 ** width
+        c3, c1 = 10.0 ** c3, 10.0 ** c1
+        c2 *= (3 * c1 * c3) ** 0.5
+        r = lo + (hi - lo) * share
+        g = _cubic(c3, c2, c1, -((c3 * r + c2) * r + c1) * r)
+        problems.append((g, lo, hi, g(lo)))
+    solvers = {
+        "refine_root": lambda: [refine_root(g, lo, hi, g_lo=g_lo, guess=lo - 1.0)
+                                for g, lo, hi, g_lo in problems],
+        "brentq": lambda: [brentq(g, lo, hi, xtol=REFINE_XTOL, rtol=REFINE_RTOL)
+                           for g, lo, hi, _ in problems],
+    }
+    return {name: 1e6 * _best(fn, number=1) / len(problems)
+            for name, fn in solvers.items()}
+
+
+def cold_start():
+    """Import time and whole-process config runs, each in fresh interpreters."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    imports, loaded_scipy = [], set()
+    for _ in range(COLD_SAMPLES):
+        done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        elapsed, scipy_seen = done.stdout.split()
+        imports.append(float(elapsed))
+        loaded_scipy.add(scipy_seen == "True")
+    runs = {}
+    with tempfile.TemporaryDirectory() as out:
+        env["ISOGEO_OUTPUT_DIR"] = out
+        for config in sorted((ROOT / "configs").glob("*.ini")):
+            times, codes = [], set()
+            for _ in range(COLD_SAMPLES):
+                started = time.perf_counter()
+                done = subprocess.run([sys.executable, "-m", "isogeo.cli", "run", str(config)],
+                                      env=env, capture_output=True, timeout=300)
+                times.append(time.perf_counter() - started)
+                codes.add(done.returncode)
+            runs[config.name] = {"process_s": statistics.median(times),
+                                 "exit_codes": sorted(codes)}
+    return {"import_s": statistics.median(imports),
+            "import_loads_scipy": sorted(loaded_scipy), "run": runs}
+
+
 def main(argv):
     if argv[:1] == ["--identity-batch"]:
         print(json.dumps(identity_batch(int(argv[1]))))
@@ -170,6 +244,8 @@ def main(argv):
         "per_call_us": per_call_times(),
         "iso_exp_quadratures": iso_exp_quadratures(),
         "identity_batch": identity_batches(),
+        "root_solve_us": root_solve_times(),
+        "cold_start": cold_start(),
     }
     print(json.dumps(result, indent=1))
     return 0

@@ -138,11 +138,20 @@ def load_config(path):
     Raises ConfigError carrying one diagnostic line per problem.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:
+        # A duplicate section or key, text before the first section or a line
+        # that is no key (the message names the file and line), or a bad %
+        # interpolation (named by its key here).
+        where = (f"{exc.section}.{exc.option}: "
+                 if isinstance(exc, configparser.InterpolationError) else "")
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError([where + message]) from exc
     if not read:
         raise ConfigError([f"cannot read config file {path!r}"])
     problems = []
-    sections = {name: dict(parser[name]) for name in parser.sections()}
 
     geometry = sections.pop("geometry", None)
     if geometry is None:
@@ -174,6 +183,9 @@ def load_config(path):
         extras.update(_read(experiment_section, "experiment",
                             {key: typ for key, (typ, _) in schema.items()},
                             problems))
+        if extras.get("grid_points", 2) < 2:
+            problems.append("experiment.grid_points: must be >= 2, got "
+                            f"{extras['grid_points']}")
 
     dataset_section = sections.pop("dataset", None)
     dataset = None

@@ -13,7 +13,6 @@ import traceback
 from importlib import metadata
 
 import numpy as np
-import scipy
 
 from .clustering import adjusted_rand_index, euclidean_kmeans, iso_kmeans, riemannian_kmeans
 from .config import ConfigError
@@ -42,7 +41,7 @@ def _versions():
         own = metadata.version("isogeo")
     except metadata.PackageNotFoundError:
         own = "unreleased"
-    return {"isogeo": own, "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"isogeo": own, "numpy": np.__version__}
 
 
 def build_manifold(config):
@@ -184,19 +183,45 @@ def inverse_problem(M, extras):
     return S, A, b, x_true, f, grad
 
 
+def _linspace_chunk(start, stop, num, i0, i1):
+    """``np.linspace(start, stop, num)[i0:i1]`` bit for bit, for num >= 2."""
+    div = num - 1
+    step = (stop - start) / div
+    y = np.arange(i0, i1, dtype=float)
+    # linspace scales by delta / div, or for an underflowing step by
+    # 1 / div then delta.
+    y = y * step if step != 0 else y / div * (stop - start)
+    y += start
+    if i1 == num:
+        y[-1] = stop
+    return y
+
+
 def grid_search_1d(S, f, s_min, s_max, n_points):
     """Brute-force minimizer of a batch-first f over the 1D submanifold parameter.
 
-    The grid is mapped and evaluated in chunks of PASS_BYTES of points, so
-    its arrays stay small at any n_points; f must map a batch of points as
-    it maps each one.
+    The grid is built, mapped and evaluated in chunks of PASS_BYTES of
+    points, and only the running minimum is kept, so memory stays small at
+    any n_points.  The result equals an argmin over the whole
+    ``np.linspace`` grid: the first minimum wins, and a NaN value wins.
+    f must map a batch of points as it maps each one.
     """
-    s = np.linspace(s_min, s_max, n_points)
+    if n_points < 2:
+        raise ValueError(f"grid search needs n_points >= 2, got {n_points}")
+    s_min, s_max = float(s_min), float(s_max)
     chunk = max(1, PASS_BYTES // (8 * S.manifold.dim))
-    values = np.concatenate([f(S.points_at(s[start:start + chunk]))
-                             for start in range(0, n_points, chunk)])
-    best = int(values.argmin())
-    return s[best], S.points_at(s[best:best + 1])[0], values[best], s[1] - s[0]
+    best = None
+    for start in range(0, n_points, chunk):
+        s = _linspace_chunk(s_min, s_max, n_points, start,
+                            min(start + chunk, n_points))
+        values = f(S.points_at(s))
+        i = int(values.argmin())
+        if best is None or values[i] < best[1] or (
+                np.isnan(values[i]) and not np.isnan(best[1])):
+            best = s[i], values[i]
+    s_best, f_best = best
+    first = _linspace_chunk(s_min, s_max, n_points, 0, 2)
+    return s_best, S.points_at(np.array([s_best]))[0], f_best, first[1] - first[0]
 
 
 def _run_inverse(config, M, outdir):

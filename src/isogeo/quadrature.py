@@ -3,15 +3,19 @@
 The iso mappings need two numerical primitives: cumulative arc-length
 integrals of smooth positive speeds, and inverses of the resulting monotone
 functions.  Both live here so the geometry modules stay free of numerics
-plumbing.  ``refine_root`` solves one root with scipy's ``brentq``;
-``refine_roots`` solves a batch with the same steps, bit for bit.
+plumbing.  Both root solvers take the steps of scipy's ``brentq.c``
+(Brent, 1973), bit for bit: ``refine_root`` solves one root in Python
+floats, and ``refine_roots`` solves a batch in lockstep numpy arrays.  The
+two share no code because each is fastest at its own size: a one-lane
+lockstep solve pays numpy's per-call cost at every step, tens of times the
+cost of a scalar one.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NonConvergenceError
 
@@ -19,7 +23,7 @@ from .errors import NonConvergenceError
 # trips keep headroom over the quadrature error.
 REFINE_XTOL = 1e-12
 # Relative tolerance and iteration cap of every Brent solve (the smallest
-# rtol brentq accepts, and its default maxiter).
+# rtol scipy's brentq accepts, and its default maxiter).
 REFINE_RTOL = 8.9e-16
 BRENT_MAXITER = 100
 
@@ -100,7 +104,10 @@ def refine_root(g, lo, hi, g_lo=None, guess=None, scale=1.0):
     An interpolated guess with negligible residual is accepted outright (this
     keeps exactly-linear cases, e.g. the identity geometry, exact to rounding).
     Otherwise Brent's method refines the bracket to REFINE_XTOL in the
-    parameter.
+    parameter, with the steps and result of scipy's ``brentq``.  ``g_lo``,
+    when given, must equal ``g(lo)``.  Raises NonConvergenceError for a
+    non-finite residual, a bracket without a sign change, or no convergence
+    within BRENT_MAXITER iterations.
     """
     residual_eps = 1e-15 * (1.0 + abs(scale))
     if guess is not None and lo <= guess <= hi:
@@ -113,7 +120,63 @@ def refine_root(g, lo, hi, g_lo=None, guess=None, scale=1.0):
     g_hi = g(hi)
     if abs(g_hi) <= residual_eps:
         return float(hi)
-    return float(brentq(g, lo, hi, xtol=REFINE_XTOL, rtol=REFINE_RTOL))
+    return _brent_scalar(g, float(lo), float(hi), float(g_lo), float(g_hi))
+
+
+def _finite(x, fx):
+    if not math.isfinite(fx):
+        raise NonConvergenceError(f"root solve: residual {fx} at x = {x}")
+    return fx
+
+
+def _brent_scalar(g, xpre, xcur, fpre, fcur):
+    """scipy's ``brentq.c`` on one bracket, in Python floats (Brent, 1973).
+
+    ``xpre``/``xcur`` bracket the root with residuals ``fpre``/``fcur``.
+    """
+    _finite(xpre, fpre)
+    _finite(xcur, fcur)
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NonConvergenceError(f"root solve: no sign change on [{xpre}, {xcur}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (REFINE_XTOL + REFINE_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)   # interpolate
+                else:                                              # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C divides to inf or NaN, so the step test below bisects.
+                stry = math.inf
+            # brentq.c's MIN(|spre|, 3 |sbis| - delta), NaN ordering included.
+            bis_limit = 3 * abs(sbis) - delta
+            limit = abs(spre) if abs(spre) < bis_limit else bis_limit
+            if 2 * abs(stry) < limit:
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _finite(xcur, float(g(xcur)))
+    raise NonConvergenceError(
+        f"root solve: 1 of 1 lanes open after {BRENT_MAXITER} Brent iterations")
 
 
 def refine_roots(g, lo, hi, g_lo, guess, scale):

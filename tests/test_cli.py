@@ -1,6 +1,8 @@
 """Config parsing, experiment runner, and the isogeo command line."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -259,15 +261,46 @@ def test_grid_search_in_chunks_equals_one_shot_search(banana_manifold):
     extras = {"rows": 3, "op_seed": 5, "noise": 0.05, "offset": 4.0, "s_true": 1.5}
     S, _, _, _, f, _ = experiments.inverse_problem(banana_manifold, extras)
     chunk = experiments.PASS_BYTES // (8 * banana_manifold.dim)
-    for n_points in (2 * chunk + 123, chunk, 2):
-        # The one-shot search: every grid point mapped and evaluated at once.
-        s = np.linspace(-6.0, 6.0, n_points)
-        X = S.points_at(s)
-        values = f(X)
-        best = int(values.argmin())
-        got = experiments.grid_search_1d(S, f, -6.0, 6.0, n_points)
-        assert got[0] == s[best] and got[2] == values[best] and got[3] == s[1] - s[0]
-        assert np.array_equal(got[1], X[best])
+    objectives = [
+        f,
+        # Ties inside and across chunks: the first minimum wins.
+        lambda X: np.floor(np.abs(np.sin(3.0 * X[..., 1])) * 2.0),
+        lambda X: np.zeros(X.shape[:-1]),
+        # The minimum at the last point, which linspace sets to s_max.
+        lambda X: -X[..., 1],
+        # A NaN wins, as in argmin.
+        lambda X: np.where(X[..., 1] > 2.0, np.nan, f(X)),
+    ]
+    # The last range has a step that underflows to zero.
+    for s_min, s_max in ((-6.0, 6.0), (-0.3, 1.7), (2.5, 2.5), (0.0, 1.5e-323)):
+        for n_points in (2 * chunk + 123, chunk + 1, chunk, 3, 2):
+            # The one-shot search: the whole grid mapped and evaluated at once.
+            s = np.linspace(s_min, s_max, n_points)
+            chunks = [experiments._linspace_chunk(s_min, s_max, n_points, i,
+                                                  min(i + chunk, n_points))
+                      for i in range(0, n_points, chunk)]
+            assert np.array_equal(np.concatenate(chunks), s)
+            X = S.points_at(s)
+            for objective in objectives:
+                values = objective(X)
+                best = int(values.argmin())
+                got = experiments.grid_search_1d(S, objective, s_min, s_max, n_points)
+                want = (s[best], X[best], values[best], s[1] - s[0])
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w, equal_nan=True)
+                    assert type(g) is type(w)
+    with pytest.raises(ValueError, match="n_points >= 2"):
+        experiments.grid_search_1d(S, f, -6.0, 6.0, 1)
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test oracle only: the library and the CLI start without it.
+    src = Path(experiments.__file__).resolve().parents[1]
+    code = ("import sys, isogeo, isogeo.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout == "[]\n"
 
 
 def test_run_determinism_byte_identical(tmp_path, monkeypatch):

@@ -94,9 +94,41 @@ def problems(tmp_path, edits=None, drop=()):
     ({"dataset": {"kind": "lattice"}},
      ["dataset.kind: unknown kind 'lattice'; known: river_band, spiral_band, "
       "two_clusters, grid, custom_points"]),
+    # The grid oracle needs two points for its cell width.
+    ({"experiment": {"kind": "inverse", "k": None, "grid_points": "1"}},
+     ["experiment.grid_points: must be >= 2, got 1"]),
+    ({"experiment": {"kind": "inverse", "k": None, "grid_points": "0"}},
+     ["experiment.grid_points: must be >= 2, got 0"]),
+    ({"experiment": {"kind": "inverse", "k": None, "grid_points": "-5"}},
+     ["experiment.grid_points: must be >= 2, got -5"]),
 ])
 def test_config_problems_are_exact(tmp_path, edits, want):
     assert problems(tmp_path, edits) == want
+
+
+@pytest.mark.parametrize("text, want", [
+    (render(BASE).replace("k = 2\n", "k = 2\nk = 3\n"),
+     "While reading from '{path}' [line  8]: option 'k' in section "
+     "'experiment' already exists"),
+    ("kind = kmeans\n" + render(BASE),
+     "File contains no section headers. file: '{path}', line: 1 "
+     "'kind = kmeans\\n'"),
+], ids=["duplicate key", "no section header"])
+def test_malformed_ini_is_a_config_error(tmp_path, monkeypatch, text, want):
+    monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    path = tmp_path / "config.ini"
+    path.write_text(text)
+    want = want.format(path=path)
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(str(path))
+    assert excinfo.value.problems == [want]
+    runner = CliRunner()
+    result = runner.invoke(main, ["validate", str(path)])
+    assert result.exit_code == experiments.EXIT_USAGE
+    assert result.stderr == f"error: {want}\n"
+    result = runner.invoke(main, ["run", str(path)])
+    assert result.exit_code == experiments.EXIT_USAGE
+    assert result.stdout == "config.ini: config error\n"
 
 
 def test_config_missing_sections_are_exact(tmp_path):

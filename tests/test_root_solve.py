@@ -1,4 +1,5 @@
-"""The lockstep root solver: every lane equals its own scalar Brent solve bitwise."""
+"""The root solvers: the scalar Brent port equals scipy's brentq bitwise, and
+every lane of the lockstep solver equals its own scalar solve."""
 
 import numpy as np
 import pytest
@@ -97,6 +98,9 @@ def test_refine_roots_equals_brentq_on_monotone_functions(family):
     want = [brentq(lane(i), lo[i], hi[i], xtol=REFINE_XTOL, rtol=REFINE_RTOL)
             for i in lanes]
     assert np.array_equal(got, want)
+    scalar = [refine_root(lane(i), lo[i], hi[i], g_lo=g_lo[i], guess=lo[i] - 1.0)
+              for i in lanes]
+    assert np.array_equal(scalar, want)
     # Interpolated guesses and residual-scale acceptance, lane by lane.
     guess = lo + (hi - lo) * rng.uniform(size=n)
     guess[::7] = hi[::7]
@@ -137,12 +141,19 @@ def test_refine_roots_nan_lane_raises_nonconvergence():
     with pytest.raises(NonConvergenceError):
         refine_roots(lambda i, x: np.where(i == 0, np.nan, x - 0.5), lo, hi,
                      lo - 0.5, np.full(5, -1.0), 1.0)
+    # The scalar solver, inside the bracket and at hi.
+    with pytest.raises(NonConvergenceError, match="nan"):
+        refine_root(lambda x: np.nan if 0.0 < x < 1.0 else x**3 - 0.7**3, 0.0, 1.0)
+    with pytest.raises(NonConvergenceError, match="nan at x = 1.0"):
+        refine_root(lambda x: np.nan, 0.0, 1.0, g_lo=-0.5)
 
 
 def test_refine_roots_without_sign_change_raises_nonconvergence():
     lo, hi = np.zeros(2), np.ones(2)
     with pytest.raises(NonConvergenceError, match="sign change"):
         refine_roots(lambda i, x: x + 1.0, lo, hi, lo + 1.0, np.full(2, 5.0), 1.0)
+    with pytest.raises(NonConvergenceError, match="sign change"):
+        refine_root(lambda x: x + 1.0, 0.0, 1.0, guess=5.0)
 
 
 def test_refine_roots_iteration_cap_raises_nonconvergence():
@@ -154,6 +165,8 @@ def test_refine_roots_iteration_cap_raises_nonconvergence():
     lo, hi = np.array([-1e30, 0.0]), np.array([1e30, 1.0])
     with pytest.raises(NonConvergenceError, match="1 of 2 lanes open"):
         refine_roots(step, lo, hi, np.array([-1.0, -1.0]), np.full(2, 5.0), 1.0)
+    with pytest.raises(NonConvergenceError, match="1 of 1 lanes open"):
+        refine_root(lambda x: -1.0 if x < 0.3 else 1.0, -1e30, 1e30)
     with pytest.raises(RuntimeError):
         brentq(lambda x: -1.0 if x < 0.3 else 1.0, -1e30, 1e30,
                xtol=REFINE_XTOL, rtol=REFINE_RTOL, maxiter=quadrature.BRENT_MAXITER)
