@@ -4,7 +4,6 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import experiments
 from .config import ConfigError, load_config
@@ -66,13 +65,6 @@ def validate(config_file):
                f"{config.geometry_name} geometry -> {config.output_dir}")
 
 
-def _parse_coords(raw, label):
-    try:
-        return np.array([float(part) for part in raw.split(",")])
-    except ValueError:
-        raise click.UsageError(f"{label} must be comma-separated floats, got {raw!r}")
-
-
 @main.command()
 @click.option("--geometry", required=True, type=click.Choice(registered_names()))
 @click.option("--beta", type=float, default=None, help="river/spiral parameter")
@@ -82,7 +74,7 @@ def _parse_coords(raw, label):
 @click.option("--dim", type=int, default=None, help="identity dimension")
 @click.option("--from", "start", required=True, help="start point x1,x2,...")
 @click.option("--to", "end", required=True, help="end point y1,y2,...")
-@click.option("--samples", type=int, default=100, show_default=True)
+@click.option("--samples", type=click.IntRange(min=0), default=100, show_default=True)
 @click.option("--iso/--levi-civita", default=False,
               help="sample the constant-speed geodesic instead of the Levi-Civita one")
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
@@ -98,10 +90,11 @@ def geodesic(geometry, beta, eta, a_param, z_param, dim, start, end, samples,
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"bad parameters for {geometry}: {exc}")
     M = PullbackManifold(diffeo)
-    x = _parse_coords(start, "--from")
-    y = _parse_coords(end, "--to")
-    if len(x) != M.dim or len(y) != M.dim:
-        raise click.UsageError(f"{geometry} needs {M.dim}-dimensional points")
+    try:
+        x = experiments._parse_point(start, M.dim, "--from")
+        y = experiments._parse_point(end, M.dim, "--to")
+    except ConfigError as exc:
+        raise click.UsageError(exc.problems[0])
     rows = experiments.geodesic_rows(M, x, y, samples, iso)
     header = ["t"] + [f"x{i}" for i in range(M.dim)]
     lines = [",".join(header)]

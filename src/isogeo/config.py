@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields
 
 from .datasets import DATASET_KINDS, DatasetSpec
 from .descent import LineSearchConfig
-from .diffeos import _REGISTRY, registered_names
+from .diffeos import make_diffeomorphism, registered_names
 from .quadrature import QuadratureConfig
 
 # Per-experiment extra keys accepted in [experiment], with type and default:
@@ -55,6 +55,9 @@ _EXPERIMENT_FIELDS = {
     "rankr": {"r": (int, 2)},
 }
 EXPERIMENT_KINDS = tuple(_EXPERIMENT_FIELDS)
+# The smallest value of each integer [experiment] key that can run.
+_EXPERIMENT_MINIMUMS = {"samples": 0, "op_seed": 0, "k": 1, "r": 1, "rows": 1,
+                        "grid_n": 1, "grid_points": 2}
 _STOCHASTIC_KINDS = ("river_band", "spiral_band", "two_clusters")
 
 
@@ -183,9 +186,10 @@ def load_config(path):
         extras.update(_read(experiment_section, "experiment",
                             {key: typ for key, (typ, _) in schema.items()},
                             problems))
-        if extras.get("grid_points", 2) < 2:
-            problems.append("experiment.grid_points: must be >= 2, got "
-                            f"{extras['grid_points']}")
+        problems.extend(
+            f"experiment.{key}: must be >= {low}, got {extras[key]}"
+            for key, low in _EXPERIMENT_MINIMUMS.items()
+            if key in extras and extras[key] < low)
 
     dataset_section = sections.pop("dataset", None)
     dataset = None
@@ -219,7 +223,16 @@ def load_config(path):
     solver = quad = None
     if not problems:
         # The factory names a misspelled or out-of-range parameter.
-        _build(_REGISTRY[geometry_name], geometry_params, "geometry", problems)
+        diffeo = _build(make_diffeomorphism, {"name": geometry_name,
+                                              "params": geometry_params},
+                        "geometry", problems)
+        if diffeo is not None and experiment in ("kmeans", "rankr"):
+            n = dataset.n ** diffeo.dim if dataset.kind == "grid" else dataset.n
+            key, most = (("k", n) if experiment == "kmeans"
+                         else ("r", min(diffeo.dim, n)))
+            if extras[key] > most:
+                problems.append(f"experiment.{key}: must be <= {most} for {n} data "
+                                f"points in {diffeo.dim} dimensions, got {extras[key]}")
         solver = _build(LineSearchConfig, solver_kwargs, "solver", problems)
         quad = _build(QuadratureConfig, quad_kwargs, "quadrature", problems)
 

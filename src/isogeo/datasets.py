@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DATASET_KINDS = ("river_band", "spiral_band", "two_clusters", "grid",
-                 "custom_points")
+DATASET_KINDS = ("river_band", "spiral_band", "two_clusters", "grid")
 
 # Safe default for the spiral angle coordinate: well clear of the 0/2pi cut.
 _SPIRAL_CENTER = math.pi
@@ -37,7 +36,6 @@ class DatasetSpec:
     center: float = None
     gap: float = 4.0
     box: tuple = ((-8.0, 8.0), (-8.0, 8.0))
-    points: list = None
 
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
@@ -45,8 +43,12 @@ class DatasetSpec:
                 f"unknown dataset kind {self.kind!r}; known: {DATASET_KINDS}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.kind == "two_clusters" and self.t_max - self.t_min - self.gap <= 0:
+            raise ValueError("two_clusters needs t_max - t_min > gap")
 
 
 @dataclass
@@ -83,10 +85,7 @@ def generate_dataset(spec, M):
                     _default_center(spec, M), spec.noise_sigma)
         return Dataset(pts)
     if spec.kind == "two_clusters":
-        span = spec.t_max - spec.t_min - spec.gap
-        if span <= 0:
-            raise ValueError("two_clusters needs t_max - t_min > gap")
-        half = span / 2.0
+        half = (spec.t_max - spec.t_min - spec.gap) / 2.0
         center = _default_center(spec, M)
         n1 = spec.n // 2
         band1 = _band(M, rng, n1, spec.t_min, spec.t_min + half,
@@ -96,12 +95,7 @@ def generate_dataset(spec, M):
         labels = np.concatenate([np.ones(n1, dtype=int),
                                  np.full(spec.n - n1, 2, dtype=int)])
         return Dataset(np.concatenate([band1, band2]), labels)
-    if spec.kind == "grid":
-        axes = [np.linspace(lo, hi, spec.n) for lo, hi in spec.box[:M.dim]]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return Dataset(np.stack([m.ravel() for m in mesh], axis=-1))
-    if spec.kind == "custom_points":
-        if spec.points is None:
-            raise ValueError("custom_points requires explicit points")
-        return Dataset(np.asarray(spec.points, dtype=float))
-    raise ValueError(f"unknown dataset kind {spec.kind!r}")
+    # kind == "grid"
+    axes = [np.linspace(lo, hi, spec.n) for lo, hi in spec.box[:M.dim]]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return Dataset(np.stack([m.ravel() for m in mesh], axis=-1))

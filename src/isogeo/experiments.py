@@ -1,8 +1,9 @@
 """Config-driven experiment dispatch behind the command line.
 
 Each experiment reads its settings from an ExperimentConfig, writes
-plot-ready CSVs plus a JSON summary into the output directory, and always
-leaves a run manifest behind, even when it fails.  Exit codes: 0 success,
+plot-ready CSVs into the output directory and returns a JSON summary (None
+for a geodesic) that ``run`` writes; ``run`` also always leaves a run
+manifest behind, even when the experiment fails.  Exit codes: 0 success,
 2 usage/config error, 3 stall or non-convergence (partial traces are still
 written), 4 any other exception, whose traceback the manifest records.
 """
@@ -82,7 +83,7 @@ def _run_geodesic(config, M, outdir):
                          config.extras["iso"])
     header = ["t"] + [f"x{i}" for i in range(M.dim)]
     write_csv(os.path.join(outdir, "geodesic.csv"), header, rows)
-    return EXIT_OK, {}
+    return EXIT_OK, None
 
 
 def _write_points(path, points, labels=None, extra=()):
@@ -100,7 +101,7 @@ def _write_points(path, points, labels=None, extra=()):
 
 def _run_barycentre(config, M, outdir):
     data = generate_dataset(config.dataset, M)
-    pts = np.atleast_2d(data.points)
+    pts = data.points
     _write_points(os.path.join(outdir, "points.csv"), pts, data.labels)
     euclidean_mean = pts.mean(axis=0)
     riemannian = closed_form_barycentre(M, pts)
@@ -119,13 +120,12 @@ def _run_barycentre(config, M, outdir):
     trace.write_csv(os.path.join(outdir, "trace.csv"))
     summary["iterations"] = len(trace) - 1
     summary["final_field_norm"] = trace.field_norms[-1]
-    write_json(os.path.join(outdir, "summary.json"), summary)
     return code, summary
 
 
 def _run_kmeans(config, M, outdir):
     data = generate_dataset(config.dataset, M)
-    pts = np.atleast_2d(data.points)
+    pts = data.points
     K = config.extras["k"]
     seed = config.dataset.seed
     results = {
@@ -142,7 +142,6 @@ def _run_kmeans(config, M, outdir):
         if data.labels is not None:
             entry["ari"] = adjusted_rand_index(res.labels, data.labels)
         summary[name] = entry
-    write_json(os.path.join(outdir, "summary.json"), summary)
     return EXIT_OK, summary
 
 
@@ -249,7 +248,6 @@ def _run_inverse(config, M, outdir):
         "s_grid": s_grid, "grid_objective": f_grid, "grid_cell": cell,
         "param_gap": abs(s_solution - s_grid),
     })
-    write_json(os.path.join(outdir, "summary.json"), summary)
     return code, summary
 
 
@@ -300,7 +298,7 @@ def ratio_grid_rows(M, points, xbar, grid):
 
 def _run_ratios(config, M, outdir):
     data = generate_dataset(config.dataset, M)
-    pts = np.atleast_2d(data.points)
+    pts = data.points
     _write_points(os.path.join(outdir, "points.csv"), pts, data.labels)
     code = EXIT_OK
     try:
@@ -323,13 +321,11 @@ def _run_ratios(config, M, outdir):
     summary = {"iso_barycentre": xbar,
                "monotonicity_min": finite[:, 0].min() if len(finite) else None,
                "lipschitz_max": finite[:, 1].max() if len(finite) else None}
-    write_json(os.path.join(outdir, "summary.json"), summary)
     return code, summary
 
 
 def _run_rankr(config, M, outdir):
-    data = generate_dataset(config.dataset, M)
-    pts = np.atleast_2d(data.points)
+    pts = generate_dataset(config.dataset, M).points
     base = closed_form_barycentre(M, pts)
     r = config.extras["r"]
     U = iso_rank_r_approx(M, pts, base, r)
@@ -342,7 +338,6 @@ def _run_rankr(config, M, outdir):
               [f"b{j}" for j in range(r)], S.phi_basis)
     summary = {"base": base, "singular_values": svals,
                "tail_energy": float(np.sum(svals[r:] ** 2))}
-    write_json(os.path.join(outdir, "summary.json"), summary)
     return EXIT_OK, summary
 
 
@@ -365,7 +360,9 @@ def run(config):
     started = time.perf_counter()
     try:
         M = build_manifold(config)
-        code, _ = _RUNNERS[config.experiment](config, M, outdir)
+        code, summary = _RUNNERS[config.experiment](config, M, outdir)
+        if summary is not None:
+            write_json(os.path.join(outdir, "summary.json"), summary)
         manifest["status"] = "ok" if code == EXIT_OK else "stalled"
     except ConfigError as exc:
         manifest["status"] = "error"

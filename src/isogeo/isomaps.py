@@ -25,6 +25,8 @@ from .quadrature import (_leggauss, composite_nodes, panel_integrals, refine_roo
 # smaller passes pay more per-pass overhead; BENCH_8.json records the sweep.
 PASS_BYTES = 96 * 1024
 
+MAX_BRACKET_DOUBLINGS = 60
+
 
 def _speeds(M, a, w, ts):
     """l2 speeds ``(n,)`` or ``(L, n)`` of one ``(d,)`` or ``(L, d)`` phi-line a + t w.
@@ -200,7 +202,7 @@ def vectorchange(M, xi):
     hi = 1.0
     g_hi = None
     hit_domain_edge = False
-    for _ in range(2 * M.quad.max_bracket_doublings):
+    for _ in range(2 * MAX_BRACKET_DOUBLINGS):
         try:
             g_hi = g(hi)
         except DomainError:
@@ -221,7 +223,7 @@ def vectorchange(M, xi):
                 f"reaching arc length {nv}")
         raise NonConvergenceError(
             f"vectorchange failed to bracket within "
-            f"{M.quad.max_bracket_doublings} doublings (|xi| = {nv})")
+            f"{MAX_BRACKET_DOUBLINGS} doublings (|xi| = {nv})")
     return refine_root(g, lo, hi, g_lo=g_lo, scale=nv)
 
 

@@ -33,13 +33,11 @@ class QuadratureConfig:
     """Numerical settings threaded through every iso mapping.
 
     panels x nodes_per_panel Gauss-Legendre points discretize each unit of
-    curve parameter; max_bracket_doublings caps the bracket search in
-    vectorchange.  The root solves use the fixed tolerance REFINE_XTOL.
+    curve parameter.  The root solves use the fixed tolerance REFINE_XTOL.
     """
 
     panels: int = 64
     nodes_per_panel: int = 4
-    max_bracket_doublings: int = 60
 
     def __post_init__(self):
         if self.panels < 1:
@@ -47,8 +45,6 @@ class QuadratureConfig:
         if self.nodes_per_panel < 1:
             raise ValueError(
                 f"nodes_per_panel must be >= 1, got {self.nodes_per_panel}")
-        if self.max_bracket_doublings < 1:
-            raise ValueError("max_bracket_doublings must be >= 1")
 
 
 @lru_cache(maxsize=None)

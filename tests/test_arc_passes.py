@@ -180,7 +180,7 @@ def probing_vectorchange(M, xi, probes, edges):
     lo, g_lo = 0.0, -nv
     hi, g_hi = 1.0, None
     hit_domain_edge = False
-    for _ in range(2 * q.max_bracket_doublings):
+    for _ in range(2 * isomaps.MAX_BRACKET_DOUBLINGS):
         try:
             g_hi = g(hi)
         except DomainError:
@@ -226,8 +226,9 @@ def test_vectorchange_probes_once_and_equals_repeat_probing(name, monkeypatch):
     monkeypatch.setattr(isomaps, "_speeds",
                         lambda *args: speeds_calls.append(1) or _speeds(*args))
     seen = set()
-    for quad in (ig.QuadratureConfig(), ig.QuadratureConfig(max_bracket_doublings=1)):
-        M = make_manifold(name, quad)
+    M = make_manifold(name)
+    for doublings in (isomaps.MAX_BRACKET_DOUBLINGS, 1):
+        monkeypatch.setattr(isomaps, "MAX_BRACKET_DOUBLINGS", doublings)
         tangents = [TangentVector(x, rng.standard_normal(M.dim) * rng.choice([0.1, 1.0, 5.0, 20.0]))
                     for x in (sample_point(name, M, rng) for _ in range(40))]
         if name == "river":

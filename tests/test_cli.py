@@ -96,6 +96,17 @@ def test_config_rejects_refine_tol(tmp_path):
     assert result.exit_code == experiments.EXIT_USAGE
 
 
+def test_config_rejects_max_bracket_doublings(tmp_path):
+    text = (BARY_CONFIG.format(out=tmp_path / "out")
+            + "\n[quadrature]\nmax_bracket_doublings = 12\n")
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert excinfo.value.problems == ["quadrature.max_bracket_doublings: unknown key"]
+    result = CliRunner().invoke(main, ["validate", str(path)])
+    assert result.exit_code == experiments.EXIT_USAGE
+
+
 def test_config_requires_sections(tmp_path):
     path = write_config(tmp_path, "[output]\ndir = x\n")
     with pytest.raises(ConfigError) as excinfo:
@@ -334,9 +345,12 @@ def test_run_stall_exit_code_and_partial_trace(tmp_path, monkeypatch):
 def test_manifest_written_on_error(tmp_path, monkeypatch):
     monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
     out = tmp_path / "out"
-    broken = BARY_CONFIG.format(out=out).replace("kind = river_band",
-                                                 "kind = custom_points")
-    path = write_config(tmp_path, broken)
+
+    def failing(config, M, outdir):
+        raise ValueError("no points")
+
+    monkeypatch.setitem(experiments._RUNNERS, "barycentre", failing)
+    path = write_config(tmp_path, BARY_CONFIG.format(out=out))
     code = experiments.run(load_config(path))
     assert code != 0
     manifest = json.loads((out / "run_manifest.json").read_text())
@@ -430,13 +444,18 @@ def test_cli_geodesic_stdout_and_file(tmp_path):
 
 
 def test_cli_geodesic_argument_validation():
+    # Bad points exit 2 with the diagnostic of the [experiment] from/to parser,
+    # and a negative sample count as for [experiment] samples.
     runner = CliRunner()
-    result = runner.invoke(main, ["geodesic", "--geometry", "river",
-                                  "--from", "0,0,0", "--to", "1,1"])
-    assert result.exit_code != 0
-    result = runner.invoke(main, ["geodesic", "--geometry", "river",
-                                  "--from", "zero", "--to", "1,1"])
-    assert result.exit_code != 0
+    for args, want in [
+            (["--from", "0,0,0"], "--from: expected 2 comma-separated coordinates, got 3"),
+            (["--from", "zero"], "--from: could not convert string to float: 'zero'"),
+            (["--from", "0,0", "--samples", "-1"],
+             "Invalid value for '--samples': -1 is not in the range x>=0.")]:
+        result = runner.invoke(main, ["geodesic", "--geometry", "river", "--to", "1,1", *args])
+        assert result.exit_code == experiments.EXIT_USAGE
+        assert result.stderr.endswith(f"Error: {want}\n")
+        assert result.stdout == ""
 
 
 def test_cli_geodesic_rejects_out_of_range_geometry_parameters():

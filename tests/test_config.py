@@ -93,7 +93,7 @@ def problems(tmp_path, edits=None, drop=()):
       "geometry.beta: could not convert string to float: 'fast'"]),
     ({"dataset": {"kind": "lattice"}},
      ["dataset.kind: unknown kind 'lattice'; known: river_band, spiral_band, "
-      "two_clusters, grid, custom_points"]),
+      "two_clusters, grid"]),
     # The grid oracle needs two points for its cell width.
     ({"experiment": {"kind": "inverse", "k": None, "grid_points": "1"}},
      ["experiment.grid_points: must be >= 2, got 1"]),
@@ -162,8 +162,7 @@ def test_omitted_extras_take_their_defaults(tmp_path, kind, want):
 ROUND_TRIP = {
     ("solver", LineSearchConfig): {"r0": 2.5, "c": 0.25, "max_backtracks": 7,
                                    "max_iters": 33, "tol": 1e-3},
-    ("quadrature", QuadratureConfig): {"panels": 16, "nodes_per_panel": 8,
-                                       "max_bracket_doublings": 12},
+    ("quadrature", QuadratureConfig): {"panels": 16, "nodes_per_panel": 8},
     ("dataset", DatasetSpec): {"kind": "spiral_band", "n": 17, "seed": 3,
                                "noise_sigma": 0.125, "t_min": -2.5,
                                "t_max": 3.5, "center": 1.75, "gap": 1.5},
@@ -222,6 +221,58 @@ def test_geometry_parameters_are_checked_at_load(tmp_path, monkeypatch, edits, w
     result = runner.invoke(main, ["run", path])
     assert result.exit_code == experiments.EXIT_USAGE
     assert result.stdout == "config.ini: config error\n"
+
+
+# Values that load into settings no run can use: each is a config error (exit 2
+# from validate and run alike), never an internal error of the run.
+@pytest.mark.parametrize("edits, want", [
+    ({"dataset": {"seed": "-3"}}, "dataset: seed must be >= 0, got -3"),
+    ({"dataset": {"gap": "16.0"}}, "dataset: two_clusters needs t_max - t_min > gap"),
+    ({"dataset": {"kind": "custom_points"}},
+     "dataset.kind: unknown kind 'custom_points'; known: river_band, spiral_band, "
+     "two_clusters, grid"),
+    ({"experiment": {"kind": "inverse", "k": None, "op_seed": "-1"}},
+     "experiment.op_seed: must be >= 0, got -1"),
+    ({"experiment": {"kind": "inverse", "k": None, "rows": "0"}},
+     "experiment.rows: must be >= 1, got 0"),
+    ({"experiment": {"k": "0"}}, "experiment.k: must be >= 1, got 0"),
+    ({"experiment": {"k": "500"}, "dataset": {"n": "20"}},
+     "experiment.k: must be <= 20 for 20 data points in 2 dimensions, got 500"),
+    ({"experiment": {"k": "17"}, "dataset": {"kind": "grid", "n": "4"}},
+     "experiment.k: must be <= 16 for 16 data points in 2 dimensions, got 17"),
+    ({"experiment": {"kind": "rankr", "k": None, "r": "0"}},
+     "experiment.r: must be >= 1, got 0"),
+    ({"experiment": {"kind": "rankr", "k": None, "r": "3"}},
+     "experiment.r: must be <= 2 for 40 data points in 2 dimensions, got 3"),
+    ({"experiment": {"kind": "ratios", "k": None, "grid_n": "0"}},
+     "experiment.grid_n: must be >= 1, got 0"),
+    ({"experiment": {"kind": "geodesic", "k": None, "samples": "-1",
+                     "from": "0,0", "to": "1,1"}},
+     "experiment.samples: must be >= 0, got -1"),
+])
+def test_values_no_run_can_use_are_config_errors(tmp_path, monkeypatch, edits, want):
+    monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    assert problems(tmp_path, edits) == [want]
+    path = str(write(tmp_path, edits))
+    runner = CliRunner()
+    result = runner.invoke(main, ["validate", path])
+    assert result.exit_code == experiments.EXIT_USAGE
+    assert result.stderr == f"error: {want}\n"
+    result = runner.invoke(main, ["run", path])
+    assert result.exit_code == experiments.EXIT_USAGE
+
+
+@pytest.mark.parametrize("edits", [
+    {"experiment": {"k": "20"}, "dataset": {"n": "20"}},
+    {"experiment": {"k": "16"}, "dataset": {"kind": "grid", "n": "4"}},
+    {"experiment": {"kind": "rankr", "k": None, "r": "2"}},
+    {"experiment": {"kind": "ratios", "k": None, "grid_n": "1"}},
+    {"experiment": {"kind": "geodesic", "k": None, "samples": "0"}},
+    {"experiment": {"kind": "inverse", "k": None, "op_seed": "0", "rows": "1"}},
+    {"dataset": {"seed": "0", "gap": "15.5"}},
+])
+def test_limit_values_load(tmp_path, edits):
+    load_config(write(tmp_path, edits))
 
 
 def test_identity_dim_read_as_a_float_loads(tmp_path):

@@ -75,16 +75,6 @@ def test_grid_dataset(banana_manifold, sinh_manifold):
     assert line.points.shape == (7, 1)
 
 
-def test_custom_points(river_manifold):
-    pts = [[0.0, 0.0], [1.0, 2.0]]
-    data = ig.generate_dataset(
-        ig.DatasetSpec(kind="custom_points", n=2, points=pts), river_manifold)
-    np.testing.assert_array_equal(data.points, pts)
-    with pytest.raises(ValueError):
-        ig.generate_dataset(ig.DatasetSpec(kind="custom_points", n=2),
-                            river_manifold)
-
-
 def test_invalid_specs():
     with pytest.raises(ValueError):
         ig.DatasetSpec(kind="mystery", n=5)
