@@ -21,14 +21,22 @@ Prints one JSON object:
 - ``root_solve_us``: best of 5 passes over 2000 seeded increasing cubics,
   the time per solve of ``quadrature.refine_root`` (guess outside the
   bracket, so every solve runs Brent) and of scipy's ``brentq``;
+- ``output_us``: best of 5 x 50 calls of ``serialize.write_csv`` of a
+  120-sample iso geodesic table (t, x0, x1) on river(5, 0.25), of
+  ``experiments._write_points`` of a 120-point k-means ``points.csv``
+  (two coordinates, the truth and three label columns), of one
+  ``serialize.write_json`` of the run manifest of
+  ``configs/river_kmeans.ini``, and of ``experiments._versions``, the
+  package-version lookup each run manifest makes;
 - ``cold_start``: in fresh child interpreters, the median time of
   ``import isogeo, isogeo.cli`` inside the child and whether it loaded
   scipy, and for each ``configs/*.ini`` the median whole-process time of
   ``python -m isogeo.cli run`` (output into a temporary directory) with
   its exit code.
 
-It uses public functions, ``_arc_table``, ``isomaps.composite_nodes`` and
-the quadrature constants only, and imports ``isogeo`` from the ``src/``
+It uses public functions, ``_arc_table``, ``isomaps.composite_nodes``,
+``experiments._write_points``, ``experiments._versions`` and the
+quadrature constants only, and imports ``isogeo`` from the ``src/``
 next to this script, so a copy placed in an older checkout measures that
 checkout.  scipy, the oracle of the root-solve timing, is imported there
 only.
@@ -55,7 +63,8 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import isogeo as ig  # noqa: E402
-from isogeo import isomaps  # noqa: E402
+from isogeo import experiments, isomaps, serialize  # noqa: E402
+from isogeo.config import load_config  # noqa: E402
 from isogeo.isomaps import _arc_table  # noqa: E402
 from isogeo.quadrature import REFINE_RTOL, REFINE_XTOL, refine_root  # noqa: E402
 
@@ -204,6 +213,32 @@ def root_solve_times():
             for name, fn in solvers.items()}
 
 
+def output_times():
+    """Per-call time (us) of each output the experiments write."""
+    M = ig.PullbackManifold(ig.river(5.0, 0.25))
+    rows = experiments.geodesic_rows(M, np.array([0.0, -3.0]),
+                                     np.array([1.0, 3.0]), 120, True)
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-4.0, 4.0, (120, 2))
+    labels = rng.integers(1, 3, 120)
+    extra = [(f"label_{name}", rng.integers(1, 3, 120))
+             for name in ("euclidean", "riemannian", "iso")]
+    config = load_config(ROOT / "configs" / "river_kmeans.ini")
+    manifest = {"config": config.echo(), "versions": experiments._versions(),
+                "status": "ok", "wall_time_s": 0.123456789}
+    with tempfile.TemporaryDirectory() as out:
+        calls = {
+            "geodesic_csv_120x3": lambda: serialize.write_csv(
+                os.path.join(out, "geodesic.csv"), ["t", "x0", "x1"], rows),
+            "kmeans_points_csv_120": lambda: experiments._write_points(
+                os.path.join(out, "points.csv"), pts, labels, extra),
+            "manifest_json": lambda: serialize.write_json(
+                os.path.join(out, "run_manifest.json"), manifest),
+            "versions": experiments._versions,
+        }
+        return {name: 1e6 * _best(fn, number=50) for name, fn in calls.items()}
+
+
 def cold_start():
     """Import time and whole-process config runs, each in fresh interpreters."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -245,6 +280,7 @@ def main(argv):
         "iso_exp_quadratures": iso_exp_quadratures(),
         "identity_batch": identity_batches(),
         "root_solve_us": root_solve_times(),
+        "output_us": output_times(),
         "cold_start": cold_start(),
     }
     print(json.dumps(result, indent=1))

@@ -9,7 +9,7 @@ from . import experiments
 from .config import ConfigError, load_config
 from .diffeos import make_diffeomorphism, registered_names
 from .pullback import PullbackManifold
-from .serialize import fmt
+from .serialize import _csv_text
 
 
 @click.group()
@@ -97,9 +97,7 @@ def geodesic(geometry, beta, eta, a_param, z_param, dim, start, end, samples,
         raise click.UsageError(exc.problems[0])
     rows = experiments.geodesic_rows(M, x, y, samples, iso)
     header = ["t"] + [f"x{i}" for i in range(M.dim)]
-    lines = [",".join(header)]
-    lines += [",".join(fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    text = _csv_text(header, rows, "\n")
     if output is None:
         click.echo(text, nl=False)
     else:

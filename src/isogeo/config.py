@@ -226,7 +226,11 @@ def load_config(path):
         diffeo = _build(make_diffeomorphism, {"name": geometry_name,
                                               "params": geometry_params},
                         "geometry", problems)
-        if diffeo is not None and experiment in ("kmeans", "rankr"):
+        if (diffeo is not None and dataset is not None and dataset.kind == "grid"
+                and diffeo.dim > len(dataset.box)):
+            problems.append(f"dataset.kind: a grid spans {len(dataset.box)} axes, "
+                            f"the geometry has {diffeo.dim} dimensions")
+        elif diffeo is not None and experiment in ("kmeans", "rankr"):
             n = dataset.n ** diffeo.dim if dataset.kind == "grid" else dataset.n
             key, most = (("k", n) if experiment == "kmeans"
                          else ("r", min(diffeo.dim, n)))

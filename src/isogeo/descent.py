@@ -78,7 +78,7 @@ class ConvergenceTrace:
         objectives = (self.objectives if self.objectives is not None
                       else [""] * len(self))
         write_csv(path, header, (
-            [i, fn, r, obj, *x] for i, (x, fn, r, obj) in enumerate(
+            [i, fn, r, obj, *x.tolist()] for i, (x, fn, r, obj) in enumerate(
                 zip(self.iterates, self.field_norms, self.step_sizes, objectives))))
 
 

@@ -8,10 +8,10 @@ manifest behind, even when the experiment fails.  Exit codes: 0 success,
 written), 4 any other exception, whose traceback the manifest records.
 """
 
+import functools
 import os
 import time
 import traceback
-from importlib import metadata
 
 import numpy as np
 
@@ -37,7 +37,11 @@ NUMERICAL_FAILURES = (StallError, NonConvergenceError, DomainError,
                       DegenerateCurveError, DegenerateBasisError)
 
 
+@functools.cache
 def _versions():
+    # Looked up on the first run, not at import: importlib.metadata is slow
+    # to import, and the lookup scans sys.path when isogeo is not installed.
+    from importlib import metadata
     try:
         own = metadata.version("isogeo")
     except metadata.PackageNotFoundError:
@@ -71,7 +75,7 @@ def geodesic_rows(M, start, end, samples, iso):
     inner = (ts > 0.0) & (ts < 1.0)
     if inner.any():
         points[inner] = iso_geodesic(M, start, end, ts[inner])
-    return [[t, *p] for t, p in zip(ts, points)]
+    return np.column_stack([ts, points]).tolist()
 
 
 def _run_geodesic(config, M, outdir):
@@ -89,13 +93,13 @@ def _run_geodesic(config, M, outdir):
 def _write_points(path, points, labels=None, extra=()):
     dim = points.shape[1]
     header = [f"x{i}" for i in range(dim)]
-    columns = [points[:, i] for i in range(dim)]
+    columns = [points[:, i].tolist() for i in range(dim)]
     if labels is not None:
         header.append("truth")
-        columns.append(labels)
+        columns.append(labels.tolist())
     for name, values in extra:
         header.append(name)
-        columns.append(values)
+        columns.append(values.tolist())
     write_csv(path, header, zip(*columns))
 
 
@@ -268,7 +272,7 @@ def _batch_ratio_rows(M, points, xbar, grid):
     dots = np.vecdot(fields, moved).tolist()
     norms = np.sqrt(np.vecdot(fields, fields)).tolist()
     rows = []
-    for node, dot, norm, dist in zip(grid, dots, norms, dists.tolist()):
+    for node, dot, norm, dist in zip(grid.tolist(), dots, norms, dists.tolist()):
         # Python floats, as in the one-node ratios: float ** 2 calls libm
         # pow, which can differ by an ulp from numpy's squaring of an array.
         if dist == 0.0:
@@ -293,7 +297,7 @@ def ratio_grid_rows(M, points, xbar, grid):
             half = len(grid) // 2
             return (ratio_grid_rows(M, points, xbar, grid[:half])
                     + ratio_grid_rows(M, points, xbar, grid[half:]))
-        return [[*node, float("nan"), float("nan")] for node in grid]
+        return [[*node, float("nan"), float("nan")] for node in grid.tolist()]
 
 
 def _run_ratios(config, M, outdir):
@@ -333,9 +337,9 @@ def _run_rankr(config, M, outdir):
     logs = _iso_log_vecs(M, base, pts)[0].T
     svals = np.linalg.svd(logs, compute_uv=False)
     write_csv(os.path.join(outdir, "basis.csv"),
-              [f"u{j}" for j in range(r)], U)
+              [f"u{j}" for j in range(r)], U.tolist())
     write_csv(os.path.join(outdir, "phi_basis.csv"),
-              [f"b{j}" for j in range(r)], S.phi_basis)
+              [f"b{j}" for j in range(r)], S.phi_basis.tolist())
     summary = {"base": base, "singular_values": svals,
                "tail_energy": float(np.sum(svals[r:] ** 2))}
     return EXIT_OK, summary
@@ -355,7 +359,7 @@ def run(config):
     """Dispatch an experiment config; returns the process exit code."""
     outdir = config.output_dir
     os.makedirs(outdir, exist_ok=True)
-    manifest = {"config": config.echo(), "versions": _versions(),
+    manifest = {"config": config.echo(), "versions": dict(_versions()),
                 "status": "running"}
     started = time.perf_counter()
     try:

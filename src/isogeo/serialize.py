@@ -1,28 +1,32 @@
-"""Deterministic CSV/JSON output: fixed float format, fixed column order."""
+"""Deterministic CSV/JSON output: fixed float format, fixed column order.
 
-import csv
+One formatter, ``fmt``, writes every CSV cell, unquoted; config CSVs end
+lines with CRLF, ``isogeo geodesic`` stdout with LF.  Each file is written
+in one call.
+"""
+
 import json
 
 import numpy as np
 
+_FLOATS = (float, np.floating)
+
 
 def fmt(value):
     """Floats with 17 significant digits so runs diff cleanly."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+    return "%.17g" % value if isinstance(value, _FLOATS) else str(value)
+
+
+def _csv_text(header, rows, newline):
+    lines = [",".join(header)]
+    lines += [",".join(map(fmt, row)) for row in rows]
+    return newline.join(lines) + newline
 
 
 def write_csv(path, header, rows):
+    text = _csv_text(header, rows, "\r\n")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        fh.write(text)
 
 
 def _jsonable(obj):
@@ -39,5 +43,4 @@ def _jsonable(obj):
 
 def write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")

@@ -327,6 +327,28 @@ def test_run_determinism_byte_identical(tmp_path, monkeypatch):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_versions_looked_up_once_across_runs(tmp_path, monkeypatch):
+    from importlib import metadata
+    monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    lookups = []
+    version = metadata.version
+    monkeypatch.setattr(metadata, "version",
+                        lambda name: lookups.append(name) or version(name))
+    experiments._versions.cache_clear()
+    try:
+        for sub in ("a", "b", "c"):
+            out = tmp_path / sub
+            path = write_config(tmp_path, BARY_CONFIG.format(out=out),
+                                name=f"{sub}.ini")
+            assert experiments.run(load_config(path)) == 0
+            versions = json.loads((out / "run_manifest.json").read_text())["versions"]
+            assert versions["numpy"] == np.__version__
+            assert versions["isogeo"]
+    finally:
+        experiments._versions.cache_clear()
+    assert lookups == ["isogeo"]
+
+
 def test_run_stall_exit_code_and_partial_trace(tmp_path, monkeypatch):
     monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
     out = tmp_path / "out"

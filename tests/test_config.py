@@ -249,6 +249,10 @@ def test_geometry_parameters_are_checked_at_load(tmp_path, monkeypatch, edits, w
     ({"experiment": {"kind": "geodesic", "k": None, "samples": "-1",
                      "from": "0,0", "to": "1,1"}},
      "experiment.samples: must be >= 0, got -1"),
+    # The grid spans the axes of its box, two by default.
+    ({"geometry": {"name": "identity", "beta": None, "eta": None, "dim": "3"},
+      "dataset": {"kind": "grid", "n": "3"}},
+     "dataset.kind: a grid spans 2 axes, the geometry has 3 dimensions"),
 ])
 def test_values_no_run_can_use_are_config_errors(tmp_path, monkeypatch, edits, want):
     monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
@@ -270,6 +274,8 @@ def test_values_no_run_can_use_are_config_errors(tmp_path, monkeypatch, edits, w
     {"experiment": {"kind": "geodesic", "k": None, "samples": "0"}},
     {"experiment": {"kind": "inverse", "k": None, "op_seed": "0", "rows": "1"}},
     {"dataset": {"seed": "0", "gap": "15.5"}},
+    {"geometry": {"name": "sinh_shift_1d", "beta": None, "eta": None},
+     "dataset": {"kind": "grid", "n": "3"}},
 ])
 def test_limit_values_load(tmp_path, edits):
     load_config(write(tmp_path, edits))
