@@ -28,6 +28,11 @@ Prints one JSON object:
   ``serialize.write_json`` of the run manifest of
   ``configs/river_kmeans.ini``, and of ``experiments._versions``, the
   package-version lookup each run manifest makes;
+- ``rewrite_us``: the median and p90 of 200 back-to-back rewrites of an
+  existing file: the 120x3 ``geodesic.csv`` and the run manifest of
+  ``output_us``.  Unlike best-of timings, these keep any wait that
+  rewriting a path pays for the write before it (on ext4, an ``O_TRUNC``
+  open waits for the flush that closing the truncated file started);
 - ``cold_start``: in fresh child interpreters, the median time of
   ``import isogeo, isogeo.cli`` inside the child and whether it loaded
   scipy, and for each ``configs/*.ini`` the median whole-process time of
@@ -71,6 +76,7 @@ from isogeo.quadrature import REFINE_RTOL, REFINE_XTOL, refine_root  # noqa: E40
 LINE_COUNTS = (1, 30, 128, 480)
 BATCH_DIMS = (2, 64, 256)
 COLD_SAMPLES = 5
+REWRITES = 200
 IMPORT_PROBE = ("import sys, time; started = time.perf_counter(); "
                 "import isogeo, isogeo.cli; elapsed = time.perf_counter() - started; "
                 "print(elapsed, any(m.startswith('scipy') for m in sys.modules))")
@@ -213,8 +219,8 @@ def root_solve_times():
             for name, fn in solvers.items()}
 
 
-def output_times():
-    """Per-call time (us) of each output the experiments write."""
+def _output_calls(out):
+    """The outputs the experiments write, as calls writing into ``out``."""
     M = ig.PullbackManifold(ig.river(5.0, 0.25))
     rows = experiments.geodesic_rows(M, np.array([0.0, -3.0]),
                                      np.array([1.0, 3.0]), 120, True)
@@ -226,17 +232,39 @@ def output_times():
     config = load_config(ROOT / "configs" / "river_kmeans.ini")
     manifest = {"config": config.echo(), "versions": experiments._versions(),
                 "status": "ok", "wall_time_s": 0.123456789}
+    return {
+        "geodesic_csv_120x3": lambda: serialize.write_csv(
+            os.path.join(out, "geodesic.csv"), ["t", "x0", "x1"], rows),
+        "kmeans_points_csv_120": lambda: experiments._write_points(
+            os.path.join(out, "points.csv"), pts, labels, extra),
+        "manifest_json": lambda: serialize.write_json(
+            os.path.join(out, "run_manifest.json"), manifest),
+        "versions": experiments._versions,
+    }
+
+
+def output_times():
+    """Per-call time (us) of each output the experiments write."""
     with tempfile.TemporaryDirectory() as out:
-        calls = {
-            "geodesic_csv_120x3": lambda: serialize.write_csv(
-                os.path.join(out, "geodesic.csv"), ["t", "x0", "x1"], rows),
-            "kmeans_points_csv_120": lambda: experiments._write_points(
-                os.path.join(out, "points.csv"), pts, labels, extra),
-            "manifest_json": lambda: serialize.write_json(
-                os.path.join(out, "run_manifest.json"), manifest),
-            "versions": experiments._versions,
-        }
+        calls = _output_calls(out)
         return {name: 1e6 * _best(fn, number=50) for name, fn in calls.items()}
+
+
+def rewrite_times():
+    """Median and p90 (us) of back-to-back rewrites of one existing file."""
+    result = {}
+    with tempfile.TemporaryDirectory() as out:
+        calls = _output_calls(out)
+        for name in ("geodesic_csv_120x3", "manifest_json"):
+            calls[name]()
+            times = []
+            for _ in range(REWRITES):
+                started = time.perf_counter()
+                calls[name]()
+                times.append(time.perf_counter() - started)
+            result[name] = {"p50": 1e6 * statistics.median(times),
+                            "p90": 1e6 * statistics.quantiles(times, n=10)[-1]}
+    return result
 
 
 def cold_start():
@@ -281,6 +309,7 @@ def main(argv):
         "identity_batch": identity_batches(),
         "root_solve_us": root_solve_times(),
         "output_us": output_times(),
+        "rewrite_us": rewrite_times(),
         "cold_start": cold_start(),
     }
     print(json.dumps(result, indent=1))

@@ -9,7 +9,7 @@ from . import experiments
 from .config import ConfigError, load_config
 from .diffeos import make_diffeomorphism, registered_names
 from .pullback import PullbackManifold
-from .serialize import _csv_text
+from .serialize import _csv_text, _write_text
 
 
 @click.group()
@@ -101,8 +101,7 @@ def geodesic(geometry, beta, eta, a_param, z_param, dim, start, end, samples,
     if output is None:
         click.echo(text, nl=False)
     else:
-        with open(output, "w") as fh:
-            fh.write(text)
+        _write_text(output, text)
 
 
 if __name__ == "__main__":

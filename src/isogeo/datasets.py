@@ -95,7 +95,10 @@ def generate_dataset(spec, M):
         labels = np.concatenate([np.ones(n1, dtype=int),
                                  np.full(spec.n - n1, 2, dtype=int)])
         return Dataset(np.concatenate([band1, band2]), labels)
-    # kind == "grid"
+    # kind == "grid"; extra box axes beyond M.dim are ignored
+    if len(spec.box) < M.dim:
+        raise ValueError(f"a grid spans {len(spec.box)} axes, "
+                         f"the geometry has {M.dim} dimensions")
     axes = [np.linspace(lo, hi, spec.n) for lo, hi in spec.box[:M.dim]]
     mesh = np.meshgrid(*axes, indexing="ij")
     return Dataset(np.stack([m.ravel() for m in mesh], axis=-1))

@@ -2,10 +2,14 @@
 
 One formatter, ``fmt``, writes every CSV cell, unquoted; config CSVs end
 lines with CRLF, ``isogeo geodesic`` stdout with LF.  Each file is written
-in one call.
+in one call, in place: opened without O_TRUNC and cut to length after the
+write, because truncating to zero makes ext4 flush the file on close and
+the next rewrite of that path wait for the flush.
 """
 
 import json
+import os
+import stat
 
 import numpy as np
 
@@ -23,10 +27,18 @@ def _csv_text(header, rows, newline):
     return newline.join(lines) + newline
 
 
+def _write_text(path, text):
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        # ftruncate fails on /dev/null and FIFOs, which have no old tail
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def write_csv(path, header, rows):
-    text = _csv_text(header, rows, "\r\n")
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    _write_text(path, _csv_text(header, rows, "\r\n"))
 
 
 def _jsonable(obj):
@@ -42,5 +54,4 @@ def _jsonable(obj):
 
 
 def write_json(path, obj):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")

@@ -1,6 +1,7 @@
 """Config parsing, experiment runner, and the isogeo command line."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -463,6 +464,18 @@ def test_cli_geodesic_stdout_and_file(tmp_path):
     result = runner.invoke(main, args + ["--output", str(dest)])
     assert result.exit_code == 0
     assert dest.read_text().strip().splitlines()[0] == "t,x0,x1"
+    # A rerun over a longer file leaves exactly the stdout bytes.
+    dest.write_text("stale," * 1000)
+    result = runner.invoke(main, args + ["--output", str(dest)])
+    assert result.exit_code == 0
+    assert dest.read_text() == runner.invoke(main, args).stdout
+
+
+def test_cli_geodesic_output_to_dev_null():
+    result = CliRunner().invoke(main, [
+        "geodesic", "--geometry", "river", "--from", "0,0", "--to", "3,0",
+        "--samples", "5", "--output", os.devnull])
+    assert result.exit_code == 0 and result.output == ""
 
 
 def test_cli_geodesic_argument_validation():

@@ -75,6 +75,16 @@ def test_grid_dataset(banana_manifold, sinh_manifold):
     assert line.points.shape == (7, 1)
 
 
+def test_grid_box_needs_an_axis_per_dimension():
+    # The default box has two axes: a 3-D geometry must not get 2-D points.
+    M = ig.PullbackManifold(ig.identity(3))
+    with pytest.raises(ValueError, match="a grid spans 2 axes, the geometry has 3"):
+        ig.generate_dataset(ig.DatasetSpec(kind="grid", n=3), M)
+    box = ((-1.0, 1.0),) * 3
+    assert ig.generate_dataset(ig.DatasetSpec(kind="grid", n=3, box=box),
+                               M).points.shape == (27, 3)
+
+
 def test_invalid_specs():
     with pytest.raises(ValueError):
         ig.DatasetSpec(kind="mystery", n=5)

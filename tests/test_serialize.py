@@ -1,9 +1,13 @@
-"""The output layer writes the bytes of the csv.writer and json.dump path it replaced."""
+"""The output layer writes the bytes of the csv.writer and json.dump path it
+replaced, and rewrites each file in place as ``open(path, "w")`` would."""
 
 import csv
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -121,3 +125,100 @@ def test_import_loads_no_csv():
     done = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                           capture_output=True, text=True, timeout=60)
     assert done.stdout == "[]\n"
+
+
+HEADER = ["t", "x0", "x1"]
+LONG = np.random.default_rng(5).standard_normal((120, 3))
+SHORT = [[0.0, 1.0, 2.0]]
+
+
+def test_shorter_rewrite_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "out.csv"
+    serialize.write_csv(path, HEADER, LONG)
+    serialize.write_csv(path, HEADER, SHORT)
+    oracle_write_csv(tmp_path / "want.csv", HEADER, SHORT)
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    serialize.write_json(path, {"a": 1})
+    assert path.read_bytes() == b'{\n  "a": 1\n}\n'
+
+
+def test_rewrite_keeps_inode_and_mode(tmp_path):
+    path = tmp_path / "out.csv"
+    serialize.write_csv(path, HEADER, LONG)
+    path.chmod(0o640)
+    before = path.stat()
+    serialize.write_csv(path, HEADER, SHORT)
+    serialize.write_json(path, {"a": 1})
+    after = path.stat()
+    assert (after.st_ino, after.st_dev) == (before.st_ino, before.st_dev)
+    assert stat.S_IMODE(after.st_mode) == 0o640
+
+
+def test_os_open_never_truncates(tmp_path, monkeypatch):
+    flags = []
+    real_open = os.open
+
+    def recorder(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recorder)
+    for _ in range(2):
+        serialize.write_csv(tmp_path / "out.csv", HEADER, LONG)
+        serialize.write_json(tmp_path / "out.json", {"a": [1, 2]})
+    assert len(flags) == 4
+    assert not any(flag & os.O_TRUNC for flag in flags)
+
+
+def test_links_see_the_new_bytes(tmp_path):
+    target = tmp_path / "target.csv"
+    serialize.write_csv(target, HEADER, LONG)
+    (tmp_path / "sym.csv").symlink_to(target)
+    os.link(target, tmp_path / "hard.csv")
+    serialize.write_csv(tmp_path / "sym.csv", HEADER, SHORT)
+    oracle_write_csv(tmp_path / "want.csv", HEADER, SHORT)
+    want = (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "sym.csv").is_symlink()
+    assert target.read_bytes() == (tmp_path / "hard.csv").read_bytes() == want
+    serialize.write_json(tmp_path / "hard.csv", [1])
+    assert target.read_bytes() == b"[\n  1\n]\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_new_file_mode_matches_open_w(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "want", "w"):
+            pass
+        serialize.write_csv(tmp_path / "got.csv", HEADER, SHORT)
+        serialize.write_json(tmp_path / "got.json", {})
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE((tmp_path / "want").stat().st_mode)
+    assert want == 0o666 & ~umask
+    for name in ("got.csv", "got.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == want
+
+
+@pytest.mark.parametrize("device", [os.devnull, "/dev/zero"])
+def test_write_to_device(device):
+    # Character devices take writes but not ftruncate (EINVAL), and are seekable.
+    serialize.write_csv(device, HEADER, LONG)
+    serialize.write_json(device, {"a": 1})
+
+
+def test_write_to_fifo(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    try:
+        serialize.write_csv(fifo, HEADER, LONG)
+    finally:
+        reader.join(timeout=30)
+        if reader.is_alive():       # release a reader still waiting for a writer
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    oracle_write_csv(tmp_path / "want.csv", HEADER, LONG)
+    assert got == [(tmp_path / "want.csv").read_bytes()]
