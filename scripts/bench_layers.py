@@ -33,6 +33,11 @@ Prints one JSON object:
   ``output_us``.  Unlike best-of timings, these keep any wait that
   rewriting a path pays for the write before it (on ext4, an ``O_TRUNC``
   open waits for the flush that closing the truncated file started);
+- ``kmeans``: for the datasets of ``configs/river_kmeans.ini`` and
+  ``configs/spiral_kmeans.ini``, the best-of-5 time (ms) of one
+  ``iso_kmeans`` call with the config's K, seed and solver settings, its
+  outer iterations, and the ``clustering._nearest`` and
+  ``clustering.iso_barycentre`` calls it makes;
 - ``cold_start``: in fresh child interpreters, the median time of
   ``import isogeo, isogeo.cli`` inside the child and whether it loaded
   scipy, and for each ``configs/*.ini`` the median whole-process time of
@@ -40,16 +45,17 @@ Prints one JSON object:
   its exit code.
 
 It uses public functions, ``_arc_table``, ``isomaps.composite_nodes``,
-``experiments._write_points``, ``experiments._versions`` and the
-quadrature constants only, and imports ``isogeo`` from the ``src/``
-next to this script, so a copy placed in an older checkout measures that
-checkout.  scipy, the oracle of the root-solve timing, is imported there
+``experiments._write_points``, ``experiments._versions``,
+``clustering._nearest`` and the quadrature constants only, and imports
+``isogeo`` from the ``src/`` next to this script, so a copy placed in an
+older checkout measures that checkout.  scipy, the oracle of the root-solve timing, is imported there
 only.
 
 Usage:
     python scripts/bench_layers.py > layers.json
 """
 
+import functools
 import json
 import os
 import platform
@@ -61,6 +67,7 @@ import tempfile
 import time
 import timeit
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -68,7 +75,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import isogeo as ig  # noqa: E402
-from isogeo import experiments, isomaps, serialize  # noqa: E402
+from isogeo import clustering, experiments, isomaps, serialize  # noqa: E402
 from isogeo.config import load_config  # noqa: E402
 from isogeo.isomaps import _arc_table  # noqa: E402
 from isogeo.quadrature import REFINE_RTOL, REFINE_XTOL, refine_root  # noqa: E402
@@ -267,6 +274,25 @@ def rewrite_times():
     return result
 
 
+def kmeans_times():
+    """iso_kmeans time (ms) and solver calls on each k-means config's dataset."""
+    result = {}
+    for name in ("river_kmeans.ini", "spiral_kmeans.ini"):
+        config = load_config(ROOT / "configs" / name)
+        M = experiments.build_manifold(config)
+        pts = ig.generate_dataset(config.dataset, M).points
+        run = functools.partial(ig.iso_kmeans, M, pts, config.extras["k"],
+                                config.dataset.seed, config.solver)
+        with mock.patch.object(clustering, "_nearest", wraps=clustering._nearest) as nearest, \
+                mock.patch.object(clustering, "iso_barycentre",
+                                  wraps=clustering.iso_barycentre) as barycentre:
+            res = run()
+        calls = {"_nearest": nearest.call_count, "iso_barycentre": barycentre.call_count}
+        result[name] = {"ms": 1e3 * _best(run, number=3), "iterations": res.iterations,
+                        "converged": res.converged, "calls": calls}
+    return result
+
+
 def cold_start():
     """Import time and whole-process config runs, each in fresh interpreters."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -310,6 +336,7 @@ def main(argv):
         "root_solve_us": root_solve_times(),
         "output_us": output_times(),
         "rewrite_us": rewrite_times(),
+        "kmeans": kmeans_times(),
         "cold_start": cold_start(),
     }
     print(json.dumps(result, indent=1))

@@ -103,24 +103,30 @@ def _nearest(M, points, centroids):
 def iso_kmeans(M, points, K, seed, cfg=None, movement_tol=CENTROID_MOVEMENT_TOL):
     """Lloyd's algorithm with iso-distances and iso-barycentre updates.
 
-    Initialized from Riemannian K-means; stops once the root-sum-square
-    centroid movement drops below movement_tol (or after the outer-iteration
-    cap, since convergence of the scheme is an open question).  An empty
-    cluster keeps its previous centroid; a stalled barycentre solve keeps the
-    solver's best iterate.  The labels are assigned against the returned
-    centroids.
+    Initialized from Riemannian K-means.  Stops when an assignment repeats,
+    as euclidean_kmeans does, since the updates would rebuild the same
+    centroids; once the root-sum-square centroid movement drops below
+    movement_tol (> 0); or at the outer-iteration cap, as convergence of the
+    scheme is an open question.  Empty clusters keep their centroids, stalled
+    barycentre solves their best iterates; labels match the returned centroids.
     """
     cfg = cfg or LineSearchConfig(tol=1e-6)
     points = np.asarray(points, dtype=float)
     n = len(points)
     if not 1 <= K <= n:
         raise ValueError(f"K must satisfy 1 <= K <= N = {n}, got {K}")
+    if not movement_tol > 0.0:
+        raise ValueError(f"movement_tol must be > 0, got {movement_tol}")
     init = riemannian_kmeans(M, points, K, seed)
     centroids = np.array(init.centroids, dtype=float)
     converged = False
     iterations = 0
+    labels = np.full(n, -1)
     for iterations in range(1, ISO_KMEANS_MAX_OUTER + 1):
-        labels = _nearest(M, points, centroids)
+        new_labels = _nearest(M, points, centroids)
+        if np.array_equal(new_labels, labels):
+            return ClusteringResult(labels + 1, centroids, iterations, True)
+        labels = new_labels
         new_centroids = centroids.copy()
         for j in range(K):
             members = points[labels == j]
@@ -147,6 +153,10 @@ def adjusted_rand_index(labels_a, labels_b):
         raise ValueError(
             f"labelings must be equal-length vectors, got {a.shape} and {b.shape}")
     n = len(a)
+    if n == 0:
+        raise ValueError("labelings are empty")
+    if n == 1:
+        return 1.0
     _, a_ids = np.unique(a, return_inverse=True)
     _, b_ids = np.unique(b, return_inverse=True)
     contingency = np.zeros((a_ids.max() + 1, b_ids.max() + 1), dtype=np.int64)

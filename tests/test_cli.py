@@ -184,6 +184,37 @@ dir = {out}
     assert summary["iso"]["ari"] == 1.0
 
 
+def test_run_kmeans_of_one_point_writes_valid_json(tmp_path, monkeypatch):
+    monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    out = tmp_path / "out"
+    text = f"""
+[geometry]
+name = river
+
+[experiment]
+kind = kmeans
+k = 1
+
+[dataset]
+kind = two_clusters
+n = 1
+seed = 7
+
+[output]
+dir = {out}
+"""
+    path = write_config(tmp_path, text)
+    runner = CliRunner()
+    assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
+    assert runner.invoke(main, ["run", str(path)]).exit_code == 0
+
+    def reject(name):
+        raise ValueError(f"summary.json holds {name}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert [summary[m]["ari"] for m in ("euclidean", "riemannian", "iso")] == [1.0] * 3
+
+
 def test_run_ratios_sinh_restriction_is_one(tmp_path, monkeypatch):
     monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
     out = tmp_path / "out"

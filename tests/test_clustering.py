@@ -1,5 +1,8 @@
 """K-means variants and the adjusted Rand index."""
 
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,10 @@ from hypothesis import strategies as st
 
 import isogeo as ig
 from isogeo import clustering
+from isogeo.config import load_config
+from isogeo.experiments import build_manifold
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def two_blobs(rng, n=30, spread=0.4, offset=5.0):
@@ -162,6 +169,123 @@ def test_clustering_determinism(river_manifold):
     assert a.iterations == b.iterations
 
 
+def movement_only_iso_kmeans(M, points, K, seed, cfg=None,
+                             movement_tol=clustering.CENTROID_MOVEMENT_TOL):
+    # Oracle: the loop that stopped only on centroid movement or at the cap,
+    # re-solving every barycentre once an assignment repeated.
+    cfg = cfg or ig.LineSearchConfig(tol=1e-6)
+    points = np.asarray(points, dtype=float)
+    init = ig.riemannian_kmeans(M, points, K, seed)
+    centroids = np.array(init.centroids, dtype=float)
+    converged = False
+    iterations = 0
+    for iterations in range(1, clustering.ISO_KMEANS_MAX_OUTER + 1):
+        labels = clustering._nearest(M, points, centroids)
+        new_centroids = centroids.copy()
+        for j in range(K):
+            members = points[labels == j]
+            if len(members) == 0:
+                continue
+            try:
+                new_centroids[j], _ = clustering.iso_barycentre(M, members, cfg)
+            except ig.StallError as stall:
+                new_centroids[j] = stall.best
+        movement = float(np.sqrt(np.sum((new_centroids - centroids) ** 2)))
+        centroids = new_centroids
+        if movement < movement_tol:
+            converged = True
+            break
+    labels = clustering._nearest(M, points, centroids)
+    return clustering.ClusteringResult(labels + 1, centroids, iterations, converged)
+
+
+def assert_same_as_movement_only(M, pts, K, seed, cfg=None):
+    got = ig.iso_kmeans(M, pts, K, seed, cfg)
+    want = movement_only_iso_kmeans(M, pts, K, seed, cfg)
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.centroids, want.centroids)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    return got
+
+
+def two_cluster_points(M, seed, n=40, noise=0.1, t_min=-8.0, t_max=8.0,
+                       gap=6.0, **extra):
+    spec = ig.DatasetSpec(kind="two_clusters", n=n, seed=seed, noise_sigma=noise,
+                          t_min=t_min, t_max=t_max, gap=gap, **extra)
+    return ig.generate_dataset(spec, M).points
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("seed", [2, 5, 9])
+def test_iso_kmeans_bit_identical_to_movement_only_loop(
+        identity2, river_manifold, spiral_manifold, K, seed):
+    # River and spiral stop at a repeated assignment, identity on movement.
+    river_pts = two_cluster_points(river_manifold, seed, n=16, noise=0.5, gap=3.0)
+    spiral_pts = two_cluster_points(spiral_manifold, seed, n=30, t_min=2.0,
+                                    t_max=8.0, gap=3.0, center=np.pi)
+    blobs, _ = two_blobs(np.random.default_rng(seed), n=15, spread=1.0, offset=2.0)
+    for M, pts in ((river_manifold, river_pts), (spiral_manifold, spiral_pts),
+                   (identity2, blobs)):
+        assert_same_as_movement_only(M, pts, K, seed)
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_iso_kmeans_bit_identical_when_capped(river_manifold, monkeypatch, cap):
+    monkeypatch.setattr(clustering, "ISO_KMEANS_MAX_OUTER", cap)
+    pts = two_cluster_points(river_manifold, 0, noise=1.0, gap=3.0)
+    res = assert_same_as_movement_only(river_manifold, pts, 2, 0)
+    assert res.iterations == cap and not res.converged
+
+
+def test_iso_kmeans_bit_identical_with_empty_clusters(identity2):
+    pts = np.array([[0.0, 0.0]] * 4 + [[1.0, 1.0]])
+    assert_same_as_movement_only(identity2, pts, 3, 0)
+
+
+def test_iso_kmeans_bit_identical_through_a_stall(river_manifold, monkeypatch):
+    stalls = []
+    solve = clustering.iso_barycentre
+
+    def recording(M, members, cfg=None, x0=None):
+        try:
+            return solve(M, members, cfg, x0)
+        except ig.StallError:
+            stalls.append(len(members))
+            raise
+
+    monkeypatch.setattr(clustering, "iso_barycentre", recording)
+    pts = two_cluster_points(river_manifold, 3, n=20, noise=1.0, gap=3.0)
+    assert_same_as_movement_only(river_manifold, pts, 2, 3)
+    assert stalls
+
+
+def test_iso_kmeans_stops_at_repeated_assignment(monkeypatch):
+    config = load_config(CONFIG_DIR / "spiral_kmeans.ini")
+    M = build_manifold(config)
+    pts = ig.generate_dataset(config.dataset, M).points
+    barycentre = mock.Mock(wraps=clustering.iso_barycentre)
+    nearest = mock.Mock(wraps=clustering._nearest)
+    monkeypatch.setattr(clustering, "iso_barycentre", barycentre)
+    monkeypatch.setattr(clustering, "_nearest", nearest)
+    res = ig.iso_kmeans(M, pts, config.extras["k"], config.dataset.seed,
+                        config.solver)
+    assert (barycentre.call_count, nearest.call_count) == (2, 2)
+    assert res.converged and res.iterations == 2
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+def test_iso_kmeans_movement_tol_must_be_positive(identity2, tol):
+    pts = np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]])
+    with pytest.raises(ValueError, match="movement_tol"):
+        ig.iso_kmeans(identity2, pts, 2, seed=0, movement_tol=tol)
+
+
+def test_iso_kmeans_tiny_movement_tol_still_runs(identity2):
+    pts = np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]])
+    res = ig.iso_kmeans(identity2, pts, 2, seed=0, movement_tol=1e-300)
+    assert res.converged
+
+
 def ari_from_pair_counts(a, b):
     # Brute-force oracle: count agreeing/disagreeing pairs directly.
     n = len(a)
@@ -202,6 +326,15 @@ def test_ari_matches_pair_count_oracle():
         b = rng.integers(1, 5, 30)
         assert ig.adjusted_rand_index(a, b) == pytest.approx(
             ari_from_pair_counts(a, b), abs=1e-12)
+
+
+def test_ari_of_one_item_is_one():
+    assert ig.adjusted_rand_index([1], [2]) == 1.0
+
+
+def test_ari_of_empty_labelings_raises():
+    with pytest.raises(ValueError, match="empty"):
+        ig.adjusted_rand_index([], [])
 
 
 def test_ari_length_mismatch():
