@@ -36,8 +36,11 @@ Prints one JSON object:
 - ``kmeans``: for the datasets of ``configs/river_kmeans.ini`` and
   ``configs/spiral_kmeans.ini``, the best-of-5 time (ms) of one
   ``iso_kmeans`` call with the config's K, seed and solver settings, its
-  outer iterations, and the ``clustering._nearest`` and
-  ``clustering.iso_barycentre`` calls it makes;
+  outer iterations, the ``clustering._nearest`` and
+  ``clustering.iso_barycentre`` calls it makes, and the arc-length lines
+  those ``_nearest`` calls integrate (``nearest_lines``) next to n * K per
+  call (``nearest_lines_all_pairs``); ``river_kmeans.ini k=4`` runs the
+  river dataset at K = 4;
 - ``cold_start``: in fresh child interpreters, the median time of
   ``import isogeo, isogeo.cli`` inside the child and whether it loaded
   scipy, and for each ``configs/*.ini`` the median whole-process time of
@@ -46,7 +49,8 @@ Prints one JSON object:
 
 It uses public functions, ``_arc_table``, ``isomaps.composite_nodes``,
 ``experiments._write_points``, ``experiments._versions``,
-``clustering._nearest`` and the quadrature constants only, and imports
+``clustering._nearest``, ``clustering._arc_table`` where it exists and the
+quadrature constants only, and imports
 ``isogeo`` from the ``src/`` next to this script, so a copy placed in an
 older checkout measures that checkout.  scipy, the oracle of the root-solve timing, is imported there
 only.
@@ -55,6 +59,7 @@ Usage:
     python scripts/bench_layers.py > layers.json
 """
 
+import contextlib
 import functools
 import json
 import os
@@ -274,22 +279,63 @@ def rewrite_times():
     return result
 
 
+@contextlib.contextmanager
+def _nearest_counts():
+    """Count ``clustering._nearest`` calls and the arc-length lines they integrate.
+
+    Older checkouts reach ``isomaps._arc_table`` through ``iso_distance``,
+    newer ones call ``clustering._arc_table``; both are counted, and only
+    while a ``_nearest`` call runs, so barycentre lines are left out.
+    """
+    counts = {"calls": 0, "lines": 0}
+    inside = [False]
+    nearest = clustering._nearest
+
+    def counting(table):
+        def count(M, a, w):
+            if inside[0]:
+                counts["lines"] += int(np.prod(np.broadcast_shapes(np.shape(a), np.shape(w))[:-1]))
+            return table(M, a, w)
+        return count
+
+    def counted(*args):
+        counts["calls"] += 1
+        inside[0] = True
+        try:
+            return nearest(*args)
+        finally:
+            inside[0] = False
+
+    with contextlib.ExitStack() as stack:
+        for module in (isomaps, clustering):
+            if hasattr(module, "_arc_table"):
+                stack.enter_context(mock.patch.object(
+                    module, "_arc_table", counting(module._arc_table)))
+        stack.enter_context(mock.patch.object(clustering, "_nearest", counted))
+        yield counts
+
+
 def kmeans_times():
-    """iso_kmeans time (ms) and solver calls on each k-means config's dataset."""
+    """iso_kmeans time (ms), solver calls and assignment lines on k-means config datasets."""
     result = {}
-    for name in ("river_kmeans.ini", "spiral_kmeans.ini"):
+    for name, K in (("river_kmeans.ini", None), ("spiral_kmeans.ini", None),
+                    ("river_kmeans.ini", 4)):
         config = load_config(ROOT / "configs" / name)
         M = experiments.build_manifold(config)
         pts = ig.generate_dataset(config.dataset, M).points
-        run = functools.partial(ig.iso_kmeans, M, pts, config.extras["k"],
+        key = f"{name} k={K}" if K else name
+        K = K or config.extras["k"]
+        run = functools.partial(ig.iso_kmeans, M, pts, K,
                                 config.dataset.seed, config.solver)
-        with mock.patch.object(clustering, "_nearest", wraps=clustering._nearest) as nearest, \
+        with _nearest_counts() as nearest, \
                 mock.patch.object(clustering, "iso_barycentre",
                                   wraps=clustering.iso_barycentre) as barycentre:
             res = run()
-        calls = {"_nearest": nearest.call_count, "iso_barycentre": barycentre.call_count}
-        result[name] = {"ms": 1e3 * _best(run, number=3), "iterations": res.iterations,
-                        "converged": res.converged, "calls": calls}
+        calls = {"_nearest": nearest["calls"], "iso_barycentre": barycentre.call_count}
+        result[key] = {"ms": 1e3 * _best(run, number=3), "iterations": res.iterations,
+                       "converged": res.converged, "calls": calls,
+                       "nearest_lines": nearest["lines"],
+                       "nearest_lines_all_pairs": len(pts) * K * nearest["calls"]}
     return result
 
 

@@ -15,7 +15,7 @@ import traceback
 
 import numpy as np
 
-from .clustering import adjusted_rand_index, euclidean_kmeans, iso_kmeans, riemannian_kmeans
+from .clustering import _iso_kmeans, adjusted_rand_index, euclidean_kmeans, riemannian_kmeans
 from .config import ConfigError
 from .datasets import generate_dataset
 from .descent import _field_points, _mean_vecs, iso_barycentre
@@ -135,14 +135,16 @@ def _run_kmeans(config, M, outdir):
     results = {
         "euclidean": euclidean_kmeans(pts, K, seed),
         "riemannian": riemannian_kmeans(M, pts, K, seed),
-        "iso": iso_kmeans(M, pts, K, seed, config.solver),
     }
+    results["iso"] = _iso_kmeans(M, pts, results["riemannian"], config.solver)
     extra = [(f"label_{name}", res.labels) for name, res in results.items()]
     _write_points(os.path.join(outdir, "points.csv"), pts, data.labels, extra)
     summary = {}
     for name, res in results.items():
         entry = {"centroids": res.centroids, "iterations": res.iterations,
                  "converged": res.converged}
+        if res.stalls:
+            entry["stalls"] = res.stalls
         if data.labels is not None:
             entry["ari"] = adjusted_rand_index(res.labels, data.labels)
         summary[name] = entry

@@ -5,15 +5,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from isogeo import experiments
+from isogeo import clustering, experiments
 from isogeo.cli import main
 from isogeo.config import ConfigError, load_config
-from isogeo.errors import DegenerateCurveError, DomainError, NonConvergenceError
+from isogeo.errors import DegenerateCurveError, DomainError, NonConvergenceError, StallError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -213,6 +214,62 @@ dir = {out}
 
     summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
     assert [summary[m]["ari"] for m in ("euclidean", "riemannian", "iso")] == [1.0] * 3
+
+
+STALLING_KMEANS_CONFIG = """
+[geometry]
+name = river
+
+[experiment]
+kind = kmeans
+k = 2
+
+[dataset]
+kind = two_clusters
+n = 20
+seed = 0
+noise_sigma = 1.0
+t_min = -8.0
+t_max = 8.0
+gap = 3.0
+
+[output]
+dir = {out}
+"""
+
+
+def test_run_kmeans_reports_swallowed_stalls(tmp_path, monkeypatch):
+    monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    stalls = []
+    solve = clustering.iso_barycentre
+
+    def recording(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except StallError:
+            stalls.append(1)
+            raise
+
+    monkeypatch.setattr(clustering, "iso_barycentre", recording)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, STALLING_KMEANS_CONFIG.format(out=out))
+    assert experiments.run(load_config(path)) == experiments.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert stalls and summary["iso"]["stalls"] == len(stalls)
+    assert "stalls" not in summary["euclidean"] and "stalls" not in summary["riemannian"]
+
+
+def test_run_kmeans_without_stalls_writes_no_stall_count(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    monkeypatch.setenv("ISOGEO_OUTPUT_DIR", str(out))
+    config = load_config(CONFIG_DIR / "river_kmeans.ini")
+    riemannian = mock.Mock(wraps=clustering.riemannian_kmeans)
+    monkeypatch.setattr(clustering, "riemannian_kmeans", riemannian)
+    monkeypatch.setattr(experiments, "riemannian_kmeans", riemannian)
+    assert experiments.run(config) == experiments.EXIT_OK
+    assert riemannian.call_count == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert all("stalls" not in entry for entry in summary.values())
 
 
 def test_run_ratios_sinh_restriction_is_one(tmp_path, monkeypatch):

@@ -13,6 +13,8 @@ from isogeo import clustering
 from isogeo.config import load_config
 from isogeo.experiments import build_manifold
 
+from conftest import sample_point
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -242,7 +244,7 @@ def test_iso_kmeans_bit_identical_with_empty_clusters(identity2):
     assert_same_as_movement_only(identity2, pts, 3, 0)
 
 
-def test_iso_kmeans_bit_identical_through_a_stall(river_manifold, monkeypatch):
+def recorded_stalls(monkeypatch):
     stalls = []
     solve = clustering.iso_barycentre
 
@@ -254,6 +256,11 @@ def test_iso_kmeans_bit_identical_through_a_stall(river_manifold, monkeypatch):
             raise
 
     monkeypatch.setattr(clustering, "iso_barycentre", recording)
+    return stalls
+
+
+def test_iso_kmeans_bit_identical_through_a_stall(river_manifold, monkeypatch):
+    stalls = recorded_stalls(monkeypatch)
     pts = two_cluster_points(river_manifold, 3, n=20, noise=1.0, gap=3.0)
     assert_same_as_movement_only(river_manifold, pts, 2, 3)
     assert stalls
@@ -284,6 +291,144 @@ def test_iso_kmeans_tiny_movement_tol_still_runs(identity2):
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]])
     res = ig.iso_kmeans(identity2, pts, 2, seed=0, movement_tol=1e-300)
     assert res.converged
+
+
+def brute_force_nearest(M, points, centroids):
+    # The full n x K iso-distance matrix; the movement-only oracle calls
+    # clustering._nearest itself, so it cannot check the pruned search.
+    return ig.iso_distance(M, points[:, None, :], centroids[None, :, :]).argmin(axis=1)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 5])
+def test_nearest_equals_brute_force_argmin(any_manifold, K):
+    name, M = any_manifold
+    rng = np.random.default_rng(100 + K)
+    for n in (1, 7, 23):
+        pts = np.array([sample_point(name, M, rng) for _ in range(n)])
+        centroids = np.array([sample_point(name, M, rng) for _ in range(K)])
+        assert np.array_equal(clustering._nearest(M, pts, centroids),
+                              brute_force_nearest(M, pts, centroids))
+        # A point on a centroid, and a duplicate centroid ahead of it.
+        pts[0] = centroids[-1]
+        duplicated = np.concatenate([centroids[-1:], centroids])
+        for cs in (centroids, duplicated):
+            got = clustering._nearest(M, pts, cs)
+            assert np.array_equal(got, brute_force_nearest(M, pts, cs))
+        assert got[0] == 0
+
+
+def test_nearest_ties_go_to_the_lowest_index(river_manifold):
+    rng = np.random.default_rng(3)
+    pts = np.array([sample_point("river", river_manifold, rng) for _ in range(12)])
+    c = sample_point("river", river_manifold, rng)
+    centroids = np.stack([pts[3] + 9.0, c, c, pts[3] + 9.0, c])
+    got = clustering._nearest(river_manifold, pts, centroids)
+    assert np.array_equal(got, brute_force_nearest(river_manifold, pts, centroids))
+    assert set(got) <= {0, 1}
+
+
+def test_nearest_keeps_domain_errors(spiral_manifold):
+    pts = np.array([[1.0, 1.0], [0.0, 0.0]])
+    centroids = np.array([[1.0, 1.0]])
+    with pytest.raises(ig.DomainError):
+        brute_force_nearest(spiral_manifold, pts, centroids)
+    with pytest.raises(ig.DomainError):
+        clustering._nearest(spiral_manifold, pts, centroids)
+
+
+def arc_table_rows(monkeypatch):
+    rows = []
+    table = clustering._arc_table
+
+    def counting(M, a, w):
+        rows.append(int(np.prod(np.broadcast_shapes(np.shape(a), np.shape(w))[:-1])))
+        return table(M, a, w)
+
+    monkeypatch.setattr(clustering, "_arc_table", counting)
+    return rows
+
+
+def test_nearest_integrates_one_line_per_point_at_k_one(river_manifold, monkeypatch):
+    rows = arc_table_rows(monkeypatch)
+    pts = two_cluster_points(river_manifold, 4)
+    clustering._nearest(river_manifold, pts, pts[:1])
+    assert sum(rows) == len(pts)
+
+
+def test_nearest_prunes_separated_clusters(river_manifold, monkeypatch):
+    pts = two_cluster_points(river_manifold, 9)
+    centroids = ig.iso_kmeans(river_manifold, pts, 2, seed=9).centroids
+    rows = arc_table_rows(monkeypatch)
+    labels = clustering._nearest(river_manifold, pts, centroids)
+    assert np.array_equal(labels, brute_force_nearest(river_manifold, pts, centroids))
+    assert sum(rows) < 0.6 * len(pts) * 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nearest_non_finite_first_distance_prunes_nothing(river_manifold, monkeypatch, bad):
+    pts = two_cluster_points(river_manifold, 9)
+    centroids = ig.iso_kmeans(river_manifold, pts, 2, seed=9).centroids
+    rows = arc_table_rows(monkeypatch)
+    table = clustering._arc_table
+
+    def spoiled_first_batch(M, a, w):
+        lengths = table(M, a, w)
+        if len(rows) == 1:
+            lengths[:, -1] = bad
+        return lengths
+
+    monkeypatch.setattr(clustering, "_arc_table", spoiled_first_batch)
+    clustering._nearest(river_manifold, pts, centroids)
+    assert rows == [len(pts), len(pts)]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_iso_kmeans_same_with_brute_force_assignments(river_manifold, monkeypatch, seed):
+    pts = two_cluster_points(river_manifold, seed, n=20, noise=1.0, gap=3.0)
+    got = ig.iso_kmeans(river_manifold, pts, 2, seed)
+    monkeypatch.setattr(clustering, "_nearest", brute_force_nearest)
+    want = ig.iso_kmeans(river_manifold, pts, 2, seed)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert (got.iterations, got.converged, got.stalls) == (
+        want.iterations, want.converged, want.stalls)
+
+
+def test_iso_kmeans_counts_swallowed_stalls(river_manifold, monkeypatch):
+    stalls = recorded_stalls(monkeypatch)
+    pts = two_cluster_points(river_manifold, 0, n=20, noise=1.0, gap=3.0)
+    res = ig.iso_kmeans(river_manifold, pts, 2, seed=0)
+    assert stalls and res.stalls == len(stalls)
+    clean = ig.iso_kmeans(river_manifold, two_cluster_points(river_manifold, 7), 2, seed=7)
+    assert clean.stalls == 0
+
+
+DUPLICATES = np.array([[0, 0], [1, 2], [1, 2], [0, 0], [2, 2], [0, 0]], dtype=float)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_more_clusters_than_distinct_points_stay_finite(identity2, river_manifold, seed):
+    # Five clusters over three distinct points: a reseed must not take a
+    # point another reseed just took, nor a cluster's sole member.
+    for res in (ig.euclidean_kmeans(DUPLICATES, 5, seed),
+                ig.riemannian_kmeans(river_manifold, DUPLICATES, 5, seed),
+                ig.iso_kmeans(identity2, DUPLICATES, 5, seed),
+                ig.iso_kmeans(river_manifold, DUPLICATES, 5, seed)):
+        assert np.all(np.isfinite(res.centroids))
+        assert res.converged
+        assert set(res.labels) <= set(range(1, 6))
+
+
+def test_euclidean_reseeds_keep_every_cluster_nonempty():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(2, 10))
+        distinct = rng.integers(0, 3, (int(rng.integers(1, n)), 2)).astype(float)
+        pts = distinct[rng.integers(0, len(distinct), n)]
+        K = int(rng.integers(1, n + 1))
+        res = ig.euclidean_kmeans(pts, K, seed=int(rng.integers(100)))
+        assert np.all(np.isfinite(res.centroids)) and res.converged
+        assert sorted(set(res.labels)) == list(range(1, K + 1))
 
 
 def ari_from_pair_counts(a, b):
