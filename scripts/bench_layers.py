@@ -19,8 +19,9 @@ Prints one JSON object:
   rise of peak RSS over the process after a one-pair warm-up call, and its
   time;
 - ``root_solve_us``: best of 5 passes over 2000 seeded increasing cubics,
-  the time per solve of ``quadrature.refine_root`` (guess outside the
-  bracket, so every solve runs Brent) and of scipy's ``brentq``;
+  the time per solve of one lockstep ``quadrature.newton_roots`` call on
+  all of them (each started at its bracket's regula falsi point) and of
+  scipy's ``brentq`` on each bracket;
 - ``output_us``: best of 5 x 50 calls of ``serialize.write_csv`` of a
   120-sample iso geodesic table (t, x0, x1) on river(5, 0.25), of
   ``experiments._write_points`` of a 120-point k-means ``points.csv``
@@ -83,7 +84,7 @@ import isogeo as ig  # noqa: E402
 from isogeo import clustering, experiments, isomaps, serialize  # noqa: E402
 from isogeo.config import load_config  # noqa: E402
 from isogeo.isomaps import _arc_table  # noqa: E402
-from isogeo.quadrature import REFINE_RTOL, REFINE_XTOL, refine_root  # noqa: E402
+from isogeo.quadrature import REFINE_XTOL, newton_roots  # noqa: E402
 
 LINE_COUNTS = (1, 30, 128, 480)
 BATCH_DIMS = (2, 64, 256)
@@ -207,7 +208,7 @@ def _cubic(c3, c2, c1, c0):
 
 
 def root_solve_times():
-    """Per-solve time (us) of refine_root and of brentq on the same brackets."""
+    """Per-solve time (us) of newton_roots and of brentq on the same brackets."""
     from scipy.optimize import brentq
     rng = np.random.default_rng(3)
     problems = []
@@ -219,13 +220,22 @@ def root_solve_times():
         c3, c1 = 10.0 ** c3, 10.0 ** c1
         c2 *= (3 * c1 * c3) ** 0.5
         r = lo + (hi - lo) * share
-        g = _cubic(c3, c2, c1, -((c3 * r + c2) * r + c1) * r)
-        problems.append((g, lo, hi, g(lo)))
+        problems.append((lo, hi, c3, c2, c1, -((c3 * r + c2) * r + c1) * r))
+    lo, hi, c3, c2, c1, c0 = np.array(problems).T
+
+    def g(i, x):
+        return (((c3[i] * x + c2[i]) * x + c1[i]) * x + c0[i],
+                (3 * c3[i] * x + 2 * c2[i]) * x + c1[i])
+
+    lanes = np.arange(len(problems))
+    f_lo, f_hi = g(lanes, lo)[0], g(lanes, hi)[0]
+    # Start at the bracket's regula falsi point, as _invert starts at the
+    # interpolated guess of its panel.
+    start = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    scalar = [(_cubic(*coeffs), a, b) for a, b, *coeffs in problems]
     solvers = {
-        "refine_root": lambda: [refine_root(g, lo, hi, g_lo=g_lo, guess=lo - 1.0)
-                                for g, lo, hi, g_lo in problems],
-        "brentq": lambda: [brentq(g, lo, hi, xtol=REFINE_XTOL, rtol=REFINE_RTOL)
-                           for g, lo, hi, _ in problems],
+        "newton_roots": lambda: newton_roots(g, lo, hi, f_lo, f_hi, start, 1.0),
+        "brentq": lambda: [brentq(f, a, b, xtol=REFINE_XTOL) for f, a, b in scalar],
     }
     return {name: 1e6 * _best(fn, number=1) / len(problems)
             for name, fn in solvers.items()}

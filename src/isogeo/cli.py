@@ -97,7 +97,7 @@ def geodesic(geometry, beta, eta, a_param, z_param, dim, start, end, samples,
         raise click.UsageError(exc.problems[0])
     rows = experiments.geodesic_rows(M, x, y, samples, iso)
     header = ["t"] + [f"x{i}" for i in range(M.dim)]
-    text = _csv_text(header, rows, "\n")
+    text = _csv_text(header, rows)
     if output is None:
         click.echo(text, nl=False)
     else:

@@ -11,12 +11,14 @@ phi-lines is evaluated at every quadrature node in one array pass, and the
 values per line are the same as for that line on its own.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateCurveError, DomainError, NonConvergenceError
 from .pullback import TangentVector, _point_pair, as_point, lc_exp
-from .quadrature import (_leggauss, composite_nodes, panel_integrals, refine_root,
-                         refine_roots, unit_rule)
+from .quadrature import (NEWTON_MAXITER, REFINE_XTOL, _leggauss, composite_nodes,
+                         newton_roots, panel_integrals, unit_rule)
 
 # Bytes of the float (d, L, n) point array of one _arc_table pass: a pass takes
 # max(1, PASS_BYTES // (8 n d)) of the L lines of a batch, so peak memory does
@@ -75,7 +77,7 @@ def _invert(M, a, w, cumlen, target):
     ``cumlen`` is the ``_arc_table`` row of the one line ``a + t w`` and
     ``target`` an ``(n,)`` array; targets at or below 0 map to 0 and at or
     above the whole length to 1.  The other targets are solved together by
-    ``refine_roots``, each one equal to its own ``refine_root`` solve.
+    ``newton_roots``, each on its own panel and equal to its own one-target call.
     """
     q = M.quad
     knots = unit_rule(q)[2]
@@ -89,22 +91,18 @@ def _invert(M, a, w, cumlen, target):
     guess = lo + (hi - lo) * (target - c_lo) / np.maximum(c_hi - c_lo, 1e-300)
 
     def g(lanes, tp):
-        # Arc length from 0 to tp, exact on panel knots, minus the target;
-        # off the knots the stencil is composite_nodes(knots[k], tp, 1, n).
-        k = np.searchsorted(knots, tp, side="right") - 1
-        k = np.minimum(np.maximum(k, 0), len(knots) - 2)
-        length = cumlen[k]
-        off = np.flatnonzero(tp > knots[k])
-        if off.size:
-            t, kn = tp[off], knots[k[off]]
-            half, mid = 0.5 * (t - kn), 0.5 * (t + kn)
-            ts = mid[:, None] + half[:, None] * nodes
-            speeds = _speeds(M, a, w, ts.ravel()).reshape(ts.shape)
-            # vecdot runs the dot kernel of np.dot: each sum is the scalar one.
-            length[off] += np.vecdot(speeds, half[:, None] * weights)
-        return length - target[lanes]
+        # Arc length from 0 to tp minus the target, by the stencil
+        # composite_nodes(lo, tp, 1, n) on the lane's panel, and the speed at tp.
+        kn = lo[lanes]
+        half, mid = 0.5 * (tp - kn), 0.5 * (tp + kn)
+        ts = np.concatenate([mid[:, None] + half[:, None] * nodes, tp[:, None]], axis=1)
+        speeds = _speeds(M, a, w, ts.ravel()).reshape(ts.shape)
+        # vecdot runs the dot kernel of np.dot: each sum is the scalar one.
+        length = c_lo[lanes] + np.vecdot(speeds[:, :-1], half[:, None] * weights)
+        return length - target[lanes], speeds[:, -1]
 
-    changed[inner] = refine_roots(g, lo, hi, c_lo - target, guess, cumlen[-1])
+    changed[inner] = newton_roots(g, lo, hi, c_lo - target, c_hi - target, guess,
+                                  cumlen[-1])
     return changed
 
 
@@ -170,12 +168,12 @@ def vectorchange(M, xi):
     """Scale t' >= 0 making the exponential radially isometric.
 
     Solves arclength(x -> lc_exp(t' xi)) = |xi| by doubling the bracket from
-    t' = 1 and refining; the arc length is strictly increasing in t' for
-    pullback closed forms, so the root is unique.  Probes past the
-    diffeomorphism domain are pulled back toward the last valid parameter;
-    DomainError is raised when the available arc length cannot reach |xi|.
-    Each probe runs one quadrature: a repeat probe (the root solve's bracket
-    ends, a retried domain edge) is read back, and g(0) = -|xi| needs none.
+    t' = 1 (the speed at 0 is |xi|) and refining by safeguarded Newton steps;
+    the arc length is strictly increasing in t' for pullback closed forms, so
+    the root is unique.  Probes past the diffeomorphism domain are pulled back
+    toward the last valid parameter; DomainError is raised when the available
+    arc length cannot reach |xi|.  Each probe runs one quadrature, whose
+    extra node at t' is the speed, the derivative of the arc length.
     """
     nv = xi.norm
     if nv == 0.0:
@@ -183,48 +181,62 @@ def vectorchange(M, xi):
     a = M.diffeo.forward(xi.base)
     w = M.diffeo.jvp(xi.base, xi.vec)
     q = M.quad
-
-    # g(0) is -|xi| by construction: the rule on [0, 0] has zero weights.
-    probed = {0.0: -nv}
+    eps = 1e-15 * (1.0 + nv)
 
     def g(T):
-        if T not in probed:
-            ts, weights, _ = composite_nodes(0.0, T, q.panels, q.nodes_per_panel)
-            try:
-                probed[T] = float(np.dot(_speeds(M, a, w, ts), weights)) - nv
-            except DomainError as exc:
-                probed[T] = exc
-        if isinstance(probed[T], DomainError):
-            raise probed[T]
-        return probed[T]
+        # Arc length to T minus |xi|, and the speed at T, from one _speeds call.
+        ts, weights, _ = composite_nodes(0.0, T, q.panels, q.nodes_per_panel)
+        speeds = _speeds(M, a, w, np.append(ts, T))
+        return float(np.dot(speeds[:-1], weights)) - nv, float(speeds[-1])
 
-    lo, g_lo = 0.0, -nv
-    hi = 1.0
-    g_hi = None
-    hit_domain_edge = False
+    # g(0) is -|xi| by construction: the rule on [0, 0] has zero weights.
+    lo, g_lo, hi, g_hi = 0.0, -nv, 1.0, None
+    edges = set()   # probes past the domain: doubling back onto one reads it here
     for _ in range(2 * MAX_BRACKET_DOUBLINGS):
-        try:
-            g_hi = g(hi)
-        except DomainError:
-            hit_domain_edge = True
+        if hi not in edges:
+            try:
+                g_hi, speed = g(hi)
+            except DomainError:
+                edges.add(hi)
+        if hi in edges:
             g_hi = None
             hi = 0.5 * (lo + hi)
             continue
-        if abs(g_hi) <= 1e-15 * (1.0 + nv):
+        if abs(g_hi) <= eps:
             return float(hi)
         if g_hi >= 0.0:
             break
         lo, g_lo = hi, g_hi
         hi *= 2.0
     if g_hi is None or g_hi < 0.0:
-        if hit_domain_edge:
+        if edges:
             raise DomainError(
                 f"iso-exponential leaves the diffeomorphism domain before "
                 f"reaching arc length {nv}")
         raise NonConvergenceError(
             f"vectorchange failed to bracket within "
             f"{MAX_BRACKET_DOUBLINGS} doublings (|xi| = {nv})")
-    return refine_root(g, lo, hi, g_lo=g_lo, scale=nv)
+    # newton_roots' steps on one lane, from the bracket's top end.
+    T, f, T_prev, f_prev = hi, g_hi, hi, math.inf
+    for _ in range(NEWTON_MAXITER):
+        if not math.isfinite(f):
+            raise NonConvergenceError(f"root solve: residual {f} at x = {T}")
+        slope = (f - f_prev) / (T - T_prev) if abs(f) > 0.5 * abs(f_prev) else speed
+        step = T - f / slope if slope != 0.0 else math.inf
+        if not lo <= step <= hi:
+            step = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        if abs(step - T) < REFINE_XTOL:
+            return step
+        T_prev, f_prev, T = T, f, step
+        f, speed = g(T)
+        if abs(f) <= eps:
+            return T
+        if f < 0.0:
+            lo, g_lo = T, f
+        else:
+            hi, g_hi = T, f
+    raise NonConvergenceError(
+        f"root solve: 1 of 1 lanes open after {NEWTON_MAXITER} Newton iterations")
 
 
 def iso_exp(M, xi):

@@ -1,10 +1,10 @@
 """Deterministic CSV/JSON output: fixed float format, fixed column order.
 
-One formatter, ``fmt``, writes every CSV cell, unquoted; config CSVs end
-lines with CRLF, ``isogeo geodesic`` stdout with LF.  Each file is written
-in one call, in place: opened without O_TRUNC and cut to length after the
-write, because truncating to zero makes ext4 flush the file on close and
-the next rewrite of that path wait for the flush.
+One formatter, ``fmt``, writes every CSV cell, unquoted, and every CSV
+line ends with LF, in files and on ``isogeo geodesic`` stdout alike.  Each
+file is written in one call, in place: opened without O_TRUNC and cut to
+length after the write, because truncating to zero makes ext4 flush the
+file on close and the next rewrite of that path wait for the flush.
 """
 
 import json
@@ -21,10 +21,10 @@ def fmt(value):
     return "%.17g" % value if isinstance(value, _FLOATS) else str(value)
 
 
-def _csv_text(header, rows, newline):
+def _csv_text(header, rows):
     lines = [",".join(header)]
     lines += [",".join(map(fmt, row)) for row in rows]
-    return newline.join(lines) + newline
+    return "\n".join(lines) + "\n"
 
 
 def _write_text(path, text):
@@ -38,7 +38,7 @@ def _write_text(path, text):
 
 
 def write_csv(path, header, rows):
-    _write_text(path, _csv_text(header, rows, "\r\n"))
+    _write_text(path, _csv_text(header, rows))
 
 
 def _jsonable(obj):

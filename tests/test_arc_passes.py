@@ -1,5 +1,6 @@
-"""Byte-budgeted passes, in-place Jacobian actions, in-order panel sums and
-single-quadrature vectorchange probes: each equals its old formula bit for bit."""
+"""Byte-budgeted passes, in-place Jacobian actions and in-order panel sums
+equal their old formulas bit for bit; vectorchange probes each parameter
+once and lands within REFINE_XTOL of a brentq oracle."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from isogeo import isomaps
 from isogeo.errors import DomainError, NonConvergenceError
 from isogeo.isomaps import PASS_BYTES, _arc_table, _speeds
 from isogeo.pullback import TangentVector, lc_exp
-from isogeo.quadrature import (REFINE_RTOL, REFINE_XTOL, composite_nodes,
-                               panel_integrals, unit_rule)
+from isogeo.quadrature import REFINE_XTOL, composite_nodes, panel_integrals, unit_rule
 
 from conftest import make_manifold, sample_point
 
@@ -160,11 +160,10 @@ def test_arc_table_across_pass_boundaries(dim, quad, monkeypatch):
     assert np.array_equal(got, one_pass_arc_table(M, a, w))
 
 
-# vectorchange as a bracket search with one full quadrature per probe, its
-# repeats included, and scipy's brentq: the oracle of the single-quadrature
-# probes and of the scalar Brent port.  ``edges`` records the domain-edge
-# retries.
-def probing_vectorchange(M, xi, probes, edges):
+# vectorchange as a bracket search with one full quadrature per probe and
+# scipy's brentq: the oracle of the Newton refinement.  ``edges`` records the
+# domain-edge retries.
+def probing_vectorchange(M, xi, edges):
     nv = xi.norm
     if nv == 0.0:
         return 0.0
@@ -173,7 +172,6 @@ def probing_vectorchange(M, xi, probes, edges):
     q = M.quad
 
     def g(T):
-        probes.append(T)
         ts, weights, _ = composite_nodes(0.0, T, q.panels, q.nodes_per_panel)
         return float(np.dot(_speeds(M, a, w, ts), weights)) - nv
 
@@ -204,7 +202,7 @@ def probing_vectorchange(M, xi, probes, edges):
         return float(lo)
     if abs(g(hi)) <= eps:
         return float(hi)
-    return float(brentq(g, lo, hi, xtol=REFINE_XTOL, rtol=REFINE_RTOL))
+    return float(brentq(g, lo, hi, xtol=REFINE_XTOL))
 
 
 def outcome(fn):
@@ -222,9 +220,10 @@ LONG_RIVER_TANGENTS = [([-1.5, 1.7], [5.0, -0.75]), ([2.0, 0.75], [3.4, 0.8])]
 def test_vectorchange_probes_once_and_equals_repeat_probing(name, monkeypatch):
     # One doubling: river and sinh then also fail to bracket, spiral leaves its domain.
     rng = np.random.default_rng(83)
-    speeds_calls = []
+    probed = []
+    # Each vectorchange probe is one _speeds call whose last node is its parameter.
     monkeypatch.setattr(isomaps, "_speeds",
-                        lambda *args: speeds_calls.append(1) or _speeds(*args))
+                        lambda M, a, w, ts: probed.append(ts[-1]) or _speeds(M, a, w, ts))
     seen = set()
     M = make_manifold(name)
     for doublings in (isomaps.MAX_BRACKET_DOUBLINGS, 1):
@@ -235,20 +234,23 @@ def test_vectorchange_probes_once_and_equals_repeat_probing(name, monkeypatch):
             tangents += [TangentVector(np.array(x), np.array(v)) for x, v in LONG_RIVER_TANGENTS]
         for xi in tangents:
             x = xi.base
-            probes, edges = [], []
-            want = outcome(lambda: probing_vectorchange(M, xi, probes, edges))
-            speeds_calls.clear()
+            edges = []
+            want = outcome(lambda: probing_vectorchange(M, xi, edges))
+            probed.clear()
             got = outcome(lambda: ig.vectorchange(M, xi))
-            assert got == want
-            assert len(speeds_calls) == len(set(probes) - {0.0})
+            assert 0.0 not in probed and len(probed) == len(set(probed))
             failed = isinstance(want, type)
-            # A float after a domain-edge retry is its own case.
-            seen.add(want if failed else (float, bool(edges)))
-            got = outcome(lambda: ig.iso_exp(M, xi))
             if failed:
                 assert got == want
             else:
-                assert np.array_equal(got, lc_exp(M, TangentVector(x, want * xi.vec)))
+                assert abs(got - want) <= REFINE_XTOL * (1.0 + want)
+            # A float after a domain-edge retry is its own case.
+            seen.add(want if failed else (float, bool(edges)))
+            exp = outcome(lambda: ig.iso_exp(M, xi))
+            if failed:
+                assert exp == want
+            else:
+                assert np.array_equal(exp, lc_exp(M, TangentVector(x, got * xi.vec)))
     solved = (float, False)
     expected = {"identity": {solved}, "banana": {solved},
                 "river": {solved, NonConvergenceError},
@@ -269,3 +271,22 @@ def test_zero_width_probe_is_minus_the_norm(name):
         a, w = M.diffeo.forward(x), M.diffeo.jvp(x, xi.vec)
         value = float(np.dot(_speeds(M, a, w, ts), weights)) - xi.norm
         assert value == -xi.norm
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_vectorchange_nonfinite_residual_raises_nonconvergence(bad, monkeypatch):
+    # An infinite residual ends the bracket search at T = 2; a NaN one inside
+    # the bracket [1, 2] meets the Newton steps.
+    M = make_manifold("river")
+    xi = TangentVector(np.array([0.0, 0.0]), np.array([3.0, 0.5]))
+    assert 1.0 < ig.vectorchange(M, xi) < 2.0
+
+    def spoiled(M, a, w, ts):
+        speeds = _speeds(M, a, w, ts)
+        if bad == np.inf:
+            return speeds * (np.inf if ts[-1] == 2.0 else 1.0)
+        return np.where(ts[-1] not in (1.0, 2.0), np.nan, speeds)
+
+    monkeypatch.setattr(isomaps, "_speeds", spoiled)
+    with pytest.raises(NonConvergenceError, match="residual"):
+        ig.vectorchange(M, xi)

@@ -1,50 +1,28 @@
-"""The root solvers: the scalar Brent port equals scipy's brentq bitwise, and
-every lane of the lockstep solver equals its own scalar solve."""
+"""The safeguarded Newton solver: roots within REFINE_XTOL of scipy's brentq,
+safe steps where Newton's leave the bracket or stall, typed failures, and
+arc-length inversions that do not depend on the batch."""
+
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import isogeo as ig
-from isogeo import quadrature
+from isogeo import isomaps, quadrature
 from isogeo.errors import NonConvergenceError
-from isogeo.isomaps import _arc_table, _invert, _speeds
-from isogeo.quadrature import (REFINE_RTOL, REFINE_XTOL, composite_nodes,
-                               refine_root, refine_roots, unit_rule)
+from isogeo.isomaps import _arc_table, _invert
+from isogeo.quadrature import NEWTON_MAXITER, REFINE_XTOL, newton_roots
 
 from conftest import make_manifold, sample_pairs
 
 GEOMETRIES = ["identity", "river", "spiral", "banana", "sinh"]
 
 
-def _scalar_invert(M, a, w, cumlen, target):
-    """One time inverted on its own: a scalar residual and refine_root."""
-    knots = unit_rule(M.quad)[2]
-    total = float(cumlen[-1])
-    if target <= 0.0:
-        return 0.0
-    if target >= total:
-        return 1.0
-    idx = min(max(int(np.searchsorted(cumlen, target, side="left")), 1),
-              len(knots) - 1)
-    lo, hi = knots[idx - 1], knots[idx]
-    c_lo, c_hi = cumlen[idx - 1], cumlen[idx]
-    guess = lo + (hi - lo) * (target - c_lo) / max(c_hi - c_lo, 1e-300)
-
-    def g(tp):
-        k = int(np.searchsorted(knots, tp, side="right")) - 1
-        k = min(max(k, 0), len(knots) - 2)
-        if tp <= knots[k]:
-            return float(cumlen[k]) - target
-        ts, weights, _ = composite_nodes(knots[k], tp, 1, M.quad.nodes_per_panel)
-        return float(cumlen[k] + np.dot(_speeds(M, a, w, ts), weights)) - target
-
-    return refine_root(g, lo, hi, g_lo=c_lo - target, guess=guess, scale=total)
-
-
 @pytest.mark.parametrize("panels", [64, 8, 3])
 @pytest.mark.parametrize("name", GEOMETRIES)
 def test_lockstep_invert_equals_scalar_refine_root(name, panels):
+    # Each lane of a lockstep inversion equals its own one-target inversion.
     M = make_manifold(name, ig.QuadratureConfig(panels=panels))
     rng = np.random.default_rng(40 + panels)
     for x, y in sample_pairs(name, M, rng, 3):
@@ -56,9 +34,45 @@ def test_lockstep_invert_equals_scalar_refine_root(name, panels):
                                  rng.uniform(size=60)])
         targets = shares * total
         got = _invert(M, a, w, cumlen, targets)
-        want = [_scalar_invert(M, a, w, cumlen, s) for s in targets]
+        want = [_invert(M, a, w, cumlen, np.array([s]))[0] for s in targets]
         assert np.array_equal(got, want)
         assert got[0] == 0.0 and got[1] == 1.0
+
+
+def captured_residual(monkeypatch, M, a, w, cumlen, targets):
+    """The residual ``_invert`` hands to ``newton_roots``, with its brackets."""
+    seen = {}
+
+    def capture(g, lo, hi, *args):
+        seen.update(g=g, lo=lo, hi=hi)
+        return newton_roots(g, lo, hi, *args)
+
+    monkeypatch.setattr(isomaps, "newton_roots", capture)
+    roots = _invert(M, a, w, cumlen, targets)
+    return roots, seen["g"], seen["lo"], seen["hi"]
+
+
+@pytest.mark.parametrize("name", GEOMETRIES)
+def test_invert_residual_derivative_is_its_slope(name, monkeypatch):
+    # Newton is fed the derivative of the residual it solves.
+    M = make_manifold(name)
+    rng = np.random.default_rng(44)
+    h = 1e-6
+    for x, y in sample_pairs(name, M, rng, 3):
+        a = M.diffeo.forward(x)
+        w = M.diffeo.forward(y) - a
+        cumlen = _arc_table(M, a, w)
+        targets = rng.uniform(0.01, 0.99, 40) * cumlen[-1]
+        roots, g, lo, hi = captured_residual(monkeypatch, M, a, w, cumlen, targets)
+        lanes = np.arange(len(lo))
+        tp = lo + (hi - lo) * rng.uniform(0.1, 0.9, len(lo))
+        speed = g(lanes, tp)[1]
+        slope = (g(lanes, tp + h)[0] - g(lanes, tp - h)[0]) / (2 * h)
+        np.testing.assert_allclose(speed, slope, rtol=1e-6)
+        # The roots are those of the same residual by brentq.
+        want = [brentq(lambda t, i=i: float(g(np.array([i]), np.array([t]))[0][0]),
+                       lo[i], hi[i], xtol=REFINE_XTOL) for i in lanes]
+        assert np.abs(roots - want).max() <= REFINE_XTOL
 
 
 def _cubic(rng, lo, hi):
@@ -69,15 +83,20 @@ def _cubic(rng, lo, hi):
     c2 = rng.uniform(-1, 1, n) * np.sqrt(3 * c1 * c3)
     r = lo + (hi - lo) * rng.uniform(0.01, 0.99, n)
     c0 = -((c3 * r + c2) * r + c1) * r
-    return lambda i, x: ((c3[i] * x + c2[i]) * x + c1[i]) * x + c0[i]
+    return lambda i, x: (((c3[i] * x + c2[i]) * x + c1[i]) * x + c0[i],
+                         (3 * c3[i] * x + 2 * c2[i]) * x + c1[i])
 
 
 def _tanh(rng, lo, hi):
-    """Steep increasing sigmoids, which push Brent onto its bisection steps."""
+    """Steep increasing sigmoids, whose Newton steps from the flanks leave the bracket."""
     n = len(lo)
     k = 10.0 ** rng.uniform(-2, 3, n)
     r = lo + (hi - lo) * rng.uniform(0.01, 0.99, n)
-    return lambda i, x: np.tanh(k[i] * (x - r[i])) + 1e-3 * (x - r[i])
+
+    def g(i, x):
+        th = np.tanh(k[i] * (x - r[i]))
+        return th + 1e-3 * (x - r[i]), k[i] * (1.0 - th * th) + 1e-3
+    return g
 
 
 @pytest.mark.parametrize("family", [_cubic, _tanh])
@@ -88,43 +107,87 @@ def test_refine_roots_equals_brentq_on_monotone_functions(family):
     hi = lo + 10.0 ** rng.uniform(-3, 1.5, n)
     g = family(rng, lo, hi)
     lanes = np.arange(n)
-    g_lo = g(lanes, lo)
+    f_lo, f_hi = g(lanes, lo)[0], g(lanes, hi)[0]
 
     def lane(i):
-        return lambda x: float(g(np.array([i]), np.array([x]))[0])
+        return lambda x: float(g(np.array([i]), np.array([x]))[0][0])
 
-    # Guesses outside the bracket skip the prologue: every lane runs Brent.
-    got = refine_roots(g, lo, hi, g_lo, lo - 1.0, 1.0)
-    want = [brentq(lane(i), lo[i], hi[i], xtol=REFINE_XTOL, rtol=REFINE_RTOL)
-            for i in lanes]
-    assert np.array_equal(got, want)
-    scalar = [refine_root(lane(i), lo[i], hi[i], g_lo=g_lo[i], guess=lo[i] - 1.0)
-              for i in lanes]
-    assert np.array_equal(scalar, want)
-    # Interpolated guesses and residual-scale acceptance, lane by lane.
-    guess = lo + (hi - lo) * rng.uniform(size=n)
-    guess[::7] = hi[::7]
+    want = np.array([brentq(lane(i), lo[i], hi[i], xtol=REFINE_XTOL) for i in lanes])
+    # A lane also leaves at a residual within 2e-15 (scale 1), which on a
+    # flat lane is a parameter error of up to 2e-15 / slope.
+    bound = REFINE_XTOL + 2e-15 / g(lanes, want)[1]
+    for share in (0.0, 0.5, 1.0, rng.uniform(size=n)):
+        start = lo + (hi - lo) * share
+        got = newton_roots(g, lo, hi, f_lo, f_hi, start, 1.0)
+        assert (np.abs(got - want) <= bound).all()
+        assert np.median(np.abs(got - want)) <= 1e-3 * REFINE_XTOL
+        # A lane's root does not depend on the other lanes.
+        some = lanes[::7]
+        alone = newton_roots(lambda i, x: g(some[i], x), lo[some], hi[some],
+                             f_lo[some], f_hi[some], start[some], 1.0)
+        assert np.array_equal(alone, got[some])
+    # A start whose residual is within 1e-15 (1 + |scale|) is returned as it is.
+    start = lo + (hi - lo) * rng.uniform(size=n)
     scale = 10.0 ** rng.uniform(-2, 16, n)
-    got = refine_roots(g, lo, hi, g_lo, guess, scale)
-    want = [refine_root(lane(i), lo[i], hi[i], g_lo=g_lo[i], guess=guess[i],
-                        scale=scale[i]) for i in lanes]
-    assert np.array_equal(got, want)
+    got = newton_roots(g, lo, hi, f_lo, f_hi, start, scale)
+    accepted = np.abs(g(lanes, start)[0]) <= 1e-15 * (1.0 + scale)
+    assert accepted.any() and not accepted.all()
+    assert np.array_equal(got[accepted], start[accepted])
 
 
-def test_refine_roots_prologue_accepts_guess_lo_and_hi_exactly():
-    lo, hi = np.zeros(4), np.ones(4)
-    roots = np.array([0.25, 0.0, 1.0, 0.5])
+def recording(g):
+    """g, recording the points of each call."""
     calls = []
 
-    def g(i, x):
-        calls.append(len(i))
-        return x - roots[i]
+    def recorded(i, x):
+        calls.append(np.array(x))
+        return g(i, x)
+    return recorded, calls
 
-    guess = np.array([0.25, 2.0, 2.0, 2.0])
-    got = refine_roots(g, lo, hi, lo - roots, guess, 1.0)
-    assert np.array_equal(got, roots)
-    # Guess of lane 0, hi of lanes 2 and 3, then one Brent step of lane 3.
-    assert calls[:2] == [1, 2]
+
+def test_step_leaving_the_bracket_takes_regula_falsi():
+    # arctan's Newton step from far out overshoots the whole bracket.
+    r = 0.5
+    g, calls = recording(lambda i, x: (np.arctan(x - r), 1.0 / (1.0 + (x - r) ** 2)))
+    lo, hi, start = np.array([-10.0]), np.array([10.0]), np.array([5.0])
+    f_lo = np.arctan(lo - r)
+    root = newton_roots(g, lo, hi, f_lo, np.arctan(hi - r), start, 1.0)
+    assert abs(root[0] - r) <= REFINE_XTOL
+    f, df = np.arctan(start - r), 1.0 / (1.0 + (start - r) ** 2)
+    assert start - f / df < lo
+    # After the first probe the bracket is [lo, start]: its regula falsi point.
+    assert calls[1] == lo - f_lo * (start - lo) / (f - f_lo)
+
+
+def test_step_rounding_onto_the_bracket_end_converges_there():
+    # The Newton step is below half an ulp of x, so it lands on x, now a
+    # bracket end: inside, so the lane converges instead of taking regula falsi.
+    g, calls = recording(lambda i, x: (np.full(len(x), 1e-9), np.full(len(x), 1e9)))
+    root = newton_roots(g, np.array([0.0]), np.array([1.0]), np.array([-1.0]),
+                        np.array([1.0]), np.array([0.75]), 1.0)
+    assert root[0] == 0.75 and len(calls) == 1
+
+
+def test_zero_derivative_start_converges_without_nan():
+    roots = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    lo, hi = np.zeros(5), np.ones(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = newton_roots(lambda i, x: (x**3 - roots[i] ** 3, 3 * x**2), lo, hi,
+                           -roots**3, 1.0 - roots**3, lo, 1.0)
+    assert np.isfinite(got).all()
+    assert np.abs(got - roots).max() <= REFINE_XTOL
+
+
+def test_stalled_newton_takes_the_secant():
+    # The derivative handed in is four times the residual's slope, as where a
+    # coarse rule's sum drifts from its integral: plain Newton would close
+    # a quarter of the distance per step and hit the cap.
+    r = np.array([0.3, 0.55])
+    g, calls = recording(lambda i, x: (x - r[i], np.full(len(x), 4.0)))
+    got = newton_roots(g, np.zeros(2), np.ones(2), -r, 1.0 - r, np.ones(2), 1.0)
+    assert np.abs(got - r).max() <= REFINE_XTOL
+    assert len(calls) < 10
 
 
 def test_refine_roots_nan_lane_raises_nonconvergence():
@@ -133,40 +196,38 @@ def test_refine_roots_nan_lane_raises_nonconvergence():
 
     def g(i, x):
         r = x**3 - roots[i] ** 3
-        return np.where((i == 3) & (x > 0.0) & (x < 1.0), np.nan, r)
+        return np.where((i == 3) & (x > 0.0) & (x < 1.0), np.nan, r), 3 * x**2
 
+    lanes = np.arange(5)
     with pytest.raises(NonConvergenceError, match="nan"):
-        refine_roots(g, lo, hi, g(np.arange(5), lo), np.full(5, -1.0), 1.0)
-    # A NaN at hi is reported before any Brent step.
-    with pytest.raises(NonConvergenceError):
-        refine_roots(lambda i, x: np.where(i == 0, np.nan, x - 0.5), lo, hi,
-                     lo - 0.5, np.full(5, -1.0), 1.0)
-    # The scalar solver, inside the bracket and at hi.
-    with pytest.raises(NonConvergenceError, match="nan"):
-        refine_root(lambda x: np.nan if 0.0 < x < 1.0 else x**3 - 0.7**3, 0.0, 1.0)
+        newton_roots(g, lo, hi, g(lanes, lo)[0], g(lanes, hi)[0], lo + 0.5, 1.0)
+    # A NaN at a bracket end is reported before any step.
+    g_end, calls = recording(g)
     with pytest.raises(NonConvergenceError, match="nan at x = 1.0"):
-        refine_root(lambda x: np.nan, 0.0, 1.0, g_lo=-0.5)
+        newton_roots(g_end, lo, hi, g(lanes, lo)[0], np.where(lanes == 2, np.nan, 1.0),
+                     lo + 0.5, 1.0)
+    assert calls == []
 
 
 def test_refine_roots_without_sign_change_raises_nonconvergence():
     lo, hi = np.zeros(2), np.ones(2)
     with pytest.raises(NonConvergenceError, match="sign change"):
-        refine_roots(lambda i, x: x + 1.0, lo, hi, lo + 1.0, np.full(2, 5.0), 1.0)
-    with pytest.raises(NonConvergenceError, match="sign change"):
-        refine_root(lambda x: x + 1.0, 0.0, 1.0, guess=5.0)
+        newton_roots(lambda i, x: (x + 1.0, np.ones(len(x))), lo, hi, lo + 1.0,
+                     hi + 1.0, lo + 0.5, 1.0)
 
 
 def test_refine_roots_iteration_cap_raises_nonconvergence():
-    # A step residual on a huge bracket needs more than BRENT_MAXITER
-    # halvings; scalar brentq gives up on it too.
+    # A step residual has no slope, so every step is regula falsi, here a
+    # bisection: the huge bracket needs more than NEWTON_MAXITER of them,
+    # and scalar brentq gives up on it too.
     def step(i, x):
-        return np.where(x < 0.3, -1.0, 1.0)
+        return np.where(x < 0.3, -1.0, 1.0), np.zeros(len(x))
 
     lo, hi = np.array([-1e30, 0.0]), np.array([1e30, 1.0])
     with pytest.raises(NonConvergenceError, match="1 of 2 lanes open"):
-        refine_roots(step, lo, hi, np.array([-1.0, -1.0]), np.full(2, 5.0), 1.0)
-    with pytest.raises(NonConvergenceError, match="1 of 1 lanes open"):
-        refine_root(lambda x: -1.0 if x < 0.3 else 1.0, -1e30, 1e30)
+        newton_roots(step, lo, hi, np.array([-1.0, -1.0]), np.ones(2),
+                     np.array([5.0, 0.5]), 1.0)
     with pytest.raises(RuntimeError):
         brentq(lambda x: -1.0 if x < 0.3 else 1.0, -1e30, 1e30,
-               xtol=REFINE_XTOL, rtol=REFINE_RTOL, maxiter=quadrature.BRENT_MAXITER)
+               xtol=REFINE_XTOL, maxiter=quadrature.NEWTON_MAXITER)
+    assert NEWTON_MAXITER == 100

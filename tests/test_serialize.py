@@ -33,7 +33,7 @@ def oracle_fmt(value):
 
 def oracle_write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([oracle_fmt(v) for v in row])
