@@ -22,8 +22,14 @@ It imports ``isogeo`` from the ``src/`` and the workloads from the
 digests that checkout.  Outputs go to a temporary directory, removed at
 the end.
 
+With ``--compare OLD.json NEW.json`` it digests nothing: it prints the
+path of each digest that differs between two such reports (or is in one
+only), one per line, and exits 1 if there is any.  ``src_lines`` is no
+output, so it is left out of the comparison; its totals are printed.
+
 Usage:
     python scripts/output_digests.py --seeds 1 2 > digests.json
+    python scripts/output_digests.py --compare old.json new.json
 """
 
 import argparse
@@ -125,10 +131,37 @@ def src_lines():
     return out
 
 
+def differences(old, new, path=()):
+    """Paths (key tuples) of the leaves that differ between two reports."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        if old != new:
+            yield path
+        return
+    for key in sorted(old.keys() | new.keys()):
+        if key in old and key in new:
+            yield from differences(old[key], new[key], path + (key,))
+        else:
+            yield path + (key,)
+
+
+def compare(old_path, new_path):
+    """Print each differing digest path; 1 if there is any, else 0."""
+    old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
+    old_lines, new_lines = old.pop("src_lines", {}), new.pop("src_lines", {})
+    print(f"src_lines total: {old_lines.get('total')} -> {new_lines.get('total')}")
+    changed = [" / ".join(path) for path in differences(old, new)]
+    print("\n".join(changed) if changed else "no digest differs")
+    return 1 if changed else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2])
+    parser.add_argument("--compare", nargs=2, metavar=("OLD.json", "NEW.json"),
+                        help="list the digests that differ between two reports")
     args = parser.parse_args(argv)
+    if args.compare:
+        sys.exit(compare(*args.compare))
     workdir = Path(tempfile.mkdtemp(prefix="output-digests-"))
     try:
         runner = CliRunner()

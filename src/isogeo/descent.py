@@ -40,6 +40,10 @@ class LineSearchConfig:
             raise ValueError(f"c must lie in (0, 1), got {self.c}")
         if self.tol <= 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
+        if self.max_backtracks < 1:
+            raise ValueError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
 
 @dataclass

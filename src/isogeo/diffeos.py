@@ -1,9 +1,10 @@
 """Analytic diffeomorphisms of R^d and the registry used by experiment configs.
 
 All built-in maps act on the last axis of their input, so a single point is a
-``(d,)`` array and a batch of points is ``(..., d)``.  Jacobian actions are
-analytic for every built-in; user-supplied diffeomorphisms that omit them fall
-back to central finite differences.
+``(d,)`` array and a batch of points is ``(..., d)``.  Jacobian actions and
+pullback speeds are analytic for every built-in; user-supplied
+diffeomorphisms that omit the Jacobian actions fall back to central finite
+differences, and those that omit the speed to the norm of ``inv_jvp``.
 """
 
 import math
@@ -37,9 +38,26 @@ def _positive_dim(dim):
     return int(dim)
 
 
+def _l2_norm(v):
+    """l2 norms over the last axis with the bits of ``np.linalg.norm``."""
+    if v.shape[-1] >= 8:
+        # add.reduce sums 8 or more terms in pairwise blocks: keep its order.
+        return np.linalg.norm(v, axis=-1)
+    # Below 8 terms add.reduce adds in this order, so the sums are its bits.
+    sq = np.square(v[..., 0], out=np.empty(v.shape[:-1]))
+    for k in range(1, v.shape[-1]):
+        sq += np.square(v[..., k])
+    return np.sqrt(sq, out=sq)
+
+
 def _component_out(x, v):
     """One C-contiguous float ``(..., d)`` array for a Jacobian action at x on v."""
     return np.empty(np.broadcast(x, v).shape)
+
+
+def _speed_out(y, w):
+    """One float ``(...)`` array for a speed at y along w, 0-d for one point."""
+    return np.empty(np.broadcast(y, w).shape[:-1])
 
 
 def _require_finite(factory, **params):
@@ -63,17 +81,32 @@ class Diffeomorphism:
     inv_jvp : callable, optional
         ``inv_jvp(y, w)``, the Jacobian of ``inverse`` at y applied to w.
         Defaults to central finite differences of ``inverse``.
+    speed : callable, optional
+        ``speed(y, w)``, the l2 norm of ``inv_jvp(y, w)``: ``(..., d)`` in,
+        ``(...)`` out.  It is the integrand of every arc length, evaluated
+        at each quadrature node, so a closed form that skips work of
+        ``inv_jvp`` pays off: the spiral's inverse is polar (radius beta r
+        at angle r + theta), so its speed needs no cos or sin, which numpy
+        may run as libm's scalar loop at several times the cost of exp or
+        sqrt per element.  Defaults to the norm of ``inv_jvp``, with the
+        bits of ``np.linalg.norm``.
     """
 
     def __init__(self, dim, forward, inverse, jvp=None, inv_jvp=None,
-                 name="custom", params=None):
+                 name="custom", params=None, speed=None):
         self.dim = _positive_dim(dim)
         self.forward = forward
         self.inverse = inverse
         self.jvp = jvp if jvp is not None else _fd_jvp(forward)
         self.inv_jvp = inv_jvp if inv_jvp is not None else _fd_jvp(inverse)
+        if speed is not None:
+            self.speed = speed
         self.name = name
         self.params = dict(params) if params else {}
+
+    def speed(self, y, w):
+        """The default speed: the l2 norm of ``inv_jvp(y, w)``."""
+        return _l2_norm(self.inv_jvp(y, w))
 
     def __repr__(self):
         args = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -90,8 +123,11 @@ def identity(dim=2):
     def vec(x, v):
         return np.asarray(v, dtype=float).copy()
 
+    def speed(y, w):
+        return _l2_norm(np.asarray(w, dtype=float))
+
     return Diffeomorphism(dim, fwd, fwd, vec, vec, name="identity",
-                          params={"dim": dim})
+                          params={"dim": dim}, speed=speed)
 
 
 def river(beta=5.0, eta=0.25):
@@ -136,8 +172,21 @@ def river(beta=5.0, eta=0.25):
         dx1 += w[..., 0]
         return out
 
+    def speed(y, w):
+        # The operations of inv_jvp and of the norm, in place.
+        y2 = y[..., 1]
+        dx = np.divide(w[..., 1], eta * np.sqrt(1.0 + y2 ** 2), out=_speed_out(y, w))
+        sq = np.square(dx)
+        t = np.cos(np.arcsinh(y2) / eta)
+        t *= beta
+        dx *= t
+        dx += w[..., 0]
+        np.square(dx, out=dx)
+        dx += sq
+        return np.sqrt(dx, out=dx)
+
     return Diffeomorphism(2, forward, inverse, jvp, inv_jvp, name="river",
-                          params={"beta": beta, "eta": eta})
+                          params={"beta": beta, "eta": eta}, speed=speed)
 
 
 def spiral(beta=0.25):
@@ -200,8 +249,23 @@ def spiral(beta=0.25):
         out *= beta
         return out
 
+    def speed(p, w):
+        # inv_jvp rotates beta (wr, r (wr + wt)) by the angle r + theta, so
+        # its norm needs no cos or sin.
+        r = p[..., 0]
+        if np.any(r <= 0.0):
+            raise DomainError("spiral inverse requires positive radial coordinate")
+        wr = w[..., 0]
+        t = np.add(wr, w[..., 1], out=_speed_out(p, w))
+        t *= r
+        np.square(t, out=t)
+        t += np.square(wr)
+        np.sqrt(t, out=t)
+        t *= beta
+        return t
+
     return Diffeomorphism(2, forward, inverse, jvp, inv_jvp, name="spiral",
-                          params={"beta": beta})
+                          params={"beta": beta}, speed=speed)
 
 
 def banana(a=1.0 / 9.0, z=0.0):
@@ -236,8 +300,17 @@ def banana(a=1.0 / 9.0, z=0.0):
         out[..., 1] = w[..., 1]
         return out
 
+    def speed(y, w):
+        # sqrt((w1 + 2 a y2 w2)^2 + w2^2), the operations of inv_jvp and the norm.
+        w2 = w[..., 1]
+        t = np.multiply(2.0 * a * y[..., 1], w2, out=_speed_out(y, w))
+        t += w[..., 0]
+        np.square(t, out=t)
+        t += np.square(w2)
+        return np.sqrt(t, out=t)
+
     return Diffeomorphism(2, forward, inverse, jvp, inv_jvp, name="banana",
-                          params={"a": a, "z": z})
+                          params={"a": a, "z": z}, speed=speed)
 
 
 def sinh_shift_1d():
@@ -255,8 +328,11 @@ def sinh_shift_1d():
     def inv_jvp(y, w):
         return w / np.sqrt(1.0 + np.asarray(y, dtype=float) ** 2)
 
+    def speed(y, w):
+        return np.abs(w[..., 0]) / np.sqrt(1.0 + y[..., 0] ** 2)
+
     return Diffeomorphism(1, forward, inverse, jvp, inv_jvp,
-                          name="sinh_shift_1d", params={})
+                          name="sinh_shift_1d", params={}, speed=speed)
 
 
 _REGISTRY = {

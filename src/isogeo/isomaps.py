@@ -39,15 +39,7 @@ def _speeds(M, a, w, ts):
     p = np.multiply(w.T[..., None], ts, order="C")
     p += a.T[..., None]
     p = p.T.swapaxes(0, -2)
-    v = M.diffeo.inv_jvp(p, np.broadcast_to(w[..., None, :], p.shape))
-    if v.shape[-1] >= 8:
-        # add.reduce sums 8 or more terms in pairwise blocks: keep its order.
-        return np.linalg.norm(v, axis=-1)
-    # Below 8 terms add.reduce adds in this order, so the sums are its bits.
-    sq = np.square(v[..., 0])
-    for k in range(1, v.shape[-1]):
-        sq += np.square(v[..., k])
-    return np.sqrt(sq, out=sq)
+    return M.diffeo.speed(p, np.broadcast_to(w[..., None, :], p.shape))
 
 
 def _arc_table(M, a, w):

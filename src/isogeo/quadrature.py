@@ -35,11 +35,14 @@ class QuadratureConfig:
     nodes_per_panel: int = 4
 
     def __post_init__(self):
-        if self.panels < 1:
-            raise ValueError(f"panels must be >= 1, got {self.panels}")
-        if self.nodes_per_panel < 1:
-            raise ValueError(
-                f"nodes_per_panel must be >= 1, got {self.nodes_per_panel}")
+        for key in ("panels", "nodes_per_panel"):
+            value = getattr(self, key)
+            # An integral float becomes an int, as a dim does; a bool is no count.
+            if isinstance(value, bool) or int(value) != value:
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
+            object.__setattr__(self, key, int(value))
 
 
 _leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)

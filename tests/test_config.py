@@ -253,6 +253,10 @@ def test_geometry_parameters_are_checked_at_load(tmp_path, monkeypatch, edits, w
     ({"geometry": {"name": "identity", "beta": None, "eta": None, "dim": "3"},
       "dataset": {"kind": "grid", "n": "3"}},
      "dataset.kind: a grid spans 2 axes, the geometry has 3 dimensions"),
+    # Without a backtrack every barycentre stalls on its first step.
+    ({"solver": {"max_backtracks": "0"}},
+     "solver: max_backtracks must be >= 1, got 0"),
+    ({"solver": {"max_iters": "-1"}}, "solver: max_iters must be >= 0, got -1"),
 ])
 def test_values_no_run_can_use_are_config_errors(tmp_path, monkeypatch, edits, want):
     monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
@@ -276,6 +280,7 @@ def test_values_no_run_can_use_are_config_errors(tmp_path, monkeypatch, edits, w
     {"dataset": {"seed": "0", "gap": "15.5"}},
     {"geometry": {"name": "sinh_shift_1d", "beta": None, "eta": None},
      "dataset": {"kind": "grid", "n": "3"}},
+    {"solver": {"max_backtracks": "1", "max_iters": "0"}},
 ])
 def test_limit_values_load(tmp_path, edits):
     load_config(write(tmp_path, edits))
@@ -288,3 +293,25 @@ def test_identity_dim_read_as_a_float_loads(tmp_path):
     assert cfg.geometry_params == {"dim": 3.0}
     diffeo = make_diffeomorphism(cfg.geometry_name, cfg.geometry_params)
     assert diffeo.dim == 3 and diffeo.params == {"dim": 3}
+
+
+@pytest.mark.parametrize("kwargs, want", [
+    ({"panels": 2.5}, "panels must be an integer, got 2.5"),
+    ({"nodes_per_panel": 3.5}, "nodes_per_panel must be an integer, got 3.5"),
+    ({"panels": True}, "panels must be an integer, got True"),
+    ({"nodes_per_panel": False}, "nodes_per_panel must be an integer, got False"),
+    ({"panels": "4"}, "panels must be an integer, got '4'"),
+    ({"panels": -2.0}, "panels must be >= 1, got -2.0"),
+])
+def test_quadrature_counts_must_be_integers(kwargs, want):
+    with pytest.raises(ValueError) as excinfo:
+        QuadratureConfig(**kwargs)
+    assert str(excinfo.value) == want
+
+
+def test_integral_float_quadrature_counts_become_ints():
+    # As a dim does: the rule is built from ints, so a 3.0 runs as 3.
+    quad = QuadratureConfig(panels=8.0, nodes_per_panel=3.0)
+    assert (quad.panels, quad.nodes_per_panel) == (8, 3)
+    assert type(quad.panels) is int and type(quad.nodes_per_panel) is int
+    assert quad == QuadratureConfig(panels=8, nodes_per_panel=3)

@@ -1,10 +1,15 @@
-"""The component-major speed kernel equals the point-major formula bit for bit."""
+"""The component-major speed kernel equals the point-major formula bit for bit.
+
+The spiral's speed is a closed form of that norm, not its operations: it
+agrees to rounding.
+"""
 
 import numpy as np
 import pytest
 
 import isogeo as ig
-from isogeo.isomaps import PASS_BYTES, _arc_table, _speeds
+from isogeo.errors import DomainError
+from isogeo.isomaps import PASS_BYTES, _arc_table, _invert, _speeds, vectorchange
 from isogeo.quadrature import panel_integrals, unit_rule
 
 from conftest import make_manifold, sample_point
@@ -35,17 +40,25 @@ def stencil_times(rng):
     return ((lo + half)[:, None] + half[:, None] * nodes).ravel()
 
 
-def assert_kernel_matches(M, a, w, rng):
+def agree(got, want, rtol):
+    """Bit for bit when rtol is None, else within rtol relative."""
+    if rtol is None:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+
+def assert_kernel_matches(M, a, w, rng, speed_rtol=None, table_rtol=None):
     ts = unit_rule(M.quad)[0]
     got = _speeds(M, a, w, ts)
     assert got.shape == (len(a), len(ts))
-    assert np.array_equal(got, aos_speeds(M, a, w, ts))
-    assert np.array_equal(_arc_table(M, a, w), aos_arc_table(M, a, w))
+    agree(got, aos_speeds(M, a, w, ts), speed_rtol)
+    agree(_arc_table(M, a, w), aos_arc_table(M, a, w), table_rtol)
     for i in (0, len(a) - 1):
         for times in (stencil_times(rng), ts):
             one = _speeds(M, a[i], w[i], times)
             assert one.shape == times.shape
-            assert np.array_equal(one, aos_speeds(M, a[i], w[i], times))
+            agree(one, aos_speeds(M, a[i], w[i], times), speed_rtol)
 
 
 def phi_lines(name, M, rng):
@@ -58,7 +71,11 @@ def phi_lines(name, M, rng):
 def test_builtin_geometries(any_manifold):
     name, M = any_manifold
     rng = np.random.default_rng(70)
-    assert_kernel_matches(M, *phi_lines(name, M, rng), rng)
+    # The spiral's speed is a closed form of the norm, not its operations:
+    # within 8 ulp, and its tables within 1e-14.
+    rtols = ({"speed_rtol": 8 * np.finfo(float).eps, "table_rtol": 1e-14}
+             if name == "spiral" else {})
+    assert_kernel_matches(M, *phi_lines(name, M, rng), rng, **rtols)
 
 
 @pytest.mark.parametrize("dim", range(1, 13))
@@ -89,3 +106,84 @@ def test_finite_difference_fallback_reads_the_transposed_view():
     rng = np.random.default_rng(100)
     a, w = phi_lines("river", make_manifold("river"), rng)
     assert_kernel_matches(M, a, w, rng)
+
+
+def test_default_speed_is_the_norm_of_inv_jvp():
+    # A map without a speed keeps the bits of np.linalg.norm, in every dimension.
+    rng = np.random.default_rng(110)
+    for dim in (1, 2, 7, 8, 9):
+        B = rng.standard_normal((dim, dim)) + 3.0 * np.eye(dim)
+        diffeo = ig.Diffeomorphism(dim, lambda x: x @ B.T, lambda y: y @ B.T,
+                                   inv_jvp=lambda y, w: w @ B.T)
+        y, w = rng.standard_normal((2, 5, 3, dim))
+        got = diffeo.speed(y, w)
+        assert got.shape == (5, 3)
+        assert np.array_equal(got, np.linalg.norm(w @ B.T, axis=-1))
+
+
+def test_builtin_speeds_of_one_point(any_manifold):
+    # A (d,) point gives a 0-d speed, that point's entry of a batch call.
+    name, M = any_manifold
+    rng = np.random.default_rng(105)
+    a, w = phi_lines(name, M, rng)
+    batch = M.diffeo.speed(a, w)
+    assert batch.shape == (len(a),)
+    for i in (0, len(a) - 1):
+        one = M.diffeo.speed(a[i], w[i])
+        assert np.shape(one) == () and one == batch[i]
+        assert one == pytest.approx(np.linalg.norm(M.diffeo.inv_jvp(a[i], w[i])),
+                                    rel=8 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("r", [
+    [1.0, 2.0], [0.0, 2.0], [1.0, -0.0], [-1e-300, 3.0], [np.nan, 1.0],
+    [np.inf, 1.0], [-np.inf, 1.0], [5e-324, 1.0]])
+def test_spiral_speed_raises_where_inv_jvp_does(r):
+    diffeo = ig.spiral()
+    p = np.stack([np.array(r), np.array([0.5, 1.0])], axis=-1)
+    w = np.array([[0.3, -0.2], [1.0, 2.0]])
+    for y, v in ((p, w), (p[0], w[0]), (p[1], w[1])):
+        try:
+            with np.errstate(invalid="ignore"):   # cos and sin of an infinite angle
+                diffeo.inv_jvp(y, v)
+        except DomainError:
+            with pytest.raises(DomainError):
+                diffeo.speed(y, v)
+        else:
+            assert diffeo.speed(y, v).shape == y.shape[:-1]
+
+
+def test_custom_speed_is_the_integrand_of_every_arc_length():
+    # A speed twice river's doubles every table bit for bit; the inversions
+    # and the vectorchange solve against it.
+    river = ig.river()
+    calls = []
+
+    def speed(y, w):
+        calls.append(y.shape)
+        return 2.0 * river.speed(y, w)
+
+    M = ig.PullbackManifold(river)
+    doubled = ig.PullbackManifold(ig.Diffeomorphism(
+        2, river.forward, river.inverse, river.jvp, river.inv_jvp, speed=speed))
+    rng = np.random.default_rng(120)
+    a, w = phi_lines("river", M, rng)
+    assert np.array_equal(_arc_table(doubled, a, w), 2.0 * _arc_table(M, a, w))
+    assert calls
+
+    calls.clear()
+    table = _arc_table(M, a[0], w[0])
+    targets = np.array([0.1, 0.5, 0.9]) * table[-1]
+    got = _invert(doubled, a[0], w[0], 2.0 * table, 2.0 * targets)
+    assert calls
+    np.testing.assert_allclose(got, _invert(M, a[0], w[0], table, targets),
+                               rtol=0.0, atol=1e-12)
+
+    # Arc length 2 L(T) = |xi| along xi is L(T) = |xi| / 2: the scale of xi / 2, halved.
+    calls.clear()
+    xi = ig.TangentVector(np.array([0.5, -1.0]), np.array([1.5, 2.0]))
+    half = ig.TangentVector(xi.base, 0.5 * xi.vec)
+    got = vectorchange(doubled, xi)
+    assert calls
+    assert got != vectorchange(M, xi)
+    assert got == pytest.approx(0.5 * vectorchange(M, half), rel=1e-9)
