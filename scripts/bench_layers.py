@@ -42,6 +42,12 @@ Prints one JSON object:
   those ``_nearest`` calls integrate (``nearest_lines``) next to n * K per
   call (``nearest_lines_all_pairs``); ``river_kmeans.ini k=4`` runs the
   river dataset at K = 4;
+- ``grid_oracle``: the best-of-5 time (ms) of one 100 001-point
+  ``experiments.grid_search_1d`` on the inverse problem of
+  ``configs/banana_inverse.ini``, screened by
+  ``experiments.least_squares_screen`` as its run is (unscreened in a
+  checkout without it), and the number of grid points passed to the exact
+  objective (``f_points``) next to ``grid_points``;
 - ``cold_start``: in fresh child interpreters, the median time of
   ``import isogeo, isogeo.cli`` inside the child and whether it loaded
   scipy, and for each ``configs/*.ini`` the median whole-process time of
@@ -50,6 +56,7 @@ Prints one JSON object:
 
 It uses public functions, ``_arc_table``, ``isomaps.composite_nodes``,
 ``experiments._write_points``, ``experiments._versions``,
+``experiments.least_squares_screen`` where it exists,
 ``clustering._nearest``, ``clustering._arc_table`` where it exists and the
 quadrature constants only, and imports
 ``isogeo`` from the ``src/`` next to this script, so a copy placed in an
@@ -349,6 +356,27 @@ def kmeans_times():
     return result
 
 
+def grid_oracle():
+    """Time (ms) of the banana_inverse.ini grid oracle and the points its f evaluates."""
+    config = load_config(ROOT / "configs" / "banana_inverse.ini")
+    extras = config.extras
+    S, A, b, _, f, _ = experiments.inverse_problem(
+        experiments.build_manifold(config), extras)
+    kwargs = ({"screen": experiments.least_squares_screen(A, b)}
+              if hasattr(experiments, "least_squares_screen") else {})
+    grid = (extras["grid_min"], extras["grid_max"], extras["grid_points"])
+    sizes = []
+
+    def counted(X):
+        sizes.append(len(X))
+        return f(X)
+
+    experiments.grid_search_1d(S, counted, *grid, **kwargs)
+    return {"ms": 1e3 * _best(lambda: experiments.grid_search_1d(S, f, *grid, **kwargs),
+                              number=5),
+            "f_points": sum(sizes), "grid_points": extras["grid_points"]}
+
+
 def cold_start():
     """Import time and whole-process config runs, each in fresh interpreters."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -393,6 +421,7 @@ def main(argv):
         "output_us": output_times(),
         "rewrite_us": rewrite_times(),
         "kmeans": kmeans_times(),
+        "grid_oracle": grid_oracle(),
         "cold_start": cold_start(),
     }
     print(json.dumps(result, indent=1))

@@ -30,6 +30,7 @@ names the section and key it came from.
 """
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -190,6 +191,10 @@ def load_config(path):
             f"experiment.{key}: must be >= {low}, got {extras[key]}"
             for key, low in _EXPERIMENT_MINIMUMS.items()
             if key in extras and extras[key] < low)
+        problems.extend(
+            f"experiment.{key}: must be finite, got {extras[key]}"
+            for key, (typ, _) in schema.items()
+            if typ is float and not math.isfinite(extras[key]))
 
     dataset_section = sections.pop("dataset", None)
     dataset = None

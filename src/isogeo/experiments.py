@@ -9,6 +9,7 @@ written), 4 any other exception, whose traceback the manifest records.
 """
 
 import functools
+import math
 import os
 import time
 import traceback
@@ -62,6 +63,8 @@ def _parse_point(raw, dim, where):
     if len(coords) != dim:
         raise ConfigError([f"{where}: expected {dim} comma-separated "
                            f"coordinates, got {len(coords)}"])
+    if not all(map(math.isfinite, coords)):
+        raise ConfigError([f"{where}: coordinates must be finite, got {raw}"])
     return np.asarray(coords)
 
 
@@ -202,7 +205,71 @@ def _linspace_chunk(start, stop, num, i0, i1):
     return y
 
 
-def grid_search_1d(S, f, s_min, s_max, n_points):
+def least_squares_screen(A, b):
+    """Screen for ``grid_search_1d`` of f(x) = 0.5 |A x - b|^2.
+
+    ``screen(XT)`` takes a chunk of points component-major, ``(d, n)``.  It
+    returns the values 0.5 sum_i r_i^2 from one gemm ``A @ XT`` and a
+    row-by-row sum of squares, and a bound on their distance from the
+    values of any other rounded evaluation of f, such as the stacked matvec
+    of ``inverse_problem``.
+
+    The bound is a-priori and holds for any summation order, with or
+    without FMA.  Let u = 2^-53 and gamma_n = n u / (1 - n u) (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, section 3.1).
+    For a chunk, C_i = sum_k |a_ik| max |x_k| + |b_i|, so |r_i| <= C_i at
+    each of its points.
+
+    - A residual is an inner product of length d + 1 (the last term is
+      -b_i times 1), so its rounded value errs by |e_i| <= g C_i, where
+      g = gamma_{d+1}.
+    - As r_hat^2 - r^2 = e (2 r + e), the squares of the rounded
+      residuals sum to within (2 g + g^2) sum C_i^2 of sum r_i^2.
+    - The rounded sum of m squares errs by at most
+      gamma_m sum r_hat_i^2 <= gamma_m (1 + g)^2 sum C_i^2.
+    - Together an evaluation is within (gamma_m + 3 g) sum C_i^2 of the
+      exact sum, as gamma_m, g <= 1/4, and halving it is exact.  Two
+      evaluations of f are thus within (gamma_m + 3 g) sum C_i^2 of each
+      other.  The coefficient is doubled to cover the rounding of the
+      bound itself.
+    - Higham's model assumes no underflow.  A rounding that underflows
+      errs by at most 2^-1075 absolutely, so a residual gains at most
+      (d + 1) 2^-1075 <= tiny, the smallest normal number.  Through the
+      squares and sums of two evaluations that adds less than
+      ``tiny * (4 sum C_i + 2 m)``.
+    - The bound is inf when 2 sum C_i^2 overflows, so no evaluation of f
+      overflows where it is finite.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, d = A.shape
+    u = np.finfo(float).eps / 2.0
+
+    def gamma(n):
+        return n * u / (1.0 - n * u)
+
+    coef = 2.0 * (gamma(m) + 3.0 * gamma(d + 1))
+    tiny = np.finfo(float).tiny
+    abs_A, abs_b, column = np.abs(A), np.abs(b), b[:, None]
+
+    def screen(XT):
+        R = A @ XT
+        R -= column
+        np.square(R, out=R)
+        values = R[0]
+        for row in R[1:]:
+            values += row
+        values *= 0.5
+        C = abs_A @ np.abs(XT).max(axis=1) + abs_b
+        total = float(C @ C)
+        if not math.isfinite(2.0 * total):
+            return values, np.inf
+        return values, coef * total + tiny * (4.0 * float(C.sum()) + 2.0 * m)
+
+    return screen
+
+
+def grid_search_1d(S, f, s_min, s_max, n_points, screen=None):
     """Brute-force minimizer of a batch-first f over the 1D submanifold parameter.
 
     The grid is built, mapped and evaluated in chunks of PASS_BYTES of
@@ -210,6 +277,14 @@ def grid_search_1d(S, f, s_min, s_max, n_points):
     any n_points.  The result equals an argmin over the whole
     ``np.linspace`` grid: the first minimum wins, and a NaN value wins.
     f must map a batch of points as it maps each one.
+
+    ``screen(XT)``, if given, maps a chunk's points component-major,
+    ``(d, n)``, to approximate values and a bound on their distance from
+    f, as ``least_squares_screen`` does.  f then runs, in index order, only
+    on the candidates: the points whose value minus the bound is at most
+    the smallest value plus the bound.  Every other point has a larger f
+    than the point of the smallest value, so the result is unchanged.  A
+    chunk with a non-finite value or bound goes to f whole.
     """
     if n_points < 2:
         raise ValueError(f"grid search needs n_points >= 2, got {n_points}")
@@ -219,7 +294,15 @@ def grid_search_1d(S, f, s_min, s_max, n_points):
     for start in range(0, n_points, chunk):
         s = _linspace_chunk(s_min, s_max, n_points, start,
                             min(start + chunk, n_points))
-        values = f(S.points_at(s))
+        X = S.points_at(s)
+        if screen is not None:
+            approx, bound = screen(np.ascontiguousarray(X.T))
+            if np.isfinite(bound) and np.isfinite(approx).all():
+                # v - bound <= v_min + bound; rounding is monotone, so the
+                # rounded test keeps every point the exact one keeps.
+                cand = np.flatnonzero(approx <= approx.min() + 2.0 * bound)
+                s, X = s[cand], X[cand]
+        values = f(X)
         i = int(values.argmin())
         if best is None or values[i] < best[1] or (
                 np.isnan(values[i]) and not np.isnan(best[1])):
@@ -246,7 +329,8 @@ def _run_inverse(config, M, outdir):
         code = EXIT_STALL
     trace.write_csv(os.path.join(outdir, "trace.csv"))
     s_grid, x_grid, f_grid, cell = grid_search_1d(
-        S, f, extras["grid_min"], extras["grid_max"], extras["grid_points"])
+        S, f, extras["grid_min"], extras["grid_max"], extras["grid_points"],
+        screen=least_squares_screen(A, b))
     s_solution = float(S.params_of(solution)[0])
     summary.update({
         "solution": solution, "s_solution": s_solution,

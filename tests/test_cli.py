@@ -4,17 +4,22 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isogeo import clustering, experiments
 from isogeo.cli import main
 from isogeo.config import ConfigError, load_config
+from isogeo.diffeos import Diffeomorphism, identity
 from isogeo.errors import DegenerateCurveError, DomainError, NonConvergenceError, StallError
+from isogeo.pullback import PullbackManifold
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -359,10 +364,13 @@ def test_inverse_objective_batch_equals_point_by_point(banana_manifold, rows):
 
 def test_grid_search_in_chunks_equals_one_shot_search(banana_manifold):
     extras = {"rows": 3, "op_seed": 5, "noise": 0.05, "offset": 4.0, "s_true": 1.5}
-    S, _, _, _, f, _ = experiments.inverse_problem(banana_manifold, extras)
+    S, A, b, _, f, _ = experiments.inverse_problem(banana_manifold, extras)
+    screen = experiments.least_squares_screen(A, b)
     chunk = experiments.PASS_BYTES // (8 * banana_manifold.dim)
     objectives = [
         f,
+        # The screened least-squares search: f runs on the candidates only.
+        (f, screen),
         # Ties inside and across chunks: the first minimum wins.
         lambda X: np.floor(np.abs(np.sin(3.0 * X[..., 1])) * 2.0),
         lambda X: np.zeros(X.shape[:-1]),
@@ -382,15 +390,137 @@ def test_grid_search_in_chunks_equals_one_shot_search(banana_manifold):
             assert np.array_equal(np.concatenate(chunks), s)
             X = S.points_at(s)
             for objective in objectives:
+                objective, screen = (objective if isinstance(objective, tuple)
+                                     else (objective, None))
                 values = objective(X)
                 best = int(values.argmin())
-                got = experiments.grid_search_1d(S, objective, s_min, s_max, n_points)
+                got = experiments.grid_search_1d(S, objective, s_min, s_max, n_points,
+                                                 screen=screen)
                 want = (s[best], X[best], values[best], s[1] - s[0])
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w, equal_nan=True)
                     assert type(g) is type(w)
     with pytest.raises(ValueError, match="n_points >= 2"):
         experiments.grid_search_1d(S, f, -6.0, 6.0, 1)
+
+
+def _counting(f):
+    """f, and the list of the batch sizes it was called with."""
+    sizes = []
+
+    def counted(X):
+        sizes.append(len(X))
+        return f(X)
+    return counted, sizes
+
+
+@pytest.mark.parametrize("tie", [(100, 101), (6143, 6144)])
+def test_screened_search_keeps_the_first_of_tied_minima(identity2, tie):
+    # f = 0.5 (s - c)^2 + 2 (s - c)^2 with c halfway between two grid points
+    # of a dyadic grid, so the residuals there are exactly +-h/2 and the two
+    # values tie bit for bit; the second tie is across a chunk boundary.
+    S = experiments._vertical_line_submanifold(identity2, 4.0)
+    n_points = 16385
+    h = 1.0 / (n_points - 1)
+    c = (tie[0] + 0.5) * h
+    A = np.array([[0.0, 1.0], [0.0, -2.0]])
+    b = np.array([c, -2.0 * c])
+
+    def f(X):
+        r = (A @ X[..., None])[..., 0] - b
+        return 0.5 * np.vecdot(r, r)
+
+    s = np.linspace(0.0, 1.0, n_points)
+    values = f(S.points_at(s))
+    assert values[tie[0]] == values[tie[1]] == values.min()
+    counted, sizes = _counting(f)
+    got = experiments.grid_search_1d(S, counted, 0.0, 1.0, n_points,
+                                     screen=experiments.least_squares_screen(A, b))
+    want = experiments.grid_search_1d(S, f, 0.0, 1.0, n_points)
+    assert got[0] == s[tie[0]]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w) and type(g) is type(w)
+    # f still runs on a few points per chunk.
+    assert sum(sizes) < 3 * len(sizes)
+
+
+def _sqrt_map():
+    """(x1, x2^2), whose inverse (y1, sqrt(y2)) is NaN where y2 < 0."""
+    return Diffeomorphism(
+        2, lambda x: np.stack([x[..., 0], x[..., 1] ** 2], axis=-1),
+        lambda y: np.stack([y[..., 0], np.sqrt(y[..., 1])], axis=-1))
+
+
+@pytest.mark.parametrize("manifold, s_min, s_max", [
+    # The banana's a s^2 overflows: the screen reads inf, with an inf bound.
+    ("banana", -1e200, 1e200),
+    # NaN points in the first chunk: the screen reads NaN there, and the
+    # first NaN value wins.
+    ("sqrt", -1.0, 1.0),
+])
+def test_screened_search_falls_back_on_non_finite_values(banana_manifold, manifold,
+                                                         s_min, s_max):
+    extras = {"rows": 2, "op_seed": 5, "noise": 0.0, "offset": 4.0, "s_true": 1.5}
+    _, A, b, _, f, _ = experiments.inverse_problem(banana_manifold, extras)
+    M = banana_manifold if manifold == "banana" else PullbackManifold(_sqrt_map())
+    S = experiments._vertical_line_submanifold(M, 4.0)
+    screen = experiments.least_squares_screen(A, b)
+    chunk = experiments.PASS_BYTES // (8 * M.dim)
+    n_points = chunk + 7
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = S.points_at(np.linspace(s_min, s_max, n_points)[:chunk])
+        approx, bound = screen(np.ascontiguousarray(X.T))
+        assert not np.isfinite(approx).all()
+        counted, sizes = _counting(f)
+        got = experiments.grid_search_1d(S, counted, s_min, s_max, n_points,
+                                         screen=screen)
+        want = experiments.grid_search_1d(S, f, s_min, s_max, n_points)
+    # The first chunk goes to f whole.
+    assert sizes[0] == chunk
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True) and type(g) is type(w)
+    assert np.isnan(got[2]) == (manifold == "sqrt")
+
+
+def test_screened_search_of_the_shipped_config(banana_manifold):
+    # The 100 001-point oracle of configs/banana_inverse.ini runs f on a few
+    # points per chunk, with the result of the unscreened search.
+    cfg = load_config(CONFIG_DIR / "banana_inverse.ini")
+    M = experiments.build_manifold(cfg)
+    S, A, b, _, f, _ = experiments.inverse_problem(M, cfg.extras)
+    args = (cfg.extras["grid_min"], cfg.extras["grid_max"], cfg.extras["grid_points"])
+    counted, sizes = _counting(f)
+    got = experiments.grid_search_1d(S, counted, *args,
+                                     screen=experiments.least_squares_screen(A, b))
+    want = experiments.grid_search_1d(S, f, *args)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w) and type(g) is type(w)
+    assert len(sizes) == 17 and sum(sizes) <= 2 * len(sizes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 4), rows=st.integers(1, 6), op_seed=st.integers(0, 10**6),
+       noise=st.sampled_from([0.0, 0.05, 3.0]),
+       offset=st.floats(-1e3, 1e3), center=st.floats(-1e3, 1e3),
+       log_scale=st.integers(-12, 6), n=st.integers(1, 64),
+       point_seed=st.integers(0, 10**6))
+def test_screen_is_within_its_bound_of_f(dim, rows, op_seed, noise, offset, center,
+                                         log_scale, n, point_seed):
+    M = PullbackManifold(identity(dim))
+    extras = {"rows": rows, "op_seed": op_seed, "noise": noise, "offset": offset,
+              "s_true": 1.5}
+    _, A, b, _, f, _ = experiments.inverse_problem(M, extras)
+    rng = np.random.default_rng(point_seed)
+    X = center + 10.0 ** log_scale * rng.standard_normal((n, dim))
+    approx, bound = experiments.least_squares_screen(A, b)(np.ascontiguousarray(X.T))
+    assert approx.shape == (n,) and np.isfinite(bound)
+    assert np.all(np.abs(approx - f(X)) <= bound)
+    # Each is within half the bound of the exact value.
+    exact = [sum((sum(Fraction(a) * Fraction(x) for a, x in zip(row, point))
+                  - Fraction(bi)) ** 2 for row, bi in zip(A.tolist(), b.tolist())) / 2
+             for point in X[:3].tolist()]
+    for value, want in zip(approx.tolist(), exact):
+        assert abs(Fraction(value) - want) <= Fraction(bound) / 2
 
 
 def test_import_loads_no_scipy():
@@ -573,6 +703,8 @@ def test_cli_geodesic_argument_validation():
     for args, want in [
             (["--from", "0,0,0"], "--from: expected 2 comma-separated coordinates, got 3"),
             (["--from", "zero"], "--from: could not convert string to float: 'zero'"),
+            (["--from", "nan,0"], "--from: coordinates must be finite, got nan,0"),
+            (["--from", "0,-inf"], "--from: coordinates must be finite, got 0,-inf"),
             (["--from", "0,0", "--samples", "-1"],
              "Invalid value for '--samples': -1 is not in the range x>=0.")]:
         result = runner.invoke(main, ["geodesic", "--geometry", "river", "--to", "1,1", *args])
@@ -629,3 +761,28 @@ dir = {out}
     assert rows.shape == (20,)
     np.testing.assert_allclose([rows["x0"][0], rows["x1"][0]], [-2.0, -3.0])
     np.testing.assert_allclose([rows["x0"][-1], rows["x1"][-1]], [2.0, 3.0])
+
+
+@pytest.mark.parametrize("end", ["from", "to"])
+def test_geodesic_experiment_non_finite_point_is_config_error(tmp_path, monkeypatch, end):
+    monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    out = tmp_path / "out"
+    points = {"from": "-2.0,-3.0", "to": "2.0,3.0", end: "nan,-3.0"}
+    text = f"""
+[geometry]
+name = banana
+
+[experiment]
+kind = geodesic
+from = {points["from"]}
+to = {points["to"]}
+
+[output]
+dir = {out}
+"""
+    code = experiments.run(load_config(write_config(tmp_path, text)))
+    assert code == experiments.EXIT_USAGE
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["error"].endswith(
+        f"experiment.{end}: coordinates must be finite, got nan,-3.0")
+    assert not (out / "geodesic.csv").exists()

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from isogeo import experiments
 from isogeo.cli import main
-from isogeo.config import ConfigError, load_config
+from isogeo.config import _EXPERIMENT_FIELDS, ConfigError, load_config
 from isogeo.datasets import DatasetSpec
 from isogeo.descent import LineSearchConfig
 from isogeo.diffeos import make_diffeomorphism
@@ -260,6 +260,36 @@ def test_geometry_parameters_are_checked_at_load(tmp_path, monkeypatch, edits, w
 ])
 def test_values_no_run_can_use_are_config_errors(tmp_path, monkeypatch, edits, want):
     monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    assert problems(tmp_path, edits) == [want]
+    path = str(write(tmp_path, edits))
+    runner = CliRunner()
+    result = runner.invoke(main, ["validate", path])
+    assert result.exit_code == experiments.EXIT_USAGE
+    assert result.stderr == f"error: {want}\n"
+    result = runner.invoke(main, ["run", path])
+    assert result.exit_code == experiments.EXIT_USAGE
+
+
+# Every float [experiment] key: a NaN or an infinity would reach the run as a
+# NaN grid, invalid JSON or an internal error.
+FLOAT_EXTRAS = [(kind, key) for kind, schema in _EXPERIMENT_FIELDS.items()
+                for key, (typ, _) in schema.items() if typ is float]
+
+
+def test_float_extras_cover_inverse_and_ratios():
+    assert FLOAT_EXTRAS == [
+        ("inverse", key) for key in ("noise", "offset", "s_true", "s0",
+                                     "grid_min", "grid_max")
+    ] + [("ratios", key) for key in ("x1_min", "x1_max", "x2_min", "x2_max")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind, key", FLOAT_EXTRAS)
+def test_non_finite_experiment_floats_are_config_errors(tmp_path, monkeypatch,
+                                                         kind, key, value):
+    monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    edits = {"experiment": {"kind": kind, "k": None, key: value}}
+    want = f"experiment.{key}: must be finite, got {float(value)}"
     assert problems(tmp_path, edits) == [want]
     path = str(write(tmp_path, edits))
     runner = CliRunner()
