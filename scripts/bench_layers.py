@@ -42,6 +42,10 @@ Prints one JSON object:
   those ``_nearest`` calls integrate (``nearest_lines``) next to n * K per
   call (``nearest_lines_all_pairs``); ``river_kmeans.ini k=4`` runs the
   river dataset at K = 4;
+- ``ird_iteration_us``: the best-of-5 time of one ``iso_barycentre`` solve
+  divided by its iterations, with the iterations, on the barycentre bands
+  of the ``perfbench`` ``solver_loop`` workload (seed 7, tol 1e-6): river(5,
+  0.25) at n = 30 and 60 and spiral(0.25) at n = 60;
 - ``grid_oracle``: the best-of-5 time (ms) of one 100 001-point
   ``experiments.grid_search_1d`` on the inverse problem of
   ``configs/banana_inverse.ini``, screened by
@@ -356,6 +360,29 @@ def kmeans_times():
     return result
 
 
+IRD_BANDS = (
+    ("river n=30", ig.river(5.0, 0.25), 30,
+     {"kind": "river_band", "noise_sigma": 0.25, "t_min": -6.0, "t_max": 6.0}),
+    ("river n=60", ig.river(5.0, 0.25), 60,
+     {"kind": "river_band", "noise_sigma": 0.25, "t_min": -6.0, "t_max": 6.0}),
+    ("spiral n=60", ig.spiral(0.25), 60,
+     {"kind": "spiral_band", "noise_sigma": 0.5, "t_min": 3.0, "t_max": 8.0}),
+)
+
+
+def ird_iteration_times():
+    """Time (us) per iteration of one iso_barycentre solve on solver_loop's bands."""
+    result = {}
+    cfg = ig.LineSearchConfig(r0=1.0, c=0.5, max_iters=200, tol=1e-6)
+    for key, diffeo, n, band in IRD_BANDS:
+        M = ig.PullbackManifold(diffeo)
+        pts = ig.generate_dataset(ig.DatasetSpec(n=n, seed=7, **band), M).points
+        iterations = len(ig.iso_barycentre(M, pts, cfg)[1]) - 1
+        solve = 1e6 * _best(lambda: ig.iso_barycentre(M, pts, cfg), number=20)
+        result[key] = {"us": solve / max(1, iterations), "iterations": iterations}
+    return result
+
+
 def grid_oracle():
     """Time (ms) of the banana_inverse.ini grid oracle and the points its f evaluates."""
     config = load_config(ROOT / "configs" / "banana_inverse.ini")
@@ -421,6 +448,7 @@ def main(argv):
         "output_us": output_times(),
         "rewrite_us": rewrite_times(),
         "kmeans": kmeans_times(),
+        "ird_iteration_us": ird_iteration_times(),
         "grid_oracle": grid_oracle(),
         "cold_start": cold_start(),
     }

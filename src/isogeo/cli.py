@@ -6,7 +6,7 @@ import sys
 import click
 
 from . import experiments
-from .config import ConfigError, load_config
+from .config import ConfigError, _parse_point, load_config
 from .diffeos import make_diffeomorphism, registered_names
 from .pullback import PullbackManifold
 from .serialize import _csv_text, _write_text
@@ -91,8 +91,8 @@ def geodesic(geometry, beta, eta, a_param, z_param, dim, start, end, samples,
         raise click.UsageError(f"bad parameters for {geometry}: {exc}")
     M = PullbackManifold(diffeo)
     try:
-        x = experiments._parse_point(start, M.dim, "--from")
-        y = experiments._parse_point(end, M.dim, "--to")
+        x = _parse_point(start, M.dim, "--from")
+        y = _parse_point(end, M.dim, "--to")
     except ConfigError as exc:
         raise click.UsageError(exc.problems[0])
     rows = experiments.geodesic_rows(M, x, y, samples, iso)

@@ -34,6 +34,8 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .datasets import DATASET_KINDS, DatasetSpec
 from .descent import LineSearchConfig
 from .diffeos import make_diffeomorphism, registered_names
@@ -134,6 +136,22 @@ def _build(make, kwargs, where, problems):
     except (TypeError, ValueError, OverflowError) as exc:
         problems.append(f"{where}: {exc}")
         return None
+
+
+def _parse_point(raw, dim, where):
+    """The finite ``(dim,)`` point of comma-separated coordinates, else ConfigError."""
+    if raw is None:
+        raise ConfigError([f"{where}: key is required"])
+    try:
+        coords = [float(part) for part in str(raw).split(",")]
+    except ValueError as exc:
+        raise ConfigError([f"{where}: {exc}"]) from exc
+    if len(coords) != dim:
+        raise ConfigError([f"{where}: expected {dim} comma-separated "
+                           f"coordinates, got {len(coords)}"])
+    if not all(map(math.isfinite, coords)):
+        raise ConfigError([f"{where}: coordinates must be finite, got {raw}"])
+    return np.asarray(coords)
 
 
 def load_config(path):
@@ -242,6 +260,16 @@ def load_config(path):
             if extras[key] > most:
                 problems.append(f"experiment.{key}: must be <= {most} for {n} data "
                                 f"points in {diffeo.dim} dimensions, got {extras[key]}")
+        if diffeo is not None and experiment == "geodesic":
+            for key in ("from", "to"):
+                try:
+                    _parse_point(extras[key], diffeo.dim, f"experiment.{key}")
+                except ConfigError as exc:
+                    problems.extend(exc.problems)
+        if diffeo is not None and experiment == "ratios" and diffeo.dim > 2:
+            # No key sets a third axis of the ratio grid.
+            problems.append(f"experiment.kind: a ratios grid spans 2 axes, "
+                            f"the geometry has {diffeo.dim} dimensions")
         solver = _build(LineSearchConfig, solver_kwargs, "solver", problems)
         quad = _build(QuadratureConfig, quad_kwargs, "quadrature", problems)
 

@@ -7,14 +7,15 @@ field); the ratio diagnostics bound the monotonicity and Lipschitz constants
 that govern the admissible step-size window.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import StallError
-from .isomaps import _iso_log_vecs, iso_distance, iso_exp, iso_transport
-from .pullback import TangentVector, _point_pair, as_point, closed_form_barycentre
+from .isomaps import _iso_exp, _iso_log_vecs, _phi_log_vecs, iso_distance, iso_exp, iso_transport
+from .pullback import TangentVector, _point_pair, as_point
 from .serialize import write_csv
 
 
@@ -134,11 +135,24 @@ def _field_points(M, points):
     return as_point(points, M.dim, "points", batch=True).reshape(-1, M.dim)
 
 
+def _barycentre_field(M, x, a, b):
+    """The barycentre field's vector at x and its norm.
+
+    a is phi(x) and b the data's phi-images.  Raises ValueError where the
+    field is not finite, as TangentVector would.
+    """
+    vec = _mean_vecs(_phi_log_vecs(M, a, b)[0])
+    norm = float(np.linalg.norm(vec))
+    if not math.isfinite(norm):
+        raise ValueError(f"the barycentre field is not finite at {x}")
+    return vec, norm
+
+
 def iso_barycentre_field(M, x, points):
     """The descent field -(1/N) sum iso_log_x(x_i); zero at an iso-barycentre."""
     x = as_point(x, M.dim, "x")
-    pts = _field_points(M, points)
-    return TangentVector(x, _mean_vecs(_iso_log_vecs(M, x, pts)[0]))
+    b = M.diffeo.forward(_field_points(M, points))
+    return TangentVector(x, _barycentre_field(M, x, M.diffeo.forward(x), b)[0])
 
 
 def iso_barycentre(M, points, cfg=None, x0=None):
@@ -148,34 +162,39 @@ def iso_barycentre(M, points, cfg=None, x0=None):
     trial step is accepted only if it strictly decreases the field norm,
     otherwise the step is shrunk by cfg.c.  Raises StallError (carrying the
     best iterate and the trace) when no decrease is found within
-    cfg.max_backtracks.
+    cfg.max_backtracks.  Raises ValueError if the field is not finite.
+
+    The points are validated and mapped by phi once; the loop runs the steps
+    of ``ird_step`` and ``iso_barycentre_field`` on float arrays, with one
+    phi-image per iterate.
     """
     cfg = cfg or LineSearchConfig()
-    pts = _field_points(M, points)
-    x = closed_form_barycentre(M, pts) if x0 is None else as_point(x0, M.dim, "x0")
-    xi = iso_barycentre_field(M, x, pts)
+    b = M.diffeo.forward(_field_points(M, points))
+    # closed_form_barycentre of the validated points, from their phi-images.
+    x = M.diffeo.inverse(b.mean(axis=0)) if x0 is None else as_point(x0, M.dim, "x0")
+    a = M.diffeo.forward(x)
+    vec, norm = _barycentre_field(M, x, a, b)
     trace = ConvergenceTrace()
-    trace.append(x, xi.norm, cfg.r0)
+    trace.append(x, norm, cfg.r0)
     for _ in range(cfg.max_iters):
-        if xi.norm < cfg.tol:
+        if norm < cfg.tol:
             trace.converged = True
             return x, trace
         r = cfg.r0
-        accepted = False
         for _ in range(cfg.max_backtracks):
-            trial = ird_step(M, x, xi, r)
-            xi_trial = iso_barycentre_field(M, trial, pts)
-            if xi_trial.norm < xi.norm:
-                accepted = True
+            trial = _iso_exp(M, x, a, -r * vec)
+            a_trial = M.diffeo.forward(trial)
+            vec_trial, norm_trial = _barycentre_field(M, trial, a_trial, b)
+            if norm_trial < norm:
                 break
             r *= cfg.c
-        if not accepted:
+        else:
             trace.stalled = True
             raise StallError(
-                f"line search stalled at field norm {xi.norm:.3e}", x, trace)
-        x, xi = trial, xi_trial
-        trace.append(x, xi.norm, r)
-    trace.converged = xi.norm < cfg.tol
+                f"line search stalled at field norm {norm:.3e}", x, trace)
+        x, a, vec, norm = trial, a_trial, vec_trial, norm_trial
+        trace.append(x, norm, r)
+    trace.converged = norm < cfg.tol
     return x, trace
 
 

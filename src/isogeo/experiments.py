@@ -17,7 +17,7 @@ import traceback
 import numpy as np
 
 from .clustering import _iso_kmeans, adjusted_rand_index, euclidean_kmeans, riemannian_kmeans
-from .config import ConfigError
+from .config import ConfigError, _parse_point
 from .datasets import generate_dataset
 from .descent import _field_points, _mean_vecs, iso_barycentre
 from .diffeos import make_diffeomorphism
@@ -25,6 +25,7 @@ from .errors import (DegenerateBasisError, DegenerateCurveError, DomainError,
                      NonConvergenceError, StallError)
 from .isomaps import PASS_BYTES, _iso_log_vecs, _iso_transport_vecs, iso_geodesic
 from .pullback import PullbackManifold, as_point, closed_form_barycentre, lc_geodesic
+from .quadrature import _linspace_chunk
 from .serialize import write_csv, write_json
 from .submanifold import GeodesicSubmanifold, iso_rank_r_approx, l2pg_ird, submanifold_from_rank_r
 
@@ -55,19 +56,6 @@ def build_manifold(config):
     return PullbackManifold(diffeo, config.quad)
 
 
-def _parse_point(raw, dim, where):
-    try:
-        coords = [float(part) for part in str(raw).split(",")]
-    except ValueError as exc:
-        raise ConfigError([f"{where}: {exc}"]) from exc
-    if len(coords) != dim:
-        raise ConfigError([f"{where}: expected {dim} comma-separated "
-                           f"coordinates, got {len(coords)}"])
-    if not all(map(math.isfinite, coords)):
-        raise ConfigError([f"{where}: coordinates must be finite, got {raw}"])
-    return np.asarray(coords)
-
-
 def geodesic_rows(M, start, end, samples, iso):
     ts = np.linspace(0.0, 1.0, samples)
     if not iso:
@@ -82,8 +70,6 @@ def geodesic_rows(M, start, end, samples, iso):
 
 
 def _run_geodesic(config, M, outdir):
-    if config.extras.get("from") is None or config.extras.get("to") is None:
-        raise ConfigError(["experiment.from / experiment.to: required for geodesic"])
     start = _parse_point(config.extras["from"], M.dim, "experiment.from")
     end = _parse_point(config.extras["to"], M.dim, "experiment.to")
     rows = geodesic_rows(M, start, end, config.extras["samples"],
@@ -189,20 +175,6 @@ def inverse_problem(M, extras):
         return A.T @ (A @ x - b)
 
     return S, A, b, x_true, f, grad
-
-
-def _linspace_chunk(start, stop, num, i0, i1):
-    """``np.linspace(start, stop, num)[i0:i1]`` bit for bit, for num >= 2."""
-    div = num - 1
-    step = (stop - start) / div
-    y = np.arange(i0, i1, dtype=float)
-    # linspace scales by delta / div, or for an underflowing step by
-    # 1 / div then delta.
-    y = y * step if step != 0 else y / div * (stop - start)
-    y += start
-    if i1 == num:
-        y[-1] = stop
-    return y
 
 
 def least_squares_screen(A, b):

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateCurveError, DomainError, NonConvergenceError
-from .pullback import TangentVector, _point_pair, as_point, lc_exp
+from .pullback import TangentVector, _point_pair, as_point
 from .quadrature import (NEWTON_MAXITER, REFINE_XTOL, _leggauss, composite_nodes,
                          newton_roots, panel_integrals, unit_rule)
 
@@ -156,32 +156,26 @@ def iso_geodesic(M, x, y, t):
     return M.diffeo.inverse(a + tp[..., None] * w)
 
 
-def vectorchange(M, xi):
-    """Scale t' >= 0 making the exponential radially isometric.
-
-    Solves arclength(x -> lc_exp(t' xi)) = |xi| by doubling the bracket from
-    t' = 1 (the speed at 0 is |xi|) and refining by safeguarded Newton steps;
-    the arc length is strictly increasing in t' for pullback closed forms, so
-    the root is unique.  Probes past the diffeomorphism domain are pulled back
-    toward the last valid parameter; DomainError is raised when the available
-    arc length cannot reach |xi|.  Each probe runs one quadrature, whose
-    extra node at t' is the speed, the derivative of the arc length.
-    """
-    nv = xi.norm
+def _vectorchange(M, x, a, v):
+    """``vectorchange`` of the vector v at x: validated float arrays, a = phi(x)."""
+    nv = float(np.linalg.norm(v))
     if nv == 0.0:
         return 0.0
-    a = M.diffeo.forward(xi.base)
-    w = M.diffeo.jvp(xi.base, xi.vec)
+    w = M.diffeo.jvp(x, v)
     q = M.quad
     eps = 1e-15 * (1.0 + nv)
 
     def g(T):
-        # Arc length to T minus |xi|, and the speed at T, from one _speeds call.
-        ts, weights, _ = composite_nodes(0.0, T, q.panels, q.nodes_per_panel)
-        speeds = _speeds(M, a, w, np.append(ts, T))
+        # Arc length to T minus |v|, and the speed at T, from one _speeds call
+        # whose last node is T: the nodes go into an array with a slot for T.
+        nodes, weights, _ = composite_nodes(0.0, T, q.panels, q.nodes_per_panel)
+        ts = np.empty(len(nodes) + 1)
+        ts[:-1] = nodes
+        ts[-1] = T
+        speeds = _speeds(M, a, w, ts)
         return float(np.dot(speeds[:-1], weights)) - nv, float(speeds[-1])
 
-    # g(0) is -|xi| by construction: the rule on [0, 0] has zero weights.
+    # g(0) is -|v| by construction: the rule on [0, 0] has zero weights.
     lo, g_lo, hi, g_hi = 0.0, -nv, 1.0, None
     edges = set()   # probes past the domain: doubling back onto one reads it here
     for _ in range(2 * MAX_BRACKET_DOUBLINGS):
@@ -231,13 +225,40 @@ def vectorchange(M, xi):
         f"root solve: 1 of 1 lanes open after {NEWTON_MAXITER} Newton iterations")
 
 
+def vectorchange(M, xi):
+    """Scale t' >= 0 making the exponential radially isometric.
+
+    Solves arclength(x -> lc_exp(t' xi)) = |xi| by doubling the bracket from
+    t' = 1 (the speed at 0 is |xi|) and refining by safeguarded Newton steps;
+    the arc length is strictly increasing in t' for pullback closed forms, so
+    the root is unique.  Probes past the diffeomorphism domain are pulled back
+    toward the last valid parameter; DomainError is raised when the available
+    arc length cannot reach |xi|.  Each probe runs one quadrature, whose
+    extra node at t' is the speed, the derivative of the arc length.
+    """
+    # A zero vector scales by 0 without phi, even where phi is undefined.
+    if xi.norm == 0.0:
+        return 0.0
+    return _vectorchange(M, xi.base, M.diffeo.forward(xi.base), xi.vec)
+
+
+def _iso_exp(M, x, a, v):
+    """``iso_exp`` of the vector v at x: validated float arrays, a = phi(x).
+
+    phi(x) serves every ``vectorchange`` probe and the final inverse map.
+    """
+    scale = _vectorchange(M, x, a, v)
+    if scale == 0.0:
+        return x.copy()
+    return M.diffeo.inverse(a + M.diffeo.jvp(x, scale * v))
+
+
 def iso_exp(M, xi):
     """Iso-exponential lc_exp(vectorchange(xi) * xi); iso_exp(0) = x."""
     base = as_point(xi.base, M.dim, "base")
-    scale = vectorchange(M, xi)
-    if scale == 0.0:
+    if xi.norm == 0.0:
         return base.copy()
-    return lc_exp(M, TangentVector(base, scale * xi.vec))
+    return _iso_exp(M, base, M.diffeo.forward(base), xi.vec)
 
 
 def _iso_log_vecs(M, x, y):
@@ -248,8 +269,12 @@ def _iso_log_vecs(M, x, y):
     ``iso_log(M, x_i, y_i).vec`` bit for bit when the diffeomorphism maps a
     point alone and in a batch alike, as every built-in one does.
     """
-    a = M.diffeo.forward(x)
-    w = M.diffeo.forward(y) - a
+    return _phi_log_vecs(M, M.diffeo.forward(x), M.diffeo.forward(y))
+
+
+def _phi_log_vecs(M, a, b):
+    """``_iso_log_vecs`` from the phi-images a of x and b of y."""
+    w = b - a
     v = M.diffeo.inv_jvp(a, w)
     # vecdot runs the dot kernel of TangentVector.norm: norms agree bitwise.
     nv = np.sqrt(np.vecdot(v, v))

@@ -48,10 +48,32 @@ class QuadratureConfig:
 _leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 
+def _linspace_chunk(start, stop, num, i0, i1):
+    """``np.linspace(start, stop, num)[i0:i1]`` bit for bit, for num >= 2."""
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    y = np.arange(i0, i1, dtype=float)
+    # linspace scales by delta / div, or for an underflowing step by
+    # 1 / div then delta.
+    if step != 0:
+        y *= step
+    else:
+        y /= div
+        y *= delta
+    y += start
+    if i1 == num:
+        y[-1] = stop
+    return y
+
+
 def composite_nodes(a, b, panels, nodes_per_panel):
-    """Flattened Gauss-Legendre nodes and weights for [a, b] split into panels."""
+    """Flattened Gauss-Legendre nodes and weights for [a, b] split into panels.
+
+    The panel edges are ``np.linspace(a, b, panels + 1)``, bit for bit.
+    """
     nodes, weights = _leggauss(nodes_per_panel)
-    edges = np.linspace(a, b, panels + 1)
+    edges = _linspace_chunk(a, b, panels + 1, 0, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     t = mid[:, None] + half[:, None] * nodes[None, :]

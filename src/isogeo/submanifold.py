@@ -11,7 +11,7 @@ import numpy as np
 
 from .descent import ConvergenceTrace
 from .errors import DegenerateBasisError, DomainError, StallError
-from .isomaps import _iso_log_vecs, iso_exp
+from .isomaps import _iso_exp, _iso_log_vecs
 from .pullback import (TangentVector, as_point, lc_geodesic,
                        lc_geodesic_velocity)
 
@@ -47,24 +47,44 @@ class GeodesicSubmanifold:
         return self.manifold.diffeo.inverse(self._phi_base + self.phi_basis @ s)
 
     def points_at(self, s):
-        """Batch of member points, one per row of affine coordinates."""
+        """Batch of member points, one per row of affine coordinates.
+
+        For m = 1 each coordinate is ``s * B[j] + (phi_base[j] + 0.0)``,
+        computed component-major, with the bits of ``phi_base + s @ B.T``:
+        the k = 1 matmul gives +0.0 where the product is -0.0, and the
+        ``+ 0.0`` makes the sums agree in every signed-zero case.
+        """
         s = np.asarray(s, dtype=float)
         if s.ndim == 1:
             s = s[:, None]
-        return self.manifold.diffeo.inverse(self._phi_base + s @ self.phi_basis.T)
+        if s.shape[-1:] != (1,) or self.subspace_dim != 1:
+            return self.manifold.diffeo.inverse(self._phi_base + s @ self.phi_basis.T)
+        s = s[..., 0]
+        P = np.empty((self.manifold.dim,) + s.shape)
+        for row, coef, base in zip(P, self.phi_basis[:, 0], self._phi_base + 0.0):
+            np.multiply(s, coef, out=row)
+            row += base
+        return self.manifold.diffeo.inverse(np.moveaxis(P, 0, -1))
 
     def contains(self, x, tol=1e-8):
         x = as_point(x, self.manifold.dim, "x")
-        delta = self.manifold.diffeo.forward(x) - self._phi_base
+        return self._contains_phi(self.manifold.diffeo.forward(x), tol)
+
+    def _contains_phi(self, a, tol=1e-8):
+        """``contains`` of the member whose phi-image is a."""
+        delta = a - self._phi_base
         resid = delta - self.phi_basis @ (self.phi_basis.T @ delta)
         return float(np.linalg.norm(resid)) <= tol
 
     def tangent_basis(self, x):
         """Transported basis U_x: inverse Jacobian applied to the phi-basis."""
         x = as_point(x, self.manifold.dim, "x")
-        p = self.manifold.diffeo.forward(x)
+        return self._tangent_basis_phi(self.manifold.diffeo.forward(x))
+
+    def _tangent_basis_phi(self, a):
+        """``tangent_basis`` at the point whose phi-image is a."""
         cols = self.manifold.diffeo.inv_jvp(
-            np.broadcast_to(p, (self.subspace_dim, self.manifold.dim)),
+            np.broadcast_to(a, (self.subspace_dim, self.manifold.dim)),
             self.phi_basis.T)
         return cols.T
 
@@ -72,15 +92,24 @@ class GeodesicSubmanifold:
 def tangent_projection(S, x, v):
     """l2-orthogonal projection of v onto the tangent space of S at x."""
     x = as_point(x, S.manifold.dim, "x")
-    if not S.contains(x):
+    a = S.manifold.diffeo.forward(x)
+    if not S._contains_phi(a):
         raise DomainError("x is not on the submanifold (membership tol 1e-8)")
+    return TangentVector(x, _tangent_projection(S, a, v))
+
+
+def _tangent_projection(S, a, v):
+    """``tangent_projection(S, x, v).vec`` at the member x whose phi-image is a.
+
+    v is validated here: it is a user gradient.
+    """
     v = as_point(v, S.manifold.dim, "v")
-    U = S.tangent_basis(x)
+    U = S._tangent_basis_phi(a)
     gram = U.T @ U
     if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > 1e14:
         raise DegenerateBasisError(
             "transported basis has a numerically singular Gram matrix")
-    return TangentVector(x, U @ np.linalg.solve(gram, U.T @ v))
+    return U @ np.linalg.solve(gram, U.T @ v)
 
 
 def l2pg_ird(S, f, grad_f, x0, cfg):
@@ -90,40 +119,46 @@ def l2pg_ird(S, f, grad_f, x0, cfg):
     only if it strictly decreases f.  Stops once |P grad f| / f(x0) falls
     below cfg.tol (absolute when f(x0) <= 0) or the iteration cap is hit.
     Raises StallError carrying the best iterate when backtracking fails.
+
+    x0 and each gradient are validated; the loop runs the steps of
+    ``iso_exp`` and ``tangent_projection`` on float arrays, with one
+    phi-image per iterate.
     """
     M = S.manifold
     x = as_point(x0, M.dim, "x0")
-    if not S.contains(x):
+    a = M.diffeo.forward(x)
+    if not S._contains_phi(a):
         raise DomainError("x0 is not on the submanifold")
     f_ref = float(f(x))
     denom = f_ref if f_ref > 0.0 else 1.0
     fx = f_ref
-    xi = tangent_projection(S, x, grad_f(x))
+    vec = _tangent_projection(S, a, grad_f(x))
+    norm = float(np.linalg.norm(vec))
     trace = ConvergenceTrace()
-    trace.append(x, xi.norm, cfg.r0, objective=fx)
+    trace.append(x, norm, cfg.r0, objective=fx)
     for _ in range(cfg.max_iters):
-        if xi.norm / denom < cfg.tol:
+        if norm / denom < cfg.tol:
             trace.converged = True
             return x, trace
         r = cfg.r0
-        accepted = False
         for _ in range(cfg.max_backtracks):
-            trial = iso_exp(M, TangentVector(x, -r * xi.vec))
+            trial = _iso_exp(M, x, a, -r * vec)
             f_trial = float(f(trial))
             if f_trial < fx:
-                accepted = True
                 break
             r *= cfg.c
-        if not accepted:
+        else:
             trace.stalled = True
             raise StallError(
                 f"line search stalled at objective {fx:.6e}", x, trace)
-        if not S.contains(trial):
+        a = M.diffeo.forward(trial)
+        if not S._contains_phi(a):
             raise DomainError("iterate drifted off the submanifold")
         x, fx = trial, f_trial
-        xi = tangent_projection(S, x, grad_f(x))
-        trace.append(x, xi.norm, r, objective=fx)
-    trace.converged = xi.norm / denom < cfg.tol
+        vec = _tangent_projection(S, a, grad_f(x))
+        norm = float(np.linalg.norm(vec))
+        trace.append(x, norm, r, objective=fx)
+    trace.converged = norm / denom < cfg.tol
     return x, trace
 
 

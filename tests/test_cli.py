@@ -767,22 +767,99 @@ dir = {out}
 def test_geodesic_experiment_non_finite_point_is_config_error(tmp_path, monkeypatch, end):
     monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
     out = tmp_path / "out"
-    points = {"from": "-2.0,-3.0", "to": "2.0,3.0", end: "nan,-3.0"}
+    points = {"from": "-2.0,-3.0", "to": "2.0,3.0"}
     text = f"""
 [geometry]
 name = banana
 
 [experiment]
 kind = geodesic
-from = {points["from"]}
-to = {points["to"]}
+from = {{from}}
+to = {{to}}
 
 [output]
 dir = {out}
 """
-    code = experiments.run(load_config(write_config(tmp_path, text)))
+    want = f"experiment.{end}: coordinates must be finite, got nan,-3.0"
+    bad = write_config(tmp_path, text.format(**{**points, end: "nan,-3.0"}), "bad.ini")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(bad)
+    assert excinfo.value.problems == [want]
+    # A config edited after loading still fails in the run, as a config error.
+    config = load_config(write_config(tmp_path, text.format(**points)))
+    config.extras[end] = "nan,-3.0"
+    code = experiments.run(config)
     assert code == experiments.EXIT_USAGE
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["error"].endswith(
-        f"experiment.{end}: coordinates must be finite, got nan,-3.0")
+    assert manifest["error"].endswith(want)
     assert not (out / "geodesic.csv").exists()
+
+
+GEODESIC_POINT_TEXT = """
+[geometry]
+name = banana
+
+[experiment]
+kind = geodesic
+{lines}
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.parametrize("lines, want", [
+    ("to = 2.0,3.0\n", "experiment.from: key is required"),
+    ("from = -2.0,-3.0\n", "experiment.to: key is required"),
+    ("from = zero\nto = 2.0,3.0\n",
+     "experiment.from: could not convert string to float: 'zero'"),
+    ("from = -2.0,-3.0\nto = 1.0\n",
+     "experiment.to: expected 2 comma-separated coordinates, got 1"),
+    ("from = -2.0,-3.0,0.0\nto = 2.0,3.0\n",
+     "experiment.from: expected 2 comma-separated coordinates, got 3"),
+    ("from = -2.0,-3.0\nto = 2.0,inf\n",
+     "experiment.to: coordinates must be finite, got 2.0,inf"),
+])
+def test_geodesic_points_are_checked_at_load(tmp_path, monkeypatch, lines, want):
+    # validate and run agree: both exit 2 with the same problem, before any output.
+    monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    out = tmp_path / "out"
+    path = str(write_config(tmp_path, GEODESIC_POINT_TEXT.format(lines=lines, out=out)))
+    runner = CliRunner()
+    for command in ("validate", "run"):
+        result = runner.invoke(main, [command, path])
+        assert result.exit_code == experiments.EXIT_USAGE
+        assert result.stderr == f"error: {want}\n"
+    assert not out.exists()
+
+
+def test_ratios_on_more_than_two_dimensions_is_config_error(tmp_path, monkeypatch):
+    # The ratio grid spans x1 and x2 only: at d = 3 every row would be NaN.
+    monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    out = tmp_path / "out"
+    text = f"""
+[geometry]
+name = identity
+dim = {{dim}}
+
+[experiment]
+kind = ratios
+grid_n = 3
+
+[dataset]
+kind = two_clusters
+n = 6
+seed = 1
+
+[output]
+dir = {out}
+"""
+    want = "experiment.kind: a ratios grid spans 2 axes, the geometry has 3 dimensions"
+    path = str(write_config(tmp_path, text.format(dim=3)))
+    runner = CliRunner()
+    for command in ("validate", "run"):
+        result = runner.invoke(main, [command, path])
+        assert result.exit_code == experiments.EXIT_USAGE
+        assert result.stderr == f"error: {want}\n"
+    assert not out.exists()
+    assert experiments.run(load_config(write_config(tmp_path, text.format(dim=2)))) == 0
+    assert (out / "ratios.csv").read_text().startswith("x0,x1,monotonicity,lipschitz\n")

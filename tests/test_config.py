@@ -140,8 +140,9 @@ def test_config_missing_sections_are_exact(tmp_path):
         "geometry.name: key is required", "dataset.kind: key is required"]
 
 
+# A geodesic needs its from and to (checked at load), so its case sets both.
 @pytest.mark.parametrize("kind, want", [
-    ("geodesic", {"from": None, "to": None, "samples": 100, "iso": True}),
+    ("geodesic", {"from": "0,0", "to": "1,1", "samples": 100, "iso": True}),
     ("barycentre", {}),
     ("kmeans", {"k": 2}),
     ("inverse", {"rows": 2, "op_seed": 0, "noise": 0.0, "offset": 4.0,
@@ -152,7 +153,8 @@ def test_config_missing_sections_are_exact(tmp_path):
     ("rankr", {"r": 2}),
 ])
 def test_omitted_extras_take_their_defaults(tmp_path, kind, want):
-    cfg = load_config(write(tmp_path, {"experiment": {"kind": kind, "k": None}}))
+    ends = {"from": "0,0", "to": "1,1"} if kind == "geodesic" else {}
+    cfg = load_config(write(tmp_path, {"experiment": {"kind": kind, "k": None, **ends}}))
     assert cfg.extras == want
     assert list(cfg.echo()["experiment"]) == ["kind", *want]
 
@@ -257,6 +259,19 @@ def test_geometry_parameters_are_checked_at_load(tmp_path, monkeypatch, edits, w
     ({"solver": {"max_backtracks": "0"}},
      "solver: max_backtracks must be >= 1, got 0"),
     ({"solver": {"max_iters": "-1"}}, "solver: max_iters must be >= 0, got -1"),
+    # A geodesic's points are parsed at load, not when the run starts.
+    ({"experiment": {"kind": "geodesic", "k": None, "to": "1,1"}},
+     "experiment.from: key is required"),
+    ({"experiment": {"kind": "geodesic", "k": None, "from": "zero", "to": "1,1"}},
+     "experiment.from: could not convert string to float: 'zero'"),
+    ({"experiment": {"kind": "geodesic", "k": None, "from": "nan,-3.0", "to": "1,1"}},
+     "experiment.from: coordinates must be finite, got nan,-3.0"),
+    ({"experiment": {"kind": "geodesic", "k": None, "from": "0,0", "to": "1,1,1"}},
+     "experiment.to: expected 2 comma-separated coordinates, got 3"),
+    # The ratio grid spans x1 and x2 only.
+    ({"geometry": {"name": "identity", "beta": None, "eta": None, "dim": "3"},
+      "experiment": {"kind": "ratios", "k": None}},
+     "experiment.kind: a ratios grid spans 2 axes, the geometry has 3 dimensions"),
 ])
 def test_values_no_run_can_use_are_config_errors(tmp_path, monkeypatch, edits, want):
     monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
@@ -305,7 +320,8 @@ def test_non_finite_experiment_floats_are_config_errors(tmp_path, monkeypatch,
     {"experiment": {"k": "16"}, "dataset": {"kind": "grid", "n": "4"}},
     {"experiment": {"kind": "rankr", "k": None, "r": "2"}},
     {"experiment": {"kind": "ratios", "k": None, "grid_n": "1"}},
-    {"experiment": {"kind": "geodesic", "k": None, "samples": "0"}},
+    {"experiment": {"kind": "geodesic", "k": None, "samples": "0",
+                    "from": "0,0", "to": "1,1"}},
     {"experiment": {"kind": "inverse", "k": None, "op_seed": "0", "rows": "1"}},
     {"dataset": {"seed": "0", "gap": "15.5"}},
     {"geometry": {"name": "sinh_shift_1d", "beta": None, "eta": None},
