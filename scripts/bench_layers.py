@@ -8,6 +8,10 @@ Prints one JSON object:
   rule; the lines join seeded random points of the geometry);
 - ``arc_table_minflt``: minor page faults (``ru_minflt``) per warm
   480-line ``_arc_table`` call of each geometry, over 5 calls;
+- ``jacobian_us``: best of 5 x 2000 calls, the time per call (µs) of
+  ``forward``, ``inverse``, ``jvp``, ``inv_jvp`` and ``speed`` of each
+  built-in at 1 (a ``(d,)`` point), 60 and 480 points, with one vector per
+  point (the inverse side at the forward images of the points);
 - ``per_call_us``: best of 5 x 50 calls of ``lc_distance``,
   ``iso_distance``, ``iso_log``, ``iso_transport``, scalar-t
   ``iso_geodesic`` and ``iso_exp`` on river(5, 0.25), (0,-8) -> (3,8);
@@ -98,6 +102,7 @@ from isogeo.isomaps import _arc_table  # noqa: E402
 from isogeo.quadrature import REFINE_XTOL, newton_roots  # noqa: E402
 
 LINE_COUNTS = (1, 30, 128, 480)
+JACOBIAN_POINTS = (1, 60, 480)
 BATCH_DIMS = (2, 64, 256)
 COLD_SAMPLES = 5
 REWRITES = 200
@@ -149,6 +154,26 @@ def arc_table_times():
             _arc_table(M, a, w)
         faults[name] = (_minflt() - before) / 5
     return times, faults
+
+
+def jacobian_times():
+    rng = np.random.default_rng(0)
+    times = {}
+    for name, make in GEOMETRIES.items():
+        M = ig.PullbackManifold(make())
+        d = M.diffeo
+        x = _points(name, M, rng, max(JACOBIAN_POINTS))
+        y, v = d.forward(x), rng.standard_normal(x.shape)
+        times[name] = {fn: {} for fn in ("forward", "inverse", "jvp", "inv_jvp", "speed")}
+        for n in JACOBIAN_POINTS:
+            part = 0 if n == 1 else slice(n)
+            xs, ys, vs = x[part], y[part], v[part]
+            calls = {"forward": lambda: d.forward(xs), "inverse": lambda: d.inverse(ys),
+                     "jvp": lambda: d.jvp(xs, vs), "inv_jvp": lambda: d.inv_jvp(ys, vs),
+                     "speed": lambda: d.speed(ys, vs)}
+            for fn, call in calls.items():
+                times[name][fn][str(n)] = 1e6 * _best(call, number=2000)
+    return times
 
 
 def per_call_times():
@@ -441,6 +466,7 @@ def main(argv):
         "numpy": np.__version__,
         "arc_table_ms": times,
         "arc_table_minflt": faults,
+        "jacobian_us": jacobian_times(),
         "per_call_us": per_call_times(),
         "iso_exp_quadratures": iso_exp_quadratures(),
         "identity_batch": identity_batches(),

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Minor page faults, wall time and iso_exp quadratures per warm workload pass.
+"""Minor page faults, wall time, quadratures and map traffic per warm workload pass.
 
 Builds one ``perfbench`` workload at a seed, runs every task once to warm
 up, then runs ``--passes`` more passes and prints one JSON object with, per
@@ -10,6 +10,12 @@ pass:
 - ``quadratures``: full quadrature rules built by ``isomaps`` (one per
   ``vectorchange`` probe that integrates), counted through
   ``isomaps.composite_nodes``;
+- ``diffeo_calls`` and ``diffeo_points``: for each ``Diffeomorphism``
+  callable (``forward``, ``inverse``, ``jvp``, ``inv_jvp``, ``speed``), the
+  calls it took and the points they carried, where a call on ``(..., d)``
+  arrays carries the size of their broadcast ``(...)`` shape.  Every
+  ``Diffeomorphism`` built after start-up has its callables wrapped, which
+  adds a few microseconds per call to ``wall_s``;
 
 and the process's peak RSS.  ``--pass-bytes`` sets ``isomaps.PASS_BYTES``
 for a sweep of the pass size; it is ignored by a checkout without it.
@@ -25,18 +31,43 @@ Usage:
 
 import argparse
 import json
+import math
 import resource
 import shutil
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
-from isogeo import isomaps  # noqa: E402
+from isogeo import diffeos, isomaps  # noqa: E402
+
+DIFFEO_CALLABLES = ("forward", "inverse", "jvp", "inv_jvp", "speed")
+
+
+def count_diffeo_traffic(calls, points):
+    """Count into ``calls`` and ``points`` what every later Diffeomorphism is asked."""
+    init = diffeos.Diffeomorphism.__init__
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            points[name] += math.prod(np.broadcast_shapes(*map(np.shape, args))[:-1])
+            return fn(*args)
+        return call
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        for name in DIFFEO_CALLABLES:
+            if hasattr(self, name):
+                setattr(self, name, counted(name, getattr(self, name)))
+
+    diffeos.Diffeomorphism.__init__ = counting_init
 
 
 def main(argv=None):
@@ -57,14 +88,18 @@ def main(argv=None):
         return rule(*rule_args)
 
     isomaps.composite_nodes = counted
+    calls, points = Counter(), Counter()
+    count_diffeo_traffic(calls, points)
     workdir = tempfile.mkdtemp(prefix="bench-passes-")
     try:
         tasks = workloads.WORKLOADS[args.workload](args.seed, workdir).tasks
         for task in tasks:
             task.call()
-        minflt, walls, quadratures = [], [], []
+        minflt, walls, quadratures, diffeo_calls, diffeo_points = [], [], [], [], []
         for _ in range(args.passes):
             built.clear()
+            calls.clear()
+            points.clear()
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             started = time.perf_counter()
             for task in tasks:
@@ -72,6 +107,8 @@ def main(argv=None):
             walls.append(time.perf_counter() - started)
             minflt.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             quadratures.append(len(built))
+            diffeo_calls.append({name: calls[name] for name in DIFFEO_CALLABLES})
+            diffeo_points.append({name: points[name] for name in DIFFEO_CALLABLES})
     finally:
         shutil.rmtree(workdir)
     print(json.dumps({
@@ -79,6 +116,7 @@ def main(argv=None):
         "pass_bytes": getattr(isomaps, "PASS_BYTES", None),
         "minflt": minflt, "wall_s": [round(t, 4) for t in walls],
         "quadratures": quadratures,
+        "diffeo_calls": diffeo_calls, "diffeo_points": diffeo_points,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
     return 0
 

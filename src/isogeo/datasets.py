@@ -41,6 +41,10 @@ class DatasetSpec:
         if self.kind not in DATASET_KINDS:
             raise ValueError(
                 f"unknown dataset kind {self.kind!r}; known: {DATASET_KINDS}")
+        for key in ("noise_sigma", "t_min", "t_max", "center", "gap"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.seed < 0:

@@ -35,6 +35,10 @@ class LineSearchConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
+        for key in ("r0", "c", "tol"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         if self.r0 <= 0:
             raise ValueError(f"r0 must be > 0, got {self.r0}")
         if not 0.0 < self.c < 1.0:

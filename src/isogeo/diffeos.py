@@ -50,9 +50,12 @@ def _l2_norm(v):
     return np.sqrt(sq, out=sq)
 
 
-def _component_out(x, v):
-    """One C-contiguous float ``(..., d)`` array for a Jacobian action at x on v."""
-    return np.empty(np.broadcast(x, v).shape)
+def _stack(*components):
+    """The C-contiguous ``(..., d)`` array of d ``(...)`` components, broadcast."""
+    out = np.empty(np.broadcast(*components).shape + (len(components),))
+    for k, component in enumerate(components):
+        out[..., k] = component
+    return out
 
 
 def _speed_out(y, w):
@@ -69,12 +72,15 @@ def _require_finite(factory, **params):
 class Diffeomorphism:
     """A smooth invertible map of R^d bundled with its Jacobian actions.
 
+    Every callable acts on the last axis of ``(..., d)`` arrays, and the
+    Jacobian actions broadcast the point against the vector.
+
     Parameters
     ----------
     dim : int
         Ambient dimension d.
     forward, inverse : callable
-        The map and its inverse, acting on the last axis of ``(..., d)`` arrays.
+        The map and its inverse.
     jvp : callable, optional
         ``jvp(x, v)``, the Jacobian of ``forward`` at x applied to v.
         Defaults to central finite differences of ``forward``.
@@ -82,14 +88,9 @@ class Diffeomorphism:
         ``inv_jvp(y, w)``, the Jacobian of ``inverse`` at y applied to w.
         Defaults to central finite differences of ``inverse``.
     speed : callable, optional
-        ``speed(y, w)``, the l2 norm of ``inv_jvp(y, w)``: ``(..., d)`` in,
-        ``(...)`` out.  It is the integrand of every arc length, evaluated
-        at each quadrature node, so a closed form that skips work of
-        ``inv_jvp`` pays off: the spiral's inverse is polar (radius beta r
-        at angle r + theta), so its speed needs no cos or sin, which numpy
-        may run as libm's scalar loop at several times the cost of exp or
-        sqrt per element.  Defaults to the norm of ``inv_jvp``, with the
-        bits of ``np.linalg.norm``.
+        ``speed(y, w)``, the ``(...)`` l2 norms of ``inv_jvp(y, w)``: the
+        integrand of every arc length, evaluated at each quadrature node.
+        Defaults to the norm of ``inv_jvp``, with the bits of ``np.linalg.norm``.
     """
 
     def __init__(self, dim, forward, inverse, jvp=None, inv_jvp=None,
@@ -121,7 +122,9 @@ def identity(dim=2):
         return np.asarray(x, dtype=float).copy()
 
     def vec(x, v):
-        return np.asarray(v, dtype=float).copy()
+        out = np.empty(np.broadcast(x, v).shape)
+        out[...] = v
+        return out
 
     def speed(y, w):
         return _l2_norm(np.asarray(w, dtype=float))
@@ -139,38 +142,24 @@ def river(beta=5.0, eta=0.25):
     def forward(x):
         x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
-        return np.stack([x1 - beta * np.sin(x2), np.sinh(eta * x2)], axis=-1)
+        return _stack(x1 - beta * np.sin(x2), np.sinh(eta * x2))
 
     def inverse(y):
         y = np.asarray(y, dtype=float)
         y1, y2 = y[..., 0], y[..., 1]
         x2 = np.arcsinh(y2) / eta
-        return np.stack([y1 + beta * np.sin(x2), x2], axis=-1)
+        return _stack(y1 + beta * np.sin(x2), x2)
 
     def jvp(x, v):
-        out = _component_out(x, v)
-        dy1, dy2 = out[..., 0], out[..., 1]
         x2, v2 = x[..., 1], v[..., 1]
-        # (v1 - beta cos(x2) v2, eta cosh(eta x2) v2)
-        t = np.cos(x2)
-        t *= beta
-        np.multiply(t, v2, out=dy1)
-        np.subtract(v[..., 0], dy1, out=dy1)
-        t = np.cosh(eta * x2)
-        t *= eta
-        np.multiply(t, v2, out=dy2)
-        return out
+        return _stack(v[..., 0] - beta * np.cos(x2) * v2,
+                      eta * np.cosh(eta * x2) * v2)
 
     def inv_jvp(y, w):
-        out = _component_out(y, w)
-        y2, dx1, dx2 = y[..., 1], out[..., 0], out[..., 1]
-        np.divide(w[..., 1], eta * np.sqrt(1.0 + y2 ** 2), out=dx2)
+        y2 = y[..., 1]
+        dx2 = w[..., 1] / (eta * np.sqrt(1.0 + y2 ** 2))
         # w1 + beta cos(x2) dx2 at x2 = arcsinh(y2) / eta
-        t = np.cos(np.arcsinh(y2) / eta)
-        t *= beta
-        np.multiply(t, dx2, out=dx1)
-        dx1 += w[..., 0]
-        return out
+        return _stack(w[..., 0] + beta * np.cos(np.arcsinh(y2) / eta) * dx2, dx2)
 
     def speed(y, w):
         # The operations of inv_jvp and of the norm, in place.
@@ -209,45 +198,35 @@ def spiral(beta=0.25):
             raise DomainError("spiral map is undefined at the origin")
         angle = np.mod(np.arctan2(x2, x1), TWO_PI)
         r = radius / beta
-        return np.stack([r, np.mod(angle - r, TWO_PI)], axis=-1)
+        return _stack(r, np.mod(angle - r, TWO_PI))
 
     def inverse(p):
         p = np.asarray(p, dtype=float)
         r, theta = p[..., 0], p[..., 1]
         if np.any(r <= 0.0):
             raise DomainError("spiral inverse requires positive radial coordinate")
-        return beta * r[..., None] * np.stack(
-            [np.cos(r + theta), np.sin(r + theta)], axis=-1)
+        radius, angle = beta * r, r + theta
+        return _stack(radius * np.cos(angle), radius * np.sin(angle))
 
     def jvp(x, v):
         x1, x2 = x[..., 0], x[..., 1]
         radius = np.hypot(x1, x2)
         if np.any(radius == 0.0):
             raise DomainError("spiral map is undefined at the origin")
-        out = _component_out(x, v)
-        radial, angular = out[..., 0], out[..., 1]
-        np.divide(x1 * v[..., 0] + x2 * v[..., 1], beta * radius, out=radial)
+        radial = (x1 * v[..., 0] + x2 * v[..., 1]) / (beta * radius)
         # radius ** 2 as written: a numpy scalar's ** calls libm pow, an array's squares.
-        np.divide(x1 * v[..., 1] - x2 * v[..., 0], radius ** 2, out=angular)
-        angular -= radial
-        return out
+        return _stack(radial, (x1 * v[..., 1] - x2 * v[..., 0]) / radius ** 2 - radial)
 
     def inv_jvp(p, w):
         r, theta = p[..., 0], p[..., 1]
         if np.any(r <= 0.0):
             raise DomainError("spiral inverse requires positive radial coordinate")
-        out = _component_out(p, w)
-        dx1, dx2 = out[..., 0], out[..., 1]
         wr, wt = w[..., 0], w[..., 1]
-        c, s = np.cos(r + theta), np.sin(r + theta)
+        angle = r + theta
+        c, s = np.cos(angle), np.sin(angle)
         rs, rc = r * s, r * c
         # beta ((c - r s) wr - r s wt, (s + r c) wr + r c wt)
-        np.multiply(c - rs, wr, out=dx1)
-        dx1 -= rs * wt
-        np.multiply(s + rc, wr, out=dx2)
-        dx2 += rc * wt
-        out *= beta
-        return out
+        return beta * _stack((c - rs) * wr - rs * wt, (s + rc) * wr + rc * wt)
 
     def speed(p, w):
         # inv_jvp rotates beta (wr, r (wr + wt)) by the angle r + theta, so
@@ -275,30 +254,18 @@ def banana(a=1.0 / 9.0, z=0.0):
     def forward(x):
         x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
-        return np.stack([x1 - a * x2 ** 2 - z, x2], axis=-1)
+        return _stack(x1 - a * x2 ** 2 - z, x2)
 
     def inverse(y):
         y = np.asarray(y, dtype=float)
         y1, y2 = y[..., 0], y[..., 1]
-        return np.stack([y1 + a * y2 ** 2 + z, y2], axis=-1)
+        return _stack(y1 + a * y2 ** 2 + z, y2)
 
     def jvp(x, v):
-        # (v1 - 2 a x2 v2, v2)
-        out = _component_out(x, v)
-        dy1 = out[..., 0]
-        np.multiply(2.0 * a * x[..., 1], v[..., 1], out=dy1)
-        np.subtract(v[..., 0], dy1, out=dy1)
-        out[..., 1] = v[..., 1]
-        return out
+        return _stack(v[..., 0] - 2.0 * a * x[..., 1] * v[..., 1], v[..., 1])
 
     def inv_jvp(y, w):
-        # (w1 + 2 a y2 w2, w2)
-        out = _component_out(y, w)
-        dx1 = out[..., 0]
-        np.multiply(2.0 * a * y[..., 1], w[..., 1], out=dx1)
-        dx1 += w[..., 0]
-        out[..., 1] = w[..., 1]
-        return out
+        return _stack(w[..., 0] + 2.0 * a * y[..., 1] * w[..., 1], w[..., 1])
 
     def speed(y, w):
         # sqrt((w1 + 2 a y2 w2)^2 + w2^2), the operations of inv_jvp and the norm.

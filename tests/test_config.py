@@ -51,6 +51,18 @@ def problems(tmp_path, edits=None, drop=()):
     return excinfo.value.problems
 
 
+def assert_config_error(tmp_path, edits, want):
+    """The one problem ``want`` at load, and a usage exit of validate and run."""
+    assert problems(tmp_path, edits) == [want]
+    path = str(write(tmp_path, edits))
+    runner = CliRunner()
+    result = runner.invoke(main, ["validate", path])
+    assert result.exit_code == experiments.EXIT_USAGE
+    assert result.stderr == f"error: {want}\n"
+    result = runner.invoke(main, ["run", path])
+    assert result.exit_code == experiments.EXIT_USAGE
+
+
 @pytest.mark.parametrize("edits, want", [
     ({"experiment": {"k": "two"}},
      ["experiment.k: invalid literal for int() with base 10: 'two'"]),
@@ -275,14 +287,7 @@ def test_geometry_parameters_are_checked_at_load(tmp_path, monkeypatch, edits, w
 ])
 def test_values_no_run_can_use_are_config_errors(tmp_path, monkeypatch, edits, want):
     monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
-    assert problems(tmp_path, edits) == [want]
-    path = str(write(tmp_path, edits))
-    runner = CliRunner()
-    result = runner.invoke(main, ["validate", path])
-    assert result.exit_code == experiments.EXIT_USAGE
-    assert result.stderr == f"error: {want}\n"
-    result = runner.invoke(main, ["run", path])
-    assert result.exit_code == experiments.EXIT_USAGE
+    assert_config_error(tmp_path, edits, want)
 
 
 # Every float [experiment] key: a NaN or an infinity would reach the run as a
@@ -305,14 +310,28 @@ def test_non_finite_experiment_floats_are_config_errors(tmp_path, monkeypatch,
     monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
     edits = {"experiment": {"kind": kind, "k": None, key: value}}
     want = f"experiment.{key}: must be finite, got {float(value)}"
-    assert problems(tmp_path, edits) == [want]
-    path = str(write(tmp_path, edits))
-    runner = CliRunner()
-    result = runner.invoke(main, ["validate", path])
-    assert result.exit_code == experiments.EXIT_USAGE
-    assert result.stderr == f"error: {want}\n"
-    result = runner.invoke(main, ["run", path])
-    assert result.exit_code == experiments.EXIT_USAGE
+    assert_config_error(tmp_path, edits, want)
+
+
+# Every float [solver] and [dataset] key: a NaN or an infinity would run as no
+# noise, never converge, or end in a traceback or a NaN residual.
+SETTINGS_FLOATS = [(section, f.name) for section, cls in (("solver", LineSearchConfig),
+                                                           ("dataset", DatasetSpec))
+                   for f in dataclasses.fields(cls) if f.type is float]
+
+
+def test_settings_floats_cover_solver_and_dataset():
+    assert SETTINGS_FLOATS == [("solver", key) for key in ("r0", "c", "tol")] + [
+        ("dataset", key) for key in ("noise_sigma", "t_min", "t_max", "center", "gap")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", SETTINGS_FLOATS)
+def test_non_finite_settings_floats_are_config_errors(tmp_path, monkeypatch,
+                                                      section, key, value):
+    monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    assert_config_error(tmp_path, {section: {key: value}},
+                        f"{section}: {key} must be finite, got {float(value)}")
 
 
 @pytest.mark.parametrize("edits", [

@@ -178,8 +178,16 @@ def test_batch_maps_equal_point_by_point_maps(any_manifold):
     V = rng.standard_normal(X.shape)
     d = M.diffeo
     Y = d.forward(X)
+    x, y, v = X[0], Y[0], V[0]
     for got, one in [(Y, lambda i: d.forward(X[i])),
                      (d.inverse(Y), lambda i: d.inverse(Y[i])),
                      (d.jvp(X, V), lambda i: d.jvp(X[i], V[i])),
-                     (d.inv_jvp(Y, V), lambda i: d.inv_jvp(Y[i], V[i]))]:
+                     (d.inv_jvp(Y, V), lambda i: d.inv_jvp(Y[i], V[i])),
+                     # A batch of points against one vector, and one point
+                     # against a batch of vectors: x broadcasts against v.
+                     (d.jvp(X, v), lambda i: d.jvp(X[i], v)),
+                     (d.inv_jvp(Y, v), lambda i: d.inv_jvp(Y[i], v)),
+                     (d.jvp(x, V), lambda i: d.jvp(x, V[i])),
+                     (d.inv_jvp(y, V), lambda i: d.inv_jvp(y, V[i]))]:
+        assert got.shape == X.shape and got.flags.c_contiguous
         assert np.array_equal(got, np.array([one(i) for i in range(len(X))]))
