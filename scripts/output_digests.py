@@ -15,7 +15,11 @@ Prints one JSON object:
   or the sha256 of its result array (a speed profile), and the problems
   its check found;
 - ``src_lines``: physical and code lines (neither blank nor only a ``#``
-  comment) of each ``src/isogeo`` module, with their totals.
+  comment) of each ``src/isogeo`` module, with their totals;
+- ``stalls``: for each of ``river_barycentre``, ``river_ratios`` and
+  ``banana_inverse``, the exit code and digests of the same run with the
+  stall recipe of ``tests/test_cli.py`` in its ``[solver]`` section, so
+  that the comparison covers the best-iterate path of a stalled solve.
 
 It imports ``isogeo`` from the ``src/`` and the workloads from the
 ``perfbench/`` next to this script, so a copy placed in another checkout
@@ -33,6 +37,7 @@ Usage:
 """
 
 import argparse
+import configparser
 import hashlib
 import json
 import shutil
@@ -61,21 +66,42 @@ GEODESIC_CASES = {
 GEODESIC_SAMPLES = (1, 2, 57)
 BAD_FROM = ("0,0,0,0", "zero")
 
+# The solver settings of test_run_stall_exit_code_and_partial_trace: a
+# tolerance no run reaches and three backtracks at c = 0.95 from r0 = 8.
+# Each of the three runs stalls and exits 3.
+STALL_SOLVER = {"tol": "1e-12", "r0": "8.0", "c": "0.95", "max_backtracks": "3"}
+STALL_CONFIGS = ("river_barycentre", "river_ratios", "banana_inverse")
+
 
 def sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def run_digest(runner, path, outdir):
+    """Exit code of ``isogeo run`` on one config and the digests of its outputs."""
+    result = runner.invoke(cli, ["run", str(path)],
+                           env={"ISOGEO_OUTPUT_DIR": str(outdir)})
+    files = {} if not outdir.is_dir() else {
+        f.name: sha256(f.read_bytes()) for f in sorted(outdir.iterdir())
+        if f.suffix == ".csv" or f.name == "summary.json"}
+    return {"exit": result.exit_code, "files": files}
+
+
 def config_digests(runner, workdir):
+    return {path.name: run_digest(runner, path, workdir / "configs" / path.stem)
+            for path in sorted((ROOT / "configs").glob("*.ini"))}
+
+
+def stall_digests(runner, workdir):
     out = {}
-    for path in sorted((ROOT / "configs").glob("*.ini")):
-        outdir = workdir / "configs" / path.stem
-        result = runner.invoke(cli, ["run", str(path)],
-                               env={"ISOGEO_OUTPUT_DIR": str(outdir)})
-        files = {} if not outdir.is_dir() else {
-            f.name: sha256(f.read_bytes()) for f in sorted(outdir.iterdir())
-            if f.suffix == ".csv" or f.name == "summary.json"}
-        out[path.name] = {"exit": result.exit_code, "files": files}
+    for stem in STALL_CONFIGS:
+        parser = configparser.ConfigParser()
+        parser.read(ROOT / "configs" / f"{stem}.ini")
+        parser["solver"].update(STALL_SOLVER)
+        path = workdir / f"{stem}_stall.ini"
+        with open(path, "w") as handle:
+            parser.write(handle)
+        out[f"{stem}.ini"] = run_digest(runner, path, workdir / "stalls" / stem)
     return out
 
 
@@ -168,6 +194,7 @@ def main(argv=None):
         report = {"configs": config_digests(runner, workdir),
                   "geodesic": geodesic_digests(runner, workdir),
                   "workloads": workload_digests(args.seeds, workdir),
+                  "stalls": stall_digests(runner, workdir),
                   "src_lines": src_lines()}
     finally:
         shutil.rmtree(workdir)

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import LineSearchConfig, iso_barycentre
-from .errors import StallError
+from .descent import LineSearchConfig, _solve, iso_barycentre
+from .errors import DimensionError
 from .isomaps import _arc_table
 from .pullback import as_point
 
@@ -24,8 +24,9 @@ CENTROID_MOVEMENT_TOL = 1e-4
 # PRUNE_FACTOR times the computed distance d0 to the point's chord-nearest
 # centroid: if the rule under-estimates that centroid's arc length by less
 # than half, its computed distance exceeds chord / 2 > d0, so it could not
-# have been the argmin, nor tied with it.  The 64x4 rule's worst relative
-# error measured on random lines is 2.2e-6 (sinh).
+# have been the argmin, nor tied with it.  On sinh_shift_1d lines between
+# random points of [-R, R] the 64x4 rule's worst relative error is 2.5e-6 at
+# R = 4, 3.7e-2 at R = 6 and 0.74 at R = 8, so there this premise can fail.
 PRUNE_FACTOR = 2.0
 
 
@@ -38,6 +39,14 @@ class ClusteringResult:
     iterations: int
     converged: bool
     stalls: int = 0
+
+
+def _point_stack(points, dim=None):
+    """The points as a validated finite ``(n, d)`` float array, d = dim when given."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise DimensionError(f"points must be an (n, d) stack, got shape {points.shape}")
+    return as_point(points, dim, "points", batch=True)
 
 
 def _kmeans_pp_init(points, K, rng):
@@ -70,7 +79,7 @@ def euclidean_kmeans(points, K, seed):
     reseed never empties another cluster.  Ties in assignment break toward
     the lowest cluster index.
     """
-    points = np.asarray(points, dtype=float)
+    points = _point_stack(points)
     n = len(points)
     if not 1 <= K <= n:
         raise ValueError(f"K must satisfy 1 <= K <= N = {n}, got {K}")
@@ -107,8 +116,7 @@ def riemannian_kmeans(M, points, K, seed):
     Assignments by pullback distance and closed-form barycentre updates are
     exactly Lloyd's algorithm on phi(points); centroids map back via phi^-1.
     """
-    points = np.asarray(points, dtype=float)
-    result = euclidean_kmeans(M.diffeo.forward(points), K, seed)
+    result = euclidean_kmeans(M.diffeo.forward(_point_stack(points, M.dim)), K, seed)
     return ClusteringResult(result.labels,
                             M.diffeo.inverse(result.centroids),
                             result.iterations, result.converged)
@@ -126,10 +134,8 @@ def _nearest(M, points, centroids):
     Per-line values do not depend on the batch, so the distances keep their
     bits.  On the datasets of configs/{river,spiral}_kmeans.ini the search
     integrates 54-57 % of the n * K lines at K = 2, 30 % at K = 4 and
-    15-16 % at K = 8.
+    15-16 % at K = 8.  points and centroids are validated float arrays.
     """
-    points = as_point(points, M.dim, "x", batch=True)
-    centroids = as_point(centroids, M.dim, "y", batch=True)
     a = M.diffeo.forward(points)
     b = M.diffeo.forward(centroids)
     chord = np.linalg.norm(points[:, None, :] - centroids[None, :, :], axis=-1)
@@ -157,13 +163,11 @@ def iso_kmeans(M, points, K, seed, cfg=None, movement_tol=CENTROID_MOVEMENT_TOL)
     barycentre solves their best iterates (counted in ``stalls``); labels
     match the returned centroids.
     """
-    points = np.asarray(points, dtype=float)
-    n = len(points)
-    if not 1 <= K <= n:
-        raise ValueError(f"K must satisfy 1 <= K <= N = {n}, got {K}")
     if not movement_tol > 0.0:
         raise ValueError(f"movement_tol must be > 0, got {movement_tol}")
-    return _iso_kmeans(M, points, riemannian_kmeans(M, points, K, seed),
+    # riemannian_kmeans validates the points and K.
+    init = riemannian_kmeans(M, points, K, seed)
+    return _iso_kmeans(M, np.asarray(points, dtype=float), init,
                        cfg or LineSearchConfig(tol=1e-6), movement_tol)
 
 
@@ -185,11 +189,8 @@ def _iso_kmeans(M, points, init, cfg, movement_tol=CENTROID_MOVEMENT_TOL):
             members = points[labels == j]
             if len(members) == 0:
                 continue
-            try:
-                new_centroids[j], _ = iso_barycentre(M, members, cfg)
-            except StallError as stall:
-                new_centroids[j] = stall.best
-                stalls += 1
+            new_centroids[j], _, stalled = _solve(iso_barycentre, M, members, cfg)
+            stalls += stalled
         movement = float(np.sqrt(np.sum((new_centroids - centroids) ** 2)))
         centroids = new_centroids
         if movement < movement_tol:

@@ -193,13 +193,21 @@ def iso_barycentre(M, points, cfg=None, x0=None):
                 break
             r *= cfg.c
         else:
-            trace.stalled = True
             raise StallError(
                 f"line search stalled at field norm {norm:.3e}", x, trace)
         x, a, vec, norm = trial, a_trial, vec_trial, norm_trial
         trace.append(x, norm, r)
     trace.converged = norm < cfg.tol
     return x, trace
+
+
+def _solve(solver, *args):
+    """``(point, trace, stalled)`` of a line-search solver; the best iterate on a stall."""
+    try:
+        point, trace = solver(*args)
+    except StallError as stall:
+        return stall.best, stall.trace, True
+    return point, trace, False
 
 
 def barycentre_ratio_field(M, x, points, use_iso_log=True):

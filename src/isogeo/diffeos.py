@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, DomainError
+from .quadrature import _sum_last
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,18 +37,6 @@ def _positive_dim(dim):
     if int(dim) != dim or dim < 1:
         raise DimensionError(f"dim must be a positive integer, got {dim}")
     return int(dim)
-
-
-def _l2_norm(v):
-    """l2 norms over the last axis with the bits of ``np.linalg.norm``."""
-    if v.shape[-1] >= 8:
-        # add.reduce sums 8 or more terms in pairwise blocks: keep its order.
-        return np.linalg.norm(v, axis=-1)
-    # Below 8 terms add.reduce adds in this order, so the sums are its bits.
-    sq = np.square(v[..., 0], out=np.empty(v.shape[:-1]))
-    for k in range(1, v.shape[-1]):
-        sq += np.square(v[..., k])
-    return np.sqrt(sq, out=sq)
 
 
 def _stack(*components):
@@ -106,8 +95,8 @@ class Diffeomorphism:
         self.params = dict(params) if params else {}
 
     def speed(self, y, w):
-        """The default speed: the l2 norm of ``inv_jvp(y, w)``."""
-        return _l2_norm(self.inv_jvp(y, w))
+        """The default speed: the l2 norm of ``inv_jvp(y, w)``, with ``np.linalg.norm``'s bits."""
+        return np.sqrt(_sum_last(np.square(self.inv_jvp(y, w))))
 
     def __repr__(self):
         args = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -126,11 +115,8 @@ def identity(dim=2):
         out[...] = v
         return out
 
-    def speed(y, w):
-        return _l2_norm(np.asarray(w, dtype=float))
-
     return Diffeomorphism(dim, fwd, fwd, vec, vec, name="identity",
-                          params={"dim": dim}, speed=speed)
+                          params={"dim": dim})
 
 
 def river(beta=5.0, eta=0.25):

@@ -25,10 +25,11 @@ class StallError(RuntimeError):
     """Backtracking line search could not find an acceptable step.
 
     Carries the best iterate seen so far (``best``) and the convergence
-    trace up to the stall (``trace``).
+    trace up to the stall (``trace``), which it marks stalled.
     """
 
     def __init__(self, message, best, trace):
         super().__init__(message)
+        trace.stalled = True
         self.best = best
         self.trace = trace

@@ -19,7 +19,7 @@ import numpy as np
 from .clustering import _iso_kmeans, adjusted_rand_index, euclidean_kmeans, riemannian_kmeans
 from .config import ConfigError, _parse_point
 from .datasets import generate_dataset
-from .descent import _field_points, _mean_vecs, iso_barycentre
+from .descent import _field_points, _mean_vecs, _solve, iso_barycentre
 from .diffeos import make_diffeomorphism
 from .errors import (DegenerateBasisError, DegenerateCurveError, DomainError,
                      NonConvergenceError, StallError)
@@ -79,6 +79,14 @@ def _run_geodesic(config, M, outdir):
     return EXIT_OK, None
 
 
+def _stall_code(summary, stalled):
+    """EXIT_STALL, with ``"stalled": true`` in the summary, if the solver stalled."""
+    if not stalled:
+        return EXIT_OK
+    summary["stalled"] = True
+    return EXIT_STALL
+
+
 def _write_points(path, points, labels=None, extra=()):
     dim = points.shape[1]
     header = [f"x{i}" for i in range(dim)]
@@ -99,21 +107,13 @@ def _run_barycentre(config, M, outdir):
     euclidean_mean = pts.mean(axis=0)
     riemannian = closed_form_barycentre(M, pts)
     summary = {"euclidean_mean": euclidean_mean, "riemannian_barycentre": riemannian}
-    code = EXIT_OK
-    try:
-        bary, trace = iso_barycentre(M, pts, config.solver)
-        summary["iso_barycentre"] = bary
-        summary["converged"] = trace.converged
-    except StallError as stall:
-        trace = stall.trace
-        summary["iso_barycentre"] = stall.best
-        summary["converged"] = False
-        summary["stalled"] = True
-        code = EXIT_STALL
+    summary["iso_barycentre"], trace, stalled = _solve(
+        iso_barycentre, M, pts, config.solver)
+    summary["converged"] = trace.converged
     trace.write_csv(os.path.join(outdir, "trace.csv"))
     summary["iterations"] = len(trace) - 1
     summary["final_field_norm"] = trace.field_norms[-1]
-    return code, summary
+    return _stall_code(summary, stalled), summary
 
 
 def _run_kmeans(config, M, outdir):
@@ -290,15 +290,8 @@ def _run_inverse(config, M, outdir):
     x0 = S.point_at(extras["s0"])
     summary = {"A": A, "b": b, "x_true": x_true, "s_true": extras["s_true"],
                "offset": extras["offset"]}
-    code = EXIT_OK
-    try:
-        solution, trace = l2pg_ird(S, f, grad, x0, config.solver)
-        summary["converged"] = trace.converged
-    except StallError as stall:
-        solution, trace = stall.best, stall.trace
-        summary["converged"] = False
-        summary["stalled"] = True
-        code = EXIT_STALL
+    solution, trace, stalled = _solve(l2pg_ird, S, f, grad, x0, config.solver)
+    summary["converged"] = trace.converged
     trace.write_csv(os.path.join(outdir, "trace.csv"))
     s_grid, x_grid, f_grid, cell = grid_search_1d(
         S, f, extras["grid_min"], extras["grid_max"], extras["grid_points"],
@@ -310,7 +303,7 @@ def _run_inverse(config, M, outdir):
         "s_grid": s_grid, "grid_objective": f_grid, "grid_cell": cell,
         "param_gap": abs(s_solution - s_grid),
     })
-    return code, summary
+    return _stall_code(summary, stalled), summary
 
 
 # Failures that make a node's ratios undefined: its row reads NaN.
@@ -362,12 +355,7 @@ def _run_ratios(config, M, outdir):
     data = generate_dataset(config.dataset, M)
     pts = data.points
     _write_points(os.path.join(outdir, "points.csv"), pts, data.labels)
-    code = EXIT_OK
-    try:
-        xbar, _ = iso_barycentre(M, pts, config.solver)
-    except StallError as stall:
-        xbar = stall.best
-        code = EXIT_STALL
+    xbar, _, stalled = _solve(iso_barycentre, M, pts, config.solver)
     extras = config.extras
     axes = [np.linspace(extras["x1_min"], extras["x1_max"], extras["grid_n"])]
     if M.dim >= 2:
@@ -383,7 +371,7 @@ def _run_ratios(config, M, outdir):
     summary = {"iso_barycentre": xbar,
                "monotonicity_min": finite[:, 0].min() if len(finite) else None,
                "lipschitz_max": finite[:, 1].max() if len(finite) else None}
-    return code, summary
+    return _stall_code(summary, stalled), summary
 
 
 def _run_rankr(config, M, outdir):

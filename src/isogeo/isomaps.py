@@ -236,10 +236,11 @@ def vectorchange(M, xi):
     arc length cannot reach |xi|.  Each probe runs one quadrature, whose
     extra node at t' is the speed, the derivative of the arc length.
     """
+    base = as_point(xi.base, M.dim, "base")
     # A zero vector scales by 0 without phi, even where phi is undefined.
     if xi.norm == 0.0:
         return 0.0
-    return _vectorchange(M, xi.base, M.diffeo.forward(xi.base), xi.vec)
+    return _vectorchange(M, base, M.diffeo.forward(base), xi.vec)
 
 
 def _iso_exp(M, x, a, v):

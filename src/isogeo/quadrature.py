@@ -93,22 +93,25 @@ def unit_rule(quad):
     return rule
 
 
+def _sum_last(values):
+    """``values.sum(axis=-1)`` bit for bit, without add.reduce's slow short-axis loop."""
+    if values.shape[-1] >= 8:
+        # add.reduce sums 8 or more terms in pairwise blocks: keep its order.
+        return values.sum(axis=-1)
+    # Below 8 terms add.reduce adds the terms in order onto +0.0 (a row of
+    # -0.0 sums to +0.0).  Column adds do the same.
+    acc = np.add(values[..., 0], 0.0)
+    for k in range(1, values.shape[-1]):
+        acc += values[..., k]
+    return acc
+
+
 def panel_integrals(values, panels, nodes_per_panel):
     """Per-panel integrals from node values flattened along the last axis.
 
     Equal bit for bit to ``.sum(axis=-1)`` over the nodes of each panel.
     """
-    v = values.reshape(*values.shape[:-1], panels, nodes_per_panel)
-    if nodes_per_panel >= 8:
-        # add.reduce sums 8 or more terms in pairwise blocks: keep its order.
-        return v.sum(axis=-1)
-    # Below 8 terms add.reduce adds the nodes in order onto +0.0 (a panel of
-    # -0.0 sums to +0.0).  Column adds do the same without its slow reduction
-    # over a short axis.
-    acc = np.add(v[..., 0], 0.0)
-    for k in range(1, nodes_per_panel):
-        acc += v[..., k]
-    return acc
+    return _sum_last(values.reshape(*values.shape[:-1], panels, nodes_per_panel))
 
 
 def _check_finite(x, residual):

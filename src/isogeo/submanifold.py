@@ -148,7 +148,6 @@ def l2pg_ird(S, f, grad_f, x0, cfg):
                 break
             r *= cfg.c
         else:
-            trace.stalled = True
             raise StallError(
                 f"line search stalled at objective {fx:.6e}", x, trace)
         a = M.diffeo.forward(trial)

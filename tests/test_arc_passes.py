@@ -11,7 +11,7 @@ from isogeo import isomaps
 from isogeo.errors import DomainError, NonConvergenceError
 from isogeo.isomaps import PASS_BYTES, _arc_table, _speeds
 from isogeo.pullback import TangentVector, lc_exp
-from isogeo.quadrature import REFINE_XTOL, composite_nodes, panel_integrals, unit_rule
+from isogeo.quadrature import REFINE_XTOL, _sum_last, composite_nodes, panel_integrals, unit_rule
 
 from conftest import make_manifold, sample_point
 
@@ -100,7 +100,7 @@ def test_builtin_jacobian_actions_equal_stacked_formulas(name):
         assert_same_action(diffeo.inv_jvp(p, dirs), inv_jvp(p, dirs))
 
 
-@pytest.mark.parametrize("nodes_per_panel", range(1, 13))
+@pytest.mark.parametrize("nodes_per_panel", range(1, 17))
 def test_panel_integrals_equal_add_reduce(nodes_per_panel):
     rng = np.random.default_rng(81 + nodes_per_panel)
     panels = 9
@@ -110,11 +110,14 @@ def test_panel_integrals_equal_add_reduce(nodes_per_panel):
     values[rng.random(values.shape) < 0.2] = -0.0
     values[0, 0, :nodes_per_panel] = -0.0   # a panel of negative zeros only
     values[0, 1, :nodes_per_panel] = 0.0
-    got = panel_integrals(values, panels, nodes_per_panel)
-    want = values.reshape(3, 5, panels, nodes_per_panel).sum(axis=-1)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # _sum_last on its own, first on rows of this length (one of -0.0 only).
+    rows = values[..., :nodes_per_panel]
+    for got, want in [(_sum_last(rows), rows.sum(axis=-1)),
+                      (panel_integrals(values, panels, nodes_per_panel),
+                       values.reshape(3, 5, panels, nodes_per_panel).sum(axis=-1))]:
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def one_pass_arc_table(M, a, w):

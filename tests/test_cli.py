@@ -14,9 +14,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isogeo import clustering, experiments
+from isogeo import clustering, experiments, iso_barycentre
 from isogeo.cli import main
 from isogeo.config import ConfigError, load_config
+from isogeo.datasets import generate_dataset
 from isogeo.diffeos import Diffeomorphism, identity
 from isogeo.errors import DegenerateCurveError, DomainError, NonConvergenceError, StallError
 from isogeo.pullback import PullbackManifold
@@ -581,6 +582,25 @@ def test_run_stall_exit_code_and_partial_trace(tmp_path, monkeypatch):
     assert manifest["status"] == "stalled"
     summary = json.loads((out / "summary.json").read_text())
     assert summary["stalled"] is True
+
+
+def test_run_stalled_ratios_flags_its_summary(tmp_path, monkeypatch):
+    # The ratios grid is taken around the stalled solve's best iterate, and
+    # the summary says so, as a stalled barycentre run's does.
+    out = tmp_path / "out"
+    monkeypatch.setenv("ISOGEO_OUTPUT_DIR", str(out))
+    text = (CONFIG_DIR / "river_ratios.ini").read_text().replace(
+        "tol = 1e-6", "tol = 1e-12\nr0 = 8.0\nc = 0.95\nmax_backtracks = 3")
+    config = load_config(write_config(tmp_path, text))
+    M = experiments.build_manifold(config)
+    with pytest.raises(StallError) as stall:
+        iso_barycentre(M, generate_dataset(config.dataset, M).points, config.solver)
+    assert experiments.run(config) == experiments.EXIT_STALL
+    assert json.loads((out / "run_manifest.json").read_text())["status"] == "stalled"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stalled"] is True
+    assert summary["iso_barycentre"] == stall.value.best.tolist()
+    assert (out / "ratios.csv").exists()
 
 
 def test_manifest_written_on_error(tmp_path, monkeypatch):

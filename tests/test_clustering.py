@@ -50,6 +50,28 @@ def test_euclidean_kmeans_k_one_is_mean():
     np.testing.assert_allclose(res.centroids[0], pts.mean(axis=0), atol=1e-12)
 
 
+@pytest.mark.parametrize("kmeans", ["euclidean", "riemannian", "iso"])
+def test_kmeans_points_must_be_a_finite_stack_of_the_manifold_dim(river_manifold, kmeans):
+    M = river_manifold
+    run = {"euclidean": lambda pts, K=2: ig.euclidean_kmeans(pts, K, seed=0),
+           "riemannian": lambda pts, K=2: ig.riemannian_kmeans(M, pts, K, seed=0),
+           "iso": lambda pts, K=2: ig.iso_kmeans(M, pts, K, seed=0)}[kmeans]
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-3.0, 3.0, (20, 2))
+    bad = pts.copy()
+    bad[5, 1] = np.nan
+    with pytest.raises(ValueError, match="points has non-finite entries"):
+        run(bad)
+    with pytest.raises(ig.DimensionError,
+                       match=r"points must be an \(n, d\) stack, got shape \(40,\)"):
+        run(pts.ravel())
+    with pytest.raises(ValueError, match="K must satisfy 1 <= K <= N = 20, got 21"):
+        run(pts, K=21)
+    if kmeans != "euclidean":
+        with pytest.raises(ig.DimensionError, match="points has dimension 3, expected 2"):
+            run(rng.uniform(-3.0, 3.0, (20, 3)))
+
+
 def test_euclidean_kmeans_invalid_k():
     pts = np.zeros((3, 2))
     with pytest.raises(ValueError):

@@ -188,6 +188,12 @@ def test_batch_maps_equal_point_by_point_maps(any_manifold):
                      (d.jvp(X, v), lambda i: d.jvp(X[i], v)),
                      (d.inv_jvp(Y, v), lambda i: d.inv_jvp(Y[i], v)),
                      (d.jvp(x, V), lambda i: d.jvp(x, V[i])),
-                     (d.inv_jvp(y, V), lambda i: d.inv_jvp(y, V[i]))]:
-        assert got.shape == X.shape and got.flags.c_contiguous
-        assert np.array_equal(got, np.array([one(i) for i in range(len(X))]))
+                     (d.inv_jvp(y, V), lambda i: d.inv_jvp(y, V[i])),
+                     # The speed broadcasts too, with one value per point.
+                     (d.speed(Y, V), lambda i: d.speed(Y[i], V[i])),
+                     (d.speed(Y, v), lambda i: d.speed(Y[i], v)),
+                     (d.speed(y, V), lambda i: d.speed(y, V[i]))]:
+        want = np.array([one(i) for i in range(len(X))])
+        assert got.shape == want.shape == X.shape[:want.ndim]
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)

@@ -146,6 +146,16 @@ def test_vectorchange_identity_and_zero(identity2):
     assert ig.vectorchange(identity2, ig.TangentVector(x, np.zeros(2))) == 0.0
 
 
+def test_vectorchange_validates_its_base_as_iso_exp_does(river_manifold):
+    # Vectors of 3 coordinates on the 2-D river manifold, a zero one too.
+    base = np.array([0.5, -1.0, 2.0])
+    for vec in (np.array([1.0, 0.5, 0.0]), np.zeros(3)):
+        xi = ig.TangentVector(base, vec)
+        for mapping in (ig.vectorchange, ig.iso_exp):
+            with pytest.raises(ig.DimensionError, match="base has dimension 3, expected 2"):
+                mapping(river_manifold, xi)
+
+
 def test_vectorchange_1d_exponential_is_translation(sinh_manifold):
     rng = np.random.default_rng(6)
     for _ in range(20):
