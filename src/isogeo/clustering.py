@@ -79,7 +79,11 @@ def euclidean_kmeans(points, K, seed):
     reseed never empties another cluster.  Ties in assignment break toward
     the lowest cluster index.
     """
-    points = _point_stack(points)
+    return _euclidean_kmeans(_point_stack(points), K, seed)
+
+
+def _euclidean_kmeans(points, K, seed):
+    """euclidean_kmeans of a validated ``(n, d)`` float array."""
     n = len(points)
     if not 1 <= K <= n:
         raise ValueError(f"K must satisfy 1 <= K <= N = {n}, got {K}")
@@ -116,7 +120,8 @@ def riemannian_kmeans(M, points, K, seed):
     Assignments by pullback distance and closed-form barycentre updates are
     exactly Lloyd's algorithm on phi(points); centroids map back via phi^-1.
     """
-    result = euclidean_kmeans(M.diffeo.forward(_point_stack(points, M.dim)), K, seed)
+    images = M.diffeo.forward(_point_stack(points, M.dim))
+    result = _euclidean_kmeans(as_point(images, name="phi(points)", batch=True), K, seed)
     return ClusteringResult(result.labels,
                             M.diffeo.inverse(result.centroids),
                             result.iterations, result.converged)
@@ -165,9 +170,10 @@ def iso_kmeans(M, points, K, seed, cfg=None, movement_tol=CENTROID_MOVEMENT_TOL)
     """
     if not movement_tol > 0.0:
         raise ValueError(f"movement_tol must be > 0, got {movement_tol}")
-    # riemannian_kmeans validates the points and K.
+    points = _point_stack(points, M.dim)
+    # riemannian_kmeans checks K.
     init = riemannian_kmeans(M, points, K, seed)
-    return _iso_kmeans(M, np.asarray(points, dtype=float), init,
+    return _iso_kmeans(M, points, init,
                        cfg or LineSearchConfig(tol=1e-6), movement_tol)
 
 
@@ -189,8 +195,8 @@ def _iso_kmeans(M, points, init, cfg, movement_tol=CENTROID_MOVEMENT_TOL):
             members = points[labels == j]
             if len(members) == 0:
                 continue
-            new_centroids[j], _, stalled = _solve(iso_barycentre, M, members, cfg)
-            stalls += stalled
+            new_centroids[j], trace = _solve(iso_barycentre, M, members, cfg)
+            stalls += trace.stalled
         movement = float(np.sqrt(np.sum((new_centroids - centroids) ** 2)))
         centroids = new_centroids
         if movement < movement_tol:

@@ -202,12 +202,11 @@ def iso_barycentre(M, points, cfg=None, x0=None):
 
 
 def _solve(solver, *args):
-    """``(point, trace, stalled)`` of a line-search solver; the best iterate on a stall."""
+    """``(point, trace)`` of a line-search solver; the best iterate on a stall."""
     try:
-        point, trace = solver(*args)
+        return solver(*args)
     except StallError as stall:
-        return stall.best, stall.trace, True
-    return point, trace, False
+        return stall.best, stall.trace
 
 
 def barycentre_ratio_field(M, x, points, use_iso_log=True):

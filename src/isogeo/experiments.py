@@ -81,10 +81,9 @@ def _run_geodesic(config, M, outdir):
 
 def _stall_code(summary, stalled):
     """EXIT_STALL, with ``"stalled": true`` in the summary, if the solver stalled."""
-    if not stalled:
-        return EXIT_OK
-    summary["stalled"] = True
-    return EXIT_STALL
+    if stalled:
+        summary["stalled"] = True
+    return EXIT_STALL if stalled else EXIT_OK
 
 
 def _write_points(path, points, labels=None, extra=()):
@@ -107,13 +106,13 @@ def _run_barycentre(config, M, outdir):
     euclidean_mean = pts.mean(axis=0)
     riemannian = closed_form_barycentre(M, pts)
     summary = {"euclidean_mean": euclidean_mean, "riemannian_barycentre": riemannian}
-    summary["iso_barycentre"], trace, stalled = _solve(
+    summary["iso_barycentre"], trace = _solve(
         iso_barycentre, M, pts, config.solver)
     summary["converged"] = trace.converged
     trace.write_csv(os.path.join(outdir, "trace.csv"))
     summary["iterations"] = len(trace) - 1
     summary["final_field_norm"] = trace.field_norms[-1]
-    return _stall_code(summary, stalled), summary
+    return _stall_code(summary, trace.stalled), summary
 
 
 def _run_kmeans(config, M, outdir):
@@ -290,7 +289,7 @@ def _run_inverse(config, M, outdir):
     x0 = S.point_at(extras["s0"])
     summary = {"A": A, "b": b, "x_true": x_true, "s_true": extras["s_true"],
                "offset": extras["offset"]}
-    solution, trace, stalled = _solve(l2pg_ird, S, f, grad, x0, config.solver)
+    solution, trace = _solve(l2pg_ird, S, f, grad, x0, config.solver)
     summary["converged"] = trace.converged
     trace.write_csv(os.path.join(outdir, "trace.csv"))
     s_grid, x_grid, f_grid, cell = grid_search_1d(
@@ -303,7 +302,7 @@ def _run_inverse(config, M, outdir):
         "s_grid": s_grid, "grid_objective": f_grid, "grid_cell": cell,
         "param_gap": abs(s_solution - s_grid),
     })
-    return _stall_code(summary, stalled), summary
+    return _stall_code(summary, trace.stalled), summary
 
 
 # Failures that make a node's ratios undefined: its row reads NaN.
@@ -355,7 +354,7 @@ def _run_ratios(config, M, outdir):
     data = generate_dataset(config.dataset, M)
     pts = data.points
     _write_points(os.path.join(outdir, "points.csv"), pts, data.labels)
-    xbar, _, stalled = _solve(iso_barycentre, M, pts, config.solver)
+    xbar, trace = _solve(iso_barycentre, M, pts, config.solver)
     extras = config.extras
     axes = [np.linspace(extras["x1_min"], extras["x1_max"], extras["grid_n"])]
     if M.dim >= 2:
@@ -371,7 +370,7 @@ def _run_ratios(config, M, outdir):
     summary = {"iso_barycentre": xbar,
                "monotonicity_min": finite[:, 0].min() if len(finite) else None,
                "lipschitz_max": finite[:, 1].max() if len(finite) else None}
-    return _stall_code(summary, stalled), summary
+    return _stall_code(summary, trace.stalled), summary
 
 
 def _run_rankr(config, M, outdir):

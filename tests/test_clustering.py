@@ -72,6 +72,17 @@ def test_kmeans_points_must_be_a_finite_stack_of_the_manifold_dim(river_manifold
             run(rng.uniform(-3.0, 3.0, (20, 3)))
 
 
+@pytest.mark.parametrize("kmeans", [ig.riemannian_kmeans, ig.iso_kmeans])
+def test_kmeans_names_non_finite_phi_images(banana_manifold, kmeans):
+    # Finite points whose phi-image overflows are reported as phi(points),
+    # not as points.
+    pts = np.random.default_rng(5).uniform(-3.0, 3.0, (20, 2))
+    pts[5, 1] = 1e200
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"phi\(points\) has non-finite entries"):
+        kmeans(banana_manifold, pts, 2, seed=0)
+
+
 def test_euclidean_kmeans_invalid_k():
     pts = np.zeros((3, 2))
     with pytest.raises(ValueError):

@@ -179,21 +179,23 @@ def test_batch_maps_equal_point_by_point_maps(any_manifold):
     d = M.diffeo
     Y = d.forward(X)
     x, y, v = X[0], Y[0], V[0]
-    for got, one in [(Y, lambda i: d.forward(X[i])),
-                     (d.inverse(Y), lambda i: d.inverse(Y[i])),
-                     (d.jvp(X, V), lambda i: d.jvp(X[i], V[i])),
-                     (d.inv_jvp(Y, V), lambda i: d.inv_jvp(Y[i], V[i])),
-                     # A batch of points against one vector, and one point
-                     # against a batch of vectors: x broadcasts against v.
-                     (d.jvp(X, v), lambda i: d.jvp(X[i], v)),
-                     (d.inv_jvp(Y, v), lambda i: d.inv_jvp(Y[i], v)),
-                     (d.jvp(x, V), lambda i: d.jvp(x, V[i])),
-                     (d.inv_jvp(y, V), lambda i: d.inv_jvp(y, V[i])),
-                     # The speed broadcasts too, with one value per point.
-                     (d.speed(Y, V), lambda i: d.speed(Y[i], V[i])),
-                     (d.speed(Y, v), lambda i: d.speed(Y[i], v)),
-                     (d.speed(y, V), lambda i: d.speed(y, V[i]))]:
+    points, speeds = X.shape, X.shape[:-1]
+    for got, one, shape in [
+            (Y, lambda i: d.forward(X[i]), points),
+            (d.inverse(Y), lambda i: d.inverse(Y[i]), points),
+            (d.jvp(X, V), lambda i: d.jvp(X[i], V[i]), points),
+            (d.inv_jvp(Y, V), lambda i: d.inv_jvp(Y[i], V[i]), points),
+            # A batch of points against one vector, and one point against a
+            # batch of vectors: x broadcasts against v.
+            (d.jvp(X, v), lambda i: d.jvp(X[i], v), points),
+            (d.inv_jvp(Y, v), lambda i: d.inv_jvp(Y[i], v), points),
+            (d.jvp(x, V), lambda i: d.jvp(x, V[i]), points),
+            (d.inv_jvp(y, V), lambda i: d.inv_jvp(y, V[i]), points),
+            # The speed broadcasts too, with one value per point.
+            (d.speed(Y, V), lambda i: d.speed(Y[i], V[i]), speeds),
+            (d.speed(Y, v), lambda i: d.speed(Y[i], v), speeds),
+            (d.speed(y, V), lambda i: d.speed(y, V[i]), speeds)]:
         want = np.array([one(i) for i in range(len(X))])
-        assert got.shape == want.shape == X.shape[:want.ndim]
+        assert got.shape == want.shape == shape
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
