@@ -8,6 +8,10 @@ Prints one JSON object:
   rule; the lines join seeded random points of the geometry);
 - ``arc_table_minflt``: minor page faults (``ru_minflt``) per warm
   480-line ``_arc_table`` call of each geometry, over 5 calls;
+- ``arc_lengths_ms``: the same as ``arc_table_ms`` for the whole lengths of
+  those lines, one ``isomaps._arc_lengths`` call (the map's exact
+  ``arc_length`` where it has one, else the rule), or in a checkout without
+  it the last column of ``_arc_table``, which its callers took;
 - ``jacobian_us``: best of 5 x 2000 calls, the time per call (µs) of
   ``forward``, ``inverse``, ``jvp``, ``inv_jvp`` and ``speed`` of each
   built-in at 1 (a ``(d,)`` point), 60 and 480 points, with one vector per
@@ -43,7 +47,7 @@ Prints one JSON object:
   ``iso_kmeans`` call with the config's K, seed and solver settings, its
   outer iterations, the ``clustering._nearest`` and
   ``clustering.iso_barycentre`` calls it makes, and the arc-length lines
-  those ``_nearest`` calls integrate (``nearest_lines``) next to n * K per
+  those ``_nearest`` calls measure (``nearest_lines``) next to n * K per
   call (``nearest_lines_all_pairs``); ``river_kmeans.ini k=4`` runs the
   river dataset at K = 4;
 - ``ird_iteration_us``: the best-of-5 time of one ``iso_barycentre`` solve
@@ -65,8 +69,8 @@ Prints one JSON object:
 It uses public functions, ``_arc_table``, ``isomaps.composite_nodes``,
 ``experiments._write_points``, ``experiments._versions``,
 ``experiments.least_squares_screen`` where it exists,
-``clustering._nearest``, ``clustering._arc_table`` where it exists and the
-quadrature constants only, and imports
+``clustering._nearest``, ``_arc_lengths`` and ``clustering._arc_table``
+where they exist and the quadrature constants only, and imports
 ``isogeo`` from the ``src/`` next to this script, so a copy placed in an
 older checkout measures that checkout.  scipy, the oracle of the root-solve timing, is imported there
 only.
@@ -135,25 +139,33 @@ def _minflt():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def _whole_lengths(M, a, w):
+    if hasattr(isomaps, "_arc_lengths"):
+        return isomaps._arc_lengths(M, a, w)
+    return _arc_table(M, a, w)[..., -1]
+
+
 def arc_table_times():
-    """Times per line count, and minor faults per warm call at the most lines."""
+    """Table and whole-length times per line count, and minor faults per warm
+    table call at the most lines."""
     rng = np.random.default_rng(0)
-    times, faults = {}, {}
+    times, lengths, faults = {}, {}, {}
     for name, make in GEOMETRIES.items():
         M = ig.PullbackManifold(make())
         n = max(LINE_COUNTS)
         a = M.diffeo.forward(_points(name, M, rng, n))
         w = M.diffeo.forward(_points(name, M, rng, n)) - a
-        times[name] = {
-            str(lines): 1e3 * _best(lambda: _arc_table(M, a[:lines], w[:lines]),
-                                    number=max(1, 960 // lines))
-            for lines in LINE_COUNTS}
+        for out, fn in ((times, _arc_table), (lengths, _whole_lengths)):
+            out[name] = {
+                str(lines): 1e3 * _best(lambda: fn(M, a[:lines], w[:lines]),
+                                        number=max(1, 960 // lines))
+                for lines in LINE_COUNTS}
         _arc_table(M, a, w)
         before = _minflt()
         for _ in range(5):
             _arc_table(M, a, w)
         faults[name] = (_minflt() - before) / 5
-    return times, faults
+    return times, lengths, faults
 
 
 def jacobian_times():
@@ -327,11 +339,13 @@ def rewrite_times():
 
 @contextlib.contextmanager
 def _nearest_counts():
-    """Count ``clustering._nearest`` calls and the arc-length lines they integrate.
+    """Count ``clustering._nearest`` calls and the arc-length lines they measure.
 
     Older checkouts reach ``isomaps._arc_table`` through ``iso_distance``,
-    newer ones call ``clustering._arc_table``; both are counted, and only
-    while a ``_nearest`` call runs, so barycentre lines are left out.
+    newer ones call ``clustering._arc_table`` and then
+    ``clustering._arc_lengths``; the first of these the checkout has is
+    counted, and only while a ``_nearest`` call runs, so barycentre lines are
+    left out.
     """
     counts = {"calls": 0, "lines": 0}
     inside = [False]
@@ -353,10 +367,12 @@ def _nearest_counts():
             inside[0] = False
 
     with contextlib.ExitStack() as stack:
-        for module in (isomaps, clustering):
-            if hasattr(module, "_arc_table"):
+        for module, name in ((clustering, "_arc_lengths"), (clustering, "_arc_table"),
+                             (isomaps, "_arc_table")):
+            if hasattr(module, name):
                 stack.enter_context(mock.patch.object(
-                    module, "_arc_table", counting(module._arc_table)))
+                    module, name, counting(getattr(module, name))))
+                break
         stack.enter_context(mock.patch.object(clustering, "_nearest", counted))
         yield counts
 
@@ -460,12 +476,13 @@ def main(argv):
     if argv[:1] == ["--identity-batch"]:
         print(json.dumps(identity_batch(int(argv[1]))))
         return 0
-    times, faults = arc_table_times()
+    times, lengths, faults = arc_table_times()
     result = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "arc_table_ms": times,
         "arc_table_minflt": faults,
+        "arc_lengths_ms": lengths,
         "jacobian_us": jacobian_times(),
         "per_call_us": per_call_times(),
         "iso_exp_quadratures": iso_exp_quadratures(),

@@ -8,11 +8,12 @@ pass:
 - ``minflt``: minor page faults (``resource.getrusage(...).ru_minflt``);
 - ``wall_s``: the pass time as measured (not scaled to host speed);
 - ``quadratures``: full quadrature rules built by ``isomaps`` (one per
-  ``vectorchange`` probe that integrates), counted through
-  ``isomaps.composite_nodes``;
+  ``vectorchange`` probe that integrates, so none on a map with an
+  ``arc_length``), counted through ``isomaps.composite_nodes``;
 - ``diffeo_calls`` and ``diffeo_points``: for each ``Diffeomorphism``
-  callable (``forward``, ``inverse``, ``jvp``, ``inv_jvp``, ``speed``), the
-  calls it took and the points they carried, where a call on ``(..., d)``
+  callable (``forward``, ``inverse``, ``jvp``, ``inv_jvp``, ``speed`` and
+  ``arc_length`` where the map has one), the calls it took and the points
+  (for ``arc_length``, the lines) they carried, where a call on ``(..., d)``
   arrays carries the size of their broadcast ``(...)`` shape.  Every
   ``Diffeomorphism`` built after start-up has its callables wrapped, which
   adds a few microseconds per call to ``wall_s``;
@@ -47,7 +48,7 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from isogeo import diffeos, isomaps  # noqa: E402
 
-DIFFEO_CALLABLES = ("forward", "inverse", "jvp", "inv_jvp", "speed")
+DIFFEO_CALLABLES = ("forward", "inverse", "jvp", "inv_jvp", "speed", "arc_length")
 
 
 def count_diffeo_traffic(calls, points):
@@ -64,7 +65,8 @@ def count_diffeo_traffic(calls, points):
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         for name in DIFFEO_CALLABLES:
-            if hasattr(self, name):
+            # A map without an arc_length keeps None, which selects the rule.
+            if getattr(self, name, None) is not None:
                 setattr(self, name, counted(name, getattr(self, name)))
 
     diffeos.Diffeomorphism.__init__ = counting_init

@@ -12,7 +12,7 @@ import numpy as np
 
 from .descent import LineSearchConfig, _solve, iso_barycentre
 from .errors import DimensionError
-from .isomaps import _arc_table
+from .isomaps import _arc_lengths
 from .pullback import as_point
 
 KMEANS_MAX_ITERS = 300
@@ -22,11 +22,12 @@ CENTROID_MOVEMENT_TOL = 1e-4
 # An iso-distance is the l2 length of a curve from x to y, so it is at least
 # the chord |x - y|.  _nearest skips a centroid whose chord exceeds
 # PRUNE_FACTOR times the computed distance d0 to the point's chord-nearest
-# centroid: if the rule under-estimates that centroid's arc length by less
-# than half, its computed distance exceeds chord / 2 > d0, so it could not
-# have been the argmin, nor tied with it.  On sinh_shift_1d lines between
-# random points of [-R, R] the 64x4 rule's worst relative error is 2.5e-6 at
-# R = 4, 3.7e-2 at R = 6 and 0.74 at R = 8, so there this premise can fail.
+# centroid: if that centroid's arc length is under-estimated by less than
+# half, its computed distance exceeds chord / 2 > d0, so it could not have
+# been the argmin, nor tied with it.  The exact arc lengths of spiral, banana
+# and 1-D maps meet this at rounding level; on maps without an arc_length it
+# is a premise on the 64x4 rule, which river lines meet (1.3e-10 relative
+# against a 512x8 rule) but a sharply peaked speed need not.
 PRUNE_FACTOR = 2.0
 
 
@@ -130,12 +131,12 @@ def riemannian_kmeans(M, points, K, seed):
 def _nearest(M, points, centroids):
     """Index of the iso-nearest centroid of each point; ties go to the lowest.
 
-    Exact two-phase search: one batch of arc-length tables to each point's
+    Exact two-phase search: one batch of arc lengths to each point's
     chord-nearest centroid gives d0, and a second batch covers only the
     centroids whose chord is at most PRUNE_FACTOR * d0 (a non-finite d0
     prunes nothing).  Every other centroid is farther by the chord bound, so
     the labels equal the argmin of the full n x K iso-distance matrix
-    whenever the rule under-estimates no pruned arc length by half or more.
+    whenever no pruned arc length is under-estimated by half or more.
     Per-line values do not depend on the batch, so the distances keep their
     bits.  On the datasets of configs/{river,spiral}_kmeans.ini the search
     integrates 54-57 % of the n * K lines at K = 2, 30 % at K = 4 and
@@ -146,14 +147,14 @@ def _nearest(M, points, centroids):
     chord = np.linalg.norm(points[:, None, :] - centroids[None, :, :], axis=-1)
     rows = np.arange(len(points))
     first = chord.argmin(axis=1)
-    d0 = _arc_table(M, a, b[first] - a)[:, -1]
+    d0 = _arc_lengths(M, a, b[first] - a)
     dist = np.full(chord.shape, np.inf)
     dist[rows, first] = d0
     left = ~(chord > PRUNE_FACTOR * d0[:, None])
     left[rows, first] = False
     i, j = np.nonzero(left)
     if i.size:
-        dist[i, j] = _arc_table(M, a[i], b[j] - a[i])[:, -1]
+        dist[i, j] = _arc_lengths(M, a[i], b[j] - a[i])
     return dist.argmin(axis=1)
 
 

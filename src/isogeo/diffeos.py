@@ -5,6 +5,8 @@ All built-in maps act on the last axis of their input, so a single point is a
 pullback speeds are analytic for every built-in; user-supplied
 diffeomorphisms that omit the Jacobian actions fall back to central finite
 differences, and those that omit the speed to the norm of ``inv_jvp``.
+Spiral and banana give the arc lengths of phi-lines in closed form, and every
+1-D map gives them exactly; the other maps leave them to the quadrature.
 """
 
 import math
@@ -52,6 +54,33 @@ def _speed_out(y, w):
     return np.empty(np.broadcast(y, w).shape[:-1])
 
 
+def _line_length(u0, q, c):
+    """Integral over [0, 1] of sqrt((u0 + q t)^2 + c^2) dt, c >= 0, without cancellation.
+
+    With u1 = u0 + q and S = sqrt(u^2 + c^2) it is (A + c^2 B) / 2, where
+    A = (u1 S1 - u0 S0) / q = (S0 + S1) / 2 + (u0 + u1)^2 / (2 (S0 + S1)) and
+    B = (asinh(u1 / c) - asinh(u0 / c)) / q.  The integrand is even in u,
+    so u is reflected to u0 + u1 >= 0.  Where u keeps its sign, u0 >= 0 and
+    B = log1p(q k / (u0 + S0)) / q with k = 1 + (u0 + u1) / (S0 + S1), which
+    tends to k / (u0 + S0) as q tends to 0; where u changes sign, the two
+    asinh terms have opposite signs and add.
+    """
+    u1 = u0 + q
+    s0 = np.hypot(u0, c)
+    s = s0 + np.hypot(u1, c)
+    u = u0 + u1
+    sign = np.copysign(1.0, u)
+    u0, u1, q, u = sign * u0, sign * u1, sign * q, np.abs(u)
+    c2 = c * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (1.0 + u / s) / (u0 + s0)
+        b = np.where(q != 0.0, np.log1p(q * x) / q, x)
+        b = np.where(u0 * u1 < 0.0, (np.arcsinh(u1 / c) - np.arcsinh(u0 / c)) / q, b)
+        length = 0.5 * (0.5 * s + 0.5 * u * u / s + np.where(c2 > 0.0, c2 * b, 0.0))
+    # A zero speed (s = 0) leaves 0 / 0 behind.
+    return np.where(s > 0.0, length, 0.0)
+
+
 def _require_finite(factory, **params):
     for key, value in params.items():
         if not math.isfinite(value):
@@ -78,12 +107,22 @@ class Diffeomorphism:
         Defaults to central finite differences of ``inverse``.
     speed : callable, optional
         ``speed(y, w)``, the ``(...)`` l2 norms of ``inv_jvp(y, w)``: the
-        integrand of every arc length, evaluated at each quadrature node.
+        integrand of every arc length, evaluated at each quadrature node,
+        and the derivative of ``arc_length(y, t w)`` in t.
         Defaults to the norm of ``inv_jvp``, with the bits of ``np.linalg.norm``.
+    arc_length : callable, optional
+        ``arc_length(y, w)``, the ``(...)`` l2 lengths of the curves
+        ``inverse(y + t w)``, t in [0, 1], for y and w broadcast over
+        ``(..., d)``; 0 where w = 0, and DomainError where ``speed`` raises
+        it on the line.  Where it is set, every arc length and arc-length
+        inversion calls it in place of the Gauss-Legendre rule, so it
+        must be exact to rounding.  Defaults, for d = 1 only, to
+        ``|inverse(y + w) - inverse(y)|``, exact because every 1-D
+        diffeomorphism is monotone; for d > 1 it is None and the rule is used.
     """
 
     def __init__(self, dim, forward, inverse, jvp=None, inv_jvp=None,
-                 name="custom", params=None, speed=None):
+                 name="custom", params=None, speed=None, arc_length=None):
         self.dim = _positive_dim(dim)
         self.forward = forward
         self.inverse = inverse
@@ -91,12 +130,19 @@ class Diffeomorphism:
         self.inv_jvp = inv_jvp if inv_jvp is not None else _fd_jvp(inverse)
         if speed is not None:
             self.speed = speed
+        if arc_length is None and self.dim == 1:
+            arc_length = self._monotone_length
+        self.arc_length = arc_length
         self.name = name
         self.params = dict(params) if params else {}
 
     def speed(self, y, w):
         """The default speed: the l2 norm of ``inv_jvp(y, w)``, with ``np.linalg.norm``'s bits."""
         return np.sqrt(_sum_last(np.square(self.inv_jvp(y, w))))
+
+    def _monotone_length(self, y, w):
+        """The default arc length of a 1-D map: its inverse is monotone."""
+        return np.abs(self.inverse(y + w) - self.inverse(y))[..., 0]
 
     def __repr__(self):
         args = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -229,8 +275,17 @@ def spiral(beta=0.25):
         t *= beta
         return t
 
+    def arc_length(p, w):
+        # The speed is beta sqrt(u^2 + wr^2) with u = r (wr + wt), and r is
+        # linear in t: the line is in the domain iff r > 0 at both ends.
+        r, wr = p[..., 0], w[..., 0]
+        if (r <= 0.0).any() or (r + wr <= 0.0).any():
+            raise DomainError("spiral inverse requires positive radial coordinate")
+        s = wr + w[..., 1]
+        return beta * _line_length(r * s, wr * s, np.abs(wr))
+
     return Diffeomorphism(2, forward, inverse, jvp, inv_jvp, name="spiral",
-                          params={"beta": beta}, speed=speed)
+                          params={"beta": beta}, speed=speed, arc_length=arc_length)
 
 
 def banana(a=1.0 / 9.0, z=0.0):
@@ -262,8 +317,14 @@ def banana(a=1.0 / 9.0, z=0.0):
         t += np.square(w2)
         return np.sqrt(t, out=t)
 
+    def arc_length(y, w):
+        # The speed is sqrt(u^2 + w2^2) with u = w1 + 2 a y2 w2 + 2 a w2^2 t.
+        w2 = w[..., 1]
+        return _line_length(w[..., 0] + 2.0 * a * y[..., 1] * w2, 2.0 * a * w2 * w2,
+                            np.abs(w2))
+
     return Diffeomorphism(2, forward, inverse, jvp, inv_jvp, name="banana",
-                          params={"a": a, "z": z}, speed=speed)
+                          params={"a": a, "z": z}, speed=speed, arc_length=arc_length)
 
 
 def sinh_shift_1d():
@@ -281,11 +342,10 @@ def sinh_shift_1d():
     def inv_jvp(y, w):
         return w / np.sqrt(1.0 + np.asarray(y, dtype=float) ** 2)
 
-    def speed(y, w):
-        return np.abs(w[..., 0]) / np.sqrt(1.0 + y[..., 0] ** 2)
-
+    # Its arc lengths are exact (the 1-D default), so the default speed, the
+    # Newton derivative only, needs no fused kernel.
     return Diffeomorphism(1, forward, inverse, jvp, inv_jvp,
-                          name="sinh_shift_1d", params={}, speed=speed)
+                          name="sinh_shift_1d", params={})
 
 
 _REGISTRY = {

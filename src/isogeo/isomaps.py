@@ -6,9 +6,11 @@ them to constant speed: iso-distance is the l2 arc length of the geodesic,
 the timechange inverts the cumulative arc length, and the vectorchange
 rescales exponential arguments so that radial arc lengths match vector norms.
 
-Arc-length tables come from one batch engine, ``_arc_table``: a batch of
-phi-lines is evaluated at every quadrature node in one array pass, and the
-values per line are the same as for that line on its own.
+Arc lengths come from one engine.  Where the diffeomorphism gives them,
+``arc_length`` is exact and ``speed`` is its derivative; elsewhere
+``_arc_table`` integrates the speed with the fixed Gauss-Legendre rule: a
+batch of phi-lines is evaluated at every quadrature node in one array pass,
+and the values per line are the same as for that line on its own.
 """
 
 import math
@@ -63,13 +65,32 @@ def _arc_table(M, a, w):
     return cumlen.reshape(*lines, q.panels + 1)
 
 
+def _arc_lengths(M, a, w):
+    """Whole arc lengths ``(...)`` of the phi-lines a + t w, a and w broadcast over ``(..., d)``.
+
+    The diffeomorphism's ``arc_length`` where it has one, else the last
+    column of ``_arc_table``.
+    """
+    if M.diffeo.arc_length is not None:
+        return M.diffeo.arc_length(a, w)
+    return _arc_table(M, a, w)[..., -1]
+
+
+def _knot_lengths(M, a, w):
+    """Cumulative arc length of the one phi-line a + t w at the rule's panel knots."""
+    if M.diffeo.arc_length is None:
+        return _arc_table(M, a, w)
+    return M.diffeo.arc_length(a, unit_rule(M.quad)[2][:, None] * w)
+
+
 def _invert(M, a, w, cumlen, target):
     """Smallest t' whose arc length along a + t w is each target, refined past the table.
 
-    ``cumlen`` is the ``_arc_table`` row of the one line ``a + t w`` and
+    ``cumlen`` is the ``_knot_lengths`` row of the one line ``a + t w`` and
     ``target`` an ``(n,)`` array; targets at or below 0 map to 0 and at or
     above the whole length to 1.  The other targets are solved together by
-    ``newton_roots``, each on its own panel and equal to its own one-target call.
+    ``newton_roots``, each on its own panel and equal to its own one-target
+    call, with the diffeomorphism's ``arc_length`` to t' where it has one.
     """
     q = M.quad
     knots = unit_rule(q)[2]
@@ -81,17 +102,24 @@ def _invert(M, a, w, cumlen, target):
     lo, hi = knots[idx - 1], knots[idx]
     c_lo, c_hi = cumlen[idx - 1], cumlen[idx]
     guess = lo + (hi - lo) * (target - c_lo) / np.maximum(c_hi - c_lo, 1e-300)
+    arc_length = M.diffeo.arc_length
 
-    def g(lanes, tp):
-        # Arc length from 0 to tp minus the target, by the stencil
-        # composite_nodes(lo, tp, 1, n) on the lane's panel, and the speed at tp.
-        kn = lo[lanes]
-        half, mid = 0.5 * (tp - kn), 0.5 * (tp + kn)
-        ts = np.concatenate([mid[:, None] + half[:, None] * nodes, tp[:, None]], axis=1)
-        speeds = _speeds(M, a, w, ts.ravel()).reshape(ts.shape)
-        # vecdot runs the dot kernel of np.dot: each sum is the scalar one.
-        length = c_lo[lanes] + np.vecdot(speeds[:, :-1], half[:, None] * weights)
-        return length - target[lanes], speeds[:, -1]
+    if arc_length is not None:
+        def g(lanes, tp):
+            # Arc length from 0 to tp minus the target, and the speed at tp.
+            tw = tp[:, None] * w
+            return arc_length(a, tw) - target[lanes], M.diffeo.speed(a + tw, w)
+    else:
+        def g(lanes, tp):
+            # Arc length from 0 to tp minus the target, by the stencil
+            # composite_nodes(lo, tp, 1, n) on the lane's panel, and the speed at tp.
+            kn = lo[lanes]
+            half, mid = 0.5 * (tp - kn), 0.5 * (tp + kn)
+            ts = np.concatenate([mid[:, None] + half[:, None] * nodes, tp[:, None]], axis=1)
+            speeds = _speeds(M, a, w, ts.ravel()).reshape(ts.shape)
+            # vecdot runs the dot kernel of np.dot: each sum is the scalar one.
+            length = c_lo[lanes] + np.vecdot(speeds[:, :-1], half[:, None] * weights)
+            return length - target[lanes], speeds[:, -1]
 
     changed[inner] = newton_roots(g, lo, hi, c_lo - target, c_hi - target, guess,
                                   cumlen[-1])
@@ -99,7 +127,10 @@ def _invert(M, a, w, cumlen, target):
 
 
 def iso_distance(M, x, y):
-    """l2 arc length of the geodesic from x to y (Gauss-Legendre composite).
+    """l2 arc length of the geodesic from x to y.
+
+    Exact where the diffeomorphism has an ``arc_length``, by the fixed
+    Gauss-Legendre rule elsewhere.
 
     Batch-first: x and y broadcast over ``(..., d)``.  One pair gives a
     float, a batch an ``(...)`` array with the same value per pair as a
@@ -109,7 +140,7 @@ def iso_distance(M, x, y):
     x = as_point(x, M.dim, "x", batch=True)
     y = as_point(y, M.dim, "y", batch=True)
     a = M.diffeo.forward(x)
-    total = _arc_table(M, a, M.diffeo.forward(y) - a)[..., -1]
+    total = _arc_lengths(M, a, M.diffeo.forward(y) - a)
     return float(total) if total.ndim == 0 else total
 
 
@@ -127,7 +158,7 @@ def _changed_times(M, x, y, t):
         raise ValueError(f"the time change requires t in [0, 1], got {outside[0]}")
     a = M.diffeo.forward(x)
     w = M.diffeo.forward(y) - a
-    cumlen = _arc_table(M, a, w)
+    cumlen = _knot_lengths(M, a, w)
     total = float(cumlen[-1])
     if total == 0.0:
         raise DegenerateCurveError(
@@ -164,18 +195,25 @@ def _vectorchange(M, x, a, v):
     w = M.diffeo.jvp(x, v)
     q = M.quad
     eps = 1e-15 * (1.0 + nv)
+    arc_length = M.diffeo.arc_length
 
-    def g(T):
-        # Arc length to T minus |v|, and the speed at T, from one _speeds call
-        # whose last node is T: the nodes go into an array with a slot for T.
-        nodes, weights, _ = composite_nodes(0.0, T, q.panels, q.nodes_per_panel)
-        ts = np.empty(len(nodes) + 1)
-        ts[:-1] = nodes
-        ts[-1] = T
-        speeds = _speeds(M, a, w, ts)
-        return float(np.dot(speeds[:-1], weights)) - nv, float(speeds[-1])
+    if arc_length is not None:
+        def g(T):
+            # Arc length to T minus |v|, and the speed at T.
+            return float(arc_length(a, T * w)) - nv, float(M.diffeo.speed(a + T * w, w))
+    else:
+        def g(T):
+            # Arc length to T minus |v|, and the speed at T, from one _speeds call
+            # whose last node is T: the nodes go into an array with a slot for T.
+            nodes, weights, _ = composite_nodes(0.0, T, q.panels, q.nodes_per_panel)
+            ts = np.empty(len(nodes) + 1)
+            ts[:-1] = nodes
+            ts[-1] = T
+            speeds = _speeds(M, a, w, ts)
+            return float(np.dot(speeds[:-1], weights)) - nv, float(speeds[-1])
 
-    # g(0) is -|v| by construction: the rule on [0, 0] has zero weights.
+    # g(0) is -|v| by construction: the line to 0 has length 0 (the rule on
+    # [0, 0] has zero weights).
     lo, g_lo, hi, g_hi = 0.0, -nv, 1.0, None
     edges = set()   # probes past the domain: doubling back onto one reads it here
     for _ in range(2 * MAX_BRACKET_DOUBLINGS):
@@ -233,8 +271,9 @@ def vectorchange(M, xi):
     the arc length is strictly increasing in t' for pullback closed forms, so
     the root is unique.  Probes past the diffeomorphism domain are pulled back
     toward the last valid parameter; DomainError is raised when the available
-    arc length cannot reach |xi|.  Each probe runs one quadrature, whose
-    extra node at t' is the speed, the derivative of the arc length.
+    arc length cannot reach |xi|.  Each probe is one call of the
+    diffeomorphism's ``arc_length`` or, without one, one quadrature, and
+    the speed at t', the derivative of the arc length.
     """
     base = as_point(xi.base, M.dim, "base")
     # A zero vector scales by 0 without phi, even where phi is undefined.
@@ -279,7 +318,7 @@ def _phi_log_vecs(M, a, b):
     v = M.diffeo.inv_jvp(a, w)
     # vecdot runs the dot kernel of TangentVector.norm: norms agree bitwise.
     nv = np.sqrt(np.vecdot(v, v))
-    dist = _arc_table(M, a, w)[..., -1]
+    dist = _arc_lengths(M, a, w)
     moving = nv > 0.0
     scale = np.divide(dist, nv, out=np.zeros_like(nv), where=moving)
     return np.where(moving[..., None], scale[..., None] * v, 0.0), dist

@@ -163,10 +163,10 @@ def test_arc_table_across_pass_boundaries(dim, quad, monkeypatch):
     assert np.array_equal(got, one_pass_arc_table(M, a, w))
 
 
-# vectorchange as a bracket search with one full quadrature per probe and
-# scipy's brentq: the oracle of the Newton refinement.  ``edges`` records the
-# domain-edge retries.
-def probing_vectorchange(M, xi, edges):
+# vectorchange as a bracket search with one full quadrature, or one call of
+# the map's own arc_length, per probe and scipy's brentq: the oracle of the
+# Newton refinement.  ``edges`` records the domain-edge retries.
+def probing_vectorchange(M, xi, edges, arc_length):
     nv = xi.norm
     if nv == 0.0:
         return 0.0
@@ -175,6 +175,8 @@ def probing_vectorchange(M, xi, edges):
     q = M.quad
 
     def g(T):
+        if arc_length is not None:
+            return float(arc_length(a, T * w)) - nv
         ts, weights, _ = composite_nodes(0.0, T, q.panels, q.nodes_per_panel)
         return float(np.dot(_speeds(M, a, w, ts), weights)) - nv
 
@@ -224,11 +226,18 @@ def test_vectorchange_probes_once_and_equals_repeat_probing(name, monkeypatch):
     # One doubling: river and sinh then also fail to bracket, spiral leaves its domain.
     rng = np.random.default_rng(83)
     probed = []
-    # Each vectorchange probe is one _speeds call whose last node is its parameter.
-    monkeypatch.setattr(isomaps, "_speeds",
-                        lambda M, a, w, ts: probed.append(ts[-1]) or _speeds(M, a, w, ts))
     seen = set()
     M = make_manifold(name)
+    arc_length = M.diffeo.arc_length
+    if arc_length is None:
+        # Each vectorchange probe is one _speeds call whose last node is its parameter.
+        monkeypatch.setattr(isomaps, "_speeds",
+                            lambda M, a, w, ts: probed.append(ts[-1]) or _speeds(M, a, w, ts))
+    else:
+        # Each probe is one arc_length call along its parameter times the
+        # direction, which has the phi-length of that parameter.
+        monkeypatch.setattr(M.diffeo, "arc_length",
+                            lambda y, w: probed.append(np.linalg.norm(w)) or arc_length(y, w))
     for doublings in (isomaps.MAX_BRACKET_DOUBLINGS, 1):
         monkeypatch.setattr(isomaps, "MAX_BRACKET_DOUBLINGS", doublings)
         tangents = [TangentVector(x, rng.standard_normal(M.dim) * rng.choice([0.1, 1.0, 5.0, 20.0]))
@@ -238,10 +247,10 @@ def test_vectorchange_probes_once_and_equals_repeat_probing(name, monkeypatch):
         for xi in tangents:
             x = xi.base
             edges = []
-            want = outcome(lambda: probing_vectorchange(M, xi, edges))
+            want = outcome(lambda: probing_vectorchange(M, xi, edges, arc_length))
             probed.clear()
             got = outcome(lambda: ig.vectorchange(M, xi))
-            assert 0.0 not in probed and len(probed) == len(set(probed))
+            assert probed and 0.0 not in probed and len(probed) == len(set(probed))
             failed = isinstance(want, type)
             if failed:
                 assert got == want

@@ -369,20 +369,20 @@ def test_nearest_keeps_domain_errors(spiral_manifold):
         clustering._nearest(spiral_manifold, pts, centroids)
 
 
-def arc_table_rows(monkeypatch):
+def arc_length_rows(monkeypatch):
     rows = []
-    table = clustering._arc_table
+    lengths = clustering._arc_lengths
 
     def counting(M, a, w):
         rows.append(int(np.prod(np.broadcast_shapes(np.shape(a), np.shape(w))[:-1])))
-        return table(M, a, w)
+        return lengths(M, a, w)
 
-    monkeypatch.setattr(clustering, "_arc_table", counting)
+    monkeypatch.setattr(clustering, "_arc_lengths", counting)
     return rows
 
 
 def test_nearest_integrates_one_line_per_point_at_k_one(river_manifold, monkeypatch):
-    rows = arc_table_rows(monkeypatch)
+    rows = arc_length_rows(monkeypatch)
     pts = two_cluster_points(river_manifold, 4)
     clustering._nearest(river_manifold, pts, pts[:1])
     assert sum(rows) == len(pts)
@@ -391,7 +391,7 @@ def test_nearest_integrates_one_line_per_point_at_k_one(river_manifold, monkeypa
 def test_nearest_prunes_separated_clusters(river_manifold, monkeypatch):
     pts = two_cluster_points(river_manifold, 9)
     centroids = ig.iso_kmeans(river_manifold, pts, 2, seed=9).centroids
-    rows = arc_table_rows(monkeypatch)
+    rows = arc_length_rows(monkeypatch)
     labels = clustering._nearest(river_manifold, pts, centroids)
     assert np.array_equal(labels, brute_force_nearest(river_manifold, pts, centroids))
     assert sum(rows) < 0.6 * len(pts) * 2
@@ -401,16 +401,16 @@ def test_nearest_prunes_separated_clusters(river_manifold, monkeypatch):
 def test_nearest_non_finite_first_distance_prunes_nothing(river_manifold, monkeypatch, bad):
     pts = two_cluster_points(river_manifold, 9)
     centroids = ig.iso_kmeans(river_manifold, pts, 2, seed=9).centroids
-    rows = arc_table_rows(monkeypatch)
-    table = clustering._arc_table
+    rows = arc_length_rows(monkeypatch)
+    counted = clustering._arc_lengths
 
     def spoiled_first_batch(M, a, w):
-        lengths = table(M, a, w)
+        lengths = counted(M, a, w)
         if len(rows) == 1:
-            lengths[:, -1] = bad
+            lengths[:] = bad
         return lengths
 
-    monkeypatch.setattr(clustering, "_arc_table", spoiled_first_batch)
+    monkeypatch.setattr(clustering, "_arc_lengths", spoiled_first_batch)
     clustering._nearest(river_manifold, pts, centroids)
     assert rows == [len(pts), len(pts)]
 

@@ -178,13 +178,35 @@ def test_vectorchange_domain_truncation(spiral_manifold):
 
 
 def test_vectorchange_bracket_exhaustion(sinh_manifold):
-    # Covering arc length 20 on this pullback needs phi-scale e^20; the
+    # Covering arc length 20 on this pullback needs phi-scale e^20.  The
+    # exact 1-D arc length reaches it: the iso-exponential is x + v.
+    xi = ig.TangentVector(np.array([1.0]), np.array([-20.0]))
+    assert ig.iso_exp(sinh_manifold, xi)[0] == pytest.approx(-19.0, abs=1e-13)
+    # The same map on each axis of R^2 has no arc_length, and the
     # fixed-panel quadrature cannot certify it within the doubling budget.
     from isogeo.errors import NonConvergenceError
 
-    xi = ig.TangentVector(np.array([1.0]), np.array([-20.0]))
+    sinh = sinh_manifold.diffeo
+    plane = ig.PullbackManifold(ig.Diffeomorphism(2, sinh.forward, sinh.inverse,
+                                                  sinh.jvp, sinh.inv_jvp))
+    assert plane.diffeo.arc_length is None
+    xi = ig.TangentVector(np.array([1.0, 1.0]), np.array([-20.0, 0.0]))
     with pytest.raises(NonConvergenceError):
-        ig.vectorchange(sinh_manifold, xi)
+        ig.vectorchange(plane, xi)
+
+
+def test_vectorchange_long_sinh_ray_is_exact(sinh_manifold):
+    # The fixed 64x4 rule's arc length on [0, T] is 1.9 % short on this ray,
+    # which put the scale at 35.19.  The true one solves
+    # arcsinh(a + T w) = x + v + 1.
+    x, v = 0.22354409, -8.01590051
+    xi = ig.TangentVector(np.array([x]), np.array([v]))
+    a, w = np.sinh(x + 1.0), np.cosh(x + 1.0) * v
+    want = (np.sinh(x + v + 1.0) - a) / w
+    got = ig.vectorchange(sinh_manifold, xi)
+    assert got == pytest.approx(30.2005331562, abs=1e-9)
+    assert got == pytest.approx(want, rel=1e-13)
+    assert ig.iso_exp(sinh_manifold, xi)[0] == pytest.approx(x + v, abs=1e-14)
 
 
 def test_iso_exp_zero_and_identity(identity2, river_manifold):

@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 import isogeo as ig
 from isogeo import isomaps, quadrature
 from isogeo.errors import NonConvergenceError
-from isogeo.isomaps import _arc_table, _invert
+from isogeo.isomaps import _invert, _knot_lengths
 from isogeo.quadrature import NEWTON_MAXITER, REFINE_XTOL, newton_roots
 
 from conftest import make_manifold, sample_pairs
@@ -28,7 +28,7 @@ def test_lockstep_invert_equals_scalar_refine_root(name, panels):
     for x, y in sample_pairs(name, M, rng, 3):
         a = M.diffeo.forward(x)
         w = M.diffeo.forward(y) - a
-        cumlen = _arc_table(M, a, w)
+        cumlen = _knot_lengths(M, a, w)
         total = float(cumlen[-1])
         shares = np.concatenate([[0.0, 1.0, 1e-14, 1.0 - 1e-14],
                                  rng.uniform(size=60)])
@@ -61,7 +61,7 @@ def test_invert_residual_derivative_is_its_slope(name, monkeypatch):
     for x, y in sample_pairs(name, M, rng, 3):
         a = M.diffeo.forward(x)
         w = M.diffeo.forward(y) - a
-        cumlen = _arc_table(M, a, w)
+        cumlen = _knot_lengths(M, a, w)
         targets = rng.uniform(0.01, 0.99, 40) * cumlen[-1]
         roots, g, lo, hi = captured_residual(monkeypatch, M, a, w, cumlen, targets)
         lanes = np.arange(len(lo))
