@@ -1,12 +1,11 @@
 """Analytic diffeomorphisms of R^d and the registry used by experiment configs.
 
 All built-in maps act on the last axis of their input, so a single point is a
-``(d,)`` array and a batch of points is ``(..., d)``.  Jacobian actions and
-pullback speeds are analytic for every built-in; user-supplied
-diffeomorphisms that omit the Jacobian actions fall back to central finite
-differences, and those that omit the speed to the norm of ``inv_jvp``.
-Spiral and banana give the arc lengths of phi-lines in closed form, and every
-1-D map gives them exactly; the other maps leave them to the quadrature.
+``(d,)`` array and a batch of points is ``(..., d)``.  Jacobian actions are
+analytic for every built-in; user-supplied maps that omit them fall back to
+central finite differences.  The speed is the norm of ``inv_jvp``, fused in
+place on river only.  Spiral and banana give the arc lengths of phi-lines in
+closed form, and every 1-D map exactly; the other maps leave them to the rule.
 """
 
 import math
@@ -49,11 +48,6 @@ def _stack(*components):
     return out
 
 
-def _speed_out(y, w):
-    """One float ``(...)`` array for a speed at y along w, 0-d for one point."""
-    return np.empty(np.broadcast(y, w).shape[:-1])
-
-
 def _line_length(u0, q, c):
     """Integral over [0, 1] of sqrt((u0 + q t)^2 + c^2) dt, c >= 0, without cancellation.
 
@@ -77,8 +71,8 @@ def _line_length(u0, q, c):
         b = np.where(q != 0.0, np.log1p(q * x) / q, x)
         b = np.where(u0 * u1 < 0.0, (np.arcsinh(u1 / c) - np.arcsinh(u0 / c)) / q, b)
         length = 0.5 * (0.5 * s + 0.5 * u * u / s + np.where(c2 > 0.0, c2 * b, 0.0))
-    # A zero speed (s = 0) leaves 0 / 0 behind.
-    return np.where(s > 0.0, length, 0.0)
+    # A zero speed (s = 0) leaves 0 / 0 behind; an overflow's NaN stays NaN.
+    return np.where(s == 0.0, 0.0, length)
 
 
 def _require_finite(factory, **params):
@@ -107,8 +101,8 @@ class Diffeomorphism:
         Defaults to central finite differences of ``inverse``.
     speed : callable, optional
         ``speed(y, w)``, the ``(...)`` l2 norms of ``inv_jvp(y, w)``: the
-        integrand of every arc length, evaluated at each quadrature node,
-        and the derivative of ``arc_length(y, t w)`` in t.
+        integrand the rule evaluates on a map without ``arc_length``, and on
+        every map the Newton derivative in t of the arc length of y + t w.
         Defaults to the norm of ``inv_jvp``, with the bits of ``np.linalg.norm``.
     arc_length : callable, optional
         ``arc_length(y, w)``, the ``(...)`` l2 lengths of the curves
@@ -196,7 +190,8 @@ def river(beta=5.0, eta=0.25):
     def speed(y, w):
         # The operations of inv_jvp and of the norm, in place.
         y2 = y[..., 1]
-        dx = np.divide(w[..., 1], eta * np.sqrt(1.0 + y2 ** 2), out=_speed_out(y, w))
+        dx = np.divide(w[..., 1], eta * np.sqrt(1.0 + y2 ** 2),
+                       out=np.empty(np.broadcast(y, w).shape[:-1]))
         sq = np.square(dx)
         t = np.cos(np.arcsinh(y2) / eta)
         t *= beta
@@ -260,21 +255,6 @@ def spiral(beta=0.25):
         # beta ((c - r s) wr - r s wt, (s + r c) wr + r c wt)
         return beta * _stack((c - rs) * wr - rs * wt, (s + rc) * wr + rc * wt)
 
-    def speed(p, w):
-        # inv_jvp rotates beta (wr, r (wr + wt)) by the angle r + theta, so
-        # its norm needs no cos or sin.
-        r = p[..., 0]
-        if np.any(r <= 0.0):
-            raise DomainError("spiral inverse requires positive radial coordinate")
-        wr = w[..., 0]
-        t = np.add(wr, w[..., 1], out=_speed_out(p, w))
-        t *= r
-        np.square(t, out=t)
-        t += np.square(wr)
-        np.sqrt(t, out=t)
-        t *= beta
-        return t
-
     def arc_length(p, w):
         # The speed is beta sqrt(u^2 + wr^2) with u = r (wr + wt), and r is
         # linear in t: the line is in the domain iff r > 0 at both ends.
@@ -285,7 +265,7 @@ def spiral(beta=0.25):
         return beta * _line_length(r * s, wr * s, np.abs(wr))
 
     return Diffeomorphism(2, forward, inverse, jvp, inv_jvp, name="spiral",
-                          params={"beta": beta}, speed=speed, arc_length=arc_length)
+                          params={"beta": beta}, arc_length=arc_length)
 
 
 def banana(a=1.0 / 9.0, z=0.0):
@@ -308,15 +288,6 @@ def banana(a=1.0 / 9.0, z=0.0):
     def inv_jvp(y, w):
         return _stack(w[..., 0] + 2.0 * a * y[..., 1] * w[..., 1], w[..., 1])
 
-    def speed(y, w):
-        # sqrt((w1 + 2 a y2 w2)^2 + w2^2), the operations of inv_jvp and the norm.
-        w2 = w[..., 1]
-        t = np.multiply(2.0 * a * y[..., 1], w2, out=_speed_out(y, w))
-        t += w[..., 0]
-        np.square(t, out=t)
-        t += np.square(w2)
-        return np.sqrt(t, out=t)
-
     def arc_length(y, w):
         # The speed is sqrt(u^2 + w2^2) with u = w1 + 2 a y2 w2 + 2 a w2^2 t.
         w2 = w[..., 1]
@@ -324,7 +295,7 @@ def banana(a=1.0 / 9.0, z=0.0):
                             np.abs(w2))
 
     return Diffeomorphism(2, forward, inverse, jvp, inv_jvp, name="banana",
-                          params={"a": a, "z": z}, speed=speed, arc_length=arc_length)
+                          params={"a": a, "z": z}, arc_length=arc_length)
 
 
 def sinh_shift_1d():

@@ -129,11 +129,11 @@ def newton_roots(g, lo, hi, f_lo, f_hi, x, scale):
     residuals and derivatives of the lanes ``i`` (an index array) at ``x``.
     Each step moves a bracket end to ``x`` and takes the Newton step, the
     bracket's regula falsi point where that step leaves it, or the secant of
-    the last two iterates where the residual did not halve.  A lane returns ``x`` at a residual within 1e-15 (1 + |scale|), and the
-    stepped point after a step below REFINE_XTOL.  Lanes share no
-    arithmetic: each root is that of its own one-lane solve.  Raises
-    NonConvergenceError for a non-finite residual, a bracket without a sign
-    change, or a lane open after NEWTON_MAXITER steps.
+    the last two iterates where the residual did not halve.  A lane returns ``x`` at
+    a residual within 1e-15 (1 + |scale|), and the stepped point after a step below
+    REFINE_XTOL.  Lanes share no arithmetic: each root is that of its own one-lane
+    solve.  Raises NonConvergenceError for a non-finite residual, a bracket without
+    a sign change, or a lane open after NEWTON_MAXITER steps.
     """
     lo, hi, f_lo, f_hi, x = (np.array(v, dtype=float) for v in
                              np.broadcast_arrays(lo, hi, f_lo, f_hi, x))

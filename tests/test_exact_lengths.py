@@ -4,12 +4,14 @@ Every 1-D diffeomorphism is monotone, so its iso maps are Euclidean: the
 iso-distance is |x - y|, the iso-geodesic (1 - t) x + t y and the
 iso-exponential x + v.  Spiral and banana integrate their speed in closed
 form; against a fine self-rule they are never worse than the 64x4 rule.
+No iso map on these three maps reaches that rule.
 """
 
 import numpy as np
 import pytest
 
 import isogeo as ig
+from isogeo import isomaps
 from isogeo.diffeos import _line_length
 from isogeo.errors import DomainError
 from isogeo.isomaps import _arc_lengths, _arc_table, _speeds
@@ -103,13 +105,27 @@ def test_line_length_where_the_speed_nearly_vanishes():
                         3.2114477742477923e-12) == pytest.approx(17.486608170626408, rel=1e-15)
 
 
+def reference_speeds(M, a, w, ts):
+    """The speeds of the (L, d) phi-lines a + t w at the times ts, (L, n).
+
+    The spiral's inv_jvp rotates beta (w_r, r (w_r + w_theta)) by the angle
+    r + theta, so its norm is beta sqrt(w_r^2 + (r (w_r + w_theta))^2), free
+    of the rounding of cos and sin; the other maps take their own speed.
+    """
+    if M.diffeo.name != "spiral":
+        return _speeds(M, a, w, ts)
+    wr = w[:, :1]
+    r = wr * ts + a[:, :1]
+    return M.diffeo.params["beta"] * np.sqrt(np.square(r * (wr + w[:, 1:])) + np.square(wr))
+
+
 def self_rule(M, a, w):
     """512x8 Gauss-Legendre lengths, summed in extended precision."""
     ts, weights, _ = composite_nodes(0.0, 1.0, 512, 8)
     out = np.empty(len(a))
     for start in range(0, len(a), 250):
         part = slice(start, start + 250)
-        speeds = _speeds(M, a[part], w[part], ts).astype(np.longdouble)
+        speeds = reference_speeds(M, a[part], w[part], ts).astype(np.longdouble)
         out[part] = (speeds * weights.astype(np.longdouble)).sum(axis=-1)
     return out
 
@@ -161,3 +177,34 @@ def test_banana_closed_form_against_a_fine_rule():
     a, w = random_lines(rng, 5000, [-10.0, -10.0], [10.0, 10.0])
     w[:len(a) // 8, 1] = 0.0        # w2 = 0: constant speed |w1|
     assert_never_worse_than_the_rule(M, a, w)
+
+
+def test_an_overflowing_closed_form_is_not_read_as_zero():
+    # Both phi-images are finite, but u0 = -inf and q = +inf leave u1 NaN: a
+    # length of 0 there would fall below the chord, a bound _nearest prunes by.
+    x = np.array([7.94627791e152, 9.50898036e153])
+    y = np.array([-3.69282820e152, 1.87267499e153])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = ig.iso_distance(make_manifold("spiral"), x, y)
+    assert not (d < np.linalg.norm(x - y))
+
+
+@pytest.mark.parametrize("name", ["spiral", "banana", "sinh"])
+def test_maps_with_exact_lengths_never_reach_the_rule(name, monkeypatch):
+    M = make_manifold(name)
+    rng = np.random.default_rng(137)
+    points = np.array([sample_point(name, M, rng) for _ in range(12)])
+
+    def rule(*args):
+        raise AssertionError("the Gauss-Legendre rule was reached")
+
+    monkeypatch.setattr(isomaps, "_speeds", rule)
+    monkeypatch.setattr(isomaps, "_arc_table", rule)
+    x, y = points[0], points[1]
+    assert ig.iso_distance(M, points[:6, None], points[None, 6:]).shape == (6, 6)
+    xi = ig.iso_log(M, x, y)
+    assert ig.iso_geodesic(M, x, y, np.linspace(0.0, 1.0, 5)).shape == (5, M.dim)
+    assert ig.iso_exp(M, ig.TangentVector(x, 0.5 * xi.vec)).shape == (M.dim,)
+    ig.iso_barycentre(M, points)
+    ig.iso_kmeans(M, points, 2, seed=0)
+    assert ig.speed_profile(M, x, y).shape == (33, 2)
