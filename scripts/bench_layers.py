@@ -7,7 +7,11 @@ Prints one JSON object:
   each built-in geometry at 1, 30, 128 and 480 phi-lines (default 64x4
   rule; the lines join seeded random points of the geometry);
 - ``arc_table_minflt``: minor page faults (``ru_minflt``) per warm
-  480-line ``_arc_table`` call of each geometry, over 5 calls;
+  480-line ``_arc_table`` call of each geometry, over 5 calls.  They follow
+  the process's heap history (whether glibc has trimmed the heap top since
+  the last call), not the geometry or the code under test: the same code
+  reads 0 in one run and over 100 in the next, so these rows cannot tell
+  two checkouts apart;
 - ``arc_lengths_ms``: the same as ``arc_table_ms`` for the whole lengths of
   those lines, one ``isomaps._arc_lengths`` call (the map's exact
   ``arc_length`` where it has one, else the rule), or in a checkout without
@@ -30,6 +34,11 @@ Prints one JSON object:
   the time per solve of one lockstep ``quadrature.newton_roots`` call on
   all of them (each started at its bracket's regula falsi point) and of
   scipy's ``brentq`` on each bracket;
+- ``invert_us``: best of 5 x 50 calls, the time per call (µs) of one
+  ``isomaps._invert`` of 118 and of 160 arc-length targets, evenly spaced
+  inside the whole length of one seeded line of each built-in geometry
+  (the interior samples of a 120-sample iso-geodesic and the stencil of an
+  80-sample speed profile, as ``geodesic_sampling`` runs them);
 - ``output_us``: best of 5 x 50 calls of ``serialize.write_csv`` of a
   120-sample iso geodesic table (t, x0, x1) on river(5, 0.25), of
   ``experiments._write_points`` of a 120-point k-means ``points.csv``
@@ -67,6 +76,7 @@ Prints one JSON object:
   its exit code.
 
 It uses public functions, ``_arc_table``, ``isomaps.composite_nodes``,
+``isomaps._knot_lengths``, ``isomaps._invert``,
 ``experiments._write_points``, ``experiments._versions``,
 ``experiments.least_squares_screen`` where it exists,
 ``clustering._nearest``, ``_arc_lengths`` and ``clustering._arc_table``
@@ -289,6 +299,26 @@ def root_solve_times():
             for name, fn in solvers.items()}
 
 
+INVERT_TARGETS = (118, 160)
+
+
+def invert_times():
+    """Per-call time (us) of one _invert of 118 and of 160 targets per geometry."""
+    rng = np.random.default_rng(5)
+    times = {}
+    for name, make in GEOMETRIES.items():
+        M = ig.PullbackManifold(make())
+        a, b = M.diffeo.forward(_points(name, M, rng, 2))
+        w = b - a
+        cumlen = isomaps._knot_lengths(M, a, w)
+        times[name] = {}
+        for n in INVERT_TARGETS:
+            target = np.linspace(0.0, cumlen[-1], n + 2)[1:-1]
+            times[name][str(n)] = 1e6 * _best(
+                lambda: isomaps._invert(M, a, w, cumlen, target), number=50)
+    return times
+
+
 def _output_calls(out):
     """The outputs the experiments write, as calls writing into ``out``."""
     M = ig.PullbackManifold(ig.river(5.0, 0.25))
@@ -488,6 +518,7 @@ def main(argv):
         "iso_exp_quadratures": iso_exp_quadratures(),
         "identity_batch": identity_batches(),
         "root_solve_us": root_solve_times(),
+        "invert_us": invert_times(),
         "output_us": output_times(),
         "rewrite_us": rewrite_times(),
         "kmeans": kmeans_times(),

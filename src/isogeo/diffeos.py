@@ -69,7 +69,9 @@ def _line_length(u0, q, c):
     with np.errstate(divide="ignore", invalid="ignore"):
         x = (1.0 + u / s) / (u0 + s0)
         b = np.where(q != 0.0, np.log1p(q * x) / q, x)
-        b = np.where(u0 * u1 < 0.0, (np.arcsinh(u1 / c) - np.arcsinh(u0 / c)) / q, b)
+        crossing = u0 * u1 < 0.0
+        if crossing.any():
+            b = np.where(crossing, (np.arcsinh(u1 / c) - np.arcsinh(u0 / c)) / q, b)
         length = 0.5 * (0.5 * s + 0.5 * u * u / s + np.where(c2 > 0.0, c2 * b, 0.0))
     # A zero speed (s = 0) leaves 0 / 0 behind; an overflow's NaN stays NaN.
     return np.where(s == 0.0, 0.0, length)

@@ -57,16 +57,17 @@ def build_manifold(config):
 
 
 def geodesic_rows(M, start, end, samples, iso):
+    """The ``(samples, 1 + d)`` float table of times t and geodesic points."""
     ts = np.linspace(0.0, 1.0, samples)
     if not iso:
-        return [[t, *lc_geodesic(M, start, end, t)] for t in ts]
+        return np.column_stack([ts, lc_geodesic(M, start, end, ts[:, None])])
     # The endpoints are written as given; the interior times share one
     # table, and with none (samples <= 2) coincident endpoints are fine.
     points = np.where((ts == 0.0)[:, None], start, end).astype(float)
     inner = (ts > 0.0) & (ts < 1.0)
     if inner.any():
         points[inner] = iso_geodesic(M, start, end, ts[inner])
-    return np.column_stack([ts, points]).tolist()
+    return np.column_stack([ts, points])
 
 
 def _run_geodesic(config, M, outdir):

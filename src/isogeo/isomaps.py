@@ -98,7 +98,7 @@ def _invert(M, a, w, cumlen, target):
     changed = np.where(target <= 0.0, 0.0, 1.0)
     inner = np.flatnonzero((target > 0.0) & (target < cumlen[-1]))
     target = target[inner]
-    idx = np.clip(np.searchsorted(cumlen, target, side="left"), 1, len(knots) - 1)
+    idx = np.minimum(np.maximum(np.searchsorted(cumlen, target), 1), len(knots) - 1)
     lo, hi = knots[idx - 1], knots[idx]
     c_lo, c_hi = cumlen[idx - 1], cumlen[idx]
     guess = lo + (hi - lo) * (target - c_lo) / np.maximum(c_hi - c_lo, 1e-300)

@@ -137,7 +137,7 @@ def newton_roots(g, lo, hi, f_lo, f_hi, x, scale):
     """
     lo, hi, f_lo, f_hi, x = (np.array(v, dtype=float) for v in
                              np.broadcast_arrays(lo, hi, f_lo, f_hi, x))
-    eps = 1e-15 * (1.0 + np.abs(np.broadcast_to(scale, lo.shape)))
+    eps = np.full(lo.shape, 1e-15 * (1.0 + np.abs(scale)))
     _check_finite(lo, f_lo)
     _check_finite(hi, f_hi)
     wrong = (f_lo > 0.0) | (f_hi < 0.0)
@@ -146,7 +146,7 @@ def newton_roots(g, lo, hi, f_lo, f_hi, x, scale):
             f"root solve: no sign change on [{lo[wrong][0]}, {hi[wrong][0]}]")
     root = np.empty(len(lo))
     live = np.arange(len(lo))
-    x_prev, f_prev = x, np.full(len(lo), np.inf)
+    x_prev = f_prev = half_prev = np.full(len(lo), np.inf)
     for _ in range(NEWTON_MAXITER):
         if not live.size:
             return root
@@ -160,21 +160,22 @@ def newton_roots(g, lo, hi, f_lo, f_hi, x, scale):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # A residual that did not halve has a slope other than df (a coarse
             # rule's sum drifts from the integral whose derivative df is).
-            stalled = size > 0.5 * np.abs(f_prev)
+            stalled = size > half_prev
             if stalled.any():
                 df = np.where(stalled, (f - f_prev) / (x - x_prev), df)
             step = x - f / df
-            falsi = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        # Inclusive: a step onto a bracket end is a Newton step.
-        step = np.where((step >= lo) & (step <= hi), step, falsi)
-        small = np.abs(step - x) < REFINE_XTOL
-        root[live[hit]] = x[hit]
-        root[live[small & ~hit]] = step[small & ~hit]
-        keep = ~(hit | small)
-        x_prev, f_prev = x, f
-        if not keep.all():
-            live, lo, hi, f_lo, f_hi, step, eps, x_prev, f_prev = (
-                v[keep] for v in (live, lo, hi, f_lo, f_hi, step, eps, x_prev, f_prev))
+            # Inclusive: a step onto a bracket end is a Newton step.
+            inside = (step >= lo) & (step <= hi)
+            if not inside.all():
+                step = np.where(inside, step, lo - f_lo * (hi - lo) / (f_hi - f_lo))
+        done = hit | (np.abs(step - x) < REFINE_XTOL)
+        x_prev, f_prev, half_prev = x, f, 0.5 * size
+        if done.any():
+            root[live[done]] = np.where(hit, x, step)[done]
+            keep = ~done
+            live, lo, hi, f_lo, f_hi, step, eps, x_prev, f_prev, half_prev = (
+                v[keep] for v in (live, lo, hi, f_lo, f_hi, step, eps, x_prev, f_prev,
+                                  half_prev))
         x = step
     if not live.size:
         return root

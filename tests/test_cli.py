@@ -753,7 +753,7 @@ def test_cli_geodesic_rejects_non_finite_geometry_parameters():
 def test_geodesic_rows_coincident_endpoints_without_interior(river_manifold, samples):
     x = np.array([1.0, -2.0])
     rows = experiments.geodesic_rows(river_manifold, x, x.copy(), samples, True)
-    assert rows == [[t, 1.0, -2.0] for t in np.linspace(0.0, 1.0, samples)]
+    assert rows.tolist() == [[t, 1.0, -2.0] for t in np.linspace(0.0, 1.0, samples)]
     with pytest.raises(DegenerateCurveError):
         experiments.geodesic_rows(river_manifold, x, x.copy(), 3, True)
 

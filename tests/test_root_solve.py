@@ -231,3 +231,155 @@ def test_refine_roots_iteration_cap_raises_nonconvergence():
         brentq(lambda x: -1.0 if x < 0.3 else 1.0, -1e30, 1e30,
                xtol=REFINE_XTOL, maxiter=quadrature.NEWTON_MAXITER)
     assert NEWTON_MAXITER == 100
+
+
+def oracle_newton_roots(g, lo, hi, f_lo, f_hi, x, scale, exits=None):
+    """The earlier lockstep loop of ``newton_roots``, kept as its oracle.
+
+    It recomputed half the last residual each step, took the regula falsi
+    point of every lane and compacted with separate hit and small-step
+    masks.  ``exits`` collects (iteration, lane, how) for each lane that
+    leaves, where how is "hit" or "small", plus "secant" and "falsi" for the
+    lanes that took those steps on the way.
+    """
+    def check_finite(x, residual):
+        if not np.isfinite(residual).all():
+            bad = ~np.isfinite(residual)
+            raise NonConvergenceError(
+                f"root solve: residual {residual[bad][0]} at x = {x[bad][0]}")
+
+    exits = [] if exits is None else exits
+    lo, hi, f_lo, f_hi, x = (np.array(v, dtype=float) for v in
+                             np.broadcast_arrays(lo, hi, f_lo, f_hi, x))
+    eps = 1e-15 * (1.0 + np.abs(np.broadcast_to(scale, lo.shape)))
+    check_finite(lo, f_lo)
+    check_finite(hi, f_hi)
+    wrong = (f_lo > 0.0) | (f_hi < 0.0)
+    if wrong.any():
+        raise NonConvergenceError(
+            f"root solve: no sign change on [{lo[wrong][0]}, {hi[wrong][0]}]")
+    root = np.empty(len(lo))
+    live = np.arange(len(lo))
+    x_prev, f_prev = x, np.full(len(lo), np.inf)
+    for it in range(NEWTON_MAXITER):
+        if not live.size:
+            return root
+        f, df = g(live, x)
+        check_finite(x, f)
+        size = np.abs(f)
+        hit = size <= eps
+        left = f < 0.0
+        lo, f_lo = np.where(left, x, lo), np.where(left, f, f_lo)
+        hi, f_hi = np.where(left, hi, x), np.where(left, f_hi, f)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            stalled = size > 0.5 * np.abs(f_prev)
+            if stalled.any():
+                df = np.where(stalled, (f - f_prev) / (x - x_prev), df)
+            step = x - f / df
+            falsi = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        inside = (step >= lo) & (step <= hi)
+        exits += [(it, lane, "secant") for lane in live[stalled & ~hit]]
+        exits += [(it, lane, "falsi") for lane in live[~inside & ~hit]]
+        step = np.where(inside, step, falsi)
+        small = np.abs(step - x) < REFINE_XTOL
+        root[live[hit]] = x[hit]
+        root[live[small & ~hit]] = step[small & ~hit]
+        exits += [(it, lane, "hit") for lane in live[hit]]
+        exits += [(it, lane, "small") for lane in live[small & ~hit]]
+        keep = ~(hit | small)
+        x_prev, f_prev = x, f
+        if not keep.all():
+            live, lo, hi, f_lo, f_hi, step, eps, x_prev, f_prev = (
+                v[keep] for v in (live, lo, hi, f_lo, f_hi, step, eps, x_prev, f_prev))
+        x = step
+    if not live.size:
+        return root
+    raise NonConvergenceError(
+        f"root solve: {len(live)} of {len(root)} lanes open after "
+        f"{NEWTON_MAXITER} Newton iterations")
+
+
+def _drifting(rng, lo, hi):
+    """Cubics whose derivative is off by a lane factor, as a coarse rule's is."""
+    g = _cubic(rng, lo, hi)
+    factor = rng.choice([0.25, 1.0, 4.0], len(lo))
+
+    def drifting(i, x):
+        f, df = g(i, x)
+        return f, factor[i] * df
+    return drifting
+
+
+def _exact_start(rng, lo, hi):
+    """Lines through the starts of the test, so a share of lanes hit at once."""
+    n = len(lo)
+    slope = 10.0 ** rng.uniform(-3, 3, n)
+    r = np.where(rng.uniform(size=n) < 0.3, 0.5 * (lo + hi),
+                 lo + (hi - lo) * rng.uniform(0.01, 0.99, n))
+    return lambda i, x: (slope[i] * (x - r[i]), slope[i] + 0.0 * x)
+
+
+def _against_the_earlier_loop(family):
+    """Roots of seeded lanes of a family from several starts and scales, each
+    asserted equal bit for bit to the oracle's; returns the oracle's exits."""
+    rng = np.random.default_rng(45)
+    n = 500
+    lo = rng.uniform(-20, 5, n)
+    hi = lo + 10.0 ** rng.uniform(-3, 1.5, n)
+    g = family(rng, lo, hi)
+    lanes = np.arange(n)
+    f_lo, f_hi = g(lanes, lo)[0], g(lanes, hi)[0]
+    exits = []
+    for start, scale in ((0.5 * (lo + hi), 1.0), (lo, 1.0), (hi, 1.0),
+                         (lo + (hi - lo) * rng.uniform(size=n), 1.0),
+                         (lo + (hi - lo) * rng.uniform(size=n),
+                          10.0 ** rng.uniform(-2, 16, n))):
+        want = oracle_newton_roots(g, lo, hi, f_lo, f_hi, start, scale, exits)
+        got = newton_roots(g, lo, hi, f_lo, f_hi, start, scale)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    return exits
+
+
+FAMILIES = [_cubic, _tanh, _drifting, _exact_start]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_newton_roots_equal_the_earlier_loop_bit_for_bit(family):
+    _against_the_earlier_loop(family)
+
+
+def test_newton_oracle_families_cover_every_exit():
+    exits = [e for family in FAMILIES for e in _against_the_earlier_loop(family)]
+    assert {how for _, _, how in exits} == {"hit", "small", "secant", "falsi"}
+    for how in ("hit", "small"):
+        assert len({it for it, _, seen in exits if seen == how}) >= 2
+    assert len({it for it, _, how in exits if how in ("hit", "small")}) >= 4
+
+
+@pytest.mark.parametrize("case", ["nan lane", "nan end", "no sign change", "cap"])
+def test_newton_roots_errors_equal_the_earlier_loop(case):
+    lo, hi = np.zeros(5), np.ones(5)
+    roots = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    lanes = np.arange(5)
+
+    def cube(i, x):
+        r = x**3 - roots[i] ** 3
+        return np.where((i == 3) & (x > 0.0) & (x < 1.0), np.nan, r), 3 * x**2
+
+    def step(i, x):
+        return np.where(x < 0.3, -1.0, 1.0), np.zeros(len(x))
+
+    args = {
+        "nan lane": (cube, lo, hi, cube(lanes, lo)[0], cube(lanes, hi)[0], lo + 0.5, 1.0),
+        "nan end": (cube, lo, hi, cube(lanes, lo)[0], np.where(lanes == 2, np.nan, 1.0),
+                    lo + 0.5, 1.0),
+        "no sign change": (lambda i, x: (x + 1.0, np.ones(len(x))), lo, hi, lo + 1.0,
+                           hi + 1.0, lo + 0.5, 1.0),
+        "cap": (step, np.array([-1e30, 0.0]), np.array([1e30, 1.0]),
+                np.array([-1.0, -1.0]), np.ones(2), np.array([5.0, 0.5]), 1.0),
+    }[case]
+    with pytest.raises(NonConvergenceError) as want:
+        oracle_newton_roots(*args)
+    with pytest.raises(NonConvergenceError) as got:
+        newton_roots(*args)
+    assert str(got.value) == str(want.value)

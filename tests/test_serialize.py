@@ -104,18 +104,106 @@ def test_cli_geodesic_stdout_is_oracle_cells_joined_with_lf(iso):
     assert result.stdout == want
 
 
+def oracle_jsonable(obj):
+    """The recursive pre-pass that fed json.dump: the oracle of ``write_json``."""
+    if isinstance(obj, np.ndarray):
+        return oracle_jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    if isinstance(obj, dict):
+        return {k: oracle_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [oracle_jsonable(v) for v in obj]
+    return obj
+
+
 def test_write_json_bytes_equal_json_dump(tmp_path):
     summary = {
         "b": np.arange(3.0), "a": np.float64(0.1), "n": np.int64(3), "none": None,
         "nested": {"z": np.bool_(True), "y": [np.float32(1.5), (1, 2.5)],
                    "x": {}, "w": {"deep": np.array([[1, 2], [3, 4]])}},
         "nan": float("nan"), "empty": [], "text": "ok", "flag": False,
+        "f32": np.float32(0.1), "i64": np.int64(-2**62), "u8": np.uint8(255),
+        "bools": [np.bool_(False), True, np.array(True)],
+        "zero_d": [np.array(1.5), np.array(7), np.array(np.nan)],
+        "arrays": [np.zeros((2, 0)), np.array([[[0.1, -0.0]], [[np.inf, -np.inf]]]),
+                   np.array([1, 2], dtype=np.int32), np.array([], dtype=float)],
+        "tuples": (np.float64(-0.0), (np.float64(5e-324), ()), np.float64(1e308)),
+        "specials": [np.float64(np.nan), np.float64(np.inf), -np.inf, np.float64(-np.inf)],
+        "empties": [{}, [], (), ""],
+        "floats": [1 / 3, np.float64(1 / 3), 1e16, np.float64(2.0**53 + 2), 1e-310],
     }
     serialize.write_json(tmp_path / "got.json", summary)
     with open(tmp_path / "want.json", "w") as fh:
-        json.dump(serialize._jsonable(summary), fh, indent=2, sort_keys=True)
+        json.dump(oracle_jsonable(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+@pytest.mark.parametrize("value", [object(), np.longdouble(0.1), np.array([np.longdouble(1)]),
+                                   1j, np.complex128(1j), {1.5j: 0}])
+def test_write_json_rejects_what_json_cannot_encode(tmp_path, value):
+    with pytest.raises(TypeError):
+        json.dumps(oracle_jsonable({"v": value}))
+    with pytest.raises(TypeError):
+        serialize.write_json(tmp_path / "got.json", {"v": value})
+
+
+FLOAT_CELLS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+               0.1, 1 / 3, 1e16, 1e17, 2.0**53 + 2, 1.0, -2.0, 100.0, 12345678901234567.0]
+
+
+def cellwise_csv_text(header, rows):
+    """``fmt`` on every cell, joined with commas and LF."""
+    return "".join(line + "\n" for line in [",".join(header)] + [
+        ",".join(serialize.fmt(v) for v in row) for row in rows])
+
+
+@pytest.mark.parametrize("table", [
+    np.array(FLOAT_CELLS).reshape(-1, 1),
+    np.array(FLOAT_CELLS[:18]).reshape(6, 3),
+    np.array(FLOAT_CELLS[:18]).reshape(3, 6).T.copy(),
+    np.array(FLOAT_CELLS[:18]).reshape(6, 3)[::-1, ::2],
+    np.random.default_rng(6).standard_normal((120, 3))
+    * 10.0 ** np.arange(-150, 210, 3)[:, None],
+    np.random.default_rng(7).integers(-10**6, 10**6, (120, 3)).astype(float),
+    np.empty((0, 3)),
+    np.empty((0, 1)),
+    np.empty((4, 0)),
+], ids=["one-column", "6x3", "transposed", "strided", "120x3", "integral",
+        "no-rows", "no-rows-one-column", "no-columns"])
+def test_float_table_text_equals_fmt_cells(table, monkeypatch):
+    header = [f"c{i}" for i in range(table.shape[1])]
+    want = cellwise_csv_text(header, table.tolist())
+    assert want == cellwise_csv_text(header, table)     # fmt of np.float64 cells
+    # The table takes the row-template path: fmt is not called.
+    monkeypatch.setattr(serialize, "fmt", None)
+    assert serialize._csv_text(header, table) == want
+
+
+@pytest.mark.parametrize("iso", [True, False])
+@pytest.mark.parametrize("name", ["identity", "river", "spiral", "banana", "sinh_shift_1d"])
+@pytest.mark.parametrize("samples", [0, 1, 2, 57, 120])
+def test_geodesic_rows_are_a_float_table_of_per_sample_points(name, iso, samples):
+    M = ig.PullbackManifold(getattr(ig, name)())
+    x, y = {"identity": ([0.0, 0.0], [1.0, -2.0]), "river": ([0.0, -3.0], [1.0, 3.0]),
+            "spiral": ([-1.678, -1.088], [-2.279, 1.951]),
+            "banana": ([-2.0, -3.0], [2.0, 3.0]), "sinh_shift_1d": ([-1.5], [2.0])}[name]
+    x, y = np.array(x), np.array(y)
+    rows = experiments.geodesic_rows(M, x, y, samples, iso)
+    assert rows.dtype == np.float64 and rows.shape == (samples, 1 + M.dim)
+    ts = np.linspace(0.0, 1.0, samples)
+    assert np.array_equal(rows[:, 0], ts)
+    if iso:
+        inner = (ts > 0.0) & (ts < 1.0)
+        assert np.array_equal(rows[inner, 1:], ig.iso_geodesic(M, x, y, ts[inner]))
+        assert (rows[~inner, 1:] == np.where(ts[~inner, None] == 0.0, x, y)).all()
+    else:
+        # One batched Levi-Civita call has the bits of a call per sample.
+        want = [ig.lc_geodesic(M, x, y, t) for t in ts]
+        assert np.array_equal(rows[:, 1:].view(np.int64),
+                              np.reshape(want, (samples, M.dim)).view(np.int64))
 
 
 def test_import_loads_no_csv():
