@@ -4,8 +4,13 @@
 Prints one JSON object:
 
 - ``arc_table_ms``: best-of-N time of one ``isomaps._arc_table`` call for
-  each built-in geometry at 1, 30, 128 and 480 phi-lines (default 64x4
-  rule; the lines join seeded random points of the geometry);
+  each built-in geometry at 1, 30, 128, 192, 256 and 480 phi-lines
+  (default 64x4 rule; the lines join seeded random points of the
+  geometry).  At d = 2 a table of 192 lines or more has
+  ``isomaps.SPLIT_PASSES`` passes and, on 2 or more CPUs, shares them with
+  the helper thread if its first pass took ``isomaps.SPLIT_PASS_S`` or
+  longer (river's do, identity's do not); these are hot-loop times, with
+  the helper awake;
 - ``arc_table_minflt``: minor page faults (``ru_minflt``) per warm
   480-line ``_arc_table`` call of each geometry, over 5 calls.  They follow
   the process's heap history (whether glibc has trimmed the heap top since
@@ -69,6 +74,16 @@ Prints one JSON object:
   ``experiments.least_squares_screen`` as its run is (unscreened in a
   checkout without it), and the number of grid points passed to the exact
   objective (``f_points``) next to ``grid_points``;
+- ``split_crossover``: for river(5, 0.25) and identity(2) tables of 2 to 20
+  passes, the median time (ms, 200 samples each) of one ``_arc_table`` call
+  kept on the calling thread (``serial``), always shared with the helper
+  thread (``split``: ``isomaps.SPLIT_PASSES`` 1 and ``SPLIT_PASS_S`` 0) and
+  shared as the shipped gate decides (``gated``), the three in rotating
+  order, and the split and gated times over the serial one.  Each call
+  follows 1 ms of other library work (``_iso_transport_vecs`` batches on
+  river), so the helper is idle and asleep when the table starts, as between
+  the tables of a workload pass; this sets the gate.  None in a checkout
+  without the split;
 - ``cold_start``: in fresh child interpreters, the median time of
   ``import isogeo, isogeo.cli`` inside the child and whether it loaded
   scipy, and for each ``configs/*.ini`` the median whole-process time of
@@ -80,7 +95,10 @@ It uses public functions, ``_arc_table``, ``isomaps.composite_nodes``,
 ``experiments._write_points``, ``experiments._versions``,
 ``experiments.least_squares_screen`` where it exists,
 ``clustering._nearest``, ``_arc_lengths`` and ``clustering._arc_table``
-where they exist and the quadrature constants only, and imports
+where they exist, ``isomaps._iso_transport_vecs``, ``isomaps.unit_rule``,
+``isomaps.PASS_BYTES``, ``isomaps.SPLIT_PASSES`` and
+``isomaps.SPLIT_PASS_S`` where they exist and the
+quadrature constants only, and imports
 ``isogeo`` from the ``src/`` next to this script, so a copy placed in an
 older checkout measures that checkout.  scipy, the oracle of the root-solve timing, is imported there
 only.
@@ -115,8 +133,9 @@ from isogeo.config import load_config  # noqa: E402
 from isogeo.isomaps import _arc_table  # noqa: E402
 from isogeo.quadrature import REFINE_XTOL, newton_roots  # noqa: E402
 
-LINE_COUNTS = (1, 30, 128, 480)
+LINE_COUNTS = (1, 30, 128, 192, 256, 480)
 JACOBIAN_POINTS = (1, 60, 480)
+SPLIT_PASS_COUNTS = (2, 3, 4, 5, 6, 8, 12, 20)
 BATCH_DIMS = (2, 64, 256)
 COLD_SAMPLES = 5
 REWRITES = 200
@@ -475,6 +494,48 @@ def grid_oracle():
             "f_points": sum(sizes), "grid_points": extras["grid_points"]}
 
 
+def split_crossover():
+    """One-thread, split and gated table times between bursts of other work."""
+    if not hasattr(isomaps, "SPLIT_PASSES"):
+        return None
+    R = ig.PullbackManifold(ig.river())
+    rng = np.random.default_rng(0)
+    xs, ys = _points("river", R, rng, 30), _points("river", R, rng, 30)
+
+    def other_work(seconds=1e-3):
+        until = time.perf_counter() + seconds
+        while time.perf_counter() < until:
+            isomaps._iso_transport_vecs(R, xs, ys, ys - xs)
+
+    shipped = isomaps.SPLIT_PASSES, getattr(isomaps, "SPLIT_PASS_S", 0.0)
+    modes = {"serial": (sys.maxsize, 0.0), "split": (1, 0.0), "gated": shipped}
+    result = {}
+    try:
+        for name in ("river", "identity"):
+            M = ig.PullbackManifold(GEOMETRIES[name]())
+            step = isomaps.PASS_BYTES // (8 * len(isomaps.unit_rule(M.quad)[0]) * M.dim)
+            a = M.diffeo.forward(_points(name, M, rng, step * max(SPLIT_PASS_COUNTS)))
+            w = M.diffeo.forward(_points(name, M, rng, len(a))) - a
+            result[name] = {}
+            for passes in SPLIT_PASS_COUNTS:
+                lines = passes * step
+                times = {mode: [] for mode in modes}
+                for i in range(200):
+                    for mode in list(modes)[i % 3:] + list(modes)[:i % 3]:
+                        isomaps.SPLIT_PASSES, isomaps.SPLIT_PASS_S = modes[mode]
+                        other_work()
+                        started = time.perf_counter()
+                        _arc_table(M, a[:lines], w[:lines])
+                        times[mode].append(time.perf_counter() - started)
+                ms = {mode: 1e3 * statistics.median(t) for mode, t in times.items()}
+                result[name][str(passes)] = {
+                    **ms, "split_ratio": ms["split"] / ms["serial"],
+                    "gated_ratio": ms["gated"] / ms["serial"], "lines": lines}
+    finally:
+        isomaps.SPLIT_PASSES, isomaps.SPLIT_PASS_S = shipped
+    return result
+
+
 def cold_start():
     """Import time and whole-process config runs, each in fresh interpreters."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -524,6 +585,7 @@ def main(argv):
         "kmeans": kmeans_times(),
         "ird_iteration_us": ird_iteration_times(),
         "grid_oracle": grid_oracle(),
+        "split_crossover": split_crossover(),
         "cold_start": cold_start(),
     }
     print(json.dumps(result, indent=1))

@@ -16,7 +16,9 @@ pass:
   (for ``arc_length``, the lines) they carried, where a call on ``(..., d)``
   arrays carries the size of their broadcast ``(...)`` shape.  Every
   ``Diffeomorphism`` built after start-up has its callables wrapped, which
-  adds a few microseconds per call to ``wall_s``;
+  adds a few microseconds per call to ``wall_s``.  ``speed`` also runs on
+  the helper thread of a split ``_arc_table``, so one lock guards both
+  counts;
 
 and the process's peak RSS.  ``--pass-bytes`` sets ``isomaps.PASS_BYTES``
 for a sweep of the pass size; it is ignored by a checkout without it.
@@ -37,6 +39,7 @@ import resource
 import shutil
 import sys
 import tempfile
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -54,11 +57,16 @@ DIFFEO_CALLABLES = ("forward", "inverse", "jvp", "inv_jvp", "speed", "arc_length
 def count_diffeo_traffic(calls, points):
     """Count into ``calls`` and ``points`` what every later Diffeomorphism is asked."""
     init = diffeos.Diffeomorphism.__init__
+    # A bare "points[name] += ..." reads the count before computing what it
+    # adds, so a thread switch in between would lose an update.
+    lock = threading.Lock()
 
     def counted(name, fn):
         def call(*args):
-            calls[name] += 1
-            points[name] += math.prod(np.broadcast_shapes(*map(np.shape, args))[:-1])
+            n = math.prod(np.broadcast_shapes(*map(np.shape, args))[:-1])
+            with lock:
+                calls[name] += 1
+                points[name] += n
             return fn(*args)
         return call
 

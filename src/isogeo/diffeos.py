@@ -66,7 +66,7 @@ def _line_length(u0, q, c):
     sign = np.copysign(1.0, u)
     u0, u1, q, u = sign * u0, sign * u1, sign * q, np.abs(u)
     c2 = c * c
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = (1.0 + u / s) / (u0 + s0)
         b = np.where(q != 0.0, np.log1p(q * x) / q, x)
         crossing = u0 * u1 < 0.0
@@ -106,6 +106,9 @@ class Diffeomorphism:
         integrand the rule evaluates on a map without ``arc_length``, and on
         every map the Newton derivative in t of the arc length of y + t w.
         Defaults to the norm of ``inv_jvp``, with the bits of ``np.linalg.norm``.
+        On ``isomaps.SPLIT_PASSES`` passes or more it may run on two threads at
+        once, and so may ``inv_jvp`` through it: they must not mutate shared
+        state (the built-ins are pure).
     arc_length : callable, optional
         ``arc_length(y, w)``, the ``(...)`` l2 lengths of the curves
         ``inverse(y + t w)``, t in [0, 1], for y and w broadcast over

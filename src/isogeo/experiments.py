@@ -88,16 +88,12 @@ def _stall_code(summary, stalled):
 
 
 def _write_points(path, points, labels=None, extra=()):
-    dim = points.shape[1]
-    header = [f"x{i}" for i in range(dim)]
-    columns = [points[:, i].tolist() for i in range(dim)]
+    columns = [(f"x{i}", points[:, i]) for i in range(points.shape[1])]
     if labels is not None:
-        header.append("truth")
-        columns.append(labels.tolist())
-    for name, values in extra:
-        header.append(name)
-        columns.append(values.tolist())
-    write_csv(path, header, zip(*columns))
+        columns.append(("truth", labels))
+    columns += extra
+    names = [name for name, _ in columns]
+    write_csv(path, names, np.rec.fromarrays([values for _, values in columns], names=names))
 
 
 def _run_barycentre(config, M, outdir):

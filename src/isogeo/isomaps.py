@@ -9,11 +9,18 @@ rescales exponential arguments so that radial arc lengths match vector norms.
 Arc lengths come from one engine.  Where the diffeomorphism gives them,
 ``arc_length`` is exact and ``speed`` is its derivative; elsewhere
 ``_arc_table`` integrates the speed with the fixed Gauss-Legendre rule: a
-batch of phi-lines is evaluated at every quadrature node in one array pass,
-and the values per line are the same as for that line on its own.
+batch of phi-lines is evaluated at every quadrature node in 96 kB passes, with
+the values of each line on its own.  In a table of ``SPLIT_PASSES`` passes or
+more whose first pass took ``SPLIT_PASS_S`` or longer, a helper thread takes
+passes too, so two pass arrays may be live at once.
 """
 
+import contextlib
+import contextvars
+import functools
 import math
+import os
+import time
 
 import numpy as np
 
@@ -28,6 +35,20 @@ from .quadrature import (NEWTON_MAXITER, REFINE_XTOL, _leggauss, composite_nodes
 # reused from the heap (at 256 kB every pass faulted in fresh pages), and
 # smaller passes pay more per-pass overhead; BENCH_8.json records the sweep.
 PASS_BYTES = 96 * 1024
+# A table of at least SPLIT_PASSES passes (192 lines at d = 2) whose first
+# pass took SPLIT_PASS_S or longer shares its other passes with one helper
+# thread (_run_passes).  Waking the idle helper costs about what a small table
+# saves: with other work between river tables, a split table took 0.94-1.20x
+# the one-thread time at 2-4 passes and 0.83-1.06x at 5-6, but 0.77-0.88x at
+# 8 and 0.73-0.84x at 12-20 (BENCH_25.json).  At 8, every solver_loop table
+# (at most 5 passes) stays on one thread.  The threads overlap only where
+# numpy releases the GIL, so a speed of a few cheap ufuncs gains nothing
+# (identity(2), identity(3), identity(16) and banana through the rule:
+# 0.92-1.28x at 8-20 passes).  Their first passes took 33-55 us on a 2-core
+# x86-64 host, river's 95 us and a sin map's 435 us: a pass of 70 us or more
+# spends long enough in ufuncs for a second thread to pay.
+SPLIT_PASSES = 8
+SPLIT_PASS_S = 70e-6
 
 MAX_BRACKET_DOUBLINGS = 60
 
@@ -44,11 +65,71 @@ def _speeds(M, a, w, ts):
     return M.diffeo.speed(p, np.broadcast_to(w[..., None, :], p.shape))
 
 
+@functools.cache
+def _helper():
+    # The one helper thread's executor, made on first use (its thread on the
+    # first submit).  Two threads that first split at once may each make one:
+    # the one not kept ends its thread once it is dropped and its job is done.
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="isogeo")
+
+
+# A forked child inherits the executor but not its thread, and work submitted
+# to it would never run: the child makes its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_helper.cache_clear)
+
+
+def _cpus():   # the CPUs this process may run on
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _run_passes(one_pass, starts):
+    """Call ``one_pass(start)`` for every start in order, raising what that loop raises."""
+    # The calling thread takes the first start.  From SPLIT_PASSES starts on,
+    # if that pass took SPLIT_PASS_S or longer, on 2 or more CPUs, the helper
+    # joins it: both take starts from one shared iterator (next() on a range
+    # iterator is one step under the GIL) until none are left, the helper in
+    # a copy of the caller's context (numpy's errstate lives there).  Each
+    # looks for a failure before it takes a start, so every start below a
+    # taken one runs to its end: the lowest failing start, the serial loop's,
+    # is among those run, and its exception is raised.
+    shared, failed, job = iter(starts), [], None
+
+    def take(count=len(starts)):
+        for _ in range(count):
+            if failed or (start := next(shared, None)) is None:
+                return
+            try:
+                one_pass(start)
+            except Exception as exc:
+                failed.append((start, exc))
+
+    started = time.perf_counter()
+    take(1)
+    if (len(starts) >= SPLIT_PASSES and time.perf_counter() - started >= SPLIT_PASS_S
+            and _cpus() >= 2):
+        # submit raises RuntimeError once the interpreter is shutting down.
+        with contextlib.suppress(RuntimeError):
+            job = _helper().submit(contextvars.copy_context().run, take)
+    try:
+        take()
+    finally:
+        # No helper work outlives the call, and a job the helper has not
+        # started (it may be busy with another thread's table) is cancelled.
+        if job is not None and not job.cancel():
+            job.result()
+    if failed:
+        raise min(failed)[1]   # the starts differ: no two exceptions are compared
+
+
 def _arc_table(M, a, w):
     """Cumulative arc length at the panel knots of the phi-lines a + t w.
 
     ``a`` and ``w`` broadcast over ``(..., d)``; returns ``(..., panels + 1)``
-    with 0 in the first column and the whole arc length in the last.
+    with 0 in the first column and the whole arc length in the last.  Each
+    pass writes its own rows, on two threads in a table of SPLIT_PASSES passes
+    or more whose first pass took SPLIT_PASS_S or longer.
     """
     q = M.quad
     ts, weights, _ = unit_rule(q)
@@ -57,11 +138,14 @@ def _arc_table(M, a, w):
     a, w = a.reshape(-1, w.shape[-1]), w.reshape(-1, w.shape[-1])
     cumlen = np.zeros((len(w), q.panels + 1))
     step = max(1, PASS_BYTES // (8 * len(ts) * w.shape[-1]))
-    for start in range(0, len(w), step):
+
+    def one_pass(start):
         part = slice(start, start + step)
         speeds = _speeds(M, a[part], w[part], ts)
         per_panel = panel_integrals(speeds * weights, q.panels, q.nodes_per_panel)
         np.cumsum(per_panel, axis=-1, out=cumlen[part, 1:])
+
+    _run_passes(one_pass, range(0, len(w), step))
     return cumlen.reshape(*lines, q.panels + 1)
 
 

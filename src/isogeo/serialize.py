@@ -1,11 +1,12 @@
 """Deterministic CSV/JSON output: fixed float format, fixed column order.
 
-Every CSV cell has ``fmt``'s bytes, unquoted (a float64 array is formatted
-by one ``%`` over a row template), and every CSV line ends with LF, in files
-and on ``isogeo geodesic`` stdout alike; JSON is the stdlib encoder's.  Each
-file is written in one call, in place: opened without O_TRUNC and cut to
-length after the write, because truncating to zero makes ext4 flush the
-file on close and the next rewrite of that path wait for the flush.
+Every CSV cell has ``fmt``'s bytes, unquoted (a 2-D or record array whose
+columns are all float64 or integer takes one ``%`` over a row template), and
+every CSV line ends with LF, in files and on ``isogeo geodesic`` stdout
+alike; JSON is the stdlib encoder's.  Each file is written in one call, in
+place: opened without O_TRUNC and cut to length after the write, because
+truncating to zero makes ext4 flush the file on close and the next rewrite
+of that path wait for the flush.
 """
 
 import json
@@ -22,11 +23,26 @@ def fmt(value):
     return "%.17g" % value if isinstance(value, _FLOATS) else str(value)
 
 
+def _field(dtype):
+    # The % field that gives fmt's bytes for every value of dtype, or None
+    # ("%d" % True is "1" where fmt writes "True", so bools are no ints here).
+    return "%.17g" if dtype == np.float64 else "%d" if dtype.kind in "iu" else None
+
+
 def _csv_text(header, rows):
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
-        # fmt's "%.17g" for every cell, at C speed.
-        template = (",".join(["%.17g"] * rows.shape[1]) + "\n") * len(rows)
-        return ",".join(header) + "\n" + template % tuple(rows.ravel().tolist())
+    fields = [None]
+    if isinstance(rows, np.ndarray) and rows.dtype.names:
+        # A record array: a column per field, cells from its Python values.
+        fields = [_field(rows.dtype[name]) for name in rows.dtype.names]
+        rows = rows.tolist()
+        cells = [value for row in rows for value in row]
+    elif isinstance(rows, np.ndarray) and rows.ndim == 2:
+        fields = [_field(rows.dtype)] * rows.shape[1]
+        cells = rows.ravel().tolist()
+    if None not in fields:
+        # One % over a row template: every cell at C speed.
+        template = (",".join(fields) + "\n") * len(rows)
+        return ",".join(header) + "\n" + template % tuple(cells)
     lines = [",".join(header)]
     lines += [",".join(map(fmt, row)) for row in rows]
     return "\n".join(lines) + "\n"

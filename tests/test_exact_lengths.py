@@ -189,6 +189,26 @@ def test_an_overflowing_closed_form_is_not_read_as_zero():
     assert not (d < np.linalg.norm(x - y))
 
 
+SUBNORMAL_LINE = np.zeros(2), np.array([0.0, 2.2250738585e-313])
+
+
+def test_a_subnormal_line_warns_of_no_overflow():
+    # On a banana line of length 2.2e-313, 1 / (u0 + S0) overflows to inf in
+    # a branch np.where discards: no RuntimeWarning, and the length is
+    # finite, positive and symmetric.
+    M = make_manifold("banana")
+    x, y = SUBNORMAL_LINE
+    d = ig.iso_distance(M, x, y)
+    assert d == ig.iso_distance(M, y, x) and np.isfinite(d) and d > 0.0
+
+
+@pytest.mark.xfail(strict=True, reason="c * c underflows in diffeos._line_length: "
+                   "the length reads half its value")
+def test_a_subnormal_line_has_its_length():
+    x, y = SUBNORMAL_LINE
+    assert ig.iso_distance(make_manifold("banana"), x, y) == pytest.approx(y[1], rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize("name", ["spiral", "banana", "sinh"])
 def test_maps_with_exact_lengths_never_reach_the_rule(name, monkeypatch):
     M = make_manifold(name)

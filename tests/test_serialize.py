@@ -310,3 +310,55 @@ def test_write_to_fifo(tmp_path):
             os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
     oracle_write_csv(tmp_path / "want.csv", HEADER, LONG)
     assert got == [(tmp_path / "want.csv").read_bytes()]
+
+
+def points_csv_by_fmt(header, columns):
+    """``points.csv`` as ``_write_points`` wrote it before the row template:
+    ``fmt`` on every cell of the columns' ``tolist()``."""
+    return cellwise_csv_text(header, zip(*(column.tolist() for column in columns)))
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([1, 2, 1, 2, 2, 1, 1, 2, 1]),
+    np.array([0, -1, 2**62, -(2**62), 7, 2**53 + 1, 10**16, 3, 1], dtype=np.int64),
+    np.array([0, 1, 2**63, 2**64 - 1, 5, 6, 7, 8, 9], dtype=np.uint64),
+])
+def test_points_csv_equals_fmt_cells(tmp_path, labels, monkeypatch):
+    points = np.array([[-0.0, 0.0], [np.nan, 1.0], [np.inf, -np.inf], [5e-324, -5e-324],
+                       [1e16, 0.1], [2.2250738585072014e-308, 1.7976931348623157e308],
+                       [3.0, -2.5], [1.0 / 3.0, 2.0 / 3.0], [-1e-300, 1e300]])
+    extra = [("label_a", labels[::-1].copy()), ("label_b", labels % 3)]
+    header = ["x0", "x1", "truth", "label_a", "label_b"]
+    want = points_csv_by_fmt(header, [points[:, 0], points[:, 1], labels,
+                                      *(values for _, values in extra)])
+    want_unlabelled = points_csv_by_fmt(["x0", "x1"], [points[:, 0], points[:, 1]])
+    # The float64 and int columns take the row template: fmt is not called.
+    monkeypatch.setattr(serialize, "fmt", None)
+    experiments._write_points(tmp_path / "points.csv", points, labels, extra)
+    assert (tmp_path / "points.csv").read_bytes() == want.encode()
+    experiments._write_points(tmp_path / "points.csv", points)
+    assert (tmp_path / "points.csv").read_text() == want_unlabelled
+    experiments._write_points(tmp_path / "points.csv", points[:0], labels[:0])
+    assert (tmp_path / "points.csv").read_text() == "x0,x1,truth\n"
+    # A tracer that lists the rows it is given (perfbench --trace 1) hands
+    # write_csv the table's records: fmt writes the same bytes.
+    monkeypatch.undo()
+    write_csv = serialize.write_csv
+    monkeypatch.setattr(experiments, "write_csv",
+                        lambda path, header, rows: write_csv(path, header, list(rows)))
+    experiments._write_points(tmp_path / "points.csv", points, labels, extra)
+    assert (tmp_path / "points.csv").read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([True, False, True]),
+    np.array([1.5, 2.0, -0.0], dtype=np.float32),
+    np.array(["a", "b", "c"]),
+])
+def test_points_csv_with_other_columns_goes_by_fmt(tmp_path, labels):
+    # "%d" % True is 1 and a float32 or str column has no template field:
+    # such a file keeps fmt on every cell.
+    points = np.array([[0.5, -0.0], [1e16, np.nan], [-np.inf, 5e-324]])
+    experiments._write_points(tmp_path / "points.csv", points, labels)
+    assert (tmp_path / "points.csv").read_text() == points_csv_by_fmt(
+        ["x0", "x1", "truth"], [points[:, 0], points[:, 1], labels])
