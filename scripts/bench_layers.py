@@ -19,8 +19,7 @@ Prints one JSON object:
   two checkouts apart;
 - ``arc_lengths_ms``: the same as ``arc_table_ms`` for the whole lengths of
   those lines, one ``isomaps._arc_lengths`` call (the map's exact
-  ``arc_length`` where it has one, else the rule), or in a checkout without
-  it the last column of ``_arc_table``, which its callers took;
+  ``arc_length`` where it has one, else the rule);
 - ``jacobian_us``: best of 5 x 2000 calls, the time per call (µs) of
   ``forward``, ``inverse``, ``jvp``, ``inv_jvp`` and ``speed`` of each
   built-in at 1 (a ``(d,)`` point), 60 and 480 points, with one vector per
@@ -71,9 +70,9 @@ Prints one JSON object:
 - ``grid_oracle``: the best-of-5 time (ms) of one 100 001-point
   ``experiments.grid_search_1d`` on the inverse problem of
   ``configs/banana_inverse.ini``, screened by
-  ``experiments.least_squares_screen`` as its run is (unscreened in a
-  checkout without it), and the number of grid points passed to the exact
-  objective (``f_points``) next to ``grid_points``;
+  ``experiments.least_squares_screen`` as its run is, and the number of
+  grid points passed to the exact objective (``f_points``) next to
+  ``grid_points``;
 - ``split_crossover``: for river(5, 0.25) and identity(2) tables of 2 to 20
   passes, the median time (ms, 200 samples each) of one ``_arc_table`` call
   kept on the calling thread (``serial``), always shared with the helper
@@ -82,8 +81,7 @@ Prints one JSON object:
   order, and the split and gated times over the serial one.  Each call
   follows 1 ms of other library work (``_iso_transport_vecs`` batches on
   river), so the helper is idle and asleep when the table starts, as between
-  the tables of a workload pass; this sets the gate.  None in a checkout
-  without the split;
+  the tables of a workload pass; this sets the gate;
 - ``cold_start``: in fresh child interpreters, the median time of
   ``import isogeo, isogeo.cli`` inside the child and whether it loaded
   scipy, and for each ``configs/*.ini`` the median whole-process time of
@@ -91,17 +89,15 @@ Prints one JSON object:
   its exit code.
 
 It uses public functions, ``_arc_table``, ``isomaps.composite_nodes``,
-``isomaps._knot_lengths``, ``isomaps._invert``,
+``isomaps._knot_lengths``, ``isomaps._invert``, ``isomaps._arc_lengths``,
 ``experiments._write_points``, ``experiments._versions``,
-``experiments.least_squares_screen`` where it exists,
-``clustering._nearest``, ``_arc_lengths`` and ``clustering._arc_table``
-where they exist, ``isomaps._iso_transport_vecs``, ``isomaps.unit_rule``,
-``isomaps.PASS_BYTES``, ``isomaps.SPLIT_PASSES`` and
-``isomaps.SPLIT_PASS_S`` where they exist and the
-quadrature constants only, and imports
-``isogeo`` from the ``src/`` next to this script, so a copy placed in an
-older checkout measures that checkout.  scipy, the oracle of the root-solve timing, is imported there
-only.
+``experiments.least_squares_screen``, ``clustering._nearest``,
+``clustering._arc_lengths``, ``isomaps._iso_transport_vecs``,
+``isomaps.unit_rule``, ``isomaps.PASS_BYTES``, ``isomaps.SPLIT_PASSES``,
+``isomaps.SPLIT_PASS_S`` and the quadrature constants only, and imports
+``isogeo`` from the ``src/`` next to this script, so a copy placed in
+another checkout that has these names measures that checkout.  scipy, the
+oracle of the root-solve timing, is imported there only.
 
 Usage:
     python scripts/bench_layers.py > layers.json
@@ -168,12 +164,6 @@ def _minflt():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _whole_lengths(M, a, w):
-    if hasattr(isomaps, "_arc_lengths"):
-        return isomaps._arc_lengths(M, a, w)
-    return _arc_table(M, a, w)[..., -1]
-
-
 def arc_table_times():
     """Table and whole-length times per line count, and minor faults per warm
     table call at the most lines."""
@@ -184,7 +174,7 @@ def arc_table_times():
         n = max(LINE_COUNTS)
         a = M.diffeo.forward(_points(name, M, rng, n))
         w = M.diffeo.forward(_points(name, M, rng, n)) - a
-        for out, fn in ((times, _arc_table), (lengths, _whole_lengths)):
+        for out, fn in ((times, _arc_table), (lengths, isomaps._arc_lengths)):
             out[name] = {
                 str(lines): 1e3 * _best(lambda: fn(M, a[:lines], w[:lines]),
                                         number=max(1, 960 // lines))
@@ -390,22 +380,17 @@ def rewrite_times():
 def _nearest_counts():
     """Count ``clustering._nearest`` calls and the arc-length lines they measure.
 
-    Older checkouts reach ``isomaps._arc_table`` through ``iso_distance``,
-    newer ones call ``clustering._arc_table`` and then
-    ``clustering._arc_lengths``; the first of these the checkout has is
-    counted, and only while a ``_nearest`` call runs, so barycentre lines are
-    left out.
+    The lines are those of ``clustering._arc_lengths``, counted only while a
+    ``_nearest`` call runs, so barycentre lines are left out.
     """
     counts = {"calls": 0, "lines": 0}
     inside = [False]
-    nearest = clustering._nearest
+    nearest, lengths = clustering._nearest, clustering._arc_lengths
 
-    def counting(table):
-        def count(M, a, w):
-            if inside[0]:
-                counts["lines"] += int(np.prod(np.broadcast_shapes(np.shape(a), np.shape(w))[:-1]))
-            return table(M, a, w)
-        return count
+    def counting(M, a, w):
+        if inside[0]:
+            counts["lines"] += int(np.prod(np.broadcast_shapes(np.shape(a), np.shape(w))[:-1]))
+        return lengths(M, a, w)
 
     def counted(*args):
         counts["calls"] += 1
@@ -415,14 +400,8 @@ def _nearest_counts():
         finally:
             inside[0] = False
 
-    with contextlib.ExitStack() as stack:
-        for module, name in ((clustering, "_arc_lengths"), (clustering, "_arc_table"),
-                             (isomaps, "_arc_table")):
-            if hasattr(module, name):
-                stack.enter_context(mock.patch.object(
-                    module, name, counting(getattr(module, name))))
-                break
-        stack.enter_context(mock.patch.object(clustering, "_nearest", counted))
+    with mock.patch.object(clustering, "_arc_lengths", counting), \
+            mock.patch.object(clustering, "_nearest", counted):
         yield counts
 
 
@@ -479,8 +458,7 @@ def grid_oracle():
     extras = config.extras
     S, A, b, _, f, _ = experiments.inverse_problem(
         experiments.build_manifold(config), extras)
-    kwargs = ({"screen": experiments.least_squares_screen(A, b)}
-              if hasattr(experiments, "least_squares_screen") else {})
+    screen = experiments.least_squares_screen(A, b)
     grid = (extras["grid_min"], extras["grid_max"], extras["grid_points"])
     sizes = []
 
@@ -488,16 +466,14 @@ def grid_oracle():
         sizes.append(len(X))
         return f(X)
 
-    experiments.grid_search_1d(S, counted, *grid, **kwargs)
-    return {"ms": 1e3 * _best(lambda: experiments.grid_search_1d(S, f, *grid, **kwargs),
+    experiments.grid_search_1d(S, counted, *grid, screen=screen)
+    return {"ms": 1e3 * _best(lambda: experiments.grid_search_1d(S, f, *grid, screen=screen),
                               number=5),
             "f_points": sum(sizes), "grid_points": extras["grid_points"]}
 
 
 def split_crossover():
     """One-thread, split and gated table times between bursts of other work."""
-    if not hasattr(isomaps, "SPLIT_PASSES"):
-        return None
     R = ig.PullbackManifold(ig.river())
     rng = np.random.default_rng(0)
     xs, ys = _points("river", R, rng, 30), _points("river", R, rng, 30)
@@ -507,7 +483,7 @@ def split_crossover():
         while time.perf_counter() < until:
             isomaps._iso_transport_vecs(R, xs, ys, ys - xs)
 
-    shipped = isomaps.SPLIT_PASSES, getattr(isomaps, "SPLIT_PASS_S", 0.0)
+    shipped = isomaps.SPLIT_PASSES, isomaps.SPLIT_PASS_S
     modes = {"serial": (sys.maxsize, 0.0), "split": (1, 0.0), "gated": shipped}
     result = {}
     try:

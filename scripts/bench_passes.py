@@ -21,11 +21,11 @@ pass:
   counts;
 
 and the process's peak RSS.  ``--pass-bytes`` sets ``isomaps.PASS_BYTES``
-for a sweep of the pass size; it is ignored by a checkout without it.
+for a sweep of the pass size.
 
 It imports ``isogeo`` from the ``src/`` and the workloads from the
-``perfbench/`` next to this script, so a copy placed in an older checkout
-measures that checkout.  Outputs go to a temporary directory, removed at
+``perfbench/`` next to this script, so a copy placed in another checkout
+with the same names measures that checkout.  Outputs go to a temporary directory, removed at
 the end.
 
 Usage:
@@ -72,10 +72,12 @@ def count_diffeo_traffic(calls, points):
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        for name in DIFFEO_CALLABLES:
+        current = (self.forward, self.inverse, self.jvp, self.inv_jvp, self.speed,
+                   self.arc_length)
+        for name, fn in zip(DIFFEO_CALLABLES, current):
             # A map without an arc_length keeps None, which selects the rule.
-            if getattr(self, name, None) is not None:
-                setattr(self, name, counted(name, getattr(self, name)))
+            if fn is not None:
+                setattr(self, name, counted(name, fn))
 
     diffeos.Diffeomorphism.__init__ = counting_init
 
@@ -87,7 +89,7 @@ def main(argv=None):
     parser.add_argument("--passes", type=int, default=15)
     parser.add_argument("--pass-bytes", type=int, default=None)
     args = parser.parse_args(argv)
-    if args.pass_bytes is not None and hasattr(isomaps, "PASS_BYTES"):
+    if args.pass_bytes is not None:
         isomaps.PASS_BYTES = args.pass_bytes
 
     built = []
@@ -123,7 +125,7 @@ def main(argv=None):
         shutil.rmtree(workdir)
     print(json.dumps({
         "workload": args.workload, "seed": args.seed,
-        "pass_bytes": getattr(isomaps, "PASS_BYTES", None),
+        "pass_bytes": isomaps.PASS_BYTES,
         "minflt": minflt, "wall_s": [round(t, 4) for t in walls],
         "quadratures": quadratures,
         "diffeo_calls": diffeo_calls, "diffeo_points": diffeo_points,

@@ -9,7 +9,7 @@ from . import experiments
 from .config import ConfigError, _parse_point, load_config
 from .diffeos import make_diffeomorphism, registered_names
 from .pullback import PullbackManifold
-from .serialize import _csv_text, _write_text
+from .serialize import _write_text
 
 
 @click.group()
@@ -95,9 +95,7 @@ def geodesic(geometry, beta, eta, a_param, z_param, dim, start, end, samples,
         y = _parse_point(end, M.dim, "--to")
     except ConfigError as exc:
         raise click.UsageError(exc.problems[0])
-    rows = experiments.geodesic_rows(M, x, y, samples, iso)
-    header = ["t"] + [f"x{i}" for i in range(M.dim)]
-    text = _csv_text(header, rows)
+    text = experiments.geodesic_csv(M, x, y, samples, iso)
     if output is None:
         click.echo(text, nl=False)
     else:

@@ -62,6 +62,14 @@ def _line_length(u0, q, c):
     u1 = u0 + q
     s0 = np.hypot(u0, c)
     s = s0 + np.hypot(u1, c)
+    # c * c and u * u underflow on a line whose S0 + S1 (at least the largest
+    # of |u0|, |u1| and c) is below 2^-500: such a line is integrated scaled
+    # by 2^600, which a power of two does exactly, and its length scaled
+    # back.  A zero line stays zero, so the scaled call recurses no further.
+    small = s < 2.0 ** -500
+    if small.any() and (small & (s > 0.0)).any():
+        scale = np.where(small, 2.0 ** 600, 1.0)
+        return _line_length(scale * u0, scale * q, scale * c) / scale
     u = u0 + u1
     sign = np.copysign(1.0, u)
     u0, u1, q, u = sign * u0, sign * u1, sign * q, np.abs(u)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .clustering import _iso_kmeans, adjusted_rand_index, euclidean_kmeans, riemannian_kmeans
 from .config import ConfigError, _parse_point
-from .datasets import generate_dataset
+from .datasets import DatasetSpec, generate_dataset
 from .descent import _field_points, _mean_vecs, _solve, iso_barycentre
 from .diffeos import make_diffeomorphism
 from .errors import (DegenerateBasisError, DegenerateCurveError, DomainError,
@@ -26,7 +26,7 @@ from .errors import (DegenerateBasisError, DegenerateCurveError, DomainError,
 from .isomaps import PASS_BYTES, _iso_log_vecs, _iso_transport_vecs, iso_geodesic
 from .pullback import PullbackManifold, as_point, closed_form_barycentre, lc_geodesic
 from .quadrature import _linspace_chunk
-from .serialize import write_csv, write_json
+from .serialize import _csv_text, _write_text, write_csv, write_json
 from .submanifold import GeodesicSubmanifold, iso_rank_r_approx, l2pg_ird, submanifold_from_rank_r
 
 EXIT_OK = 0
@@ -70,13 +70,17 @@ def geodesic_rows(M, start, end, samples, iso):
     return np.column_stack([ts, points])
 
 
+def geodesic_csv(M, start, end, samples, iso):
+    """The CSV text of ``geodesic_rows`` under a ``t, x0..x{d-1}`` header."""
+    header = ["t"] + [f"x{i}" for i in range(M.dim)]
+    return _csv_text(header, geodesic_rows(M, start, end, samples, iso))
+
+
 def _run_geodesic(config, M, outdir):
     start = _parse_point(config.extras["from"], M.dim, "experiment.from")
     end = _parse_point(config.extras["to"], M.dim, "experiment.to")
-    rows = geodesic_rows(M, start, end, config.extras["samples"],
-                         config.extras["iso"])
-    header = ["t"] + [f"x{i}" for i in range(M.dim)]
-    write_csv(os.path.join(outdir, "geodesic.csv"), header, rows)
+    _write_text(os.path.join(outdir, "geodesic.csv"), geodesic_csv(
+        M, start, end, config.extras["samples"], config.extras["iso"]))
     return EXIT_OK, None
 
 
@@ -316,35 +320,31 @@ def _batch_ratio_rows(M, points, xbar, grid):
     # Non-finite vectors are a ValueError, as for one node's TangentVector.
     for name, vecs in [("field", fields), ("log", logs), ("transport", moved)]:
         as_point(vecs, M.dim, name, batch=True)
-    dots = np.vecdot(fields, moved).tolist()
-    norms = np.sqrt(np.vecdot(fields, fields)).tolist()
-    rows = []
-    for node, dot, norm, dist in zip(grid.tolist(), dots, norms, dists.tolist()):
-        # Python floats, as in the one-node ratios: float ** 2 calls libm
-        # pow, which can differ by an ulp from numpy's squaring of an array.
-        if dist == 0.0:
-            mono = lips = float("nan")
-        else:
-            mono, lips = dot / dist ** 2, norm / dist
-        rows.append([*node, mono, lips])
-    return rows
+    # Python floats, as in the one-node ratios: float ** 2 calls libm pow,
+    # which can differ by an ulp from numpy's squaring of an array.
+    squares = np.array([dist ** 2 for dist in dists.tolist()])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        table = np.column_stack([nodes, np.vecdot(fields, moved) / squares,
+                                 np.sqrt(np.vecdot(fields, fields)) / dists])
+    table[dists == 0.0, M.dim:] = np.nan
+    return table
 
 
 def ratio_grid_rows(M, points, xbar, grid):
-    """(coords, monotonicity, lipschitz) rows; NaN where ratios are undefined.
+    """(G, d + 2) float rows of coords, monotonicity, lipschitz; NaN where undefined.
 
     The whole grid is one batch, with the values of one-node ratio calls.
     A batch that fails (a node off the domain, say) is split in half and
-    each half retried, so only a node that fails on its own gets a NaN row.
+    each half retried, so only a node that fails on its own gets NaN ratios.
     """
     try:
         return _batch_ratio_rows(M, points, xbar, grid)
     except RATIO_UNDEFINED:
         if len(grid) > 1:
             half = len(grid) // 2
-            return (ratio_grid_rows(M, points, xbar, grid[:half])
-                    + ratio_grid_rows(M, points, xbar, grid[half:]))
-        return [[*node, float("nan"), float("nan")] for node in grid.tolist()]
+            return np.concatenate([ratio_grid_rows(M, points, xbar, grid[:half]),
+                                   ratio_grid_rows(M, points, xbar, grid[half:])])
+        return np.concatenate([grid, np.full((len(grid), 2), np.nan)], axis=1)
 
 
 def _run_ratios(config, M, outdir):
@@ -353,17 +353,12 @@ def _run_ratios(config, M, outdir):
     _write_points(os.path.join(outdir, "points.csv"), pts, data.labels)
     xbar, trace = _solve(iso_barycentre, M, pts, config.solver)
     extras = config.extras
-    axes = [np.linspace(extras["x1_min"], extras["x1_max"], extras["grid_n"])]
-    if M.dim >= 2:
-        axes.append(np.linspace(extras["x2_min"], extras["x2_max"],
-                                extras["grid_n"]))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=-1)
+    box = ((extras["x1_min"], extras["x1_max"]), (extras["x2_min"], extras["x2_max"]))
+    grid = generate_dataset(DatasetSpec("grid", n=extras["grid_n"], box=box), M).points
     rows = ratio_grid_rows(M, pts, xbar, grid)
     header = [f"x{i}" for i in range(M.dim)] + ["monotonicity", "lipschitz"]
     write_csv(os.path.join(outdir, "ratios.csv"), header, rows)
-    finite = np.asarray([r[M.dim:] for r in rows], dtype=float)
-    finite = finite[np.all(np.isfinite(finite), axis=1)]
+    finite = rows[np.isfinite(rows[:, M.dim:]).all(axis=1), M.dim:]
     summary = {"iso_barycentre": xbar,
                "monotonicity_min": finite[:, 0].min() if len(finite) else None,
                "lipschitz_max": finite[:, 1].max() if len(finite) else None}
@@ -378,10 +373,8 @@ def _run_rankr(config, M, outdir):
     S = submanifold_from_rank_r(M, pts, base, r)
     logs = _iso_log_vecs(M, base, pts)[0].T
     svals = np.linalg.svd(logs, compute_uv=False)
-    write_csv(os.path.join(outdir, "basis.csv"),
-              [f"u{j}" for j in range(r)], U.tolist())
-    write_csv(os.path.join(outdir, "phi_basis.csv"),
-              [f"b{j}" for j in range(r)], S.phi_basis.tolist())
+    write_csv(os.path.join(outdir, "basis.csv"), [f"u{j}" for j in range(r)], U)
+    write_csv(os.path.join(outdir, "phi_basis.csv"), [f"b{j}" for j in range(r)], S.phi_basis)
     summary = {"base": base, "singular_values": svals,
                "tail_energy": float(np.sum(svals[r:] ** 2))}
     return EXIT_OK, summary

@@ -5,8 +5,9 @@ invert them.  The inverses take Newton's method kept inside a bracket, with
 a regula falsi step where a Newton step leaves it, as in the ``rtsafe``
 routine of *Numerical Recipes* (Press et al.); an arc length's derivative
 is the speed, one quadrature node more.  ``newton_roots`` steps a batch in
-lockstep arrays; ``isomaps.vectorchange`` takes its steps on one root in
-Python floats, where numpy's per-call cost would dominate.
+lockstep arrays.  ``isomaps.vectorchange`` takes the same steps on one root in
+Python floats (a test pins the bits): on one lane, numpy's per-call cost made
+it 50-80 us slower per call, and warm benchmark passes 9-21 % slower.
 """
 
 from dataclasses import dataclass

@@ -177,10 +177,14 @@ def iso_rank_r_approx(M, points, base, r):
             f"{min(M.dim, len(pts))}, got {r}")
     logs = _iso_log_vecs(M, base, pts)[0].T
     U, _, _ = np.linalg.svd(logs, full_matrices=True)
-    U = U[:, :r]
-    flip = np.sign(U[np.abs(U).argmax(axis=0), np.arange(r)])
+    return _positive_peaks(U[:, :r])
+
+
+def _positive_peaks(Q):
+    """Q with each column's sign set so its largest-magnitude entry is positive."""
+    flip = np.sign(Q[np.abs(Q).argmax(axis=0), np.arange(Q.shape[1])])
     flip[flip == 0.0] = 1.0
-    return U * flip
+    return Q * flip
 
 
 def submanifold_from_rank_r(M, points, base, r):
@@ -192,10 +196,7 @@ def submanifold_from_rank_r(M, points, base, r):
     base = as_point(base, M.dim, "base")
     U = iso_rank_r_approx(M, points, base, r)
     pushed = M.diffeo.jvp(np.broadcast_to(base, (r, M.dim)), U.T).T
-    Q, _ = np.linalg.qr(pushed)
-    flip = np.sign(Q[np.abs(Q).argmax(axis=0), np.arange(r)])
-    flip[flip == 0.0] = 1.0
-    return GeodesicSubmanifold(M, base, Q * flip)
+    return GeodesicSubmanifold(M, base, _positive_peaks(np.linalg.qr(pushed)[0]))
 
 
 def convexity_bounds_1d(S, grad_f, x, y, t_grid, hvp=None, gamma_h=1e-4):

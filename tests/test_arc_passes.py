@@ -11,7 +11,8 @@ from isogeo import isomaps
 from isogeo.errors import DomainError, NonConvergenceError
 from isogeo.isomaps import PASS_BYTES, _arc_table, _speeds
 from isogeo.pullback import TangentVector, lc_exp
-from isogeo.quadrature import REFINE_XTOL, _sum_last, composite_nodes, panel_integrals, unit_rule
+from isogeo.quadrature import (REFINE_XTOL, _sum_last, composite_nodes, newton_roots,
+                                panel_integrals, unit_rule)
 
 from conftest import make_manifold, sample_point
 
@@ -165,8 +166,10 @@ def test_arc_table_across_pass_boundaries(dim, quad, monkeypatch):
 
 # vectorchange as a bracket search with one full quadrature, or one call of
 # the map's own arc_length, per probe and scipy's brentq: the oracle of the
-# Newton refinement.  ``edges`` records the domain-edge retries.
-def probing_vectorchange(M, xi, edges, arc_length):
+# Newton refinement.  ``edges`` records the domain-edge retries.  A probe
+# g(T) returns the residual and the speed at T; ``refine``, if given, takes
+# over from the bracket as ``refine(g, lo, g_lo, hi, g_hi, speed, nv)``.
+def probing_vectorchange(M, xi, edges, arc_length, refine=None):
     nv = xi.norm
     if nv == 0.0:
         return 0.0
@@ -176,16 +179,17 @@ def probing_vectorchange(M, xi, edges, arc_length):
 
     def g(T):
         if arc_length is not None:
-            return float(arc_length(a, T * w)) - nv
+            return float(arc_length(a, T * w)) - nv, float(M.diffeo.speed(a + T * w, w))
         ts, weights, _ = composite_nodes(0.0, T, q.panels, q.nodes_per_panel)
-        return float(np.dot(_speeds(M, a, w, ts), weights)) - nv
+        speeds = _speeds(M, a, w, np.append(ts, T))
+        return float(np.dot(speeds[:-1], weights)) - nv, float(speeds[-1])
 
     lo, g_lo = 0.0, -nv
     hi, g_hi = 1.0, None
     hit_domain_edge = False
     for _ in range(2 * isomaps.MAX_BRACKET_DOUBLINGS):
         try:
-            g_hi = g(hi)
+            g_hi, speed = g(hi)
         except DomainError:
             hit_domain_edge = True
             edges.append(hi)
@@ -202,12 +206,14 @@ def probing_vectorchange(M, xi, edges, arc_length):
         if hit_domain_edge:
             raise DomainError("leaves the domain")
         raise NonConvergenceError("no bracket")
+    if refine is not None:
+        return refine(g, lo, g_lo, hi, g_hi, speed, nv)
     eps = 1e-15 * (1.0 + nv)
     if abs(g_lo) <= eps:
         return float(lo)
-    if abs(g(hi)) <= eps:
+    if abs(g_hi) <= eps:
         return float(hi)
-    return float(brentq(g, lo, hi, xtol=REFINE_XTOL))
+    return float(brentq(lambda T: g(T)[0], lo, hi, xtol=REFINE_XTOL))
 
 
 def outcome(fn):
@@ -269,6 +275,64 @@ def test_vectorchange_probes_once_and_equals_repeat_probing(name, monkeypatch):
                 "sinh": {solved, NonConvergenceError},
                 "spiral": {solved, (float, True), DomainError}}[name]
     assert seen == expected
+
+
+def one_lane_newton(steps):
+    """A ``refine`` of ``probing_vectorchange``: newton_roots on one lane.
+
+    The lane starts at the top of the bracket, and its first probe is
+    answered with the bracket's last value, so no parameter is probed twice.
+    Each probed step is counted in ``steps`` as a Newton, secant or regula
+    falsi step, by the rule newton_roots states.
+    """
+    def refine(g, lo, g_lo, hi, g_hi, speed, nv):
+        probes = []
+
+        def lane(i, x):
+            T = float(x[0])
+            assert T not in [p[0] for p in probes]
+            f, df = g(T) if probes else (g_hi, speed)
+            if probes:
+                T0, f0, df0 = probes[-1]
+                secant = len(probes) > 1 and abs(f0) > 0.5 * abs(probes[-2][1])
+                slope = (f0 - probes[-2][1]) / (T0 - probes[-2][0]) if secant else df0
+                newton = T0 - f0 / slope if slope != 0.0 else None
+                steps["secant" if secant else "newton"] += T == newton
+                steps["regula falsi"] += T != newton
+            probes.append((T, f, df))
+            return np.array([f]), np.array([df])
+
+        return float(newton_roots(lane, [lo], [hi], [g_lo], [g_hi], [hi], nv)[0])
+
+    return refine
+
+
+def test_vectorchange_is_newton_roots_on_one_lane(monkeypatch):
+    # The scalar loop of vectorchange takes newton_roots' steps: the same
+    # root, bit for bit, and the same failure, on every geometry.  The
+    # tangents are those of test_vectorchange_probes_once_and_equals_repeat_probing.
+    steps = {"newton": 0, "secant": 0, "regula falsi": 0}
+    seen = set()
+    default = isomaps.MAX_BRACKET_DOUBLINGS
+    for name in GEOMETRIES:
+        rng = np.random.default_rng(83)
+        M = make_manifold(name)
+        for doublings in (default, 1):
+            monkeypatch.setattr(isomaps, "MAX_BRACKET_DOUBLINGS", doublings)
+            tangents = [TangentVector(x, rng.standard_normal(M.dim) * rng.choice([0.1, 1.0, 5.0, 20.0]))
+                        for x in (sample_point(name, M, rng) for _ in range(40))]
+            if name == "river":
+                tangents += [TangentVector(np.array(x), np.array(v))
+                             for x, v in LONG_RIVER_TANGENTS]
+            for xi in tangents:
+                edges = []
+                want = outcome(lambda: probing_vectorchange(
+                    M, xi, edges, M.diffeo.arc_length, one_lane_newton(steps)))
+                got = outcome(lambda: ig.vectorchange(M, xi))
+                assert got == want and type(got) is type(want)
+                seen.add(want if isinstance(want, type) else (float, bool(edges)))
+    assert seen == {(float, False), (float, True), DomainError, NonConvergenceError}
+    assert steps["secant"] >= 1 and steps["regula falsi"] >= 1
 
 
 @pytest.mark.parametrize("name", GEOMETRIES)

@@ -202,11 +202,60 @@ def test_a_subnormal_line_warns_of_no_overflow():
     assert d == ig.iso_distance(M, y, x) and np.isfinite(d) and d > 0.0
 
 
-@pytest.mark.xfail(strict=True, reason="c * c underflows in diffeos._line_length: "
-                   "the length reads half its value")
 def test_a_subnormal_line_has_its_length():
     x, y = SUBNORMAL_LINE
     assert ig.iso_distance(make_manifold("banana"), x, y) == pytest.approx(y[1], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [1e-160, 1e-200, 2.2250738585e-313, 1e-320, 5e-324])
+def test_a_tiny_vertical_banana_line_is_exactly_its_length(c):
+    # The line's phi-direction is (0, c): its speed is c all along.
+    assert ig.iso_distance(make_manifold("banana"), np.zeros(2), np.array([0.0, c])) == c
+
+
+def unscaled_line_length(u0, q, c):
+    """``_line_length`` without its rescaling of short lines: the formula it kept."""
+    u1 = u0 + q
+    s0 = np.hypot(u0, c)
+    s = s0 + np.hypot(u1, c)
+    u = u0 + u1
+    sign = np.copysign(1.0, u)
+    u0, u1, q, u = sign * u0, sign * u1, sign * q, np.abs(u)
+    c2 = c * c
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = (1.0 + u / s) / (u0 + s0)
+        b = np.where(q != 0.0, np.log1p(q * x) / q, x)
+        crossing = u0 * u1 < 0.0
+        b = np.where(crossing, (np.arcsinh(u1 / c) - np.arcsinh(u0 / c)) / q, b)
+        length = 0.5 * (0.5 * s + 0.5 * u * u / s + np.where(c2 > 0.0, c2 * b, 0.0))
+    return np.where(s == 0.0, 0.0, length)
+
+
+def test_lines_from_the_rescaling_boundary_up_keep_their_bits():
+    # Lines whose largest of |u0|, |u1| and c is at least 2^-500, some of
+    # them at the boundary and some with zeros: they keep the formula's bits.
+    rng = np.random.default_rng(139)
+    n = 20000
+    top = 2.0 ** np.concatenate([np.full(n // 4, -500.0), rng.uniform(-500.0, 500.0, n - n // 4)])
+    u0, q, c = rng.uniform(-1.0, 1.0, (3, n)) * top
+    c = np.abs(c)
+    for v in (u0, q, c):
+        v[rng.random(n) < 0.1] = 0.0
+    pick = rng.integers(0, 3, n)
+    u0[pick == 0] = np.copysign(top, u0)[pick == 0]
+    c[pick == 1] = top[pick == 1]
+    q[pick == 2] = (np.copysign(top, u0) - u0)[pick == 2]
+    assert (np.maximum(np.maximum(np.abs(u0), np.abs(u0 + q)), c) >= 2.0 ** -500).all()
+    # One short line, which the rescaling takes, and one zero line.
+    tiny = (np.array([0.0, 0.0]), np.array([0.0, 0.0]), np.array([1e-200, 0.0]))
+    u0, q, c = (np.concatenate([v, t]) for v, t in zip((u0, q, c), tiny))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _line_length(u0, q, c), unscaled_line_length(u0, q, c)
+    assert np.array_equal(got[:-2], want[:-2], equal_nan=True)
+    # The formula loses the c^2 B term there: half the length.
+    assert want[-2] == 5e-201 and got[-2] == 1e-200
+    assert got[-1] == want[-1] == 0.0
+    assert _line_length(np.zeros(3), np.zeros(3), np.zeros(3)).tolist() == [0.0] * 3
 
 
 @pytest.mark.parametrize("name", ["spiral", "banana", "sinh"])

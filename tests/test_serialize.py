@@ -17,7 +17,10 @@ from click.testing import CliRunner
 import isogeo as ig
 from isogeo import experiments, serialize
 from isogeo.cli import main
+from isogeo.config import load_config
 from isogeo.descent import ConvergenceTrace
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def oracle_fmt(value):
@@ -362,3 +365,51 @@ def test_points_csv_with_other_columns_goes_by_fmt(tmp_path, labels):
     experiments._write_points(tmp_path / "points.csv", points, labels)
     assert (tmp_path / "points.csv").read_text() == points_csv_by_fmt(
         ["x0", "x1", "truth"], [points[:, 0], points[:, 1], labels])
+
+
+@pytest.mark.parametrize("config", ["river_ratios.ini", "banana_rankr.ini", "river_geodesic.ini"])
+def test_float_table_runs_never_call_fmt(tmp_path, monkeypatch, config):
+    # Every CSV of a ratios, rankr or geodesic run is a float table (or the
+    # record array of points.csv): the row template writes all its cells.
+    def refuse(value):
+        raise AssertionError("serialize.fmt was called")
+
+    monkeypatch.setattr(serialize, "fmt", refuse)
+    monkeypatch.setenv("ISOGEO_OUTPUT_DIR", str(tmp_path))
+    assert experiments.run(load_config(CONFIG_DIR / config)) == experiments.EXIT_OK
+    assert list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("samples", [1, 2, 57])
+@pytest.mark.parametrize("iso", [True, False])
+def test_cli_geodesic_writes_the_bytes_of_a_geodesic_run(tmp_path, monkeypatch, iso, samples):
+    text = (CONFIG_DIR / "river_geodesic.ini").read_text()
+    edited = text.replace("samples = 100", f"samples = {samples}").replace(
+        "iso = true", f"iso = {str(iso).lower()}")
+    assert edited.count("\n") == text.count("\n") and ("iso = true" in edited) == iso
+    (tmp_path / "geodesic.ini").write_text(edited)
+    monkeypatch.setenv("ISOGEO_OUTPUT_DIR", str(tmp_path / "run"))
+    assert experiments.run(load_config(tmp_path / "geodesic.ini")) == experiments.EXIT_OK
+    dest = tmp_path / "cli.csv"
+    result = CliRunner().invoke(main, [
+        "geodesic", "--geometry", "river", "--beta", "5.0", "--eta", "0.25",
+        "--from", "0.0,-3.0", "--to", "0.0,3.0", "--samples", str(samples),
+        "--iso" if iso else "--levi-civita", "--output", str(dest)])
+    assert result.exit_code == 0
+    assert dest.read_bytes() == (tmp_path / "run" / "geodesic.csv").read_bytes()
+
+
+def test_spiral_ratios_csv_is_nan_at_the_origin_only(tmp_path, monkeypatch):
+    # The 5 x 5 grid over [-2, 2]^2 has the origin, off the spiral's domain,
+    # as its node 12: its two ratio cells read nan, and no other cell does.
+    text = (CONFIG_DIR / "spiral_barycentre.ini").read_text().replace(
+        "kind = barycentre", "kind = ratios\ngrid_n = 5\nx1_min = -2.0\nx1_max = 2.0\n"
+        "x2_min = -2.0\nx2_max = 2.0").replace("n = 200", "n = 20")
+    (tmp_path / "ratios.ini").write_text(text)
+    monkeypatch.setenv("ISOGEO_OUTPUT_DIR", str(tmp_path / "run"))
+    assert experiments.run(load_config(tmp_path / "ratios.ini")) == experiments.EXIT_OK
+    lines = (tmp_path / "run" / "ratios.csv").read_text().splitlines()
+    assert lines[0] == "x0,x1,monotonicity,lipschitz" and len(lines) == 26
+    cells = [line.split(",") for line in lines[1:]]
+    assert cells[12] == ["0", "0", "nan", "nan"]
+    assert all("nan" not in row for i, row in enumerate(cells) if i != 12)
