@@ -82,6 +82,13 @@ Prints one JSON object:
   follows 1 ms of other library work (``_iso_transport_vecs`` batches on
   river), so the helper is idle and asleep when the table starts, as between
   the tables of a workload pass; this sets the gate;
+- ``grid_field_ms``: the best-of-5 time (ms) of the ``_arc_table`` of the
+  ratio experiment's grid field on river(5, 0.25) (the lines from every node
+  of a ``grid_n`` x ``grid_n`` grid on the box of
+  ``configs/river_ratios.ini`` to each of N points of its dataset), at
+  grid_n 4 x N 30 (``ratio_grid``'s size) and 21 x 60 (the config's), with
+  river's ``coupling`` hook (``on``) and with the same map and speed
+  without it (``off``), which integrates every line on its own;
 - ``cold_start``: in fresh child interpreters, the median time of
   ``import isogeo, isogeo.cli`` inside the child and whether it loaded
   scipy, and for each ``configs/*.ini`` the median whole-process time of
@@ -104,6 +111,7 @@ Usage:
 """
 
 import contextlib
+import dataclasses
 import functools
 import json
 import os
@@ -512,6 +520,32 @@ def split_crossover():
     return result
 
 
+GRID_FIELDS = ((4, 30), (21, 60))
+
+
+def grid_field_times(grids=GRID_FIELDS, repeat=5):
+    """Grid-field table times (ms) on river with the coupling hook on and off."""
+    config = load_config(ROOT / "configs" / "river_ratios.ini")
+    M = experiments.build_manifold(config)
+    d = M.diffeo
+    off = ig.PullbackManifold(ig.Diffeomorphism(2, d.forward, d.inverse, d.jvp, d.inv_jvp,
+                                                speed=d.speed))
+    extras = config.extras
+    box = ((extras["x1_min"], extras["x1_max"]), (extras["x2_min"], extras["x2_max"]))
+    result = {}
+    for grid_n, n in grids:
+        nodes = ig.generate_dataset(ig.DatasetSpec("grid", n=grid_n, box=box), M).points
+        pts = ig.generate_dataset(dataclasses.replace(config.dataset, n=n), M).points
+        a = d.forward(nodes)[:, None]
+        w = d.forward(pts)[None] - a
+        number = max(3, 9600 // w[..., 0].size)
+        result[f"{grid_n}x{n}"] = {
+            "lines": w[..., 0].size,
+            **{mode: 1e3 * _best(lambda: _arc_table(on, a, w), number=number, repeat=repeat)
+               for mode, on in (("on", M), ("off", off))}}
+    return result
+
+
 def cold_start():
     """Import time and whole-process config runs, each in fresh interpreters."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -562,6 +596,7 @@ def main(argv):
         "ird_iteration_us": ird_iteration_times(),
         "grid_oracle": grid_oracle(),
         "split_crossover": split_crossover(),
+        "grid_field_ms": grid_field_times(),
         "cold_start": cold_start(),
     }
     print(json.dumps(result, indent=1))

@@ -18,7 +18,10 @@ pass:
   ``Diffeomorphism`` built after start-up has its callables wrapped, which
   adds a few microseconds per call to ``wall_s``.  ``speed`` also runs on
   the helper thread of a split ``_arc_table``, so one lock guards both
-  counts;
+  counts.  ``factors`` counts the ``coupling`` factors of a map that has
+  one (river), wherever they run: inside its ``speed``, and once per
+  shared (y_rest, w_rest) key in the tables that ``_arc_table`` shares
+  (0 in a checkout without the hook);
 
 and the process's peak RSS.  ``--pass-bytes`` sets ``isomaps.PASS_BYTES``
 for a sweep of the pass size.
@@ -51,7 +54,7 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from isogeo import diffeos, isomaps  # noqa: E402
 
-DIFFEO_CALLABLES = ("forward", "inverse", "jvp", "inv_jvp", "speed", "arc_length")
+DIFFEO_CALLABLES = ("forward", "inverse", "jvp", "inv_jvp", "speed", "arc_length", "factors")
 
 
 def count_diffeo_traffic(calls, points):
@@ -71,6 +74,9 @@ def count_diffeo_traffic(calls, points):
         return call
 
     def counting_init(self, *args, **kwargs):
+        if kwargs.get("coupling") is not None:
+            j, factors = kwargs["coupling"]
+            kwargs["coupling"] = (j, counted("factors", factors))
         init(self, *args, **kwargs)
         current = (self.forward, self.inverse, self.jvp, self.inv_jvp, self.speed,
                    self.arc_length)

@@ -3,9 +3,10 @@
 All built-in maps act on the last axis of their input, so a single point is a
 ``(d,)`` array and a batch of points is ``(..., d)``.  Jacobian actions are
 analytic for every built-in; user-supplied maps that omit them fall back to
-central finite differences.  The speed is the norm of ``inv_jvp``, fused in
-place on river only.  Spiral and banana give the arc lengths of phi-lines in
-closed form, and every 1-D map exactly; the other maps leave them to the rule.
+central finite differences.  The speed is the norm of ``inv_jvp``, from the
+two factors of a ``coupling`` on river.  Spiral and banana give the arc
+lengths of phi-lines in closed form, and every 1-D map exactly; the other
+maps leave them to the rule.
 """
 
 import math
@@ -48,6 +49,21 @@ def _stack(*components):
     return out
 
 
+def _others(x, j):
+    """The coordinates of x other than its j-th: a view where j is the first or the last."""
+    if j == 0:
+        return x[..., 1:]
+    return x[..., :j] if j == x.shape[-1] - 1 else np.delete(x, j, axis=-1)
+
+
+def _coupled_speed(w_j, g, s):
+    """sqrt((w_j + g)^2 + s), the speed of a coupling from its factors, in place in g."""
+    g += w_j
+    np.square(g, out=g)
+    g += s
+    return np.sqrt(g, out=g)
+
+
 def _line_length(u0, q, c):
     """Integral over [0, 1] of sqrt((u0 + q t)^2 + c^2) dt, c >= 0, without cancellation.
 
@@ -63,12 +79,13 @@ def _line_length(u0, q, c):
     s0 = np.hypot(u0, c)
     s = s0 + np.hypot(u1, c)
     # c * c and u * u underflow on a line whose S0 + S1 (at least the largest
-    # of |u0|, |u1| and c) is below 2^-500: such a line is integrated scaled
-    # by 2^600, which a power of two does exactly, and its length scaled
-    # back.  A zero line stays zero, so the scaled call recurses no further.
-    small = s < 2.0 ** -500
-    if small.any() and (small & (s > 0.0)).any():
-        scale = np.where(small, 2.0 ** 600, 1.0)
+    # of |u0|, |u1| and c) is below 2^-500, and overflow past 2^512: a line
+    # outside [2^-500, 2^500] is integrated scaled by 2^600 or 2^-600, which
+    # a power of two does exactly, and its length scaled back.  A zero or
+    # infinite line stays so, and the scaled call recurses no further.
+    outside = (s < 2.0 ** -500) | (s > 2.0 ** 500)
+    if outside.any() and (outside & (s > 0.0) & (s < np.inf)).any():
+        scale = np.where(outside, np.where(s < 1.0, 2.0 ** 600, 2.0 ** -600), 1.0)
         return _line_length(scale * u0, scale * q, scale * c) / scale
     u = u0 + u1
     sign = np.copysign(1.0, u)
@@ -117,6 +134,16 @@ class Diffeomorphism:
         On ``isomaps.SPLIT_PASSES`` passes or more it may run on two threads at
         once, and so may ``inv_jvp`` through it: they must not mutate shared
         state (the built-ins are pure).
+    coupling : (int, callable), optional
+        ``(j, factors)`` for an additive coupling layer (NICE), whose inverse
+        is x_j = y_j + m(y_rest), x_rest = h(y_rest), y_rest the coordinates
+        other than j.  ``factors(y_rest, w_rest)`` returns the ``(...)`` float
+        arrays g = Dm w_rest (a new one) and s = |Dh w_rest|^2, and the speed
+        is sqrt((w_j + g)^2 + s), finished in g.  Only where the rule runs (no
+        ``arc_length``) does a table of ``isomaps.SPLIT_PASSES`` passes or more
+        whose lines share their (y_rest, w_rest) call it once per distinct
+        pair.  It must be pure, as it may run on the helper thread.  Not given
+        with ``speed``.
     arc_length : callable, optional
         ``arc_length(y, w)``, the ``(...)`` l2 lengths of the curves
         ``inverse(y + t w)``, t in [0, 1], for y and w broadcast over
@@ -129,8 +156,10 @@ class Diffeomorphism:
     """
 
     def __init__(self, dim, forward, inverse, jvp=None, inv_jvp=None,
-                 name="custom", params=None, speed=None, arc_length=None):
+                 name="custom", params=None, speed=None, arc_length=None, coupling=None):
         self.dim = _positive_dim(dim)
+        if speed is not None and coupling is not None:
+            raise ValueError("a coupling gives the speed: pass speed or coupling, not both")
         self.forward = forward
         self.inverse = inverse
         self.jvp = jvp if jvp is not None else _fd_jvp(forward)
@@ -140,12 +169,16 @@ class Diffeomorphism:
         if arc_length is None and self.dim == 1:
             arc_length = self._monotone_length
         self.arc_length = arc_length
+        self.coupling = coupling
         self.name = name
         self.params = dict(params) if params else {}
 
     def speed(self, y, w):
-        """The default speed: the l2 norm of ``inv_jvp(y, w)``, with ``np.linalg.norm``'s bits."""
-        return np.sqrt(_sum_last(np.square(self.inv_jvp(y, w))))
+        """The norm of ``inv_jvp(y, w)`` with ``np.linalg.norm``'s bits, or a coupling's."""
+        if self.coupling is None:
+            return np.sqrt(_sum_last(np.square(self.inv_jvp(y, w))))
+        j, factors = self.coupling
+        return _coupled_speed(w[..., j], *factors(_others(y, j), _others(w, j)))
 
     def _monotone_length(self, y, w):
         """The default arc length of a 1-D map: its inverse is monotone."""
@@ -200,22 +233,19 @@ def river(beta=5.0, eta=0.25):
         # w1 + beta cos(x2) dx2 at x2 = arcsinh(y2) / eta
         return _stack(w[..., 0] + beta * np.cos(np.arcsinh(y2) / eta) * dx2, dx2)
 
-    def speed(y, w):
-        # The operations of inv_jvp and of the norm, in place.
-        y2 = y[..., 1]
-        dx = np.divide(w[..., 1], eta * np.sqrt(1.0 + y2 ** 2),
-                       out=np.empty(np.broadcast(y, w).shape[:-1]))
-        sq = np.square(dx)
+    def factors(y_rest, w_rest):
+        # g = beta cos(x2) dx2 and s = dx2^2: the operations of inv_jvp, in place.
+        y2 = y_rest[..., 0]
+        dx = np.divide(w_rest[..., 0], eta * np.sqrt(1.0 + y2 ** 2),
+                       out=np.empty(np.broadcast(y_rest, w_rest).shape[:-1]))
+        s = np.square(dx)
         t = np.cos(np.arcsinh(y2) / eta)
         t *= beta
         dx *= t
-        dx += w[..., 0]
-        np.square(dx, out=dx)
-        dx += sq
-        return np.sqrt(dx, out=dx)
+        return dx, s
 
     return Diffeomorphism(2, forward, inverse, jvp, inv_jvp, name="river",
-                          params={"beta": beta, "eta": eta}, speed=speed)
+                          params={"beta": beta, "eta": eta}, coupling=(0, factors))
 
 
 def spiral(beta=0.25):
@@ -272,9 +302,17 @@ def spiral(beta=0.25):
         # The speed is beta sqrt(u^2 + wr^2) with u = r (wr + wt), and r is
         # linear in t: the line is in the domain iff r > 0 at both ends.
         r, wr = p[..., 0], w[..., 0]
-        if (r <= 0.0).any() or (r + wr <= 0.0).any():
+        r1 = r + wr
+        if (np.minimum(r, r1) <= 0.0).any():
             raise DomainError("spiral inverse requires positive radial coordinate")
         s = wr + w[..., 1]
+        # r s and wr s overflow once r, r1 or |s| passes 2^512, before
+        # _line_length could rescale.  The length is of degree 1 in (u0, q, c):
+        # from 2^500 on, s and c are scaled by 2^-600 and the length back.
+        big = np.maximum(np.maximum(r, r1), np.abs(s)) > 2.0 ** 500
+        if big.any():
+            m = np.where(big, 2.0 ** -600, 1.0)
+            return beta * _line_length(r * (m * s), wr * (m * s), m * np.abs(wr)) / m
         return beta * _line_length(r * s, wr * s, np.abs(wr))
 
     return Diffeomorphism(2, forward, inverse, jvp, inv_jvp, name="spiral",

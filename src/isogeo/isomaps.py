@@ -12,7 +12,10 @@ Arc lengths come from one engine.  Where the diffeomorphism gives them,
 batch of phi-lines is evaluated at every quadrature node in 96 kB passes, with
 the values of each line on its own.  In a table of ``SPLIT_PASSES`` passes or
 more whose first pass took ``SPLIT_PASS_S`` or longer, a helper thread takes
-passes too, so two pass arrays may be live at once.
+passes too, so two pass arrays may be live at once.  Such a table of a
+coupling map (river) with at most half as many distinct (a_rest, w_rest)
+bit patterns, or keys, as lines (as a tensor grid's field has) evaluates
+the factors once per key and only the speed's finish per line.
 """
 
 import contextlib
@@ -24,6 +27,7 @@ import time
 
 import numpy as np
 
+from .diffeos import _coupled_speed, _others
 from .errors import DegenerateCurveError, DomainError, NonConvergenceError
 from .pullback import TangentVector, _point_pair, as_point
 from .quadrature import (NEWTON_MAXITER, REFINE_XTOL, _leggauss, composite_nodes,
@@ -31,9 +35,11 @@ from .quadrature import (NEWTON_MAXITER, REFINE_XTOL, _leggauss, composite_nodes
 
 # Bytes of the float (d, L, n) point array of one _arc_table pass: a pass takes
 # max(1, PASS_BYTES // (8 n d)) of the L lines of a batch, so peak memory does
-# not grow with d.  Under glibc's 128 kB mmap threshold the per-pass arrays are
-# reused from the heap (at 256 kB every pass faulted in fresh pages), and
-# smaller passes pay more per-pass overhead; BENCH_8.json records the sweep.
+# not grow with d (a pass of shared coupling lines takes d times as many, whose
+# (L, n) speeds are as large).  Under glibc's 128 kB mmap threshold the
+# per-pass arrays are reused from the heap (at 256 kB every pass faulted in
+# fresh pages), and smaller passes pay more per-pass overhead; BENCH_8.json
+# records the sweep.
 PASS_BYTES = 96 * 1024
 # A table of at least SPLIT_PASSES passes (192 lines at d = 2) whose first
 # pass took SPLIT_PASS_S or longer shares its other passes with one helper
@@ -53,15 +59,19 @@ SPLIT_PASS_S = 70e-6
 MAX_BRACKET_DOUBLINGS = 60
 
 
-def _speeds(M, a, w, ts):
-    """l2 speeds ``(n,)`` or ``(L, n)`` of one ``(d,)`` or ``(L, d)`` phi-line a + t w.
+def _points(a, w, ts):
+    """The ``(L, n, d)`` points a + t w, a view of one C-contiguous ``(d, L, n)`` array.
 
-    The points at the ``(n,)`` times ts are one C-contiguous ``(d, L, n)`` array:
-    the diffeomorphism reads its ``(L, n, d)`` view one contiguous coordinate at a time.
+    A map reads them one contiguous coordinate at a time; a ``(d,)`` line gives ``(n, d)``.
     """
     p = np.multiply(w.T[..., None], ts, order="C")
     p += a.T[..., None]
-    p = p.T.swapaxes(0, -2)
+    return p.T.swapaxes(0, -2)
+
+
+def _speeds(M, a, w, ts):
+    """l2 speeds ``(n,)`` or ``(L, n)`` of one ``(d,)`` or ``(L, d)`` phi-line a + t w."""
+    p = _points(a, w, ts)
     return M.diffeo.speed(p, np.broadcast_to(w[..., None, :], p.shape))
 
 
@@ -138,15 +148,49 @@ def _arc_table(M, a, w):
     a, w = a.reshape(-1, w.shape[-1]), w.reshape(-1, w.shape[-1])
     cumlen = np.zeros((len(w), q.panels + 1))
     step = max(1, PASS_BYTES // (8 * len(ts) * w.shape[-1]))
+    starts = range(0, len(w), step)
+
+    def panels(speeds):
+        return panel_integrals(speeds * weights, q.panels, q.nodes_per_panel)
 
     def one_pass(start):
         part = slice(start, start + step)
-        speeds = _speeds(M, a[part], w[part], ts)
-        per_panel = panel_integrals(speeds * weights, q.panels, q.nodes_per_panel)
-        np.cumsum(per_panel, axis=-1, out=cumlen[part, 1:])
+        np.cumsum(panels(_speeds(M, a[part], w[part], ts)), axis=-1, out=cumlen[part, 1:])
 
-    _run_passes(one_pass, range(0, len(w), step))
+    def shared_pass(start):
+        # A pass takes d times one_pass's lines, in key order: their (L, n)
+        # speeds are as large as its (d, L, n) points.  Each key's factors
+        # are evaluated on the key's first line and taken by row.
+        part, own = order[start:start + wide], key[start:start + wide]
+        first = heads[own[0]:own[-1] + 1]
+        p = _points(a_rest[first], w_rest[first], ts)
+        g, s = factors(p, np.broadcast_to(w_rest[first, None, :], p.shape))
+        own = own - own[0]
+        speeds = _coupled_speed(w[part, j, None], g[own], s[own])
+        cumlen[part, 1:] = np.cumsum(panels(speeds), axis=-1)
+
+    if M.diffeo.coupling is not None and len(starts) >= SPLIT_PASSES:
+        j, factors = M.diffeo.coupling
+        a_rest, w_rest = _others(a, j), _others(w, j)
+        order, key, heads = _shared_keys(a_rest, w_rest)
+        if 2 * len(heads) <= len(w):
+            one_pass, wide = shared_pass, step * w.shape[-1]
+            starts = range(0, len(w), wide)
+    _run_passes(one_pass, starts)
     return cumlen.reshape(*lines, q.panels + 1)
+
+
+def _shared_keys(a_rest, w_rest):
+    """Group lines by the bits of their (a_rest, w_rest), which keep +0.0 and -0.0 apart.
+
+    Returns the stable order that groups them, each ordered line's key index
+    and each key's first line.
+    """
+    bits = np.concatenate([a_rest, w_rest], axis=1).view(np.int64)
+    order = np.lexsort(bits.T)
+    ordered = bits[order]
+    new = np.concatenate([[True], (ordered[1:] != ordered[:-1]).any(axis=1)])
+    return order, np.cumsum(new) - 1, order[new]
 
 
 def _arc_lengths(M, a, w):

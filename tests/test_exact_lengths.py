@@ -180,13 +180,34 @@ def test_banana_closed_form_against_a_fine_rule():
 
 
 def test_an_overflowing_closed_form_is_not_read_as_zero():
-    # Both phi-images are finite, but u0 = -inf and q = +inf leave u1 NaN: a
-    # length of 0 there would fall below the chord, a bound _nearest prunes by.
+    # Both phi-images are finite, but u0 = r s and q = wr s overflow (to -inf
+    # and +inf, once read as a length of 0, below the chord that _nearest
+    # prunes by).  The length is the closed form of the line scaled by 2^-600,
+    # scaled back: 1.748e308, finite, with no overflow on the way.
     x = np.array([7.94627791e152, 9.50898036e153])
     y = np.array([-3.69282820e152, 1.87267499e153])
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = ig.iso_distance(make_manifold("spiral"), x, y)
-    assert not (d < np.linalg.norm(x - y))
+    M = make_manifold("spiral")
+    d = ig.iso_distance(M, x, y)
+    a = M.diffeo.forward(x)
+    (r, _), (wr, wt) = a, M.diffeo.forward(y) - a
+    m = 2.0 ** -600
+    s = m * (wr + wt)
+    want = M.diffeo.params["beta"] * unscaled_line_length(r * s, wr * s, m * abs(wr)) / m
+    assert 1.7e308 < want < np.inf
+    assert d == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert ig.iso_distance(M, y, x) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_long_lines_scale_by_a_power_of_two_exactly():
+    # Lines past 2^500, where u * u and c * c would overflow, are integrated
+    # scaled by 2^-600: a line 2^k times another has 2^k times its length.
+    rng = np.random.default_rng(141)
+    u0, q, c = rng.uniform(-1.0, 1.0, (3, 2000))
+    c = np.abs(c)
+    base = _line_length(u0, q, c)
+    for k in (499, 501, 520, 700, 1000):
+        assert np.array_equal(_line_length(2.0 ** k * u0, 2.0 ** k * q, 2.0 ** k * c),
+                              2.0 ** k * base)
 
 
 SUBNORMAL_LINE = np.zeros(2), np.array([0.0, 2.2250738585e-313])
@@ -214,7 +235,7 @@ def test_a_tiny_vertical_banana_line_is_exactly_its_length(c):
 
 
 def unscaled_line_length(u0, q, c):
-    """``_line_length`` without its rescaling of short lines: the formula it kept."""
+    """``_line_length`` without its rescaling of short and long lines: the formula it kept."""
     u1 = u0 + q
     s0 = np.hypot(u0, c)
     s = s0 + np.hypot(u1, c)

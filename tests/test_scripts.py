@@ -1,5 +1,6 @@
-"""The digest gate of ``scripts/output_digests.py`` and the summary of
-``scripts/plot_ready_summary.py``, run in-process."""
+"""The digest gate of ``scripts/output_digests.py``, the summary of
+``scripts/plot_ready_summary.py`` and the grid-field row of
+``scripts/bench_layers.py``, run in-process."""
 
 import copy
 import importlib.util
@@ -74,3 +75,9 @@ def test_plot_ready_summary_of_a_barycentre_run(load_script, tmp_path, monkeypat
     assert points == "  points.csv: 200 rows, columns x0, x1"
     assert trace == (f"  trace.csv: {iterations + 1} rows, columns iter, field_norm, "
                      "step_size, objective, x0, x1")
+
+
+def test_bench_layers_times_the_grid_field_table(load_script):
+    row = load_script("bench_layers").grid_field_times(grids=((4, 30),), repeat=1)
+    assert list(row) == ["4x30"] and row["4x30"]["lines"] == 480
+    assert row["4x30"]["on"] > 0.0 and row["4x30"]["off"] > 0.0

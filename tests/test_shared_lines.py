@@ -1,0 +1,221 @@
+"""Coupling tables whose lines share their (a_rest, w_rest) evaluate the
+factors once per key and equal the per-line passes bit for bit."""
+
+import numpy as np
+import pytest
+
+import isogeo as ig
+from isogeo import isomaps
+from isogeo.experiments import ratio_grid_rows
+from isogeo.isomaps import SPLIT_PASSES, _arc_table, _shared_keys
+from isogeo.quadrature import unit_rule
+
+from test_pass_split import CountingPool, bits, lines_per_pass, serial_table
+from test_ratio_grid import per_node_rows
+
+NODES = len(unit_rule(ig.QuadratureConfig())[0])
+
+
+def fused_river_speed(beta, eta):
+    """River's speed kernel before the coupling hook, as it was written."""
+    def speed(y, w):
+        y2 = y[..., 1]
+        dx = np.divide(w[..., 1], eta * np.sqrt(1.0 + y2 ** 2),
+                       out=np.empty(np.broadcast(y, w).shape[:-1]))
+        sq = np.square(dx)
+        t = np.cos(np.arcsinh(y2) / eta)
+        t *= beta
+        dx *= t
+        dx += w[..., 0]
+        np.square(dx, out=dx)
+        dx += sq
+        return np.sqrt(dx, out=dx)
+    return speed
+
+
+def tanh_shear(hook=True):
+    """(x1 - tanh x2, x2), a custom coupling, with or without its hook."""
+    def forward(x):
+        return np.stack([x[..., 0] - np.tanh(x[..., 1]), x[..., 1]], axis=-1)
+
+    def inverse(y):
+        return np.stack([y[..., 0] + np.tanh(y[..., 1]), y[..., 1]], axis=-1)
+
+    def inv_jvp(y, w):
+        g = (1.0 - np.tanh(y[..., 1]) ** 2) * w[..., 1]
+        return np.stack([w[..., 0] + g, w[..., 1]], axis=-1)
+
+    def factors(y_rest, w_rest):
+        return (1.0 - np.tanh(y_rest[..., 0]) ** 2) * w_rest[..., 0], np.square(w_rest[..., 0])
+
+    return ig.Diffeomorphism(2, forward, inverse, inv_jvp=inv_jvp,
+                             coupling=(0, factors) if hook else None)
+
+
+def middle_shear():
+    """A 3-D coupling that shears its middle coordinate by tanh(x0 + x2)."""
+    def shear(x, sign):
+        return np.stack([x[..., 0], x[..., 1] + sign * np.tanh(x[..., 0] + x[..., 2]),
+                         x[..., 2]], axis=-1)
+
+    def factors(y_rest, w_rest):
+        slope = 1.0 - np.tanh(y_rest[..., 0] + y_rest[..., 1]) ** 2
+        return slope * (w_rest[..., 0] + w_rest[..., 1]), np.vecdot(w_rest, w_rest)
+
+    def inv_jvp(y, w):
+        g = factors(y[..., ::2], w[..., ::2])[0]
+        return np.stack([w[..., 0], w[..., 1] + g, w[..., 2]], axis=-1)
+
+    return ig.Diffeomorphism(3, lambda x: shear(x, -1.0), lambda y: shear(y, 1.0),
+                             inv_jvp=inv_jvp, coupling=(1, factors))
+
+
+def signed_map():
+    """A coupling whose factors read the sign of a zero w_rest."""
+    def factors(y_rest, w_rest):
+        return np.copysign(0.5, w_rest[..., 0]) + y_rest[..., 0], np.square(w_rest[..., 0])
+
+    return ig.Diffeomorphism(2, lambda x: x, lambda y: y, coupling=(0, factors))
+
+
+def shared_lines(M, n, group, seed=0):
+    """n lines whose (a_rest, w_rest) repeat in groups of ``group``, shuffled."""
+    rng = np.random.default_rng(seed)
+    a, w = rng.uniform(-4.0, 4.0, (2, n, M.dim))
+    j = M.diffeo.coupling[0]
+    rest = [k for k in range(M.dim) if k != j]
+    keys = rng.permutation(np.arange(n) // group)
+    a[:, rest], w[:, rest] = a[keys][:, rest], w[keys][:, rest]
+    return a, w
+
+
+def count_factor_points(monkeypatch, M):
+    """The points of each call of M's coupling factors, as a list."""
+    j, factors = M.diffeo.coupling
+    points = []
+
+    def counted(y_rest, w_rest):
+        points.append(np.broadcast(y_rest, w_rest).size // y_rest.shape[-1])
+        return factors(y_rest, w_rest)
+
+    monkeypatch.setattr(M.diffeo, "coupling", (j, counted))
+    return points
+
+
+def test_river_speed_is_the_fused_kernel():
+    rng = np.random.default_rng(280)
+    for beta, eta in ((5.0, 0.25), (0.3, 2.0)):
+        river, fused = ig.river(beta, eta), fused_river_speed(beta, eta)
+        y, w = rng.standard_normal((2, 40, 17, 2)) * [3.0, 30.0]
+        for args in ((y, w), (y, w[0, 0]), (y[0, 0], w), (y[0, 0], w[0, 0])):
+            assert bits(np.asarray(river.speed(*args))) == bits(fused(*args))
+
+
+@pytest.mark.parametrize("passes", [SPLIT_PASSES - 1, SPLIT_PASSES, SPLIT_PASSES + 1])
+def test_river_tables_either_side_of_the_gate(passes, monkeypatch):
+    M = ig.PullbackManifold(ig.river())
+    n = passes * lines_per_pass(M)
+    a, w = shared_lines(M, n, group=6)
+    want = serial_table(M, a, w)
+    points = count_factor_points(monkeypatch, M)
+    assert bits(_arc_table(M, a, w)) == bits(want)
+    # Below the gate every line evaluates the factors; from it on, each key
+    # once, and a key that straddles two passes once in each.
+    shared = passes >= SPLIT_PASSES
+    assert sum(points) < n * NODES / 4 if shared else sum(points) == n * NODES
+
+
+@pytest.mark.parametrize("group", [2, 7, 47, 49, 200])
+def test_groups_across_pass_boundaries(group, monkeypatch):
+    M = ig.PullbackManifold(ig.river())
+    n = 20 * lines_per_pass(M) + 5
+    a, w = shared_lines(M, n, group, seed=group)
+    assert bits(_arc_table(M, a, w)) == bits(serial_table(M, a, w))
+    # More keys than half the lines: the per-line passes.
+    a, w = shared_lines(M, n, 1, seed=group)
+    a[1::3, 1:], w[1::3, 1:] = a[::3, 1:], w[::3, 1:]
+    want = serial_table(M, a, w)
+    points = count_factor_points(monkeypatch, M)
+    assert bits(_arc_table(M, a, w)) == bits(want) and sum(points) == n * NODES
+
+
+def test_signed_zeros_are_different_keys():
+    M = ig.PullbackManifold(signed_map())
+    n = 2 * SPLIT_PASSES * lines_per_pass(M)
+    a, w = shared_lines(M, n, group=n)
+    # Speed |1 + 0.5| on a line with w2 = +0.0, |1 - 0.5| on one with -0.0.
+    a[:, 1], w[:, 0], w[:, 1] = 0.0, 1.0, np.where(np.arange(n) % 2, 0.0, -0.0)
+    order, key, heads = _shared_keys(a[:, 1:], w[:, 1:])
+    assert len(heads) == 2 and np.array_equal(np.signbit(w[order, 1]), key == 0)
+    table = _arc_table(M, a, w)
+    assert bits(table) == bits(serial_table(M, a, w))
+    assert table[0, -1] == 0.5 and table[1, -1] == 1.5
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_shared_tables_with_and_without_the_helper(cpus, monkeypatch):
+    monkeypatch.setattr(isomaps, "_cpus", lambda: cpus)
+    monkeypatch.setattr(isomaps, "SPLIT_PASS_S", 0.0)
+    pool = CountingPool()
+    monkeypatch.setattr(isomaps, "_helper", lambda: pool)
+    try:
+        M = ig.PullbackManifold(ig.river())
+        a, w = shared_lines(M, 30 * lines_per_pass(M), group=10)
+        for _ in range(3):
+            assert bits(_arc_table(M, a, w)) == bits(serial_table(M, a, w))
+        assert len(pool.jobs) == (3 if cpus > 1 else 0)
+        assert all(job.done() for job in pool.jobs)
+    finally:
+        pool.pool.shutdown(wait=True)
+
+
+@pytest.mark.parametrize("group", [1, 8])
+def test_a_custom_coupling_with_and_without_its_hook(group, monkeypatch):
+    hooked, plain = ig.PullbackManifold(tanh_shear()), ig.PullbackManifold(tanh_shear(False))
+    points = count_factor_points(monkeypatch, hooked)
+    for passes in (SPLIT_PASSES - 1, SPLIT_PASSES, 3 * SPLIT_PASSES):
+        a, w = shared_lines(hooked, passes * lines_per_pass(hooked), group, seed=passes)
+        assert bits(_arc_table(hooked, a, w)) == bits(_arc_table(plain, a, w))
+    assert points
+
+
+def test_a_middle_coordinate_coupling():
+    M = ig.PullbackManifold(middle_shear())
+    a, w = shared_lines(M, 12 * lines_per_pass(M) + 3, group=9)
+    table = _arc_table(M, a, w)
+    assert bits(table) == bits(serial_table(M, a, w))
+    # The norm of inv_jvp sums the three squares in another order.
+    d = M.diffeo
+    plain = ig.PullbackManifold(ig.Diffeomorphism(3, d.forward, d.inverse, inv_jvp=d.inv_jvp))
+    np.testing.assert_allclose(table, _arc_table(plain, a, w), rtol=1e-14, atol=0.0)
+
+
+def test_speed_and_coupling_are_exclusive():
+    with pytest.raises(ValueError, match="not both"):
+        ig.Diffeomorphism(2, lambda x: x, lambda y: y, speed=lambda y, w: w[..., 0],
+                          coupling=tanh_shear().coupling)
+
+
+def test_ratio_grid_rows_split_and_retry_on_shared_tables(monkeypatch):
+    M = ig.PullbackManifold(ig.river())
+    rng = np.random.default_rng(281)
+    pts = rng.uniform(-4.0, 4.0, (6, 2))
+    xbar = ig.closed_form_barycentre(M, pts)
+    box = ((-6.0, 6.0), (-4.0, 4.0))
+    grid = ig.generate_dataset(ig.DatasetSpec("grid", n=8, box=box), M).points
+    grid[37] = np.nan   # the whole grid fails, then its half, then its quarter
+    want = per_node_rows(M, pts, xbar, grid)
+    grouped, keys = [], _shared_keys
+
+    def counted(a_rest, w_rest):
+        found = keys(a_rest, w_rest)
+        grouped.append((len(found[2]), len(a_rest)))
+        return found
+
+    monkeypatch.setattr(isomaps, "_shared_keys", counted)
+    rows = ratio_grid_rows(M, pts, xbar, grid)
+    assert np.array_equal(rows, np.array(want), equal_nan=True)
+    assert np.isnan(rows[37, 2:]).all() and np.isfinite(np.delete(rows, 37, axis=0)).all()
+    # The field table of the good half, 32 nodes x 6 points in 8 passes, has
+    # 8 x2-values x 6 points as keys.
+    assert grouped == [(48, 192)]
