@@ -100,8 +100,9 @@ It uses public functions, ``_arc_table``, ``isomaps.composite_nodes``,
 ``experiments._write_points``, ``experiments._versions``,
 ``experiments.least_squares_screen``, ``clustering._nearest``,
 ``clustering._arc_lengths``, ``isomaps._iso_transport_vecs``,
-``isomaps.unit_rule``, ``isomaps.PASS_BYTES``, ``isomaps.SPLIT_PASSES``,
-``isomaps.SPLIT_PASS_S`` and the quadrature constants only, and imports
+``isomaps.unit_rule``, ``isomaps.PASS_BYTES``, ``isomaps.COUPLING_ARRAYS``,
+``isomaps.SPLIT_PASSES``, ``isomaps.SPLIT_PASS_S`` and the quadrature
+constants only, and imports
 ``isogeo`` from the ``src/`` next to this script, so a copy placed in
 another checkout that has these names measures that checkout.  scipy, the
 oracle of the root-solve timing, is imported there only.
@@ -498,6 +499,9 @@ def split_crossover():
         for name in ("river", "identity"):
             M = ig.PullbackManifold(GEOMETRIES[name]())
             step = isomaps.PASS_BYTES // (8 * len(isomaps.unit_rule(M.quad)[0]) * M.dim)
+            if M.diffeo.coupling is not None:   # its passes build d - 1 coordinates
+                arrays = isomaps.COUPLING_ARRAYS
+                step = step * (M.dim + arrays) // (M.dim - 1 + arrays)
             a = M.diffeo.forward(_points(name, M, rng, step * max(SPLIT_PASS_COUNTS)))
             w = M.diffeo.forward(_points(name, M, rng, len(a))) - a
             result[name] = {}

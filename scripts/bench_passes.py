@@ -19,12 +19,15 @@ pass:
   adds a few microseconds per call to ``wall_s``.  ``speed`` also runs on
   the helper thread of a split ``_arc_table``, so one lock guards both
   counts.  ``factors`` counts the ``coupling`` factors of a map that has
-  one (river), wherever they run: inside its ``speed``, and once per
-  shared (y_rest, w_rest) key in the tables that ``_arc_table`` shares
-  (0 in a checkout without the hook);
+  one (river), wherever they run: in every pass, root-solve stencil and
+  ``vectorchange`` probe of the rule, which call them on the d - 1 other
+  coordinates and not ``speed``, once per shared (y_rest, w_rest) key in
+  the tables that ``_arc_table`` shares, and inside a direct ``speed``
+  call (0 in a checkout without the hook);
 
 and the process's peak RSS.  ``--pass-bytes`` sets ``isomaps.PASS_BYTES``
-for a sweep of the pass size.
+for a sweep of the pass size.  ``main`` puts back what it patches, so a
+test can call it in-process.
 
 It imports ``isogeo`` from the ``src/`` and the workloads from the
 ``perfbench/`` next to this script, so a copy placed in another checkout
@@ -95,8 +98,11 @@ def main(argv=None):
     parser.add_argument("--passes", type=int, default=15)
     parser.add_argument("--pass-bytes", type=int, default=None)
     args = parser.parse_args(argv)
+    # What is patched below is put back at the end, for a caller in the same process.
+    patched = isomaps.PASS_BYTES, isomaps.composite_nodes, diffeos.Diffeomorphism.__init__
     if args.pass_bytes is not None:
         isomaps.PASS_BYTES = args.pass_bytes
+    pass_bytes = isomaps.PASS_BYTES
 
     built = []
     rule = isomaps.composite_nodes
@@ -129,9 +135,10 @@ def main(argv=None):
             diffeo_points.append({name: points[name] for name in DIFFEO_CALLABLES})
     finally:
         shutil.rmtree(workdir)
+        isomaps.PASS_BYTES, isomaps.composite_nodes, diffeos.Diffeomorphism.__init__ = patched
     print(json.dumps({
         "workload": args.workload, "seed": args.seed,
-        "pass_bytes": isomaps.PASS_BYTES,
+        "pass_bytes": pass_bytes,
         "minflt": minflt, "wall_s": [round(t, 4) for t in walls],
         "quadratures": quadratures,
         "diffeo_calls": diffeo_calls, "diffeo_points": diffeo_points,

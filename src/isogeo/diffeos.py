@@ -137,13 +137,16 @@ class Diffeomorphism:
     coupling : (int, callable), optional
         ``(j, factors)`` for an additive coupling layer (NICE), whose inverse
         is x_j = y_j + m(y_rest), x_rest = h(y_rest), y_rest the coordinates
-        other than j.  ``factors(y_rest, w_rest)`` returns the ``(...)`` float
-        arrays g = Dm w_rest (a new one) and s = |Dh w_rest|^2, and the speed
-        is sqrt((w_j + g)^2 + s), finished in g.  Only where the rule runs (no
-        ``arc_length``) does a table of ``isomaps.SPLIT_PASSES`` passes or more
-        whose lines share their (y_rest, w_rest) call it once per distinct
-        pair.  It must be pure, as it may run on the helper thread.  Not given
-        with ``speed``.
+        other than j.  ``factors(y_rest, w_rest)`` gets the ``(..., d - 1)``
+        points y_rest and a w_rest that broadcasts against them (the rule
+        passes one per line, not per point), 0-d batches included, and
+        returns g = Dm w_rest, a new float array of the broadcast ``(...)``
+        shape, and s = |Dh w_rest|^2, which broadcasts against g; the speed
+        is sqrt((w_j + g)^2 + s), finished in g.  Where the rule runs (no
+        ``arc_length``) only y_rest is built, and a table of 192 lines or
+        more at d = 2 whose lines share their (y_rest, w_rest) calls it once
+        per distinct pair.  It must be pure, as it may run on the helper
+        thread.  Not given with ``speed``.
     arc_length : callable, optional
         ``arc_length(y, w)``, the ``(...)`` l2 lengths of the curves
         ``inverse(y + t w)``, t in [0, 1], for y and w broadcast over
@@ -234,12 +237,18 @@ def river(beta=5.0, eta=0.25):
         return _stack(w[..., 0] + beta * np.cos(np.arcsinh(y2) / eta) * dx2, dx2)
 
     def factors(y_rest, w_rest):
-        # g = beta cos(x2) dx2 and s = dx2^2: the operations of inv_jvp, in place.
+        # g = beta cos(x2) dx2 and s = dx2^2: the operations of inv_jvp in two
+        # fresh buffers (a ufunc without out= returns a scalar on 0-d input).
         y2 = y_rest[..., 0]
-        dx = np.divide(w_rest[..., 0], eta * np.sqrt(1.0 + y2 ** 2),
-                       out=np.empty(np.broadcast(y_rest, w_rest).shape[:-1]))
+        dx = np.square(y2, out=np.empty(np.broadcast(y_rest, w_rest).shape[:-1]))
+        dx += 1.0
+        np.sqrt(dx, out=dx)
+        dx *= eta
+        np.divide(w_rest[..., 0], dx, out=dx)
         s = np.square(dx)
-        t = np.cos(np.arcsinh(y2) / eta)
+        t = np.arcsinh(y2, out=np.empty_like(dx))
+        t /= eta
+        np.cos(t, out=t)
         t *= beta
         dx *= t
         return dx, s

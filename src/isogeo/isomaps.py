@@ -10,12 +10,14 @@ Arc lengths come from one engine.  Where the diffeomorphism gives them,
 ``arc_length`` is exact and ``speed`` is its derivative; elsewhere
 ``_arc_table`` integrates the speed with the fixed Gauss-Legendre rule: a
 batch of phi-lines is evaluated at every quadrature node in 96 kB passes, with
-the values of each line on its own.  In a table of ``SPLIT_PASSES`` passes or
-more whose first pass took ``SPLIT_PASS_S`` or longer, a helper thread takes
-passes too, so two pass arrays may be live at once.  Such a table of a
-coupling map (river) with at most half as many distinct (a_rest, w_rest)
-bit patterns, or keys, as lines (as a tensor grid's field has) evaluates
-the factors once per key and only the speed's finish per line.
+the values of each line on its own.  A coupling map's (river's) points are
+built in the d - 1 coordinates its factors read alone, and its passes take
+more lines for the arrays they save.  In a table of ``SPLIT_PASSES`` passes
+or more whose first pass took ``SPLIT_PASS_S`` or longer, a helper thread
+takes passes too, so two pass arrays may be live at once.  A coupling table
+of as many whole-point passes with at most half as many distinct (a_rest,
+w_rest) bit patterns, or keys, as lines (as a grid's field has) evaluates the
+factors once per key, on the calling thread, and the speed's finish per line.
 """
 
 import contextlib
@@ -35,24 +37,33 @@ from .quadrature import (NEWTON_MAXITER, REFINE_XTOL, _leggauss, composite_nodes
 
 # Bytes of the float (d, L, n) point array of one _arc_table pass: a pass takes
 # max(1, PASS_BYTES // (8 n d)) of the L lines of a batch, so peak memory does
-# not grow with d (a pass of shared coupling lines takes d times as many, whose
-# (L, n) speeds are as large).  Under glibc's 128 kB mmap threshold the
-# per-pass arrays are reused from the heap (at 256 kB every pass faulted in
-# fresh pages), and smaller passes pay more per-pass overhead; BENCH_8.json
-# records the sweep.
+# not grow with d.  Under glibc's 128 kB mmap threshold the per-pass arrays are
+# reused from the heap (at 256 kB every pass faulted in fresh pages), and
+# smaller passes pay more per-pass overhead; BENCH_8.json records the sweep.
+# A coupling's pass is sized by the (L, n) arrays it keeps live: it builds only
+# the d - 1 coordinates the factors read, which with their COUPLING_ARRAYS
+# (river's g, s and one work array) make d + 2 where the whole point array
+# made d + 3, so it takes (d + 3) / (d + 2) times the lines (30 for 24 at
+# d = 2; 48 doubled the faults of a scipy-free solver_loop pass).  A pass of
+# shared coupling lines takes d times the lines, whose (L, n) speeds are as
+# large as the (d, L, n) points.
 PASS_BYTES = 96 * 1024
-# A table of at least SPLIT_PASSES passes (192 lines at d = 2) whose first
-# pass took SPLIT_PASS_S or longer shares its other passes with one helper
-# thread (_run_passes).  Waking the idle helper costs about what a small table
-# saves: with other work between river tables, a split table took 0.94-1.20x
-# the one-thread time at 2-4 passes and 0.83-1.06x at 5-6, but 0.77-0.88x at
-# 8 and 0.73-0.84x at 12-20 (BENCH_25.json).  At 8, every solver_loop table
-# (at most 5 passes) stays on one thread.  The threads overlap only where
-# numpy releases the GIL, so a speed of a few cheap ufuncs gains nothing
-# (identity(2), identity(3), identity(16) and banana through the rule:
-# 0.92-1.28x at 8-20 passes).  Their first passes took 33-55 us on a 2-core
-# x86-64 host, river's 95 us and a sin map's 435 us: a pass of 70 us or more
-# spends long enough in ufuncs for a second thread to pay.
+COUPLING_ARRAYS = 3
+# A per-line table of at least SPLIT_PASSES passes (192 lines at d = 2, 240 on
+# a coupling) whose first pass took SPLIT_PASS_S or longer shares its other
+# passes with one helper thread (_run_passes).  Waking the idle helper costs
+# about what a small table saves: with other work between river tables, a
+# split table took 0.94-1.20x the one-thread time at 2-4 passes and
+# 0.83-1.06x at 5-6, but 0.77-0.88x at 8 and 0.73-0.84x at 12-20
+# (BENCH_25.json).  At 8, every solver_loop table (at most 5 passes) stays on
+# one thread.  The threads overlap only where numpy releases the GIL, so a
+# speed of a few cheap ufuncs gains nothing (identity(2), identity(3),
+# identity(16) and banana through the rule: 0.92-1.28x at 8-20 passes).
+# Their first passes took 33-55 us on a 2-core x86-64 host, river's 95 us and
+# a sin map's 435 us: a pass of 70 us or more spends long enough in ufuncs for
+# a second thread to pay.  Shared coupling passes spend theirs in cheap
+# ufuncs and Python, and stay on the calling thread: with the helper, warm
+# river_ratios.ini runs took 50.7 ms against 46.0 ms without (BENCH_29.json).
 SPLIT_PASSES = 8
 SPLIT_PASS_S = 70e-6
 
@@ -71,8 +82,16 @@ def _points(a, w, ts):
 
 def _speeds(M, a, w, ts):
     """l2 speeds ``(n,)`` or ``(L, n)`` of one ``(d,)`` or ``(L, d)`` phi-line a + t w."""
-    p = _points(a, w, ts)
-    return M.diffeo.speed(p, np.broadcast_to(w[..., None, :], p.shape))
+    if M.diffeo.coupling is None:
+        p = _points(a, w, ts)
+        return M.diffeo.speed(p, np.broadcast_to(w[..., None, :], p.shape))
+    j, factors = M.diffeo.coupling
+    return _coupled_speed(w[..., j, None], *_factors(factors, _others(a, j), _others(w, j), ts))
+
+
+def _factors(factors, a_rest, w_rest, ts):
+    """A coupling's factors on the rest coordinates of a + t w, w_rest broadcasting."""
+    return factors(_points(a_rest, w_rest, ts), w_rest[..., None, :])
 
 
 @functools.cache
@@ -138,17 +157,16 @@ def _arc_table(M, a, w):
 
     ``a`` and ``w`` broadcast over ``(..., d)``; returns ``(..., panels + 1)``
     with 0 in the first column and the whole arc length in the last.  Each
-    pass writes its own rows, on two threads in a table of SPLIT_PASSES passes
-    or more whose first pass took SPLIT_PASS_S or longer.
+    pass writes its own rows, on two threads in a per-line table of
+    SPLIT_PASSES passes or more whose first pass took SPLIT_PASS_S or longer.
     """
     q = M.quad
     ts, weights, _ = unit_rule(q)
     a, w = np.broadcast_arrays(a, w)
-    lines = w.shape[:-1]
-    a, w = a.reshape(-1, w.shape[-1]), w.reshape(-1, w.shape[-1])
+    lines, d = w.shape[:-1], w.shape[-1]
+    a, w = a.reshape(-1, d), w.reshape(-1, d)
     cumlen = np.zeros((len(w), q.panels + 1))
-    step = max(1, PASS_BYTES // (8 * len(ts) * w.shape[-1]))
-    starts = range(0, len(w), step)
+    step = max(1, PASS_BYTES // (8 * len(ts) * d))
 
     def panels(speeds):
         return panel_integrals(speeds * weights, q.panels, q.nodes_per_panel)
@@ -158,25 +176,28 @@ def _arc_table(M, a, w):
         np.cumsum(panels(_speeds(M, a[part], w[part], ts)), axis=-1, out=cumlen[part, 1:])
 
     def shared_pass(start):
-        # A pass takes d times one_pass's lines, in key order: their (L, n)
-        # speeds are as large as its (d, L, n) points.  Each key's factors
-        # are evaluated on the key's first line and taken by row.
+        # A pass takes d times the lines of a whole-point pass, in key order:
+        # their (L, n) speeds are as large as its (d, L, n) points.  Each
+        # key's factors are evaluated on the key's first line and taken by row.
         part, own = order[start:start + wide], key[start:start + wide]
         first = heads[own[0]:own[-1] + 1]
-        p = _points(a_rest[first], w_rest[first], ts)
-        g, s = factors(p, np.broadcast_to(w_rest[first, None, :], p.shape))
+        g, s = _factors(factors, a_rest[first], w_rest[first], ts)
         own = own - own[0]
         speeds = _coupled_speed(w[part, j, None], g[own], s[own])
         cumlen[part, 1:] = np.cumsum(panels(speeds), axis=-1)
 
-    if M.diffeo.coupling is not None and len(starts) >= SPLIT_PASSES:
+    if M.diffeo.coupling is not None:
         j, factors = M.diffeo.coupling
-        a_rest, w_rest = _others(a, j), _others(w, j)
-        order, key, heads = _shared_keys(a_rest, w_rest)
-        if 2 * len(heads) <= len(w):
-            one_pass, wide = shared_pass, step * w.shape[-1]
-            starts = range(0, len(w), wide)
-    _run_passes(one_pass, starts)
+        if len(w) > (SPLIT_PASSES - 1) * step:   # SPLIT_PASSES whole-point passes
+            a_rest, w_rest = _others(a, j), _others(w, j)
+            order, key, heads = _shared_keys(a_rest, w_rest)
+            if 2 * len(heads) <= len(w):
+                wide = step * d
+                for start in range(0, len(w), wide):
+                    shared_pass(start)
+                return cumlen.reshape(*lines, q.panels + 1)
+        step = step * (d + COUPLING_ARRAYS) // (d - 1 + COUPLING_ARRAYS)
+    _run_passes(one_pass, range(0, len(w), step))
     return cumlen.reshape(*lines, q.panels + 1)
 
 

@@ -18,7 +18,7 @@ import pytest
 import isogeo as ig
 from isogeo import isomaps
 from isogeo.errors import DomainError
-from isogeo.isomaps import PASS_BYTES, SPLIT_PASSES, _arc_table, _speeds
+from isogeo.isomaps import COUPLING_ARRAYS, PASS_BYTES, SPLIT_PASSES, _arc_table, _speeds
 from isogeo.quadrature import panel_integrals, unit_rule
 
 SRC = Path(isomaps.__file__).resolve().parents[1]
@@ -43,7 +43,15 @@ def serial_table(M, a, w):
 
 
 def lines_per_pass(M):
+    """The lines of a pass of whole (d, L, n) points: the split gates count these."""
     return max(1, PASS_BYTES // (8 * len(unit_rule(M.quad)[0]) * M.dim))
+
+
+def per_line_pass(M):
+    """The lines of one per-line pass on M: a coupling's builds d - 1 coordinates."""
+    if M.diffeo.coupling is None:
+        return lines_per_pass(M)
+    return lines_per_pass(M) * (M.dim + COUPLING_ARRAYS) // (M.dim - 1 + COUPLING_ARRAYS)
 
 
 def bits(table):
@@ -106,7 +114,7 @@ def line_counts(step):
 @pytest.mark.parametrize("name", sorted(MAPS))
 def test_split_tables_equal_the_serial_loop(name, helper):
     M = ig.PullbackManifold(MAPS[name]())
-    step = lines_per_pass(M)
+    step = per_line_pass(M)
     a, w = random_lines(M, 2000)
     for lines in line_counts(step):
         jobs = len(helper.jobs)

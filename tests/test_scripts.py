@@ -1,6 +1,7 @@
 """The digest gate of ``scripts/output_digests.py``, the summary of
-``scripts/plot_ready_summary.py`` and the grid-field row of
-``scripts/bench_layers.py``, run in-process."""
+``scripts/plot_ready_summary.py``, the grid-field row of
+``scripts/bench_layers.py`` and one warm pass of ``scripts/bench_passes.py``,
+run in-process."""
 
 import copy
 import importlib.util
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from isogeo import experiments
+from isogeo import diffeos, experiments, isomaps
 from isogeo.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,3 +82,21 @@ def test_bench_layers_times_the_grid_field_table(load_script):
     row = load_script("bench_layers").grid_field_times(grids=((4, 30),), repeat=1)
     assert list(row) == ["4x30"] and row["4x30"]["lines"] == 480
     assert row["4x30"]["on"] > 0.0 and row["4x30"]["off"] > 0.0
+
+
+def test_bench_passes_counts_river_factors(load_script, capsys):
+    unpatched = isomaps.PASS_BYTES, isomaps.composite_nodes, diffeos.Diffeomorphism.__init__
+    argv = ["--workload", "geodesic_sampling", "--seed", "7", "--passes", "1",
+            "--pass-bytes", "65536"]
+    assert load_script("bench_passes").main(argv) == 0
+    assert (isomaps.PASS_BYTES, isomaps.composite_nodes,
+            diffeos.Diffeomorphism.__init__) == unpatched
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["workload", "seed", "pass_bytes", "minflt", "wall_s", "quadratures",
+                            "diffeo_calls", "diffeo_points", "peak_rss_mb"]
+    assert report["pass_bytes"] == 65536 and len(report["minflt"]) == 1
+    calls, points = report["diffeo_calls"][0], report["diffeo_points"][0]
+    assert list(calls) == list(points) == ["forward", "inverse", "jvp", "inv_jvp", "speed",
+                                           "arc_length", "factors"]
+    # River's rule work is counted under its coupling factors.
+    assert calls["factors"] > 0 and points["factors"] > 0

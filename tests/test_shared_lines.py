@@ -10,7 +10,8 @@ from isogeo.experiments import ratio_grid_rows
 from isogeo.isomaps import SPLIT_PASSES, _arc_table, _shared_keys
 from isogeo.quadrature import unit_rule
 
-from test_pass_split import CountingPool, bits, lines_per_pass, serial_table
+from test_pass_split import (CountingPool, bits, lines_per_pass, per_line_pass, random_lines,
+                             serial_table)
 from test_ratio_grid import per_node_rows
 
 NODES = len(unit_rule(ig.QuadratureConfig())[0])
@@ -52,22 +53,32 @@ def tanh_shear(hook=True):
                              coupling=(0, factors) if hook else None)
 
 
-def middle_shear():
-    """A 3-D coupling that shears its middle coordinate by tanh(x0 + x2)."""
+def middle_shear(hook=True):
+    """A 3-D coupling that shears its middle coordinate by tanh(x0 + x2).
+
+    Its factors unpack exactly two rest coordinates.  Without the hook, the
+    same map has the same operations as a plain ``speed``.
+    """
     def shear(x, sign):
         return np.stack([x[..., 0], x[..., 1] + sign * np.tanh(x[..., 0] + x[..., 2]),
                          x[..., 2]], axis=-1)
 
     def factors(y_rest, w_rest):
-        slope = 1.0 - np.tanh(y_rest[..., 0] + y_rest[..., 1]) ** 2
-        return slope * (w_rest[..., 0] + w_rest[..., 1]), np.vecdot(w_rest, w_rest)
+        (y0, y2), (w0, w2) = np.moveaxis(y_rest, -1, 0), np.moveaxis(w_rest, -1, 0)
+        slope = 1.0 - np.tanh(y0 + y2) ** 2
+        return slope * (w0 + w2), np.square(w0) + np.square(w2)
 
     def inv_jvp(y, w):
         g = factors(y[..., ::2], w[..., ::2])[0]
         return np.stack([w[..., 0], w[..., 1] + g, w[..., 2]], axis=-1)
 
+    def speed(y, w):
+        g, s = factors(y[..., ::2], w[..., ::2])
+        return np.sqrt(np.square(g + w[..., 1]) + s)
+
     return ig.Diffeomorphism(3, lambda x: shear(x, -1.0), lambda y: shear(y, 1.0),
-                             inv_jvp=inv_jvp, coupling=(1, factors))
+                             inv_jvp=inv_jvp, speed=None if hook else speed,
+                             coupling=(1, factors) if hook else None)
 
 
 def signed_map():
@@ -163,8 +174,11 @@ def test_shared_tables_with_and_without_the_helper(cpus, monkeypatch):
         a, w = shared_lines(M, 30 * lines_per_pass(M), group=10)
         for _ in range(3):
             assert bits(_arc_table(M, a, w)) == bits(serial_table(M, a, w))
-        assert len(pool.jobs) == (3 if cpus > 1 else 0)
-        assert all(job.done() for job in pool.jobs)
+        # Shared passes run on the calling thread; per-line ones may split.
+        assert not pool.jobs
+        a, w = shared_lines(M, 30 * per_line_pass(M), group=1)
+        assert bits(_arc_table(M, a, w)) == bits(serial_table(M, a, w))
+        assert len(pool.jobs) == (cpus > 1) and all(job.done() for job in pool.jobs)
     finally:
         pool.pool.shutdown(wait=True)
 
@@ -219,3 +233,60 @@ def test_ratio_grid_rows_split_and_retry_on_shared_tables(monkeypatch):
     # The field table of the good half, 32 nodes x 6 points in 8 passes, has
     # 8 x2-values x 6 points as keys.
     assert grouped == [(48, 192)]
+
+
+def old_river_factors(beta, eta):
+    """River's factors before they worked in two buffers, as they were written."""
+    def factors(y_rest, w_rest):
+        y2 = y_rest[..., 0]
+        dx = np.divide(w_rest[..., 0], eta * np.sqrt(1.0 + y2 ** 2),
+                       out=np.empty(np.broadcast(y_rest, w_rest).shape[:-1]))
+        s = np.square(dx)
+        t = np.cos(np.arcsinh(y2) / eta)
+        t *= beta
+        dx *= t
+        return dx, s
+    return factors
+
+
+def test_river_factors_are_the_old_expression():
+    rng = np.random.default_rng(290)
+    for beta, eta in ((5.0, 0.25), (0.3, 2.0)):
+        new, old = ig.river(beta, eta).coupling[1], old_river_factors(beta, eta)
+        y, w = rng.standard_normal((2, 3000, 1)) * [[[3.0]], [[30.0]]]
+        pairs = [(y[k], w[k]) for k in range(300)]   # one point: 0-d factors
+        pairs += [(y, w), (y, w[0]), (y.reshape(60, 50, 1), w[:60, None]),
+                  (y[0], w.reshape(60, 50, 1))]
+        for pair in pairs:
+            assert [bits(np.asarray(f)) for f in new(*pair)] == \
+                [bits(np.asarray(f)) for f in old(*pair)]
+
+
+STEP_3D = per_line_pass(ig.PullbackManifold(middle_shear()))
+
+
+@pytest.mark.parametrize("lines", sorted({1, 29, 30, 31, 60, 121, 20 * SPLIT_PASSES, STEP_3D - 1,
+                                          STEP_3D, STEP_3D + 1, 2 * STEP_3D + 1}))
+def test_the_coupled_path_reads_only_the_rest_coordinates(lines, monkeypatch):
+    hooked = ig.PullbackManifold(middle_shear())
+    plain = ig.PullbackManifold(middle_shear(hook=False))
+    a, w = random_lines(hooked, lines, seed=lines)
+    passes, speeds = [], isomaps._speeds
+    monkeypatch.setattr(isomaps, "_speeds",
+                        lambda M, a, w, ts: passes.append(len(a)) or speeds(M, a, w, ts))
+    table = _arc_table(hooked, a, w)
+    # Per-line passes, as many lines as the live heap of a coupling pass allows.
+    assert passes == [STEP_3D] * (lines // STEP_3D) + [lines % STEP_3D] * (lines % STEP_3D > 0)
+    assert bits(table) == bits(_arc_table(plain, a, w))
+
+
+def test_coupled_timechange_and_vectorchange_equal_a_plain_speed():
+    hooked = ig.PullbackManifold(middle_shear())
+    plain = ig.PullbackManifold(middle_shear(hook=False))
+    rng = np.random.default_rng(291)
+    t = np.linspace(0.0, 1.0, 9)
+    for _ in range(6):
+        x, y, v = rng.uniform(-2.0, 2.0, (3, 3))
+        assert bits(ig.timechange(hooked, x, y, t)) == bits(ig.timechange(plain, x, y, t))
+        xi = ig.TangentVector(x, v)
+        assert ig.vectorchange(hooked, xi) == ig.vectorchange(plain, xi)
