@@ -16,14 +16,13 @@ pass:
   (for ``arc_length``, the lines) they carried, where a call on ``(..., d)``
   arrays carries the size of their broadcast ``(...)`` shape.  Every
   ``Diffeomorphism`` built after start-up has its callables wrapped, which
-  adds a few microseconds per call to ``wall_s``.  ``speed`` also runs on
-  the helper thread of a split ``_arc_table``, so one lock guards both
-  counts.  ``factors`` counts the ``coupling`` factors of a map that has
-  one (river), wherever they run: in every pass, root-solve stencil and
-  ``vectorchange`` probe of the rule, which call them on the d - 1 other
-  coordinates and not ``speed``, once per shared (y_rest, w_rest) key in
-  the tables that ``_arc_table`` shares, and inside a direct ``speed``
-  call (0 in a checkout without the hook);
+  adds a few microseconds per call to ``wall_s``.  ``factors`` counts the
+  ``coupling`` factors of a map that has one (river), wherever they run:
+  in every pass, root-solve stencil and ``vectorchange`` probe of the rule,
+  which call them on the d - 1 other coordinates and not ``speed``, once
+  per shared (y_rest, w_rest) key in the tables that ``_arc_table``
+  shares, and inside a direct ``speed`` call (0 in a checkout without the
+  hook);
 
 and the process's peak RSS.  ``--pass-bytes`` sets ``isomaps.PASS_BYTES``
 for a sweep of the pass size.  ``main`` puts back what it patches, so a
@@ -45,7 +44,6 @@ import resource
 import shutil
 import sys
 import tempfile
-import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -63,16 +61,11 @@ DIFFEO_CALLABLES = ("forward", "inverse", "jvp", "inv_jvp", "speed", "arc_length
 def count_diffeo_traffic(calls, points):
     """Count into ``calls`` and ``points`` what every later Diffeomorphism is asked."""
     init = diffeos.Diffeomorphism.__init__
-    # A bare "points[name] += ..." reads the count before computing what it
-    # adds, so a thread switch in between would lose an update.
-    lock = threading.Lock()
 
     def counted(name, fn):
         def call(*args):
-            n = math.prod(np.broadcast_shapes(*map(np.shape, args))[:-1])
-            with lock:
-                calls[name] += 1
-                points[name] += n
+            calls[name] += 1
+            points[name] += math.prod(np.broadcast_shapes(*map(np.shape, args))[:-1])
             return fn(*args)
         return call
 

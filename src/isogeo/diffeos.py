@@ -131,9 +131,6 @@ class Diffeomorphism:
         integrand the rule evaluates on a map without ``arc_length``, and on
         every map the Newton derivative in t of the arc length of y + t w.
         Defaults to the norm of ``inv_jvp``, with the bits of ``np.linalg.norm``.
-        On ``isomaps.SPLIT_PASSES`` passes or more it may run on two threads at
-        once, and so may ``inv_jvp`` through it: they must not mutate shared
-        state (the built-ins are pure).
     coupling : (int, callable), optional
         ``(j, factors)`` for an additive coupling layer (NICE), whose inverse
         is x_j = y_j + m(y_rest), x_rest = h(y_rest), y_rest the coordinates
@@ -143,10 +140,9 @@ class Diffeomorphism:
         returns g = Dm w_rest, a new float array of the broadcast ``(...)``
         shape, and s = |Dh w_rest|^2, which broadcasts against g; the speed
         is sqrt((w_j + g)^2 + s), finished in g.  Where the rule runs (no
-        ``arc_length``) only y_rest is built, and a table of 192 lines or
+        ``arc_length``) only y_rest is built, and a table of 169 lines or
         more at d = 2 whose lines share their (y_rest, w_rest) calls it once
-        per distinct pair.  It must be pure, as it may run on the helper
-        thread.  Not given with ``speed``.
+        per distinct pair.  Not given with ``speed``.
     arc_length : callable, optional
         ``arc_length(y, w)``, the ``(...)`` l2 lengths of the curves
         ``inverse(y + t w)``, t in [0, 1], for y and w broadcast over

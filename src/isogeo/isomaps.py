@@ -10,22 +10,16 @@ Arc lengths come from one engine.  Where the diffeomorphism gives them,
 ``arc_length`` is exact and ``speed`` is its derivative; elsewhere
 ``_arc_table`` integrates the speed with the fixed Gauss-Legendre rule: a
 batch of phi-lines is evaluated at every quadrature node in 96 kB passes, with
-the values of each line on its own.  A coupling map's (river's) points are
-built in the d - 1 coordinates its factors read alone, and its passes take
-more lines for the arrays they save.  In a table of ``SPLIT_PASSES`` passes
-or more whose first pass took ``SPLIT_PASS_S`` or longer, a helper thread
-takes passes too, so two pass arrays may be live at once.  A coupling table
-of as many whole-point passes with at most half as many distinct (a_rest,
-w_rest) bit patterns, or keys, as lines (as a grid's field has) evaluates the
-factors once per key, on the calling thread, and the speed's finish per line.
+the values of each line on its own, one pass after another on the calling
+thread.  A coupling map's (river's) points are built in the d - 1 coordinates
+its factors read alone, and its passes take more lines for the arrays they
+save.  A coupling table of ``SHARED_PASSES`` whole-point passes or more (its
+last one may be partial) with at most half as many distinct (a_rest, w_rest)
+bit patterns, or keys, as lines (as a grid's field has) evaluates the factors
+once per key and the speed's finish per line.
 """
 
-import contextlib
-import contextvars
-import functools
 import math
-import os
-import time
 
 import numpy as np
 
@@ -49,23 +43,10 @@ from .quadrature import (NEWTON_MAXITER, REFINE_XTOL, _leggauss, composite_nodes
 # large as the (d, L, n) points.
 PASS_BYTES = 96 * 1024
 COUPLING_ARRAYS = 3
-# A per-line table of at least SPLIT_PASSES passes (192 lines at d = 2, 240 on
-# a coupling) whose first pass took SPLIT_PASS_S or longer shares its other
-# passes with one helper thread (_run_passes).  Waking the idle helper costs
-# about what a small table saves: with other work between river tables, a
-# split table took 0.94-1.20x the one-thread time at 2-4 passes and
-# 0.83-1.06x at 5-6, but 0.77-0.88x at 8 and 0.73-0.84x at 12-20
-# (BENCH_25.json).  At 8, every solver_loop table (at most 5 passes) stays on
-# one thread.  The threads overlap only where numpy releases the GIL, so a
-# speed of a few cheap ufuncs gains nothing (identity(2), identity(3),
-# identity(16) and banana through the rule: 0.92-1.28x at 8-20 passes).
-# Their first passes took 33-55 us on a 2-core x86-64 host, river's 95 us and
-# a sin map's 435 us: a pass of 70 us or more spends long enough in ufuncs for
-# a second thread to pay.  Shared coupling passes spend theirs in cheap
-# ufuncs and Python, and stay on the calling thread: with the helper, warm
-# river_ratios.ini runs took 50.7 ms against 46.0 ms without (BENCH_29.json).
-SPLIT_PASSES = 8
-SPLIT_PASS_S = 70e-6
+# A coupling table that reaches into its SHARED_PASSES-th whole-point pass
+# (169 lines or more at d = 2) looks for shared keys; a smaller one keeps its
+# per-line passes without sorting them.
+SHARED_PASSES = 8
 
 MAX_BRACKET_DOUBLINGS = 60
 
@@ -94,71 +75,11 @@ def _factors(factors, a_rest, w_rest, ts):
     return factors(_points(a_rest, w_rest, ts), w_rest[..., None, :])
 
 
-@functools.cache
-def _helper():
-    # The one helper thread's executor, made on first use (its thread on the
-    # first submit).  Two threads that first split at once may each make one:
-    # the one not kept ends its thread once it is dropped and its job is done.
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="isogeo")
-
-
-# A forked child inherits the executor but not its thread, and work submitted
-# to it would never run: the child makes its own.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_helper.cache_clear)
-
-
-def _cpus():   # the CPUs this process may run on
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _run_passes(one_pass, starts):
-    """Call ``one_pass(start)`` for every start in order, raising what that loop raises."""
-    # The calling thread takes the first start.  From SPLIT_PASSES starts on,
-    # if that pass took SPLIT_PASS_S or longer, on 2 or more CPUs, the helper
-    # joins it: both take starts from one shared iterator (next() on a range
-    # iterator is one step under the GIL) until none are left, the helper in
-    # a copy of the caller's context (numpy's errstate lives there).  Each
-    # looks for a failure before it takes a start, so every start below a
-    # taken one runs to its end: the lowest failing start, the serial loop's,
-    # is among those run, and its exception is raised.
-    shared, failed, job = iter(starts), [], None
-
-    def take(count=len(starts)):
-        for _ in range(count):
-            if failed or (start := next(shared, None)) is None:
-                return
-            try:
-                one_pass(start)
-            except Exception as exc:
-                failed.append((start, exc))
-
-    started = time.perf_counter()
-    take(1)
-    if (len(starts) >= SPLIT_PASSES and time.perf_counter() - started >= SPLIT_PASS_S
-            and _cpus() >= 2):
-        # submit raises RuntimeError once the interpreter is shutting down.
-        with contextlib.suppress(RuntimeError):
-            job = _helper().submit(contextvars.copy_context().run, take)
-    try:
-        take()
-    finally:
-        # No helper work outlives the call, and a job the helper has not
-        # started (it may be busy with another thread's table) is cancelled.
-        if job is not None and not job.cancel():
-            job.result()
-    if failed:
-        raise min(failed)[1]   # the starts differ: no two exceptions are compared
-
-
 def _arc_table(M, a, w):
     """Cumulative arc length at the panel knots of the phi-lines a + t w.
 
     ``a`` and ``w`` broadcast over ``(..., d)``; returns ``(..., panels + 1)``
-    with 0 in the first column and the whole arc length in the last.  Each
-    pass writes its own rows, on two threads in a per-line table of
-    SPLIT_PASSES passes or more whose first pass took SPLIT_PASS_S or longer.
+    with 0 in the first column and the whole arc length in the last.
     """
     q = M.quad
     ts, weights, _ = unit_rule(q)
@@ -171,33 +92,31 @@ def _arc_table(M, a, w):
     def panels(speeds):
         return panel_integrals(speeds * weights, q.panels, q.nodes_per_panel)
 
-    def one_pass(start):
-        part = slice(start, start + step)
+    def per_line(part):
         np.cumsum(panels(_speeds(M, a[part], w[part], ts)), axis=-1, out=cumlen[part, 1:])
 
-    def shared_pass(start):
-        # A pass takes d times the lines of a whole-point pass, in key order:
-        # their (L, n) speeds are as large as its (d, L, n) points.  Each
-        # key's factors are evaluated on the key's first line and taken by row.
-        part, own = order[start:start + wide], key[start:start + wide]
+    def shared(part):
+        # Each key's factors are evaluated on the key's first line and taken by row.
+        rows, own = order[part], key[part]
         first = heads[own[0]:own[-1] + 1]
         g, s = _factors(factors, a_rest[first], w_rest[first], ts)
         own = own - own[0]
-        speeds = _coupled_speed(w[part, j, None], g[own], s[own])
-        cumlen[part, 1:] = np.cumsum(panels(speeds), axis=-1)
+        speeds = _coupled_speed(w[rows, j, None], g[own], s[own])
+        cumlen[rows, 1:] = np.cumsum(panels(speeds), axis=-1)
 
+    one_pass, width = per_line, step
     if M.diffeo.coupling is not None:
         j, factors = M.diffeo.coupling
-        if len(w) > (SPLIT_PASSES - 1) * step:   # SPLIT_PASSES whole-point passes
+        width = step * (d + COUPLING_ARRAYS) // (d - 1 + COUPLING_ARRAYS)
+        if len(w) > (SHARED_PASSES - 1) * step:
             a_rest, w_rest = _others(a, j), _others(w, j)
             order, key, heads = _shared_keys(a_rest, w_rest)
             if 2 * len(heads) <= len(w):
-                wide = step * d
-                for start in range(0, len(w), wide):
-                    shared_pass(start)
-                return cumlen.reshape(*lines, q.panels + 1)
-        step = step * (d + COUPLING_ARRAYS) // (d - 1 + COUPLING_ARRAYS)
-    _run_passes(one_pass, range(0, len(w), step))
+                # d times the lines of a whole-point pass, in key order: their
+                # (L, n) speeds are as large as its (d, L, n) points.
+                one_pass, width = shared, step * d
+    for start in range(0, len(w), width):
+        one_pass(slice(start, start + width))
     return cumlen.reshape(*lines, q.panels + 1)
 
 

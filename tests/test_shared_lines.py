@@ -7,11 +7,10 @@ import pytest
 import isogeo as ig
 from isogeo import isomaps
 from isogeo.experiments import ratio_grid_rows
-from isogeo.isomaps import SPLIT_PASSES, _arc_table, _shared_keys
+from isogeo.isomaps import SHARED_PASSES, _arc_table, _shared_keys
 from isogeo.quadrature import unit_rule
 
-from test_pass_split import (CountingPool, bits, lines_per_pass, per_line_pass, random_lines,
-                             serial_table)
+from test_pass_split import bits, lines_per_pass, per_line_pass, random_lines, serial_table
 from test_ratio_grid import per_node_rows
 
 NODES = len(unit_rule(ig.QuadratureConfig())[0])
@@ -122,18 +121,22 @@ def test_river_speed_is_the_fused_kernel():
             assert bits(np.asarray(river.speed(*args))) == bits(fused(*args))
 
 
-@pytest.mark.parametrize("passes", [SPLIT_PASSES - 1, SPLIT_PASSES, SPLIT_PASSES + 1])
+@pytest.mark.parametrize("passes", [SHARED_PASSES - 1, SHARED_PASSES, SHARED_PASSES + 1])
 def test_river_tables_either_side_of_the_gate(passes, monkeypatch):
+    # A table of `passes` whole-point passes, the last one full or of one line
+    # (at SHARED_PASSES, 192 and 169 lines at d = 2).
     M = ig.PullbackManifold(ig.river())
-    n = passes * lines_per_pass(M)
-    a, w = shared_lines(M, n, group=6)
-    want = serial_table(M, a, w)
+    step = lines_per_pass(M)
     points = count_factor_points(monkeypatch, M)
-    assert bits(_arc_table(M, a, w)) == bits(want)
-    # Below the gate every line evaluates the factors; from it on, each key
-    # once, and a key that straddles two passes once in each.
-    shared = passes >= SPLIT_PASSES
-    assert sum(points) < n * NODES / 4 if shared else sum(points) == n * NODES
+    for n in (passes * step, (passes - 1) * step + 1):
+        a, w = shared_lines(M, n, group=6)
+        want = serial_table(M, a, w)
+        points.clear()
+        assert bits(_arc_table(M, a, w)) == bits(want), n
+        # Below the gate every line evaluates the factors; from it on, each
+        # key once, and a key that straddles two passes once in each.
+        shared = passes >= SHARED_PASSES
+        assert sum(points) < n * NODES / 4 if shared else sum(points) == n * NODES, n
 
 
 @pytest.mark.parametrize("group", [2, 7, 47, 49, 200])
@@ -152,7 +155,7 @@ def test_groups_across_pass_boundaries(group, monkeypatch):
 
 def test_signed_zeros_are_different_keys():
     M = ig.PullbackManifold(signed_map())
-    n = 2 * SPLIT_PASSES * lines_per_pass(M)
+    n = 2 * SHARED_PASSES * lines_per_pass(M)
     a, w = shared_lines(M, n, group=n)
     # Speed |1 + 0.5| on a line with w2 = +0.0, |1 - 0.5| on one with -0.0.
     a[:, 1], w[:, 0], w[:, 1] = 0.0, 1.0, np.where(np.arange(n) % 2, 0.0, -0.0)
@@ -163,31 +166,11 @@ def test_signed_zeros_are_different_keys():
     assert table[0, -1] == 0.5 and table[1, -1] == 1.5
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_shared_tables_with_and_without_the_helper(cpus, monkeypatch):
-    monkeypatch.setattr(isomaps, "_cpus", lambda: cpus)
-    monkeypatch.setattr(isomaps, "SPLIT_PASS_S", 0.0)
-    pool = CountingPool()
-    monkeypatch.setattr(isomaps, "_helper", lambda: pool)
-    try:
-        M = ig.PullbackManifold(ig.river())
-        a, w = shared_lines(M, 30 * lines_per_pass(M), group=10)
-        for _ in range(3):
-            assert bits(_arc_table(M, a, w)) == bits(serial_table(M, a, w))
-        # Shared passes run on the calling thread; per-line ones may split.
-        assert not pool.jobs
-        a, w = shared_lines(M, 30 * per_line_pass(M), group=1)
-        assert bits(_arc_table(M, a, w)) == bits(serial_table(M, a, w))
-        assert len(pool.jobs) == (cpus > 1) and all(job.done() for job in pool.jobs)
-    finally:
-        pool.pool.shutdown(wait=True)
-
-
 @pytest.mark.parametrize("group", [1, 8])
 def test_a_custom_coupling_with_and_without_its_hook(group, monkeypatch):
     hooked, plain = ig.PullbackManifold(tanh_shear()), ig.PullbackManifold(tanh_shear(False))
     points = count_factor_points(monkeypatch, hooked)
-    for passes in (SPLIT_PASSES - 1, SPLIT_PASSES, 3 * SPLIT_PASSES):
+    for passes in (SHARED_PASSES - 1, SHARED_PASSES, 3 * SHARED_PASSES):
         a, w = shared_lines(hooked, passes * lines_per_pass(hooked), group, seed=passes)
         assert bits(_arc_table(hooked, a, w)) == bits(_arc_table(plain, a, w))
     assert points
@@ -265,7 +248,7 @@ def test_river_factors_are_the_old_expression():
 STEP_3D = per_line_pass(ig.PullbackManifold(middle_shear()))
 
 
-@pytest.mark.parametrize("lines", sorted({1, 29, 30, 31, 60, 121, 20 * SPLIT_PASSES, STEP_3D - 1,
+@pytest.mark.parametrize("lines", sorted({1, 29, 30, 31, 60, 121, 20 * SHARED_PASSES, STEP_3D - 1,
                                           STEP_3D, STEP_3D + 1, 2 * STEP_3D + 1}))
 def test_the_coupled_path_reads_only_the_rest_coordinates(lines, monkeypatch):
     hooked = ig.PullbackManifold(middle_shear())
