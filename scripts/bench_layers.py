@@ -69,7 +69,8 @@ Prints one JSON object:
   ``experiments.least_squares_screen`` as its run is, and the number of
   grid points passed to the exact objective (``f_points``) next to
   ``grid_points``;
-- ``grid_field_ms``: the best-of-5 time (ms) of the ``_arc_table`` of the
+- ``grid_field_ms``: the best-of-5 time (ms) of the whole lengths
+  (``isomaps._arc_lengths``, as the ratio experiment computes them) of the
   ratio experiment's grid field on river(5, 0.25) (the lines from every node
   of a ``grid_n`` x ``grid_n`` grid on the box of
   ``configs/river_ratios.ini`` to each of N points of its dataset), at
@@ -468,7 +469,7 @@ GRID_FIELDS = ((4, 30), (21, 60))
 
 
 def grid_field_times(grids=GRID_FIELDS, repeat=5):
-    """Grid-field table times (ms) on river with the coupling hook on and off."""
+    """Grid-field whole-length times (ms) on river with the coupling hook on and off."""
     config = load_config(ROOT / "configs" / "river_ratios.ini")
     M = experiments.build_manifold(config)
     d = M.diffeo
@@ -485,7 +486,8 @@ def grid_field_times(grids=GRID_FIELDS, repeat=5):
         number = max(3, 9600 // w[..., 0].size)
         result[f"{grid_n}x{n}"] = {
             "lines": w[..., 0].size,
-            **{mode: 1e3 * _best(lambda: _arc_table(on, a, w), number=number, repeat=repeat)
+            **{mode: 1e3 * _best(lambda: isomaps._arc_lengths(on, a, w), number=number,
+                                    repeat=repeat)
                for mode, on in (("on", M), ("off", off))}}
     return result
 

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 import isogeo as ig
 from isogeo import isomaps
 from isogeo.errors import DomainError, NonConvergenceError
-from isogeo.isomaps import COUPLING_ARRAYS, PASS_BYTES, _arc_table, _speeds
+from isogeo.isomaps import COUPLING_ARRAYS, PASS_BYTES, _arc_lengths, _arc_table, _speeds
 from isogeo.pullback import TangentVector, lc_exp
 from isogeo.quadrature import (REFINE_XTOL, _sum_last, composite_nodes, newton_roots,
                                 panel_integrals, unit_rule)
@@ -163,6 +163,21 @@ def test_arc_table_across_pass_boundaries(dim, quad, monkeypatch):
     got = _arc_table(M, a, w)
     assert passes == [step, step, 1]
     assert np.array_equal(got, one_pass_arc_table(M, a, w))
+    # The rule's whole lengths, on sinh too, whose own arc lengths are exact.
+    monkeypatch.setattr(M.diffeo, "arc_length", None)
+    assert _arc_lengths(M, a, w).tobytes() == got[..., -1].tobytes()
+
+
+def test_a_one_line_total_sums_its_panels_in_order():
+    # add.reduce would sum one line's 64 panels pairwise, to other bits here.
+    M = make_manifold("river")
+    q = M.quad
+    ts, weights, _ = unit_rule(q)
+    a, b = np.random.default_rng(0).uniform(-4.0, 4.0, (2, 2))
+    per_panel = panel_integrals(_speeds(M, a, b - a, ts) * weights, q.panels, q.nodes_per_panel)
+    assert per_panel.sum() != np.cumsum(per_panel)[-1]
+    for line in (a, b - a), (a[None], (b - a)[None]):
+        assert _arc_lengths(M, *line).tobytes() == _arc_table(M, *line)[..., -1].tobytes()
 
 
 # vectorchange as a bracket search with one full quadrature, or one call of

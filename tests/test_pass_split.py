@@ -13,7 +13,8 @@ import pytest
 import isogeo as ig
 from isogeo import isomaps
 from isogeo.errors import DomainError
-from isogeo.isomaps import COUPLING_ARRAYS, PASS_BYTES, SHARED_PASSES, _arc_table, _speeds
+from isogeo.isomaps import (COUPLING_ARRAYS, PASS_BYTES, SHARED_PASSES, _arc_lengths,
+                            _arc_table, _speeds)
 from isogeo.quadrature import panel_integrals, unit_rule
 
 SRC = Path(isomaps.__file__).resolve().parents[1]
@@ -84,12 +85,17 @@ def test_split_tables_equal_the_serial_loop(name):
     # equal the whole-point passes of the oracle.
     M = ig.PullbackManifold(MAPS[name]())
     a, w = random_lines(M, 2000)
+    # Some counts end in a one-line pass, which the whole lengths sum alone.
     for lines in line_counts(per_line_pass(M)):
         want = serial_table(M, a[:lines], w[:lines])
-        assert bits(_arc_table(M, a[:lines], w[:lines])) == bits(want), lines
+        table = _arc_table(M, a[:lines], w[:lines])
+        assert bits(table) == bits(want), lines
+        assert bits(_arc_lengths(M, a[:lines], w[:lines])) == bits(table[..., -1]), lines
     # A batch of lines keeps its shape.
     assert bits(_arc_table(M, a[:480].reshape(20, 24, -1), w[:480].reshape(20, 24, -1))) \
         == bits(serial_table(M, a[:480], w[:480]).reshape(20, 24, -1))
+    assert bits(_arc_lengths(M, a[:480].reshape(20, 24, -1), w[:480].reshape(20, 24, -1))) \
+        == bits(_arc_table(M, a[:480], w[:480]).reshape(20, 24, -1)[..., -1])
 
 
 def marked_map(failing=()):

@@ -7,7 +7,7 @@ import pytest
 import isogeo as ig
 from isogeo import isomaps
 from isogeo.experiments import ratio_grid_rows
-from isogeo.isomaps import SHARED_PASSES, _arc_table, _shared_keys
+from isogeo.isomaps import SHARED_PASSES, _arc_lengths, _arc_table, _shared_keys
 from isogeo.quadrature import unit_rule
 
 from test_pass_split import bits, lines_per_pass, per_line_pass, random_lines, serial_table
@@ -124,15 +124,19 @@ def test_river_speed_is_the_fused_kernel():
 @pytest.mark.parametrize("passes", [SHARED_PASSES - 1, SHARED_PASSES, SHARED_PASSES + 1])
 def test_river_tables_either_side_of_the_gate(passes, monkeypatch):
     # A table of `passes` whole-point passes, the last one full or of one line
-    # (at SHARED_PASSES, 192 and 169 lines at d = 2).
+    # (at SHARED_PASSES, 192 and 169 lines at d = 2; the shared passes of 193
+    # lines end in one line).
     M = ig.PullbackManifold(ig.river())
     step = lines_per_pass(M)
     points = count_factor_points(monkeypatch, M)
     for n in (passes * step, (passes - 1) * step + 1):
         a, w = shared_lines(M, n, group=6)
         want = serial_table(M, a, w)
+        lengths = _arc_lengths(M, a, w)
         points.clear()
-        assert bits(_arc_table(M, a, w)) == bits(want), n
+        table = _arc_table(M, a, w)
+        assert bits(table) == bits(want), n
+        assert bits(lengths) == bits(table[..., -1]), n
         # Below the gate every line evaluates the factors; from it on, each
         # key once, and a key that straddles two passes once in each.
         shared = passes >= SHARED_PASSES
