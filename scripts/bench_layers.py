@@ -3,19 +3,22 @@
 
 Prints one JSON object:
 
-- ``arc_table_ms``: best-of-N time of one ``isomaps._arc_table`` call for
-  each built-in geometry at 1, 30, 128, 192, 256 and 480 phi-lines
-  (default 64x4 rule; the lines join seeded random points of the
-  geometry); these are hot-loop times;
+- ``arc_table_ms``: best-of-N time of one ``isomaps._knot_lengths`` call,
+  the knot table of the one line that the time change inverts, for each
+  built-in geometry (default 64x4 rule; the line joins two seeded random
+  points of the geometry; the map's exact ``arc_length`` where it has one,
+  else the rule); a hot-loop time;
+- ``arc_lengths_ms``: best-of-N time of one ``isomaps._arc_lengths`` call,
+  the whole lengths, for each built-in geometry at 1, 30, 128, 192, 256 and
+  480 phi-lines (the lines join seeded random points of the geometry; the
+  map's exact ``arc_length`` where it has one, else the rule); these are
+  hot-loop times;
 - ``arc_table_minflt``: minor page faults (``ru_minflt``) per warm
-  480-line ``_arc_table`` call of each geometry, over 5 calls.  They follow
-  the process's heap history (whether glibc has trimmed the heap top since
-  the last call), not the geometry or the code under test: the same code
-  reads 0 in one run and over 100 in the next, so these rows cannot tell
-  two checkouts apart;
-- ``arc_lengths_ms``: the same as ``arc_table_ms`` for the whole lengths of
-  those lines, one ``isomaps._arc_lengths`` call (the map's exact
-  ``arc_length`` where it has one, else the rule);
+  480-line ``_arc_lengths`` call of each geometry, over 5 calls.  They
+  follow the process's heap history (whether glibc has trimmed the heap top
+  since the last call), not the geometry or the code under test: the same
+  code reads 0 in one run and over 100 in the next, so these rows cannot
+  tell two checkouts apart;
 - ``jacobian_us``: best of 5 x 2000 calls, the time per call (µs) of
   ``forward``, ``inverse``, ``jvp``, ``inv_jvp`` and ``speed`` of each
   built-in at 1 (a ``(d,)`` point), 60 and 480 points, with one vector per
@@ -83,7 +86,7 @@ Prints one JSON object:
   ``python -m isogeo.cli run`` (output into a temporary directory) with
   its exit code.
 
-It uses public functions, ``_arc_table``, ``isomaps.composite_nodes``,
+It uses public functions, ``isomaps.composite_nodes``,
 ``isomaps._knot_lengths``, ``isomaps._invert``, ``isomaps._arc_lengths``,
 ``experiments._write_points``, ``experiments._versions``,
 ``experiments.least_squares_screen``, ``clustering._nearest``,
@@ -120,7 +123,6 @@ import numpy as np  # noqa: E402
 import isogeo as ig  # noqa: E402
 from isogeo import clustering, experiments, isomaps, serialize  # noqa: E402
 from isogeo.config import load_config  # noqa: E402
-from isogeo.isomaps import _arc_table  # noqa: E402
 from isogeo.quadrature import REFINE_XTOL, newton_roots  # noqa: E402
 
 LINE_COUNTS = (1, 30, 128, 192, 256, 480)
@@ -158,8 +160,8 @@ def _minflt():
 
 
 def arc_table_times():
-    """Table and whole-length times per line count, and minor faults per warm
-    table call at the most lines."""
+    """One line's knot-table time, whole-length times per line count, and
+    minor faults per warm whole-length call at the most lines."""
     rng = np.random.default_rng(0)
     times, lengths, faults = {}, {}, {}
     for name, make in GEOMETRIES.items():
@@ -167,15 +169,15 @@ def arc_table_times():
         n = max(LINE_COUNTS)
         a = M.diffeo.forward(_points(name, M, rng, n))
         w = M.diffeo.forward(_points(name, M, rng, n)) - a
-        for out, fn in ((times, _arc_table), (lengths, isomaps._arc_lengths)):
-            out[name] = {
-                str(lines): 1e3 * _best(lambda: fn(M, a[:lines], w[:lines]),
-                                        number=max(1, 960 // lines))
-                for lines in LINE_COUNTS}
-        _arc_table(M, a, w)
+        times[name] = 1e3 * _best(lambda: isomaps._knot_lengths(M, a[0], w[0]), number=960)
+        lengths[name] = {
+            str(lines): 1e3 * _best(lambda: isomaps._arc_lengths(M, a[:lines], w[:lines]),
+                                    number=max(1, 960 // lines))
+            for lines in LINE_COUNTS}
+        isomaps._arc_lengths(M, a, w)
         before = _minflt()
         for _ in range(5):
-            _arc_table(M, a, w)
+            isomaps._arc_lengths(M, a, w)
         faults[name] = (_minflt() - before) / 5
     return times, lengths, faults
 

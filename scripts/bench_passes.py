@@ -20,7 +20,7 @@ pass:
   ``coupling`` factors of a map that has one (river), wherever they run:
   in every pass, root-solve stencil and ``vectorchange`` probe of the rule,
   which call them on the d - 1 other coordinates and not ``speed``, once
-  per shared (y_rest, w_rest) key in the tables that ``_arc_table``
+  per shared (y_rest, w_rest) key in the batches that ``_arc_lengths``
   shares, and inside a direct ``speed`` call (0 in a checkout without the
   hook);
 

@@ -95,7 +95,11 @@ def geodesic(geometry, beta, eta, a_param, z_param, dim, start, end, samples,
         y = _parse_point(end, M.dim, "--to")
     except ConfigError as exc:
         raise click.UsageError(exc.problems[0])
-    text = experiments.geodesic_csv(M, x, y, samples, iso)
+    try:
+        text = experiments.geodesic_csv(M, x, y, samples, iso)
+    except experiments.NUMERICAL_FAILURES as exc:
+        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(experiments.EXIT_STALL)
     if output is None:
         click.echo(text, nl=False)
     else:

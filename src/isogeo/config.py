@@ -270,6 +270,10 @@ def load_config(path):
             # No key sets a third axis of the ratio grid.
             problems.append(f"experiment.kind: a ratios grid spans 2 axes, "
                             f"the geometry has {diffeo.dim} dimensions")
+        if diffeo is not None and experiment == "inverse" and diffeo.dim < 2:
+            # The constraint line runs along the second phi-axis.
+            problems.append("experiment.kind: an inverse problem's line runs along the "
+                            "second phi-axis, the geometry has 1 dimension")
         solver = _build(LineSearchConfig, solver_kwargs, "solver", problems)
         quad = _build(QuadratureConfig, quad_kwargs, "quadrature", problems)
 

@@ -7,18 +7,18 @@ the timechange inverts the cumulative arc length, and the vectorchange
 rescales exponential arguments so that radial arc lengths match vector norms.
 
 Arc lengths come from one engine.  Where the diffeomorphism gives them,
-``arc_length`` is exact and ``speed`` is its derivative; elsewhere
-``_arc_table`` integrates the speed with the fixed Gauss-Legendre rule: a
-batch of phi-lines is evaluated at every quadrature node in 96 kB passes, with
-the values of each line on its own, one pass after another on the calling
-thread.  A pass stores its lines' cumulative panel sums, or, for the whole
-lengths of ``_arc_lengths``, their totals alone, added in the same order.  A
-coupling map's (river's) points are built in the d - 1 coordinates its
-factors read alone, and its passes take more lines for the arrays they save.
-A coupling table of ``SHARED_PASSES`` whole-point passes or more (its
-last one may be partial) with at most half as many distinct (a_rest, w_rest)
-bit patterns, or keys, as lines (as a grid's field has) evaluates the factors
-once per key and the speed's finish per line.
+``arc_length`` is exact and ``speed`` is its derivative; elsewhere the speed
+is integrated with the fixed Gauss-Legendre rule: ``_knot_lengths`` sums the
+one line that ``_invert`` brackets up to each panel knot, and ``_arc_lengths``
+evaluates a batch of phi-lines at every node in 96 kB passes, with the values
+of each line on its own, one pass after another on the calling thread, and
+keeps each line's total, its panels added in the knots' order.  A coupling
+map's (river's) points are built in the d - 1 coordinates its factors read
+alone, and its passes take more lines for the arrays they save.  A coupling
+batch of ``SHARED_PASSES`` whole-point passes or more (its last one may be
+partial) with at most half as many distinct (a_rest, w_rest) bit patterns, or
+keys, as lines (as a grid's field has) evaluates the factors once per key and
+the speed's finish per line.
 """
 
 import math
@@ -31,7 +31,7 @@ from .pullback import TangentVector, _point_pair, as_point
 from .quadrature import (NEWTON_MAXITER, REFINE_XTOL, _leggauss, composite_nodes,
                          newton_roots, panel_integrals, unit_rule)
 
-# Bytes of the float (d, L, n) point array of one _arc_table pass: a pass takes
+# Bytes of the float (d, L, n) point array of one _arc_lengths pass: a pass takes
 # max(1, PASS_BYTES // (8 n d)) of the L lines of a batch, so peak memory does
 # not grow with d.  Under glibc's 128 kB mmap threshold the per-pass arrays are
 # reused from the heap (at 256 kB every pass faulted in fresh pages), and
@@ -45,7 +45,7 @@ from .quadrature import (NEWTON_MAXITER, REFINE_XTOL, _leggauss, composite_nodes
 # large as the (d, L, n) points.
 PASS_BYTES = 96 * 1024
 COUPLING_ARRAYS = 3
-# A coupling table that reaches into its SHARED_PASSES-th whole-point pass
+# A coupling batch that reaches into its SHARED_PASSES-th whole-point pass
 # (169 lines or more at d = 2) looks for shared keys; a smaller one keeps its
 # per-line passes without sorting them.
 SHARED_PASSES = 8
@@ -77,26 +77,25 @@ def _factors(factors, a_rest, w_rest, ts):
     return factors(_points(a_rest, w_rest, ts), w_rest[..., None, :])
 
 
-def _arc_table(M, a, w, whole=False):
-    """Cumulative arc length at the panel knots of the phi-lines a + t w.
+def _arc_lengths(M, a, w):
+    """Whole arc lengths ``(...)`` of the phi-lines a + t w, a and w broadcast over ``(..., d)``.
 
-    ``a`` and ``w`` broadcast over ``(..., d)``; returns ``(..., panels + 1)``
-    with 0 in the first column and the whole arc length in the last, or with
-    ``whole`` that last column alone, ``(...)``, bit for bit.
+    The diffeomorphism's ``arc_length`` where it has one, else the rule's
+    totals: each line's last ``_knot_lengths`` knot, bit for bit.
     """
+    if M.diffeo.arc_length is not None:
+        return M.diffeo.arc_length(a, w)
     q = M.quad
     ts, weights, _ = unit_rule(q)
     a, w = np.broadcast_arrays(a, w)
     lines, d = w.shape[:-1], w.shape[-1]
     a, w = a.reshape(-1, d), w.reshape(-1, d)
-    out = np.zeros((len(w),) if whole else (len(w), q.panels + 1))
+    out = np.zeros(len(w))
     step = max(1, PASS_BYTES // (8 * len(ts) * d))
 
     def store(rows, speeds):
         p = panel_integrals(speeds * weights, q.panels, q.nodes_per_panel)
-        if not whole:
-            out[rows, 1:] = np.cumsum(p, axis=-1)
-        elif len(p) > 1:
+        if len(p) > 1:
             # add.reduce down a C-contiguous (panels, lines) array adds the
             # panels in cumsum's order, in a third of its time at 48 lines.
             out[rows] = np.add.reduce(np.ascontiguousarray(p.T), axis=0)
@@ -128,7 +127,7 @@ def _arc_table(M, a, w, whole=False):
                 one_pass, width = shared, step * d
     for start in range(0, len(w), width):
         one_pass(slice(start, start + width))
-    return out.reshape(lines + out.shape[1:])
+    return out.reshape(lines)
 
 
 def _shared_keys(a_rest, w_rest):
@@ -144,22 +143,16 @@ def _shared_keys(a_rest, w_rest):
     return order, np.cumsum(new) - 1, order[new]
 
 
-def _arc_lengths(M, a, w):
-    """Whole arc lengths ``(...)`` of the phi-lines a + t w, a and w broadcast over ``(..., d)``.
-
-    The diffeomorphism's ``arc_length`` where it has one, else the rule's
-    totals: the last column of ``_arc_table`` without the columns before it.
-    """
-    if M.diffeo.arc_length is not None:
-        return M.diffeo.arc_length(a, w)
-    return _arc_table(M, a, w, whole=True)
-
-
 def _knot_lengths(M, a, w):
-    """Cumulative arc length of the one phi-line a + t w at the rule's panel knots."""
-    if M.diffeo.arc_length is None:
-        return _arc_table(M, a, w)
-    return M.diffeo.arc_length(a, unit_rule(M.quad)[2][:, None] * w)
+    """Arc lengths ``(panels + 1,)`` of one phi-line a + t w up to the rule's knots, from 0."""
+    q = M.quad
+    ts, weights, knots = unit_rule(q)
+    if M.diffeo.arc_length is not None:
+        return M.diffeo.arc_length(a, knots[:, None] * w)
+    cumlen = np.zeros(q.panels + 1)
+    p = panel_integrals(_speeds(M, a, w, ts) * weights, q.panels, q.nodes_per_panel)
+    np.cumsum(p, out=cumlen[1:])
+    return cumlen
 
 
 def _invert(M, a, w, cumlen, target):

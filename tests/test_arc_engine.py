@@ -6,7 +6,7 @@ import pytest
 import isogeo as ig
 from isogeo import isomaps
 from isogeo.errors import DegenerateCurveError, DimensionError, DomainError
-from isogeo.isomaps import _arc_lengths, _arc_table, _iso_log_vecs, _iso_transport_vecs
+from isogeo.isomaps import _arc_lengths, _iso_log_vecs, _iso_transport_vecs, _knot_lengths
 from isogeo.quadrature import unit_rule
 
 from conftest import sample_point
@@ -117,7 +117,7 @@ def test_batch_validation(any_manifold):
         ig.iso_distance(M, x, Y)
 
 
-def test_spiral_row_through_origin_raises_from_batch(spiral_manifold):
+def test_spiral_row_through_origin_raises_from_batch(spiral_manifold, monkeypatch):
     M = spiral_manifold
     rng = np.random.default_rng(24)
     x = sample_point("spiral", M, rng)
@@ -125,14 +125,17 @@ def test_spiral_row_through_origin_raises_from_batch(spiral_manifold):
     Y[1] = 0.0
     with pytest.raises(DomainError):
         ig.iso_distance(M, x, Y)
-    # A phi-line whose radial coordinate crosses r <= 0.
+    # A phi-line whose radial coordinate crosses r <= 0, on the rule.
+    monkeypatch.setattr(M.diffeo, "arc_length", None)
     a = np.array([2.0, 1.0])
     W = np.array([[1.0, 0.5], [-3.0, 0.0], [0.5, 0.5]])
     with pytest.raises(DomainError):
-        _arc_table(M, a, W)
+        _arc_lengths(M, a, W)
+    with pytest.raises(DomainError):
+        _knot_lengths(M, a, W[1])
 
 
-def test_arc_table_passes_split_lines_without_changing_values(
+def test_arc_lengths_passes_split_lines_without_changing_values(
         river_manifold, monkeypatch):
     M = river_manifold
     rng = np.random.default_rng(25)
@@ -150,22 +153,22 @@ def test_arc_table_passes_split_lines_without_changing_values(
     assert passes == [3, 3, 1]
 
 
-def test_arc_table_shape_and_shared_read_only_rule(river_manifold):
+def test_arc_lengths_shape_and_shared_read_only_rule(river_manifold):
     M = river_manifold
     q = M.quad
     a, w = np.zeros(2), np.ones((4, 3, 2))
-    table = _arc_table(M, a, w)
-    assert table.shape == (4, 3, q.panels + 1)
-    assert np.all(table[..., 0] == 0.0)
+    assert _arc_lengths(M, a, w).shape == (4, 3)
+    knots = _knot_lengths(M, a, w[0, 0])
+    assert knots.shape == (q.panels + 1,) and knots[0] == 0.0
     rule = unit_rule(q)
     assert unit_rule(ig.QuadratureConfig()) is rule
     for array in rule:
         with pytest.raises(ValueError):
             array[0] = 1.0
-    # The table columns sit at the shared rule's knots: on a flat line the
+    # The knot lengths sit at the shared rule's knots: on a flat line the
     # cumulative length is |w| times the knot.
     flat = ig.PullbackManifold(ig.identity(2), q)
-    np.testing.assert_allclose(_arc_table(flat, a, np.ones(2)),
+    np.testing.assert_allclose(_knot_lengths(flat, a, np.ones(2)),
                                np.sqrt(2.0) * rule[2], rtol=0.0, atol=1e-14)
 
 

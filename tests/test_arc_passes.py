@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 import isogeo as ig
 from isogeo import isomaps
 from isogeo.errors import DomainError, NonConvergenceError
-from isogeo.isomaps import COUPLING_ARRAYS, PASS_BYTES, _arc_lengths, _arc_table, _speeds
+from isogeo.isomaps import COUPLING_ARRAYS, PASS_BYTES, _arc_lengths, _knot_lengths, _speeds
 from isogeo.pullback import TangentVector, lc_exp
 from isogeo.quadrature import (REFINE_XTOL, _sum_last, composite_nodes, newton_roots,
                                 panel_integrals, unit_rule)
@@ -121,7 +121,7 @@ def test_panel_integrals_equal_add_reduce(nodes_per_panel):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def one_pass_arc_table(M, a, w):
+def one_pass_table(M, a, w):
     """The arc-length table of every line in one pass, panels by add.reduce."""
     q = M.quad
     ts, weights, _ = unit_rule(q)
@@ -143,7 +143,7 @@ def linear_manifold(dim, quad, rng):
 @pytest.mark.parametrize("quad", [ig.QuadratureConfig(), ig.QuadratureConfig(8, 16)],
                          ids=["64x4", "8x16"])
 @pytest.mark.parametrize("dim", [1, 2, 12])
-def test_arc_table_across_pass_boundaries(dim, quad, monkeypatch):
+def test_arc_lengths_across_pass_boundaries(dim, quad, monkeypatch):
     rng = np.random.default_rng(82 + dim)
     step = max(1, PASS_BYTES // (8 * len(unit_rule(quad)[0]) * dim))
     names = {1: "sinh", 2: "river"}
@@ -157,15 +157,20 @@ def test_arc_table_across_pass_boundaries(dim, quad, monkeypatch):
     else:
         ends = rng.standard_normal((2 * lines, dim))
     a, w = ends[:lines], ends[lines:] - ends[:lines]
+    # The rule's lengths, on sinh too, whose own arc lengths are exact.
+    monkeypatch.setattr(M.diffeo, "arc_length", None)
+    table = one_pass_table(M, a, w)
     passes = []
     monkeypatch.setattr(isomaps, "_speeds",
                         lambda M, a, w, ts: passes.append(len(a)) or _speeds(M, a, w, ts))
-    got = _arc_table(M, a, w)
+    got = _arc_lengths(M, a, w)
     assert passes == [step, step, 1]
-    assert np.array_equal(got, one_pass_arc_table(M, a, w))
-    # The rule's whole lengths, on sinh too, whose own arc lengths are exact.
-    monkeypatch.setattr(M.diffeo, "arc_length", None)
-    assert _arc_lengths(M, a, w).tobytes() == got[..., -1].tobytes()
+    assert got.tobytes() == table[:, -1].tobytes()
+    # Each line's knots are its oracle row, one _speeds call each, ending in its total.
+    for i in range(lines):
+        assert np.array_equal(_knot_lengths(M, a[i], w[i]), table[i])
+    assert len(passes) == 3 + lines
+    assert got.tobytes() == np.array([_knot_lengths(M, *line)[-1] for line in zip(a, w)]).tobytes()
 
 
 def test_a_one_line_total_sums_its_panels_in_order():
@@ -177,7 +182,7 @@ def test_a_one_line_total_sums_its_panels_in_order():
     per_panel = panel_integrals(_speeds(M, a, b - a, ts) * weights, q.panels, q.nodes_per_panel)
     assert per_panel.sum() != np.cumsum(per_panel)[-1]
     for line in (a, b - a), (a[None], (b - a)[None]):
-        assert _arc_lengths(M, *line).tobytes() == _arc_table(M, *line)[..., -1].tobytes()
+        assert _arc_lengths(M, *line).tobytes() == _knot_lengths(M, a, b - a)[-1].tobytes()
 
 
 # vectorchange as a bracket search with one full quadrature, or one call of

@@ -749,6 +749,19 @@ def test_cli_geodesic_rejects_non_finite_geometry_parameters():
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("args, error", [
+    (["--geometry", "spiral", "--from", "0,0", "--to", "1,1"],
+     "DomainError: spiral map is undefined at the origin"),
+    (["--geometry", "river", "--from", "1,1", "--to", "1,1", "--samples", "5", "--iso"],
+     "DegenerateCurveError: the time change is undefined for coinciding endpoints")])
+def test_cli_geodesic_numerical_failure_exits_stalled(args, error):
+    # A typed numerical failure exits as from isogeo run: one line, no traceback.
+    result = CliRunner().invoke(main, ["geodesic", *args])
+    assert result.exit_code == experiments.EXIT_STALL
+    assert result.stderr == f"error: {error}\n"
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("samples", [1, 2])
 def test_geodesic_rows_coincident_endpoints_without_interior(river_manifold, samples):
     x = np.array([1.0, -2.0])
@@ -883,3 +896,27 @@ dir = {out}
     assert not out.exists()
     assert experiments.run(load_config(write_config(tmp_path, text.format(dim=2)))) == 0
     assert (out / "ratios.csv").read_text().startswith("x0,x1,monotonicity,lipschitz\n")
+
+
+def test_inverse_on_one_dimension_is_config_error(tmp_path, monkeypatch):
+    # The constraint line runs along phi's second axis, which a 1-D map lacks.
+    monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    out = tmp_path / "out"
+    path = str(write_config(tmp_path, f"""
+[geometry]
+name = sinh_shift_1d
+
+[experiment]
+kind = inverse
+
+[output]
+dir = {out}
+"""))
+    want = ("experiment.kind: an inverse problem's line runs along the second phi-axis, "
+            "the geometry has 1 dimension")
+    runner = CliRunner()
+    for command in ("validate", "run"):
+        result = runner.invoke(main, [command, path])
+        assert result.exit_code == experiments.EXIT_USAGE
+        assert result.stderr == f"error: {want}\n"
+    assert not out.exists()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import isogeo as ig
 from isogeo.errors import DegenerateCurveError, DomainError
-from isogeo.isomaps import _arc_table
+from isogeo.isomaps import _knot_lengths
 from isogeo.quadrature import unit_rule
 
 from conftest import make_manifold, safe_tangent, sample_pairs
@@ -59,7 +59,7 @@ def test_iso_distance_quadrature_convergence(river_manifold):
 def _pair_table(M, x, y):
     """Cumulative arc length of the geodesic from x to y at the panel knots."""
     a = M.diffeo.forward(x)
-    return _arc_table(M, a, M.diffeo.forward(y) - a)
+    return _knot_lengths(M, a, M.diffeo.forward(y) - a)
 
 
 def test_arc_length_table_identity(identity2):

@@ -1,6 +1,7 @@
-"""Arc-length tables run pass by pass on the calling thread: they equal the
-serial loop bit for bit at ragged line counts, fail as it fails, start no
-thread and stay per caller when two threads build tables at once."""
+"""Whole arc lengths run pass by pass on the calling thread: they equal the
+serial loop's last column bit for bit at ragged line counts, and each line's
+last knot, fail as it fails, start no thread and stay per caller when two
+threads integrate batches at once; one line's knots are its serial row."""
 
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import isogeo as ig
 from isogeo import isomaps
 from isogeo.errors import DomainError
 from isogeo.isomaps import (COUPLING_ARRAYS, PASS_BYTES, SHARED_PASSES, _arc_lengths,
-                            _arc_table, _speeds)
+                            _knot_lengths, _speeds)
 from isogeo.quadrature import panel_integrals, unit_rule
 
 SRC = Path(isomaps.__file__).resolve().parents[1]
@@ -22,7 +23,7 @@ TIMEOUT_S = 60
 
 
 def serial_table(M, a, w):
-    """The per-line loop of ``_arc_table`` on whole-point passes: the oracle."""
+    """The per-line loop of cumulative tables on whole-point passes: the oracle."""
     q = M.quad
     ts, weights, _ = unit_rule(q)
     a, w = np.broadcast_arrays(a, w)
@@ -54,6 +55,11 @@ def bits(table):
     return table.shape, table.tobytes()
 
 
+def knot_totals(M, a, w):
+    """The last ``_knot_lengths`` knot of each of the ``(L, d)`` lines a + t w."""
+    return np.array([_knot_lengths(M, *line)[-1] for line in zip(a, w)])
+
+
 def wavy():
     """A custom 2-D map with no arc_length and the default speed."""
     return ig.Diffeomorphism(
@@ -81,21 +87,32 @@ def line_counts(step):
 
 @pytest.mark.parametrize("name", sorted(MAPS))
 def test_split_tables_equal_the_serial_loop(name):
-    # Tables split into passes of their own width (a coupling's are wider)
-    # equal the whole-point passes of the oracle.
+    # Whole lengths split into passes of their own width (a coupling's are
+    # wider) equal the last column of the oracle's whole-point passes, and
+    # each line's last knot: the iso-distance is the time change's total.
     M = ig.PullbackManifold(MAPS[name]())
     a, w = random_lines(M, 2000)
+    totals = knot_totals(M, a, w)
     # Some counts end in a one-line pass, which the whole lengths sum alone.
     for lines in line_counts(per_line_pass(M)):
         want = serial_table(M, a[:lines], w[:lines])
-        table = _arc_table(M, a[:lines], w[:lines])
-        assert bits(table) == bits(want), lines
-        assert bits(_arc_lengths(M, a[:lines], w[:lines])) == bits(table[..., -1]), lines
+        lengths = _arc_lengths(M, a[:lines], w[:lines])
+        assert bits(lengths) == bits(want[..., -1]), lines
+        assert bits(lengths) == bits(totals[:lines]), lines
     # A batch of lines keeps its shape.
-    assert bits(_arc_table(M, a[:480].reshape(20, 24, -1), w[:480].reshape(20, 24, -1))) \
-        == bits(serial_table(M, a[:480], w[:480]).reshape(20, 24, -1))
     assert bits(_arc_lengths(M, a[:480].reshape(20, 24, -1), w[:480].reshape(20, 24, -1))) \
-        == bits(_arc_table(M, a[:480], w[:480]).reshape(20, 24, -1)[..., -1])
+        == bits(serial_table(M, a[:480], w[:480]).reshape(20, 24, -1)[..., -1])
+
+
+@pytest.mark.parametrize("quad", [ig.QuadratureConfig(), ig.QuadratureConfig(8, 16)],
+                         ids=["64x4", "8x16"])
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_one_line_knots_equal_the_serial_row(name, quad):
+    M = ig.PullbackManifold(MAPS[name](), quad)
+    a, w = random_lines(M, 60, seed=1)
+    table = serial_table(M, a, w)
+    for i in range(len(w)):
+        assert bits(_knot_lengths(M, a[i], w[i])) == bits(table[i]), i
 
 
 def marked_map(failing=()):
@@ -130,22 +147,22 @@ def test_a_failing_pass_raises_the_serial_loops_error(failing):
     with pytest.raises(DomainError) as serial:
         serial_table(M, a, w)
     with pytest.raises(DomainError) as table:
-        _arc_table(M, a, w)
+        _arc_lengths(M, a, w)
     assert str(table.value) == str(serial.value)
     assert str(serial.value) == f"the speed is undefined on line {failing[0]}"
 
 
 def test_caller_threads_get_their_own_tables():
-    # PullbackManifold is safe to share across threads: tables built at once
-    # on one manifold write only their own rows.
+    # PullbackManifold is safe to share across threads: batches integrated at
+    # once on one manifold write only their own totals.
     M = ig.PullbackManifold(ig.river())
     inputs = [random_lines(M, 480 + 24 * k, seed=k) for k in range(4)]
-    wants = [bits(serial_table(M, a, w)) for a, w in inputs]
+    wants = [bits(serial_table(M, a, w)[:, -1]) for a, w in inputs]
     results = {k: [] for k in range(4)}
 
     def work(k):
         for _ in range(10):
-            results[k].append(bits(_arc_table(M, *inputs[k])))
+            results[k].append(bits(_arc_lengths(M, *inputs[k])))
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
     interval = sys.getswitchinterval()
@@ -167,7 +184,7 @@ def test_a_24_pass_table_starts_no_thread():
             "from isogeo import isomaps; "
             "M = ig.PullbackManifold(ig.river()); "
             "a = np.random.default_rng(0).uniform(-4, 4, (720, 2)); "
-            "t = isomaps._arc_table(M, a, a[::-1] - a); "
+            "t = isomaps._arc_lengths(M, a, a[::-1] - a); "
             "print(threading.active_count(), t.shape[0])")
     done = subprocess.run([sys.executable, "-c", code], cwd=SRC, check=True,
                           capture_output=True, text=True, timeout=TIMEOUT_S)

@@ -1,4 +1,4 @@
-"""Coupling tables whose lines share their (a_rest, w_rest) evaluate the
+"""Coupling batches whose lines share their (a_rest, w_rest) evaluate the
 factors once per key and equal the per-line passes bit for bit."""
 
 import numpy as np
@@ -7,10 +7,11 @@ import pytest
 import isogeo as ig
 from isogeo import isomaps
 from isogeo.experiments import ratio_grid_rows
-from isogeo.isomaps import SHARED_PASSES, _arc_lengths, _arc_table, _shared_keys
+from isogeo.isomaps import SHARED_PASSES, _arc_lengths, _knot_lengths, _shared_keys
 from isogeo.quadrature import unit_rule
 
-from test_pass_split import bits, lines_per_pass, per_line_pass, random_lines, serial_table
+from test_pass_split import (bits, knot_totals, lines_per_pass, per_line_pass, random_lines,
+                             serial_table)
 from test_ratio_grid import per_node_rows
 
 NODES = len(unit_rule(ig.QuadratureConfig())[0])
@@ -123,7 +124,7 @@ def test_river_speed_is_the_fused_kernel():
 
 @pytest.mark.parametrize("passes", [SHARED_PASSES - 1, SHARED_PASSES, SHARED_PASSES + 1])
 def test_river_tables_either_side_of_the_gate(passes, monkeypatch):
-    # A table of `passes` whole-point passes, the last one full or of one line
+    # A batch of `passes` whole-point passes, the last one full or of one line
     # (at SHARED_PASSES, 192 and 169 lines at d = 2; the shared passes of 193
     # lines end in one line).
     M = ig.PullbackManifold(ig.river())
@@ -132,15 +133,14 @@ def test_river_tables_either_side_of_the_gate(passes, monkeypatch):
     for n in (passes * step, (passes - 1) * step + 1):
         a, w = shared_lines(M, n, group=6)
         want = serial_table(M, a, w)
-        lengths = _arc_lengths(M, a, w)
         points.clear()
-        table = _arc_table(M, a, w)
-        assert bits(table) == bits(want), n
-        assert bits(lengths) == bits(table[..., -1]), n
+        lengths = _arc_lengths(M, a, w)
+        assert bits(lengths) == bits(want[:, -1]), n
         # Below the gate every line evaluates the factors; from it on, each
         # key once, and a key that straddles two passes once in each.
         shared = passes >= SHARED_PASSES
         assert sum(points) < n * NODES / 4 if shared else sum(points) == n * NODES, n
+        assert bits(lengths) == bits(knot_totals(M, a, w)), n
 
 
 @pytest.mark.parametrize("group", [2, 7, 47, 49, 200])
@@ -148,13 +148,13 @@ def test_groups_across_pass_boundaries(group, monkeypatch):
     M = ig.PullbackManifold(ig.river())
     n = 20 * lines_per_pass(M) + 5
     a, w = shared_lines(M, n, group, seed=group)
-    assert bits(_arc_table(M, a, w)) == bits(serial_table(M, a, w))
+    assert bits(_arc_lengths(M, a, w)) == bits(serial_table(M, a, w)[:, -1])
     # More keys than half the lines: the per-line passes.
     a, w = shared_lines(M, n, 1, seed=group)
     a[1::3, 1:], w[1::3, 1:] = a[::3, 1:], w[::3, 1:]
     want = serial_table(M, a, w)
     points = count_factor_points(monkeypatch, M)
-    assert bits(_arc_table(M, a, w)) == bits(want) and sum(points) == n * NODES
+    assert bits(_arc_lengths(M, a, w)) == bits(want[:, -1]) and sum(points) == n * NODES
 
 
 def test_signed_zeros_are_different_keys():
@@ -165,9 +165,10 @@ def test_signed_zeros_are_different_keys():
     a[:, 1], w[:, 0], w[:, 1] = 0.0, 1.0, np.where(np.arange(n) % 2, 0.0, -0.0)
     order, key, heads = _shared_keys(a[:, 1:], w[:, 1:])
     assert len(heads) == 2 and np.array_equal(np.signbit(w[order, 1]), key == 0)
-    table = _arc_table(M, a, w)
-    assert bits(table) == bits(serial_table(M, a, w))
-    assert table[0, -1] == 0.5 and table[1, -1] == 1.5
+    lengths = _arc_lengths(M, a, w)
+    assert bits(lengths) == bits(serial_table(M, a, w)[:, -1])
+    assert bits(lengths) == bits(knot_totals(M, a, w))
+    assert lengths[0] == 0.5 and lengths[1] == 1.5
 
 
 @pytest.mark.parametrize("group", [1, 8])
@@ -176,19 +177,20 @@ def test_a_custom_coupling_with_and_without_its_hook(group, monkeypatch):
     points = count_factor_points(monkeypatch, hooked)
     for passes in (SHARED_PASSES - 1, SHARED_PASSES, 3 * SHARED_PASSES):
         a, w = shared_lines(hooked, passes * lines_per_pass(hooked), group, seed=passes)
-        assert bits(_arc_table(hooked, a, w)) == bits(_arc_table(plain, a, w))
+        assert bits(_arc_lengths(hooked, a, w)) == bits(_arc_lengths(plain, a, w))
+        assert bits(_knot_lengths(hooked, a[0], w[0])) == bits(_knot_lengths(plain, a[0], w[0]))
     assert points
 
 
 def test_a_middle_coordinate_coupling():
     M = ig.PullbackManifold(middle_shear())
     a, w = shared_lines(M, 12 * lines_per_pass(M) + 3, group=9)
-    table = _arc_table(M, a, w)
-    assert bits(table) == bits(serial_table(M, a, w))
+    lengths = _arc_lengths(M, a, w)
+    assert bits(lengths) == bits(serial_table(M, a, w)[:, -1])
     # The norm of inv_jvp sums the three squares in another order.
     d = M.diffeo
     plain = ig.PullbackManifold(ig.Diffeomorphism(3, d.forward, d.inverse, inv_jvp=d.inv_jvp))
-    np.testing.assert_allclose(table, _arc_table(plain, a, w), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(lengths, _arc_lengths(plain, a, w), rtol=1e-14, atol=0.0)
 
 
 def test_speed_and_coupling_are_exclusive():
@@ -261,10 +263,10 @@ def test_the_coupled_path_reads_only_the_rest_coordinates(lines, monkeypatch):
     passes, speeds = [], isomaps._speeds
     monkeypatch.setattr(isomaps, "_speeds",
                         lambda M, a, w, ts: passes.append(len(a)) or speeds(M, a, w, ts))
-    table = _arc_table(hooked, a, w)
+    lengths = _arc_lengths(hooked, a, w)
     # Per-line passes, as many lines as the live heap of a coupling pass allows.
     assert passes == [STEP_3D] * (lines // STEP_3D) + [lines % STEP_3D] * (lines % STEP_3D > 0)
-    assert bits(table) == bits(_arc_table(plain, a, w))
+    assert bits(lengths) == bits(_arc_lengths(plain, a, w))
 
 
 def test_coupled_timechange_and_vectorchange_equal_a_plain_speed():

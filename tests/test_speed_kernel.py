@@ -5,12 +5,12 @@ import pytest
 
 import isogeo as ig
 from isogeo.errors import DomainError
-from isogeo.isomaps import PASS_BYTES, _arc_table, _invert, _speeds, vectorchange
+from isogeo.isomaps import PASS_BYTES, _arc_lengths, _invert, _knot_lengths, _speeds, vectorchange
 from isogeo.quadrature import panel_integrals, unit_rule
 
 from conftest import make_manifold, sample_point
 
-# More lines than one _arc_table pass takes at any d (d = 1 passes take the most).
+# More lines than one _arc_lengths pass takes at any d (d = 1 passes take the most).
 BATCH = PASS_BYTES // (8 * len(unit_rule(ig.QuadratureConfig())[0])) + 7
 
 
@@ -21,7 +21,7 @@ def aos_speeds(M, a, w, ts):
                           axis=-1)
 
 
-def aos_arc_table(M, a, w):
+def aos_table(M, a, w):
     ts, weights, _ = unit_rule(M.quad)
     per_panel = panel_integrals(aos_speeds(M, a, w, ts) * weights,
                                 M.quad.panels, M.quad.nodes_per_panel)
@@ -36,13 +36,17 @@ def stencil_times(rng):
     return ((lo + half)[:, None] + half[:, None] * nodes).ravel()
 
 
-def assert_kernel_matches(M, a, w, rng):
+def assert_kernel_matches(M, a, w, rng, monkeypatch):
+    # The rule's lengths, on maps whose own arc lengths are exact too.
+    monkeypatch.setattr(M.diffeo, "arc_length", None)
     ts = unit_rule(M.quad)[0]
     got = _speeds(M, a, w, ts)
     assert got.shape == (len(a), len(ts))
     assert np.array_equal(got, aos_speeds(M, a, w, ts))
-    assert np.array_equal(_arc_table(M, a, w), aos_arc_table(M, a, w))
+    table = aos_table(M, a, w)
+    assert np.array_equal(_arc_lengths(M, a, w), table[:, -1])
     for i in (0, len(a) - 1):
+        assert np.array_equal(_knot_lengths(M, a[i], w[i]), table[i])
         for times in (stencil_times(rng), ts):
             one = _speeds(M, a[i], w[i], times)
             assert one.shape == times.shape
@@ -56,22 +60,22 @@ def phi_lines(name, M, rng):
     return a, M.diffeo.forward(y) - a
 
 
-def test_builtin_geometries(any_manifold):
+def test_builtin_geometries(any_manifold, monkeypatch):
     name, M = any_manifold
     rng = np.random.default_rng(70)
-    assert_kernel_matches(M, *phi_lines(name, M, rng), rng)
+    assert_kernel_matches(M, *phi_lines(name, M, rng), rng, monkeypatch)
 
 
 @pytest.mark.parametrize("dim", range(1, 13))
-def test_identity_in_every_dimension_up_to_12(dim):
+def test_identity_in_every_dimension_up_to_12(dim, monkeypatch):
     rng = np.random.default_rng(71 + dim)
     M = ig.PullbackManifold(ig.identity(dim))
     a, w = rng.standard_normal((2, BATCH, dim))
-    assert_kernel_matches(M, a, w, rng)
+    assert_kernel_matches(M, a, w, rng, monkeypatch)
 
 
 @pytest.mark.parametrize("dim", [2, 5, 7, 8, 9])
-def test_linear_map_with_mixing_components(dim):
+def test_linear_map_with_mixing_components(dim, monkeypatch):
     # inv_jvp mixes every coordinate into every component, unlike the identity.
     rng = np.random.default_rng(90 + dim)
     B = rng.standard_normal((dim, dim)) + 3.0 * np.eye(dim)
@@ -81,15 +85,15 @@ def test_linear_map_with_mixing_components(dim):
                                inv_jvp=lambda y, w: w @ B.T)
     M = ig.PullbackManifold(diffeo)
     a, w = rng.standard_normal((2, BATCH, dim))
-    assert_kernel_matches(M, a, w, rng)
+    assert_kernel_matches(M, a, w, rng, monkeypatch)
 
 
-def test_finite_difference_fallback_reads_the_transposed_view():
+def test_finite_difference_fallback_reads_the_transposed_view(monkeypatch):
     river = ig.river()
     M = ig.PullbackManifold(ig.Diffeomorphism(2, river.forward, river.inverse))
     rng = np.random.default_rng(100)
     a, w = phi_lines("river", make_manifold("river"), rng)
-    assert_kernel_matches(M, a, w, rng)
+    assert_kernel_matches(M, a, w, rng, monkeypatch)
 
 
 def test_default_speed_is_the_norm_of_inv_jvp():
@@ -138,7 +142,7 @@ def test_spiral_speed_raises_where_inv_jvp_does(r):
 
 
 def test_custom_speed_is_the_integrand_of_every_arc_length():
-    # A speed twice river's doubles every table bit for bit; the inversions
+    # A speed twice river's doubles every arc length bit for bit; the inversions
     # and the vectorchange solve against it.
     river = ig.river()
     calls = []
@@ -152,11 +156,12 @@ def test_custom_speed_is_the_integrand_of_every_arc_length():
         2, river.forward, river.inverse, river.jvp, river.inv_jvp, speed=speed))
     rng = np.random.default_rng(120)
     a, w = phi_lines("river", M, rng)
-    assert np.array_equal(_arc_table(doubled, a, w), 2.0 * _arc_table(M, a, w))
+    assert np.array_equal(_arc_lengths(doubled, a, w), 2.0 * _arc_lengths(M, a, w))
+    table = _knot_lengths(M, a[0], w[0])
+    assert np.array_equal(_knot_lengths(doubled, a[0], w[0]), 2.0 * table)
     assert calls
 
     calls.clear()
-    table = _arc_table(M, a[0], w[0])
     targets = np.array([0.1, 0.5, 0.9]) * table[-1]
     got = _invert(doubled, a[0], w[0], 2.0 * table, 2.0 * targets)
     assert calls
