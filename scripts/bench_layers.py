@@ -45,7 +45,10 @@ Prints one JSON object:
 - ``output_us``: best of 5 x 50 calls of ``serialize.write_csv`` of a
   120-sample iso geodesic table (t, x0, x1) on river(5, 0.25), of
   ``experiments._write_points`` of a 120-point k-means ``points.csv``
-  (two coordinates, the truth and three label columns), of one
+  (two coordinates, the truth and three label columns), of
+  ``ConvergenceTrace.write_csv`` of a 60-iterate ``trace.csv`` in the
+  plane without (``trace_csv_60``, empty objective cells) and with
+  (``trace_csv_60_objective``) an objective, of one
   ``serialize.write_json`` of the run manifest of
   ``configs/river_kmeans.ini``, and of ``experiments._versions``, the
   package-version lookup each run manifest makes;
@@ -324,7 +327,9 @@ def invert_times():
 
 
 def _output_calls(out):
-    """The outputs the experiments write, as calls writing into ``out``."""
+    """The outputs the experiments write, as calls writing into ``out``:
+    geodesic, points and trace (without and with objectives) CSVs, the run
+    manifest and the version lookup."""
     M = ig.PullbackManifold(ig.river(5.0, 0.25))
     rows = experiments.geodesic_rows(M, np.array([0.0, -3.0]),
                                      np.array([1.0, 3.0]), 120, True)
@@ -333,6 +338,10 @@ def _output_calls(out):
     labels = rng.integers(1, 3, 120)
     extra = [(f"label_{name}", rng.integers(1, 3, 120))
              for name in ("euclidean", "riemannian", "iso")]
+    traces = [ig.ConvergenceTrace(), ig.ConvergenceTrace()]
+    for i in range(60):
+        for trace, objective in zip(traces, (None, rng.random())):
+            trace.append(pts[i], rng.random(), 0.5 ** (i % 8), objective)
     config = load_config(ROOT / "configs" / "river_kmeans.ini")
     manifest = {"config": config.echo(), "versions": experiments._versions(),
                 "status": "ok", "wall_time_s": 0.123456789}
@@ -341,6 +350,9 @@ def _output_calls(out):
             os.path.join(out, "geodesic.csv"), ["t", "x0", "x1"], rows),
         "kmeans_points_csv_120": lambda: experiments._write_points(
             os.path.join(out, "points.csv"), pts, labels, extra),
+        "trace_csv_60": lambda: traces[0].write_csv(os.path.join(out, "trace.csv")),
+        "trace_csv_60_objective": lambda: traces[1].write_csv(
+            os.path.join(out, "trace.csv")),
         "manifest_json": lambda: serialize.write_json(
             os.path.join(out, "run_manifest.json"), manifest),
         "versions": experiments._versions,

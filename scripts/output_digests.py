@@ -6,7 +6,8 @@ Prints one JSON object:
 - ``configs``: for each ``configs/*.ini``, the exit code of ``isogeo run``
   and the sha256 of each CSV and ``summary.json`` it wrote
   (``run_manifest.json`` is left out: it records a wall time);
-- ``geodesic``: for each built-in geometry, ``--samples`` 1, 2 and 57 and
+- ``geodesic``: for each built-in geometry, ``--samples`` 0 (the header
+  alone), 1, 2 and 57 and
   ``--iso``/``--levi-civita``, the exit code and the sha256 of what
   ``isogeo geodesic`` prints and of what it writes to ``--output``, plus
   the exit codes of two bad ``--from`` values;
@@ -63,7 +64,7 @@ GEODESIC_CASES = {
     "banana": (["-a", "0.1111111111111111", "-z", "0"], "-2,-3", "2,3"),
     "sinh_shift_1d": ([], "-1.5", "2"),
 }
-GEODESIC_SAMPLES = (1, 2, 57)
+GEODESIC_SAMPLES = (0, 1, 2, 57)
 BAD_FROM = ("0,0,0,0", "zero")
 
 # The solver settings of test_run_stall_exit_code_and_partial_trace: a

@@ -17,14 +17,10 @@ def main():
     """Iso-Riemannian geometry experiments on pullback manifolds."""
 
 
-def _load_or_report(config_file):
-    """The loaded config, or None after printing its problems to stderr."""
-    try:
-        return load_config(config_file)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            click.echo(f"error: {problem}", err=True)
-        return None
+def _report(exc):
+    """A ConfigError's problems on stderr, one ``error:`` line each."""
+    for problem in exc.problems:
+        click.echo(f"error: {problem}", err=True)
 
 
 _STATUS = {experiments.EXIT_OK: "ok", experiments.EXIT_USAGE: "config error",
@@ -43,13 +39,14 @@ def run(config_files):
     worst = experiments.EXIT_OK
     for config_file in config_files:
         name = os.path.basename(config_file)
-        config = _load_or_report(config_file)
-        if config is None:
-            code = experiments.EXIT_USAGE
-            click.echo(f"{name}: {_STATUS[code]}")
-        else:
+        try:
+            config = load_config(config_file)
             code = experiments.run(config)
             click.echo(f"{name}: {_STATUS[code]} -> {config.output_dir}")
+        except ConfigError as exc:
+            _report(exc)
+            code = experiments.EXIT_USAGE
+            click.echo(f"{name}: {_STATUS[code]}")
         worst = max(worst, code)
     sys.exit(worst)
 
@@ -58,8 +55,10 @@ def run(config_files):
 @click.argument("config_file", type=click.Path(exists=True, dir_okay=False))
 def validate(config_file):
     """Check CONFIG_FILE and report problems without running anything."""
-    config = _load_or_report(config_file)
-    if config is None:
+    try:
+        config = load_config(config_file)
+    except ConfigError as exc:
+        _report(exc)
         sys.exit(experiments.EXIT_USAGE)
     click.echo(f"ok: {config.experiment} experiment on "
                f"{config.geometry_name} geometry -> {config.output_dir}")
@@ -102,8 +101,12 @@ def geodesic(geometry, beta, eta, a_param, z_param, dim, start, end, samples,
         sys.exit(experiments.EXIT_STALL)
     if output is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         _write_text(output, text)
+    except OSError as exc:
+        click.echo(f"error: --output: {exc}", err=True)
+        sys.exit(experiments.EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import StallError
 from .isomaps import _iso_exp, _iso_log_vecs, _phi_log_vecs, iso_distance, iso_exp, iso_transport
 from .pullback import TangentVector, _point_pair, as_point
-from .serialize import write_csv
+from .serialize import _csv_text, _write_text
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,14 @@ class ConvergenceTrace:
         dim = len(self.iterates[0]) if self.iterates else 0
         header = ["iter", "field_norm", "step_size", "objective"]
         header += [f"x{i}" for i in range(dim)]
-        objectives = (self.objectives if self.objectives is not None
-                      else [""] * len(self))
-        write_csv(path, header, (
-            [i, fn, r, obj, *x.tolist()] for i, (x, fn, r, obj) in enumerate(
-                zip(self.iterates, self.field_norms, self.step_sizes, objectives))))
+        fields = ["%.17g"] * len(header)
+        columns = [np.arange(len(self)), self.field_norms, self.step_sizes]
+        if self.objectives is None:
+            fields[3] = ""          # no objective column: its cells stay empty
+        else:
+            columns.append(self.objectives)
+        table = np.column_stack([*columns, np.reshape(self.iterates, (len(self), dim))])
+        _write_text(path, _csv_text(header, table, fields))
 
 
 def ird_step(M, x, v, r):

@@ -92,12 +92,10 @@ def _stall_code(summary, stalled):
 
 
 def _write_points(path, points, labels=None, extra=()):
-    columns = [(f"x{i}", points[:, i]) for i in range(points.shape[1])]
-    if labels is not None:
-        columns.append(("truth", labels))
+    columns = [] if labels is None else [("truth", labels)]
     columns += extra
-    names = [name for name, _ in columns]
-    write_csv(path, names, np.rec.fromarrays([values for _, values in columns], names=names))
+    header = [f"x{i}" for i in range(points.shape[1])] + [name for name, _ in columns]
+    write_csv(path, header, np.column_stack([points, *(values for _, values in columns)]))
 
 
 def _run_barycentre(config, M, outdir):
@@ -391,9 +389,13 @@ _RUNNERS = {
 
 
 def run(config):
-    """Dispatch an experiment config; returns the process exit code."""
+    """Dispatch an experiment config; returns the process exit code.  An output
+    directory that cannot be made raises ConfigError, with no manifest."""
     outdir = config.output_dir
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"output.dir: {exc}"]) from None
     manifest = {"config": config.echo(), "versions": dict(_versions()),
                 "status": "running"}
     started = time.perf_counter()

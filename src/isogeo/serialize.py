@@ -1,10 +1,11 @@
 """Deterministic CSV/JSON output: fixed float format, fixed column order.
 
-Every CSV cell has ``fmt``'s bytes, unquoted (a 2-D or record array whose
-columns are all float64 or integer takes one ``%`` over a row template), and
-every CSV line ends with LF, in files and on ``isogeo geodesic`` stdout
-alike; JSON is the stdlib encoder's.  Each file is written in one call, in
-place: opened without O_TRUNC and cut to length after the write, because
+Every CSV is one float64 table under one row template: each cell is
+``"%.17g"`` of a float64, unquoted, so an integer cell (an iteration, a
+label) prints as the integer it holds while it is at most 2**53 in
+magnitude, and every CSV line ends with LF, in files and on ``isogeo
+geodesic`` stdout alike; JSON is the stdlib encoder's.  Each file is written in one call, in place:
+opened without O_TRUNC and cut to length after the write, because
 truncating to zero makes ext4 flush the file on close and the next rewrite
 of that path wait for the flush.
 """
@@ -15,37 +16,17 @@ import stat
 
 import numpy as np
 
-_FLOATS = (float, np.floating)
 
-
-def fmt(value):
-    """Floats with 17 significant digits so runs diff cleanly."""
-    return "%.17g" % value if isinstance(value, _FLOATS) else str(value)
-
-
-def _field(dtype):
-    # The % field that gives fmt's bytes for every value of dtype, or None
-    # ("%d" % True is "1" where fmt writes "True", so bools are no ints here).
-    return "%.17g" if dtype == np.float64 else "%d" if dtype.kind in "iu" else None
-
-
-def _csv_text(header, rows):
-    fields = [None]
-    if isinstance(rows, np.ndarray) and rows.dtype.names:
-        # A record array: a column per field, cells from its Python values.
-        fields = [_field(rows.dtype[name]) for name in rows.dtype.names]
-        rows = rows.tolist()
-        cells = [value for row in rows for value in row]
-    elif isinstance(rows, np.ndarray) and rows.ndim == 2:
-        fields = [_field(rows.dtype)] * rows.shape[1]
-        cells = rows.ravel().tolist()
-    if None not in fields:
-        # One % over a row template: every cell at C speed.
-        template = (",".join(fields) + "\n") * len(rows)
-        return ",".join(header) + "\n" + template % tuple(cells)
-    lines = [",".join(header)]
-    lines += [",".join(map(fmt, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv_text(header, rows, fields=None):
+    """``rows``, a float table or a list of equal-length rows of numbers, as
+    CSV text under ``header``: one ``%`` over a row template of ``fields``
+    (``"%.17g"`` per column by default; an empty field writes an empty cell)."""
+    table = np.asarray(rows, dtype=float)
+    if fields is None:
+        fields = ["%.17g"] * table.shape[-1]
+    # The row count is the table's: a (0, d) table prints its header alone.
+    template = (",".join(fields) + "\n") * len(table)
+    return ",".join(header) + "\n" + template % tuple(table.ravel().tolist())
 
 
 def _write_text(path, text):

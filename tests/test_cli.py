@@ -678,6 +678,25 @@ def test_cli_run_several_configs_exits_with_highest_code(tmp_path, monkeypatch):
     assert result.stdout.splitlines()[0] == f"stall.ini: stalled -> {tmp_path / 'stall'}"
 
 
+@pytest.mark.parametrize("outdir, error", [("outfile", "[Errno 17] File exists"),
+                                           ("outfile/sub", "[Errno 20] Not a directory")],
+                         ids=["a-file", "under-a-file"])
+def test_cli_run_reports_an_output_dir_it_cannot_make_and_goes_on(tmp_path, monkeypatch,
+                                                                  outdir, error):
+    # The config's error, with no traceback and no manifest; the next config runs.
+    monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    (tmp_path / "outfile").touch()
+    a = write_config(tmp_path, BARY_CONFIG.format(out=tmp_path / outdir), name="a.ini")
+    b = write_config(tmp_path, BARY_CONFIG.format(out=tmp_path / "b"), name="b.ini")
+    result = CliRunner().invoke(main, ["run", str(a), str(b)])
+    assert result.exit_code == experiments.EXIT_USAGE
+    assert result.stdout.splitlines() == ["a.ini: config error",
+                                          f"b.ini: ok -> {tmp_path / 'b'}"]
+    assert result.stderr == f"error: output.dir: {error}: '{tmp_path / outdir}'\n"
+    assert (tmp_path / "outfile").read_bytes() == b""
+    assert (tmp_path / "b" / "run_manifest.json").exists()
+
+
 def test_cli_rejects_bad_config(tmp_path):
     runner = CliRunner()
     path = write_config(tmp_path, "[geometry]\nname = escher\n")
@@ -714,6 +733,16 @@ def test_cli_geodesic_output_to_dev_null():
         "geodesic", "--geometry", "river", "--from", "0,0", "--to", "3,0",
         "--samples", "5", "--output", os.devnull])
     assert result.exit_code == 0 and result.output == ""
+
+
+def test_cli_geodesic_output_into_a_missing_directory_is_a_usage_error(tmp_path):
+    dest = tmp_path / "nodir" / "x.csv"
+    result = CliRunner().invoke(main, [
+        "geodesic", "--geometry", "river", "--from", "0,0", "--to", "3,0",
+        "--samples", "5", "--output", str(dest)])
+    assert result.exit_code == experiments.EXIT_USAGE
+    assert result.stderr == f"error: --output: [Errno 2] No such file or directory: '{dest}'\n"
+    assert result.stdout == "" and not dest.parent.exists()
 
 
 def test_cli_geodesic_argument_validation():

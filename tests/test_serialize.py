@@ -2,6 +2,8 @@
 replaced, and rewrites each file in place as ``open(path, "w")`` would."""
 
 import csv
+import importlib.util
+import io
 import json
 import os
 import stat
@@ -24,7 +26,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def oracle_fmt(value):
-    """The cell formatter that fed csv.writer: the oracle of ``serialize.fmt``."""
+    """The cell formatter that fed csv.writer, ``str`` but for floats."""
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
     if isinstance(value, (int, np.integer)):
@@ -34,12 +36,18 @@ def oracle_fmt(value):
     return str(value)
 
 
+def oracle_csv_text(header, rows):
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([oracle_fmt(v) for v in row])
+    return out.getvalue()
+
+
 def oracle_write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([oracle_fmt(v) for v in row])
+        fh.write(oracle_csv_text(header, rows))
 
 
 def assert_csv_bytes_equal(tmp_path, header, make_rows):
@@ -49,14 +57,17 @@ def assert_csv_bytes_equal(tmp_path, header, make_rows):
     assert got.read_bytes() == want.read_bytes()
 
 
+# Rows of numbers of every type a caller may hand write_csv: each cell is
+# written as "%.17g" of its float64, which is the oracle's cell for a float
+# and for an integer of at most 2**53 in magnitude.
 MIXED = [
     [0.1, np.float64(0.1), np.float32(0.1), np.float16(0.1), np.longdouble(0.1),
-     1, np.int64(-7), np.uint8(255), True, np.bool_(False), "",
+     1, np.int64(-7), np.uint8(255), np.int16(1), np.uint32(0), -1,
      -0.0, np.float64(-0.0), float("nan"), np.nan, float("inf"), -float("inf"),
-     5e-324, -5e-324, 2**53 + 1, np.int64(2**53 + 1), 2**64, 1e300, 1e-300,
+     5e-324, -5e-324, 2**53, np.int64(-2**53), np.uint64(2**53), 1e300, 1e-300,
      123456789.12345679, 1 / 3],
-    [np.float64(1 / 3), 0, 0.0, False, np.bool_(True), np.int32(-3), "", 1e16,
-     1e17, 2.0**53, -2.5, np.float32(-1e-40), np.float64(5e-324), 7, 8.0,
+    [np.float64(1 / 3), 0, 0.0, np.int8(0), np.uint8(1), np.int32(-3), np.float16(-0.0),
+     1e16, 1e17, 2.0**53, -2.5, np.float32(-1e-40), np.float64(5e-324), 7, 8.0,
      9, 10.0, 11, 12.0, 13, 14.0, 15, 16.0, 17, 18.0, 19],
 ]
 
@@ -70,9 +81,10 @@ MIXED = [
 ], ids=["mixed", "one-column", "one-column-array", "no-rows", "array"])
 def test_write_csv_bytes_equal_csv_writer(tmp_path, header, rows):
     assert_csv_bytes_equal(tmp_path, header, lambda: rows)
-    assert_csv_bytes_equal(tmp_path, header, lambda: (list(row) for row in rows))
+    assert_csv_bytes_equal(tmp_path, header, lambda: [list(row) for row in rows])
     if isinstance(rows, np.ndarray):
         assert_csv_bytes_equal(tmp_path, header, rows.tolist)
+        assert_csv_bytes_equal(tmp_path, header, lambda: list(rows))
 
 
 @pytest.mark.parametrize("objective", [False, True])
@@ -90,6 +102,12 @@ def test_trace_csv_bytes_equal_csv_writer(tmp_path, objective):
                          zip(trace.iterates, trace.field_norms, trace.step_sizes,
                              objectives))))
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("objectives", [None, []])
+def test_trace_csv_of_no_iterates_is_its_header(tmp_path, objectives):
+    ConvergenceTrace(objectives=objectives).write_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_text() == "iter,field_norm,step_size,objective\n"
 
 
 @pytest.mark.parametrize("iso", [True, False])
@@ -157,12 +175,6 @@ FLOAT_CELLS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
                0.1, 1 / 3, 1e16, 1e17, 2.0**53 + 2, 1.0, -2.0, 100.0, 12345678901234567.0]
 
 
-def cellwise_csv_text(header, rows):
-    """``fmt`` on every cell, joined with commas and LF."""
-    return "".join(line + "\n" for line in [",".join(header)] + [
-        ",".join(serialize.fmt(v) for v in row) for row in rows])
-
-
 @pytest.mark.parametrize("table", [
     np.array(FLOAT_CELLS).reshape(-1, 1),
     np.array(FLOAT_CELLS[:18]).reshape(6, 3),
@@ -176,13 +188,14 @@ def cellwise_csv_text(header, rows):
     np.empty((4, 0)),
 ], ids=["one-column", "6x3", "transposed", "strided", "120x3", "integral",
         "no-rows", "no-rows-one-column", "no-columns"])
-def test_float_table_text_equals_fmt_cells(table, monkeypatch):
+def test_float_table_text_equals_fmt_cells(table):
+    # The oracle's cells of the table, and of a list of its rows as a tracer
+    # that lists the rows it is given hands them on; the zero-row tables keep
+    # their header line and the (4, 0) table prints four empty lines.
     header = [f"c{i}" for i in range(table.shape[1])]
-    want = cellwise_csv_text(header, table.tolist())
-    assert want == cellwise_csv_text(header, table)     # fmt of np.float64 cells
-    # The table takes the row-template path: fmt is not called.
-    monkeypatch.setattr(serialize, "fmt", None)
+    want = oracle_csv_text(header, table.tolist())
     assert serialize._csv_text(header, table) == want
+    assert serialize._csv_text(header, list(table)) == want
 
 
 @pytest.mark.parametrize("iso", [True, False])
@@ -315,69 +328,74 @@ def test_write_to_fifo(tmp_path):
     assert got == [(tmp_path / "want.csv").read_bytes()]
 
 
-def points_csv_by_fmt(header, columns):
-    """``points.csv`` as ``_write_points`` wrote it before the row template:
-    ``fmt`` on every cell of the columns' ``tolist()``."""
-    return cellwise_csv_text(header, zip(*(column.tolist() for column in columns)))
+def points_csv_oracle(header, columns):
+    """``points.csv`` by the oracle: its cells from the columns' ``tolist()``."""
+    return oracle_csv_text(header, zip(*(column.tolist() for column in columns)))
+
+
+POINTS = np.array([[-0.0, 0.0], [np.nan, 1.0], [np.inf, -np.inf], [5e-324, -5e-324],
+                   [1e16, 0.1], [2.2250738585072014e-308, 1.7976931348623157e308],
+                   [3.0, -2.5], [1.0 / 3.0, 2.0 / 3.0], [-1e-300, 1e300]])
 
 
 @pytest.mark.parametrize("labels", [
     np.array([1, 2, 1, 2, 2, 1, 1, 2, 1]),
-    np.array([0, -1, 2**62, -(2**62), 7, 2**53 + 1, 10**16, 3, 1], dtype=np.int64),
-    np.array([0, 1, 2**63, 2**64 - 1, 5, 6, 7, 8, 9], dtype=np.uint64),
+    np.array([0, -1, 2**53, -(2**53), 7, 2**52 + 1, 2**53 - 1, 3, 1], dtype=np.int64),
+    np.array([0, 1, 2**53, 2**32, 5, 6, 7, 8, 9], dtype=np.uint64),
 ])
-def test_points_csv_equals_fmt_cells(tmp_path, labels, monkeypatch):
-    points = np.array([[-0.0, 0.0], [np.nan, 1.0], [np.inf, -np.inf], [5e-324, -5e-324],
-                       [1e16, 0.1], [2.2250738585072014e-308, 1.7976931348623157e308],
-                       [3.0, -2.5], [1.0 / 3.0, 2.0 / 3.0], [-1e-300, 1e300]])
+def test_points_csv_equals_fmt_cells(tmp_path, labels):
+    # Integer columns go into the float table: a label of at most 2**53 in
+    # magnitude prints as the integer it is.
     extra = [("label_a", labels[::-1].copy()), ("label_b", labels % 3)]
     header = ["x0", "x1", "truth", "label_a", "label_b"]
-    want = points_csv_by_fmt(header, [points[:, 0], points[:, 1], labels,
+    want = points_csv_oracle(header, [POINTS[:, 0], POINTS[:, 1], labels,
                                       *(values for _, values in extra)])
-    want_unlabelled = points_csv_by_fmt(["x0", "x1"], [points[:, 0], points[:, 1]])
-    # The float64 and int columns take the row template: fmt is not called.
-    monkeypatch.setattr(serialize, "fmt", None)
-    experiments._write_points(tmp_path / "points.csv", points, labels, extra)
-    assert (tmp_path / "points.csv").read_bytes() == want.encode()
-    experiments._write_points(tmp_path / "points.csv", points)
-    assert (tmp_path / "points.csv").read_text() == want_unlabelled
-    experiments._write_points(tmp_path / "points.csv", points[:0], labels[:0])
+    experiments._write_points(tmp_path / "points.csv", POINTS, labels, extra)
+    assert (tmp_path / "points.csv").read_text() == want
+    experiments._write_points(tmp_path / "points.csv", POINTS)
+    assert (tmp_path / "points.csv").read_text() == points_csv_oracle(
+        ["x0", "x1"], [POINTS[:, 0], POINTS[:, 1]])
+    experiments._write_points(tmp_path / "points.csv", POINTS[:0], labels[:0])
     assert (tmp_path / "points.csv").read_text() == "x0,x1,truth\n"
-    # A tracer that lists the rows it is given (perfbench --trace 1) hands
-    # write_csv the table's records: fmt writes the same bytes.
-    monkeypatch.undo()
-    write_csv = serialize.write_csv
-    monkeypatch.setattr(experiments, "write_csv",
-                        lambda path, header, rows: write_csv(path, header, list(rows)))
-    experiments._write_points(tmp_path / "points.csv", points, labels, extra)
-    assert (tmp_path / "points.csv").read_bytes() == want.encode()
 
 
-@pytest.mark.parametrize("labels", [
-    np.array([True, False, True]),
-    np.array([1.5, 2.0, -0.0], dtype=np.float32),
-    np.array(["a", "b", "c"]),
-])
-def test_points_csv_with_other_columns_goes_by_fmt(tmp_path, labels):
-    # "%d" % True is 1 and a float32 or str column has no template field:
-    # such a file keeps fmt on every cell.
-    points = np.array([[0.5, -0.0], [1e16, np.nan], [-np.inf, 5e-324]])
-    experiments._write_points(tmp_path / "points.csv", points, labels)
-    assert (tmp_path / "points.csv").read_text() == points_csv_by_fmt(
-        ["x0", "x1", "truth"], [points[:, 0], points[:, 1], labels])
+def _tracer():
+    """perfbench's layer tracer, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
 
 
-@pytest.mark.parametrize("config", ["river_ratios.ini", "banana_rankr.ini", "river_geodesic.ini"])
-def test_float_table_runs_never_call_fmt(tmp_path, monkeypatch, config):
-    # Every CSV of a ratios, rankr or geodesic run is a float table (or the
-    # record array of points.csv): the row template writes all its cells.
-    def refuse(value):
-        raise AssertionError("serialize.fmt was called")
+def _trace(objective):
+    trace = ConvergenceTrace()
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        trace.append(rng.standard_normal(2), rng.random(), 0.25,
+                     rng.standard_normal() if objective else None)
+    return trace
 
-    monkeypatch.setattr(serialize, "fmt", refuse)
-    monkeypatch.setenv("ISOGEO_OUTPUT_DIR", str(tmp_path))
-    assert experiments.run(load_config(CONFIG_DIR / config)) == experiments.EXIT_OK
-    assert list(tmp_path.glob("*.csv"))
+
+@pytest.mark.parametrize("output", ["points", "trace", "trace-objective"])
+def test_a_traced_write_has_the_bytes_of_the_untraced_one(tmp_path, output):
+    # perfbench's tracer hands write_csv a list of the rows it is given
+    # (points.csv's table) and counts the rows each file holds.
+    labels = np.array([1, 2, 1, 2, 2, 1, 1, 2, 1])
+    trace = _trace(output == "trace-objective")
+
+    def write(path):
+        if output == "points":
+            experiments._write_points(path, POINTS, labels, [("label_iso", labels[::-1])])
+        else:
+            trace.write_csv(path)
+
+    write(tmp_path / "untraced.csv")
+    tracer = _tracer()
+    with tracer.installed([]):
+        write(tmp_path / "traced.csv")
+    assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "untraced.csv").read_bytes()
+    assert tracer.counts["serialize.rows"] == len(POINTS if output == "points" else trace)
 
 
 @pytest.mark.parametrize("samples", [1, 2, 57])
