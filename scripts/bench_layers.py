@@ -69,6 +69,9 @@ Prints one JSON object:
   divided by its iterations, with the iterations, on the barycentre bands
   of the ``perfbench`` ``solver_loop`` workload (seed 7, tol 1e-6): river(5,
   0.25) at n = 30 and 60 and spiral(0.25) at n = 60;
+- ``l2pg_iteration_us``: the best-of-5 time of one ``l2pg_ird`` solve
+  divided by its iterations, with the iterations, on the inverse problem of
+  ``configs/banana_inverse.ini`` (its start, operator and solver settings);
 - ``grid_oracle``: the best-of-5 time (ms) of one 100 001-point
   ``experiments.grid_search_1d`` on the inverse problem of
   ``configs/banana_inverse.ini``, screened by
@@ -459,6 +462,17 @@ def ird_iteration_times():
     return result
 
 
+def l2pg_iteration_time():
+    """Time (us) per iteration of one l2pg_ird solve on banana_inverse.ini's problem."""
+    config = load_config(ROOT / "configs" / "banana_inverse.ini")
+    S, _, _, _, f, grad = experiments.inverse_problem(
+        experiments.build_manifold(config), config.extras)
+    x0 = S.point_at(config.extras["s0"])
+    iterations = len(ig.l2pg_ird(S, f, grad, x0, config.solver)[1]) - 1
+    solve = 1e6 * _best(lambda: ig.l2pg_ird(S, f, grad, x0, config.solver), number=20)
+    return {"us": solve / max(1, iterations), "iterations": iterations}
+
+
 def grid_oracle():
     """Time (ms) of the banana_inverse.ini grid oracle and the points its f evaluates."""
     config = load_config(ROOT / "configs" / "banana_inverse.ini")
@@ -554,6 +568,7 @@ def main(argv):
         "rewrite_us": rewrite_times(),
         "kmeans": kmeans_times(),
         "ird_iteration_us": ird_iteration_times(),
+        "l2pg_iteration_us": l2pg_iteration_time(),
         "grid_oracle": grid_oracle(),
         "grid_field_ms": grid_field_times(),
         "cold_start": cold_start(),

@@ -57,6 +57,12 @@ def validate(config_file):
     """Check CONFIG_FILE and report problems without running anything."""
     try:
         config = load_config(config_file)
+        # A run cannot make its output directory below a file: look, make nothing.
+        ancestor = config.output_dir
+        while ancestor and not os.path.lexists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if ancestor and not os.path.isdir(ancestor):
+            raise ConfigError([f"output.dir: {ancestor!r} is not a directory"])
     except ConfigError as exc:
         _report(exc)
         sys.exit(experiments.EXIT_USAGE)

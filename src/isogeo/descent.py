@@ -16,6 +16,7 @@ import numpy as np
 from .errors import StallError
 from .isomaps import _iso_exp, _iso_log_vecs, _phi_log_vecs, iso_distance, iso_exp, iso_transport
 from .pullback import TangentVector, _point_pair, as_point
+from .quadrature import _set_count
 from .serialize import _csv_text, _write_text
 
 
@@ -45,10 +46,8 @@ class LineSearchConfig:
             raise ValueError(f"c must lie in (0, 1), got {self.c}")
         if self.tol <= 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.max_backtracks < 1:
-            raise ValueError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        _set_count(self, "max_backtracks", 1)
+        _set_count(self, "max_iters", 0)
 
 
 @dataclass
@@ -162,6 +161,39 @@ def iso_barycentre_field(M, x, points):
     return TangentVector(x, _barycentre_field(M, x, M.diffeo.forward(x), b)[0])
 
 
+def _descend(M, x, start, score, settle, cfg, what, objective=False):
+    """Backtracking descent x+ = iso_exp_x(-r vec), shared by the line-search solvers.
+
+    A trial is accepted once its value strictly falls.  score(trial) is
+    ``(value, kept)``, settle(trial, kept) the ``(a, vec, norm)`` of an accepted
+    trial (phi-image, field, field norm), and start ``(value, (a, vec, norm))``
+    at x.  what formats the value of a stall.  An objective value is traced,
+    and a positive first one divides the norm in the stopping test.
+    """
+    value, (a, vec, norm) = start
+    denom = value if objective and value > 0.0 else 1.0
+    trace = ConvergenceTrace()
+    trace.append(x, norm, cfg.r0, objective=value if objective else None)
+    for _ in range(cfg.max_iters):
+        if norm / denom < cfg.tol:
+            trace.converged = True
+            return x, trace
+        r = cfg.r0
+        for _ in range(cfg.max_backtracks):
+            trial = _iso_exp(M, x, a, -r * vec)
+            value_trial, kept = score(trial)
+            if value_trial < value:
+                break
+            r *= cfg.c
+        else:
+            raise StallError(f"line search stalled at {what.format(value)}", x, trace)
+        x, value = trial, value_trial
+        a, vec, norm = settle(x, kept)
+        trace.append(x, norm, r, objective=value if objective else None)
+    trace.converged = norm / denom < cfg.tol
+    return x, trace
+
+
 def iso_barycentre(M, points, cfg=None, x0=None):
     """Iso-barycentre by iso-Riemannian descent with line search.
 
@@ -173,35 +205,19 @@ def iso_barycentre(M, points, cfg=None, x0=None):
 
     The points are validated and mapped by phi once; the loop runs the steps
     of ``ird_step`` and ``iso_barycentre_field`` on float arrays, with one
-    phi-image per iterate.
+    phi-image and one field per trial.
     """
     cfg = cfg or LineSearchConfig()
     b = M.diffeo.forward(_field_points(M, points))
     # closed_form_barycentre of the validated points, from their phi-images.
     x = M.diffeo.inverse(b.mean(axis=0)) if x0 is None else as_point(x0, M.dim, "x0")
-    a = M.diffeo.forward(x)
-    vec, norm = _barycentre_field(M, x, a, b)
-    trace = ConvergenceTrace()
-    trace.append(x, norm, cfg.r0)
-    for _ in range(cfg.max_iters):
-        if norm < cfg.tol:
-            trace.converged = True
-            return x, trace
-        r = cfg.r0
-        for _ in range(cfg.max_backtracks):
-            trial = _iso_exp(M, x, a, -r * vec)
-            a_trial = M.diffeo.forward(trial)
-            vec_trial, norm_trial = _barycentre_field(M, trial, a_trial, b)
-            if norm_trial < norm:
-                break
-            r *= cfg.c
-        else:
-            raise StallError(
-                f"line search stalled at field norm {norm:.3e}", x, trace)
-        x, a, vec, norm = trial, a_trial, vec_trial, norm_trial
-        trace.append(x, norm, r)
-    trace.converged = norm < cfg.tol
-    return x, trace
+
+    def score(x):
+        a = M.diffeo.forward(x)
+        vec, norm = _barycentre_field(M, x, a, b)
+        return norm, (a, vec, norm)
+
+    return _descend(M, x, score(x), score, lambda x, kept: kept, cfg, "field norm {:.3e}")
 
 
 def _solve(solver, *args):

@@ -7,11 +7,13 @@ any member point is obtained by pushing the basis through the inverse
 Jacobian.
 """
 
+import math
+
 import numpy as np
 
-from .descent import ConvergenceTrace
-from .errors import DegenerateBasisError, DomainError, StallError
-from .isomaps import _iso_exp, _iso_log_vecs
+from .descent import _descend
+from .errors import DegenerateBasisError, DomainError
+from .isomaps import _iso_log_vecs
 from .pullback import (TangentVector, as_point, lc_geodesic,
                        lc_geodesic_velocity)
 
@@ -118,7 +120,8 @@ def l2pg_ird(S, f, grad_f, x0, cfg):
     Iterates xi = P_x grad f(x), trial = iso_exp_x(-r xi), accepting the trial
     only if it strictly decreases f.  Stops once |P grad f| / f(x0) falls
     below cfg.tol (absolute when f(x0) <= 0) or the iteration cap is hit.
-    Raises StallError carrying the best iterate when backtracking fails.
+    Raises StallError carrying the best iterate when backtracking fails, and
+    ValueError when f(x0) is not finite.
 
     x0 and each gradient are validated; the loop runs the steps of
     ``iso_exp`` and ``tangent_projection`` on float arrays, with one
@@ -129,36 +132,20 @@ def l2pg_ird(S, f, grad_f, x0, cfg):
     a = M.diffeo.forward(x)
     if not S._contains_phi(a):
         raise DomainError("x0 is not on the submanifold")
-    f_ref = float(f(x))
-    denom = f_ref if f_ref > 0.0 else 1.0
-    fx = f_ref
-    vec = _tangent_projection(S, a, grad_f(x))
-    norm = float(np.linalg.norm(vec))
-    trace = ConvergenceTrace()
-    trace.append(x, norm, cfg.r0, objective=fx)
-    for _ in range(cfg.max_iters):
-        if norm / denom < cfg.tol:
-            trace.converged = True
-            return x, trace
-        r = cfg.r0
-        for _ in range(cfg.max_backtracks):
-            trial = _iso_exp(M, x, a, -r * vec)
-            f_trial = float(f(trial))
-            if f_trial < fx:
-                break
-            r *= cfg.c
-        else:
-            raise StallError(
-                f"line search stalled at objective {fx:.6e}", x, trace)
-        a = M.diffeo.forward(trial)
-        if not S._contains_phi(a):
-            raise DomainError("iterate drifted off the submanifold")
-        x, fx = trial, f_trial
+    fx = float(f(x))
+    if not math.isfinite(fx):
+        raise ValueError(f"f(x0) is not finite: {fx}")
+
+    def settle(x, a):
+        if a is None:       # an accepted trial, not yet checked
+            a = M.diffeo.forward(x)
+            if not S._contains_phi(a):
+                raise DomainError("iterate drifted off the submanifold")
         vec = _tangent_projection(S, a, grad_f(x))
-        norm = float(np.linalg.norm(vec))
-        trace.append(x, norm, r, objective=fx)
-    trace.converged = norm / denom < cfg.tol
-    return x, trace
+        return a, vec, float(np.linalg.norm(vec))
+
+    return _descend(M, x, (fx, settle(x, a)), lambda x: (float(f(x)), None), settle,
+                    cfg, "objective {:.6e}", objective=True)
 
 
 def iso_rank_r_approx(M, points, base, r):

@@ -697,6 +697,30 @@ def test_cli_run_reports_an_output_dir_it_cannot_make_and_goes_on(tmp_path, monk
     assert (tmp_path / "b" / "run_manifest.json").exists()
 
 
+@pytest.mark.parametrize("outdir", ["outfile", "outfile/sub"],
+                         ids=["a-file", "under-a-file"])
+def test_cli_validate_reports_an_output_dir_below_a_file(tmp_path, monkeypatch, outdir):
+    # validate exits 2 with one error line, as run does, and makes nothing.
+    monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    (tmp_path / "outfile").touch()
+    path = write_config(tmp_path, BARY_CONFIG.format(out=tmp_path / outdir))
+    before = sorted(tmp_path.rglob("*"))
+    result = CliRunner().invoke(main, ["validate", str(path)])
+    assert result.exit_code == experiments.EXIT_USAGE
+    assert result.stdout == ""
+    assert result.stderr == (f"error: output.dir: '{tmp_path / 'outfile'}' "
+                             f"is not a directory\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_cli_validate_makes_no_output_dir(tmp_path, monkeypatch):
+    monkeypatch.delenv("ISOGEO_OUTPUT_DIR", raising=False)
+    path = write_config(tmp_path, BARY_CONFIG.format(out=tmp_path / "new" / "sub"))
+    result = CliRunner().invoke(main, ["validate", str(path)])
+    assert result.exit_code == 0 and "ok:" in result.stdout
+    assert not (tmp_path / "new").exists()
+
+
 def test_cli_rejects_bad_config(tmp_path):
     runner = CliRunner()
     path = write_config(tmp_path, "[geometry]\nname = escher\n")

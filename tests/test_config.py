@@ -374,6 +374,26 @@ def test_quadrature_counts_must_be_integers(kwargs, want):
     assert str(excinfo.value) == want
 
 
+@pytest.mark.parametrize("kwargs, want", [
+    ({"max_iters": 1.5}, "max_iters must be an integer, got 1.5"),
+    ({"max_backtracks": 2.5}, "max_backtracks must be an integer, got 2.5"),
+    ({"max_iters": True}, "max_iters must be an integer, got True"),
+    ({"max_backtracks": False}, "max_backtracks must be an integer, got False"),
+    ({"max_iters": "4"}, "max_iters must be an integer, got '4'"),
+])
+def test_line_search_counts_must_be_integers(kwargs, want):
+    with pytest.raises(ValueError) as excinfo:
+        LineSearchConfig(**kwargs)
+    assert str(excinfo.value) == want
+
+
+def test_integral_float_line_search_counts_become_ints():
+    cfg = LineSearchConfig(max_backtracks=2.0, max_iters=3.0)
+    assert (cfg.max_backtracks, cfg.max_iters) == (2, 3)
+    assert type(cfg.max_backtracks) is int and type(cfg.max_iters) is int
+    assert cfg == LineSearchConfig(max_backtracks=2, max_iters=3)
+
+
 def test_integral_float_quadrature_counts_become_ints():
     # As a dim does: the rule is built from ints, so a 3.0 runs as 3.
     quad = QuadratureConfig(panels=8.0, nodes_per_panel=3.0)

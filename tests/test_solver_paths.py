@@ -233,6 +233,27 @@ def test_l2pg_ird_off_the_submanifold_and_bad_gradient():
         ig.l2pg_ird(S, f, lambda x: np.array([np.nan, 0.0]), S.point_at(2.0), cfg)
 
 
+def test_l2pg_ird_drift_off_the_submanifold():
+    # phi is the identity but jvp shears, so an iso-exponential step along the
+    # vertical phi-line lands off it, and the first accepted trial drifts.
+    def ident(x):
+        return np.asarray(x, dtype=float) + 0.0
+
+    def jvp(x, v):
+        v = np.asarray(v, dtype=float)
+        return np.stack([v[..., 0] + 0.5 * v[..., 1], v[..., 1]], axis=-1)
+
+    M = ig.PullbackManifold(ig.Diffeomorphism(2, ident, ident, jvp,
+                                              lambda y, w: ident(w)))
+    S = ig.GeodesicSubmanifold(M, np.zeros(2), np.array([[0.0], [1.0]]))
+    f = lambda x: 0.5 * (x[1] - 3.0) ** 2
+    grad = lambda x: np.array([0.0, x[1] - 3.0])
+    cfg = ig.LineSearchConfig()
+    for solve in (ig.l2pg_ird, reference_l2pg):
+        with pytest.raises(DomainError, match="iterate drifted off the submanifold"):
+            solve(S, f, grad, S.point_at(0.0), cfg)
+
+
 def counted_as_point(monkeypatch):
     calls = []
     original = pullback.as_point

@@ -115,6 +115,15 @@ def test_l2pg_requires_feasible_start(identity2):
                     np.array([0.0, 1.0]), ig.LineSearchConfig())
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_l2pg_rejects_a_non_finite_first_objective(banana_manifold, value):
+    # At f(x0) = +inf the stopping test |P grad f| / f(x0) would read 0 at once.
+    S = ig.GeodesicSubmanifold(banana_manifold, [4.0, 0.0], [[0.0], [1.0]])
+    with pytest.raises(ValueError, match=r"f\(x0\) is not finite: (inf|nan)"):
+        ig.l2pg_ird(S, lambda x: value, lambda x: np.ones(2), S.point_at(2.0),
+                    ig.LineSearchConfig())
+
+
 def test_l2pg_stall(identity2):
     S = xaxis_submanifold(identity2)
     target = np.array([3.0, 0.0])
