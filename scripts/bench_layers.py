@@ -72,6 +72,11 @@ Prints one JSON object:
 - ``l2pg_iteration_us``: the best-of-5 time of one ``l2pg_ird`` solve
   divided by its iterations, with the iterations, on the inverse problem of
   ``configs/banana_inverse.ini`` (its start, operator and solver settings);
+- ``convexity_bounds_ms``: the best-of-5 time (ms) of one
+  ``convexity_bounds_1d`` call at 241 evenly spaced times on the inverse
+  problem of ``configs/banana_inverse.ini``, along its submanifold from
+  ``grid_min`` to ``grid_max``, with its gradient and the exact Hessian
+  action AᵀA v;
 - ``grid_oracle``: the best-of-5 time (ms) of one 100 001-point
   ``experiments.grid_search_1d`` on the inverse problem of
   ``configs/banana_inverse.ini``, screened by
@@ -473,6 +478,25 @@ def l2pg_iteration_time():
     return {"us": solve / max(1, iterations), "iterations": iterations}
 
 
+CONVEXITY_TIMES = 241
+
+
+def convexity_bounds_time():
+    """Time (ms) of one convexity_bounds_1d on banana_inverse.ini's problem."""
+    config = load_config(ROOT / "configs" / "banana_inverse.ini")
+    extras = config.extras
+    S, A, _, _, _, grad = experiments.inverse_problem(
+        experiments.build_manifold(config), extras)
+    x, y = S.point_at(extras["grid_min"]), S.point_at(extras["grid_max"])
+    t = np.linspace(0.0, 1.0, CONVEXITY_TIMES)
+    gram = A.T @ A      # symmetric: V @ gram is A^T A v for each row v of V
+
+    def bounds():
+        return ig.convexity_bounds_1d(S, grad, x, y, t, hvp=lambda P, V: V @ gram)
+
+    return 1e3 * _best(bounds, number=3)
+
+
 def grid_oracle():
     """Time (ms) of the banana_inverse.ini grid oracle and the points its f evaluates."""
     config = load_config(ROOT / "configs" / "banana_inverse.ini")
@@ -569,6 +593,7 @@ def main(argv):
         "kmeans": kmeans_times(),
         "ird_iteration_us": ird_iteration_times(),
         "l2pg_iteration_us": l2pg_iteration_time(),
+        "convexity_bounds_ms": convexity_bounds_time(),
         "grid_oracle": grid_oracle(),
         "grid_field_ms": grid_field_times(),
         "cold_start": cold_start(),

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import _count
+
 DATASET_KINDS = ("river_band", "spiral_band", "two_clusters", "grid")
 
 # Safe default for the spiral angle coordinate: well clear of the 0/2pi cut.
@@ -45,10 +47,8 @@ class DatasetSpec:
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self.n = _count("n", self.n, 1)
+        self.seed = _count("seed", self.seed, 0)
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.kind == "two_clusters" and self.t_max - self.t_min - self.gap <= 0:

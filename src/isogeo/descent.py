@@ -16,7 +16,7 @@ import numpy as np
 from .errors import StallError
 from .isomaps import _iso_exp, _iso_log_vecs, _phi_log_vecs, iso_distance, iso_exp, iso_transport
 from .pullback import TangentVector, _point_pair, as_point
-from .quadrature import _set_count
+from .quadrature import _count
 from .serialize import _csv_text, _write_text
 
 
@@ -46,8 +46,8 @@ class LineSearchConfig:
             raise ValueError(f"c must lie in (0, 1), got {self.c}")
         if self.tol <= 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        _set_count(self, "max_backtracks", 1)
-        _set_count(self, "max_iters", 0)
+        for key, low in (("max_backtracks", 1), ("max_iters", 0)):
+            object.__setattr__(self, key, _count(key, getattr(self, key), low))
 
 
 @dataclass
@@ -271,8 +271,8 @@ def restricted_isometry_check(M, A, pairs):
     """Two-sided restricted-isometry witnesses of A over sampled pairs.
 
     For each pair, the ratio |A iso_log_x(y)|^2 / iso_distance(x, y)^2 is
-    computed; returns (min - 1, max - 1).  Coincident pairs are skipped with
-    a warning.
+    computed; returns (min - 1, max - 1).  Coincident pairs are skipped,
+    with one warning that counts them.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != M.dim:
@@ -283,12 +283,11 @@ def restricted_isometry_check(M, A, pairs):
     x = as_point([p for p, _ in pairs], M.dim, "x", batch=True)
     y = as_point([q for _, q in pairs], M.dim, "y", batch=True)
     logs, dists = _iso_log_vecs(M, x, y)
-    ratios = []
-    for v, dist in zip(logs, dists):
-        if dist == 0.0:
-            warnings.warn("skipping coincident pair in restricted_isometry_check")
-            continue
-        ratios.append(float(np.dot(A @ v, A @ v)) / float(dist) ** 2)
-    if not ratios:
+    moving = dists != 0.0
+    if not moving.all():
+        warnings.warn(f"isometry check: {np.count_nonzero(~moving)} coincident pair(s) skipped")
+    if not moving.any():
         raise ValueError("no non-degenerate pairs to check")
-    return min(ratios) - 1.0, max(ratios) - 1.0
+    images = logs[moving] @ A.T
+    ratios = np.vecdot(images, images) / dists[moving] ** 2
+    return float(ratios.min()) - 1.0, float(ratios.max()) - 1.0

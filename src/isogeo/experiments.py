@@ -27,7 +27,7 @@ from .isomaps import PASS_BYTES, _iso_log_vecs, _iso_transport_vecs, iso_geodesi
 from .pullback import PullbackManifold, as_point, closed_form_barycentre, lc_geodesic
 from .quadrature import _linspace_chunk
 from .serialize import _csv_text, _write_text, write_csv, write_json
-from .submanifold import GeodesicSubmanifold, iso_rank_r_approx, l2pg_ird, submanifold_from_rank_r
+from .submanifold import GeodesicSubmanifold, _frame_submanifold, _rank_r_frame, l2pg_ird
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -170,7 +170,8 @@ def inverse_problem(M, extras):
         return float(value) if value.ndim == 0 else value
 
     def grad(x):
-        return A.T @ (A @ x - b)
+        # Batch-first as f is: stacked matvecs with the bits of A.T @ (A @ x - b).
+        return (A.T @ ((A @ x[..., None])[..., 0] - b)[..., None])[..., 0]
 
     return S, A, b, x_true, f, grad
 
@@ -365,14 +366,13 @@ def _run_ratios(config, M, outdir):
 
 def _run_rankr(config, M, outdir):
     pts = generate_dataset(config.dataset, M).points
-    base = closed_form_barycentre(M, pts)
     r = config.extras["r"]
-    U = iso_rank_r_approx(M, pts, base, r)
-    S = submanifold_from_rank_r(M, pts, base, r)
-    logs = _iso_log_vecs(M, base, pts)[0].T
+    base, logs, U = _rank_r_frame(M, pts, closed_form_barycentre(M, pts), r)
+    # Not the full SVD's values: this call's differ from them in bits.
     svals = np.linalg.svd(logs, compute_uv=False)
     write_csv(os.path.join(outdir, "basis.csv"), [f"u{j}" for j in range(r)], U)
-    write_csv(os.path.join(outdir, "phi_basis.csv"), [f"b{j}" for j in range(r)], S.phi_basis)
+    write_csv(os.path.join(outdir, "phi_basis.csv"), [f"b{j}" for j in range(r)],
+              _frame_submanifold(M, base, U).phi_basis)
     summary = {"base": base, "singular_values": svals,
                "tail_energy": float(np.sum(svals[r:] ** 2))}
     return EXIT_OK, summary

@@ -28,7 +28,7 @@ import numpy as np
 from .diffeos import _coupled_speed, _others
 from .errors import DegenerateCurveError, DomainError, NonConvergenceError
 from .pullback import TangentVector, _point_pair, as_point
-from .quadrature import (NEWTON_MAXITER, REFINE_XTOL, _leggauss, composite_nodes,
+from .quadrature import (NEWTON_MAXITER, REFINE_XTOL, _count, _leggauss, composite_nodes,
                          newton_roots, panel_integrals, unit_rule)
 
 # Bytes of the float (d, L, n) point array of one _arc_lengths pass: a pass takes
@@ -433,8 +433,11 @@ def speed_profile(M, x, y, n_samples=33, h=1e-5):
     """Central finite-difference l2 speeds of the iso-geodesic.
 
     Returns an (n_samples, 2) array of (t, speed) rows at interior times;
-    diagnostic for the constant-speed guarantee.
+    diagnostic for the constant-speed guarantee.  Needs finite h > 0 and integer n_samples >= 0.
     """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be finite and > 0, got {h}")
+    n_samples = _count("n_samples", n_samples, 0)
     ts = np.arange(1, n_samples + 1) / (n_samples + 1.0)
     # A stencil time past [0, 1] (h >= ts[0]) reads the endpoint, as an
     # arc-length target beyond either end of the curve does.

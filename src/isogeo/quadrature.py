@@ -36,19 +36,18 @@ class QuadratureConfig:
     nodes_per_panel: int = 4
 
     def __post_init__(self):
-        _set_count(self, "panels", 1)
-        _set_count(self, "nodes_per_panel", 1)
+        for key in ("panels", "nodes_per_panel"):
+            object.__setattr__(self, key, _count(key, getattr(self, key), 1))
 
 
-def _set_count(settings, key, low):
-    """Make field key of a frozen settings dataclass an int >= low, else ValueError."""
-    value = getattr(settings, key)
+def _count(key, value, low):
+    """value as an int >= low, else ValueError naming key."""
     # An integral float becomes an int, as a dim does; a bool is no count.
     if isinstance(value, bool) or int(value) != value:
         raise ValueError(f"{key} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{key} must be >= {low}, got {value}")
-    object.__setattr__(settings, key, int(value))
+    return int(value)
 
 
 _leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)

@@ -14,8 +14,8 @@ import numpy as np
 from .descent import _descend
 from .errors import DegenerateBasisError, DomainError
 from .isomaps import _iso_log_vecs
-from .pullback import (TangentVector, as_point, lc_geodesic,
-                       lc_geodesic_velocity)
+from .pullback import TangentVector, as_point
+from .quadrature import _count
 
 
 class GeodesicSubmanifold:
@@ -84,11 +84,8 @@ class GeodesicSubmanifold:
         return self._tangent_basis_phi(self.manifold.diffeo.forward(x))
 
     def _tangent_basis_phi(self, a):
-        """``tangent_basis`` at the point whose phi-image is a."""
-        cols = self.manifold.diffeo.inv_jvp(
-            np.broadcast_to(a, (self.subspace_dim, self.manifold.dim)),
-            self.phi_basis.T)
-        return cols.T
+        """``tangent_basis`` at the points whose phi-images are a: ``(..., d, m)``."""
+        return self.manifold.diffeo.inv_jvp(a[..., None, :], self.phi_basis.T).mT
 
 
 def tangent_projection(S, x, v):
@@ -101,17 +98,16 @@ def tangent_projection(S, x, v):
 
 
 def _tangent_projection(S, a, v):
-    """``tangent_projection(S, x, v).vec`` at the member x whose phi-image is a.
+    """``tangent_projection(S, x, v).vec``, bit for bit, at each member x whose phi-image is a.
 
-    v is validated here: it is a user gradient.
+    a and v are ``(..., d)``; v is validated here: it is a user gradient.
     """
-    v = as_point(v, S.manifold.dim, "v")
+    v = as_point(v, S.manifold.dim, "v", batch=True)
     U = S._tangent_basis_phi(a)
-    gram = U.T @ U
-    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > 1e14:
-        raise DegenerateBasisError(
-            "transported basis has a numerically singular Gram matrix")
-    return U @ np.linalg.solve(gram, U.T @ v)
+    gram = U.mT @ U
+    if not np.all(np.isfinite(gram)) or np.any(np.linalg.cond(gram) > 1e14):
+        raise DegenerateBasisError("transported basis has a numerically singular Gram matrix")
+    return (U @ np.linalg.solve(gram, U.mT @ v[..., None]))[..., 0]
 
 
 def l2pg_ird(S, f, grad_f, x0, cfg):
@@ -154,17 +150,22 @@ def iso_rank_r_approx(M, points, base, r):
     Columns are orthonormal; signs are fixed so the largest-magnitude entry
     of each column is positive.
     """
+    return _rank_r_frame(M, points, base, r)[2]
+
+
+def _rank_r_frame(M, points, base, r):
+    """The validated base, the ``(d, N)`` iso-log matrix at it and its top-r frame."""
     base = as_point(base, M.dim, "base")
     if len(points) == 0:
         raise ValueError("iso_rank_r_approx requires a nonempty point list")
     pts = as_point(points, M.dim, "points", batch=True).reshape(-1, M.dim)
-    if not 1 <= r <= min(M.dim, len(pts)):
-        raise ValueError(
-            f"rank r must satisfy 1 <= r <= min(d, N) = "
-            f"{min(M.dim, len(pts))}, got {r}")
+    r = _count("rank r", r, 1)
+    if r > min(M.dim, len(pts)):
+        raise ValueError(f"rank r must satisfy 1 <= r <= min(d, N) = "
+                         f"{min(M.dim, len(pts))}, got {r}")
     logs = _iso_log_vecs(M, base, pts)[0].T
     U, _, _ = np.linalg.svd(logs, full_matrices=True)
-    return _positive_peaks(U[:, :r])
+    return base, logs, _positive_peaks(U[:, :r])
 
 
 def _positive_peaks(Q):
@@ -180,9 +181,13 @@ def submanifold_from_rank_r(M, points, base, r):
     The tangent-space directions are pushed to phi-coordinates through the
     Jacobian and re-orthonormalized there.
     """
-    base = as_point(base, M.dim, "base")
-    U = iso_rank_r_approx(M, points, base, r)
-    pushed = M.diffeo.jvp(np.broadcast_to(base, (r, M.dim)), U.T).T
+    base, _, U = _rank_r_frame(M, points, base, r)
+    return _frame_submanifold(M, base, U)
+
+
+def _frame_submanifold(M, base, U):
+    """``submanifold_from_rank_r`` of the validated base and its frame U."""
+    pushed = M.diffeo.jvp(np.broadcast_to(base, (U.shape[1], M.dim)), U.T).T
     return GeodesicSubmanifold(M, base, _positive_peaks(np.linalg.qr(pushed)[0]))
 
 
@@ -198,32 +203,34 @@ def convexity_bounds_1d(S, grad_f, x, y, t_grid, hvp=None, gamma_h=1e-4):
     Hessian action falls back to central differences of grad_f when no
     Hessian-vector product is supplied.
 
+    All times are one batch: ``grad_f(P)`` and ``hvp(P, V)`` map ``(n, d)``
+    points (and vectors) to ``(n, d)`` gradients (and Hessian actions).
+
     Returns an (len(t_grid), 3) array of rows (t, hess_term, curvature_term).
     """
     M = S.manifold
     if S.subspace_dim != 1:
         raise ValueError("convexity_bounds_1d requires a 1-dimensional submanifold")
-    x = as_point(x, M.dim, "x")
-    y = as_point(y, M.dim, "y")
-    for name, p in (("x", x), ("y", y)):
-        if not S.contains(p):
+    a, b = (M.diffeo.forward(as_point(p, M.dim, name)) for name, p in (("x", x), ("y", y)))
+    for name, end in (("x", a), ("y", b)):
+        if not S._contains_phi(end):
             raise DomainError(f"{name} is not on the submanifold")
-    rows = []
-    for t in np.asarray(t_grid, dtype=float):
-        p = lc_geodesic(M, x, y, t)
-        vel = lc_geodesic_velocity(M, x, y, t).vec
-        speed2 = float(np.dot(vel, vel))
-        acc = (lc_geodesic_velocity(M, x, y, t + gamma_h).vec
-               - lc_geodesic_velocity(M, x, y, t - gamma_h).vec) / (2.0 * gamma_h)
-        if hvp is not None:
-            hess_term = float(np.dot(hvp(p, vel), vel)) / speed2
-        else:
-            h = 1e-6 * (1.0 + np.linalg.norm(p))
-            unit = vel / np.sqrt(speed2)
-            dgrad = (np.asarray(grad_f(p + h * unit), dtype=float)
-                     - np.asarray(grad_f(p - h * unit), dtype=float)) / (2.0 * h)
-            hess_term = float(np.dot(dgrad, unit))
-        grad = np.asarray(grad_f(p), dtype=float)
-        normal = grad - tangent_projection(S, p, grad).vec
-        rows.append((float(t), hess_term, float(np.dot(normal, acc)) / speed2))
-    return np.asarray(rows)
+    t = np.asarray(t_grid, dtype=float)
+    # lc_geodesic's phi-points at t, t - gamma_h and t + gamma_h, and the
+    # geodesic velocities there.
+    s = np.stack([t, t - gamma_h, t + gamma_h])[..., None]
+    phi = (1.0 - s) * a + s * b
+    vel, before, after = as_point(M.diffeo.inv_jvp(phi, b - a), M.dim, "vec", batch=True)
+    acc = (after - before) / (2.0 * gamma_h)
+    p = M.diffeo.inverse(phi[0])
+    speed2 = np.vecdot(vel, vel)
+    grad = np.asarray(grad_f(p), dtype=float)
+    if hvp is not None:
+        hess_term = np.vecdot(hvp(p, vel), vel) / speed2
+    else:
+        h = 1e-6 * (1.0 + np.linalg.norm(p, axis=-1, keepdims=True))
+        unit = vel / np.sqrt(speed2)[..., None]
+        dgrad = np.subtract(grad_f(p + h * unit), grad_f(p - h * unit)) / (2.0 * h)
+        hess_term = np.vecdot(dgrad, unit)
+    normal = grad - _tangent_projection(S, phi[0], grad)
+    return np.column_stack([t, hess_term, np.vecdot(normal, acc) / speed2])

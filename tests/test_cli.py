@@ -363,6 +363,20 @@ def test_inverse_objective_batch_equals_point_by_point(banana_manifold, rows):
         assert value == min(one) and np.array_equal(x, X[int(np.argmin(one))])
 
 
+@pytest.mark.parametrize("d", [2, 3, 16, 64])
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_inverse_gradient_batch_equals_point_by_point(rows, d):
+    extras = {"rows": rows, "op_seed": 3, "noise": 0.05, "offset": 1.0, "s_true": 0.5}
+    _, A, b, _, _, grad = experiments.inverse_problem(PullbackManifold(identity(d)), extras)
+    X = np.random.default_rng(d).standard_normal((40, d))
+    G = grad(X)
+    assert G.shape == X.shape
+    for x, g in zip(X, G):
+        assert np.array_equal(g, A.T @ (A @ x - b))
+        assert np.array_equal(grad(x), g)
+    assert np.array_equal(grad(X.reshape(4, 10, d)), G.reshape(4, 10, d))
+
+
 def test_grid_search_in_chunks_equals_one_shot_search(banana_manifold):
     extras = {"rows": 3, "op_seed": 5, "noise": 0.05, "offset": 4.0, "s_true": 1.5}
     S, A, b, _, f, _ = experiments.inverse_problem(banana_manifold, extras)

@@ -92,3 +92,12 @@ def test_invalid_specs():
         ig.DatasetSpec(kind="river_band", n=0)
     with pytest.raises(ValueError):
         ig.DatasetSpec(kind="river_band", n=5, noise_sigma=-0.1)
+
+
+def test_dataset_counts_follow_the_integer_rule(river_manifold):
+    spec = ig.DatasetSpec("river_band", n=3.0, seed=2.0)
+    assert (spec.n, spec.seed) == (3, 2) and type(spec.n) is int and type(spec.seed) is int
+    assert ig.generate_dataset(spec, river_manifold).points.shape == (3, 2)
+    for kwargs in ({"n": 2.5}, {"n": True}, {"seed": 1.5}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ig.DatasetSpec("river_band", **kwargs)

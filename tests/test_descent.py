@@ -1,5 +1,7 @@
 """Descent steps, Algorithm-1 barycentres, ratio and isometry diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,11 @@ def test_restricted_isometry_skips_coincident(banana_manifold):
         lo, hi = ig.restricted_isometry_check(banana_manifold, np.eye(2),
                                               [(p, p), (p, q)])
     assert abs(lo) < 1e-12 and abs(hi) < 1e-12
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ig.restricted_isometry_check(banana_manifold, np.eye(2), [(p, p), (p, q), (q, q)])
+    assert [str(w.message) for w in caught] == [
+        "isometry check: 2 coincident pair(s) skipped"]
     with pytest.raises(ValueError), pytest.warns(UserWarning):
         ig.restricted_isometry_check(banana_manifold, np.eye(2), [(p, p)])
 

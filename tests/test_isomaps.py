@@ -280,6 +280,21 @@ def test_speed_profile_stencil_past_the_ends_reads_the_endpoints(identity2):
     np.testing.assert_allclose(prof[:, 1], 5.0 * (hi - lo) / 0.6, rtol=1e-12)
 
 
+@pytest.mark.parametrize("kwargs", [{"h": 0.0}, {"h": -1e-5}, {"h": np.nan}, {"h": np.inf},
+                                    {"n_samples": -1}, {"n_samples": 2.5},
+                                    {"n_samples": True}])
+def test_speed_profile_rejects_a_bad_step_or_count(identity2, kwargs):
+    with pytest.raises(ValueError):
+        ig.speed_profile(identity2, np.zeros(2), np.array([3.0, 4.0]), **kwargs)
+
+
+def test_speed_profile_counts(identity2):
+    x, y = np.zeros(2), np.array([3.0, 4.0])
+    assert ig.speed_profile(identity2, x, y, 0).shape == (0, 2)
+    np.testing.assert_array_equal(ig.speed_profile(identity2, x, y, 3.0),
+                                  ig.speed_profile(identity2, x, y, 3))
+
+
 def test_speed_profile_river_nearly_constant(river_manifold):
     rng = np.random.default_rng(9)
     for x, y in sample_pairs("river", river_manifold, rng, 10):

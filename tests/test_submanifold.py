@@ -1,9 +1,13 @@
 """Geodesic submanifolds: projections, projected descent, rank-r bases."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import isogeo as ig
+from isogeo import experiments, submanifold
+from isogeo.config import load_config
 from isogeo.errors import DegenerateBasisError, DomainError, StallError
 
 E2 = np.array([[0.0], [1.0]])
@@ -233,3 +237,162 @@ def test_convexity_bounds_requires_1d(identity2):
     S = ig.GeodesicSubmanifold(identity2, np.zeros(2), np.eye(2))
     with pytest.raises(ValueError):
         ig.convexity_bounds_1d(S, lambda x: x, np.zeros(2), np.ones(2), [0.5])
+
+
+def per_time_bounds(S, grad_f, x, y, t_grid, hvp=None, gamma_h=1e-4):
+    """The rows of convexity_bounds_1d from its former per-time loop: the oracle."""
+    M = S.manifold
+    rows = []
+    for t in np.asarray(t_grid, dtype=float):
+        p = ig.lc_geodesic(M, x, y, t)
+        vel = ig.lc_geodesic_velocity(M, x, y, t).vec
+        speed2 = float(np.dot(vel, vel))
+        acc = (ig.lc_geodesic_velocity(M, x, y, t + gamma_h).vec
+               - ig.lc_geodesic_velocity(M, x, y, t - gamma_h).vec) / (2.0 * gamma_h)
+        if hvp is not None:
+            hess_term = float(np.dot(hvp(p, vel), vel)) / speed2
+        else:
+            h = 1e-6 * (1.0 + np.linalg.norm(p))
+            unit = vel / np.sqrt(speed2)
+            dgrad = (grad_f(p + h * unit) - grad_f(p - h * unit)) / (2.0 * h)
+            hess_term = float(np.dot(dgrad, unit))
+        grad = grad_f(p)
+        normal = grad - ig.tangent_projection(S, p, grad).vec
+        rows.append((float(t), hess_term, float(np.dot(normal, acc)) / speed2))
+    return np.asarray(rows)
+
+
+def bounds_cases():
+    """(name, S, x, y, grad_f, hvp) on banana offsets 4 and 0, sinh and identity(2).
+
+    Each objective is batch-first: a quadratic, and a quartic whose Hessian
+    varies along the curve.
+    """
+    banana, sinh = ig.PullbackManifold(ig.banana()), ig.PullbackManifold(ig.sinh_shift_1d())
+    lines = [(f"banana_{offset:g}", banana_offset_manifold(offset, banana), -6.0, 6.0)
+             for offset in (4.0, 0.0)]
+    lines.append(("sinh", ig.GeodesicSubmanifold(sinh, np.zeros(1), np.eye(1)), -2.0, 2.0))
+    lines.append(("identity", ig.GeodesicSubmanifold(
+        ig.PullbackManifold(ig.identity(2)), np.array([0.0, 1.0]), np.array([[0.6], [0.8]])),
+        -3.0, 3.0))
+    for name, S, s0, s1 in lines:
+        target = np.full(S.manifold.dim, 0.5)
+        target[0] = 5.0
+        yield (f"{name}_quadratic", S, S.point_at(s0), S.point_at(s1),
+               lambda P, c=target: P - c, lambda P, V: V)
+        yield (f"{name}_quartic", S, S.point_at(s0), S.point_at(s1),
+               lambda P, c=target: (P - c) ** 3, lambda P, V, c=target: 3.0 * (P - c) ** 2 * V)
+
+
+BOUNDS_CASES = {case[0]: case[1:] for case in bounds_cases()}
+
+
+@pytest.mark.parametrize("name", BOUNDS_CASES)
+def test_convexity_bounds_match_the_per_time_loop(name):
+    S, x, y, grad_f, hvp = BOUNDS_CASES[name]
+    t = np.linspace(0.0, 1.0, 61)
+    for with_hvp, rtol in ((True, 1e-12), (False, 1e-8)):
+        action = hvp if with_hvp else None
+        want = per_time_bounds(S, grad_f, x, y, t, hvp=action)
+        got = ig.convexity_bounds_1d(S, grad_f, x, y, t, hvp=action)
+        assert got.shape == (61, 3) and np.array_equal(got[:, 0], t)
+        # Relative to the largest term: a term that is zero in exact
+        # arithmetic (a normal component on a line through all of R^1) is
+        # rounding noise in both.
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want[:, 1:]).max())
+        # A scalar time is a one-row grid.
+        assert np.array_equal(ig.convexity_bounds_1d(S, grad_f, x, y, t[7], hvp=action),
+                              got[7:8])
+
+
+@pytest.mark.parametrize("n", [0, 1, 241])
+def test_convexity_bounds_maps_the_ends_through_phi_once(banana_manifold, monkeypatch, n):
+    S = banana_offset_manifold(4.0, banana_manifold)
+    x, y = S.point_at(-6.0), S.point_at(6.0)
+    forward, shapes = banana_manifold.diffeo.forward, []
+
+    def counted(p):
+        shapes.append(np.shape(p))
+        return forward(p)
+
+    monkeypatch.setattr(banana_manifold.diffeo, "forward", counted)
+    t = np.linspace(0.0, 1.0, n)
+    for hvp in (lambda P, V: V, None):
+        shapes.clear()
+        rows = ig.convexity_bounds_1d(S, lambda P: P - 5.0, x, y, t, hvp=hvp)
+        assert shapes == [(2,), (2,)]
+        assert rows.shape == (n, 3)
+
+
+def test_convexity_bounds_checks_the_ends(banana_manifold):
+    S = banana_offset_manifold(4.0, banana_manifold)
+    with pytest.raises(DomainError, match="y is not on the submanifold"):
+        ig.convexity_bounds_1d(S, lambda P: P, S.point_at(0.0), np.zeros(2), [0.5])
+
+
+def shear_manifold(d):
+    """An elementwise map of R^d whose inverse Jacobian varies from point to point."""
+    return ig.PullbackManifold(ig.Diffeomorphism(
+        d, np.sinh, np.arcsinh, lambda x, v: np.cosh(x) * v,
+        lambda y, w: w / np.sqrt(1.0 + y * y)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 16])
+@pytest.mark.parametrize("m", [1, 2])
+def test_batch_tangent_projection_has_the_one_point_bits(d, m):
+    M = shear_manifold(d)
+    rng = np.random.default_rng(10 * d + m)
+    S = ig.GeodesicSubmanifold(M, rng.standard_normal(d),
+                               np.linalg.qr(rng.standard_normal((d, m)))[0])
+    a = S._phi_base + rng.standard_normal((12, m)) @ S.phi_basis.T
+    v = rng.standard_normal((12, d))
+    one = np.array([submanifold._tangent_projection(S, ai, vi) for ai, vi in zip(a, v)])
+    assert np.array_equal(submanifold._tangent_projection(S, a, v), one)
+    assert np.array_equal(submanifold._tangent_projection(S, a.reshape(3, 4, d),
+                                                          v.reshape(3, 4, d)),
+                          one.reshape(3, 4, d))
+    # The public one-point call is the one-point helper at phi(x).
+    x = M.diffeo.inverse(a[0])
+    assert np.array_equal(ig.tangent_projection(S, x, v[0]).vec,
+                          submanifold._tangent_projection(S, M.diffeo.forward(x), v[0]))
+
+
+def test_batch_tangent_projection_raises_on_any_singular_gram():
+    # The inverse Jacobian vanishes where the first phi-coordinate exceeds 1.
+    M = ig.PullbackManifold(ig.Diffeomorphism(
+        2, lambda x: x + 0.0, lambda y: y + 0.0, lambda x, v: v + 0.0 * x,
+        lambda y, w: w * (y[..., :1] <= 1.0)))
+    S = xaxis_submanifold(M)
+    a = np.array([[0.0, 0.0], [0.5, 0.0], [2.0, 0.0]])
+    v = np.ones((3, 2))
+    np.testing.assert_array_equal(submanifold._tangent_projection(S, a[:2], v[:2]),
+                                  [[1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(DegenerateBasisError):
+        submanifold._tangent_projection(S, a, v)
+
+
+def test_rank_r_follows_the_integer_rule(banana_manifold):
+    pts = np.random.default_rng(7).uniform(-2, 2, (10, 2))
+    base = np.zeros(2)
+    U = ig.iso_rank_r_approx(banana_manifold, pts, base, 2)
+    assert np.array_equal(ig.iso_rank_r_approx(banana_manifold, pts, base, 2.0), U)
+    for r in (1.5, True):
+        for rank_r in (ig.iso_rank_r_approx, ig.submanifold_from_rank_r):
+            with pytest.raises(ValueError, match="rank r must be an integer"):
+                rank_r(banana_manifold, pts, base, r)
+
+
+def test_rankr_run_computes_its_iso_log_matrix_once(tmp_path, monkeypatch):
+    monkeypatch.setenv("ISOGEO_OUTPUT_DIR", str(tmp_path))
+    config = load_config(Path(__file__).resolve().parent.parent / "configs"
+                         / "banana_rankr.ini")
+    calls = []
+    for module in (experiments, submanifold):
+        iso_log_vecs = module._iso_log_vecs
+        monkeypatch.setattr(module, "_iso_log_vecs", lambda *args, f=iso_log_vecs: (
+            calls.append("iso_log"), f(*args))[1])
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: (
+        calls.append(f"svd {kwargs.get('compute_uv', True)}"), svd(*args, **kwargs))[1])
+    assert experiments.run(config) == 0
+    assert calls == ["iso_log", "svd True", "svd False"]
