@@ -42,6 +42,11 @@ Prints one JSON object:
   inside the whole length of one seeded line of each built-in geometry
   (the interior samples of a 120-sample iso-geodesic and the stencil of an
   80-sample speed profile, as ``geodesic_sampling`` runs them);
+- ``iso_geodesic_us``: best of 5 x 50 calls, the time per call (µs) of
+  ``iso_geodesic`` at the 118 interior times of a 120-sample geodesic and
+  of an 80-sample ``speed_profile``, on the seeded line of each built-in
+  geometry that ``invert_us`` inverts (on ``sinh_shift_1d`` both are the
+  exact segment, with no knot table and no root solve);
 - ``output_us``: best of 5 x 50 calls of ``serialize.write_csv`` of a
   120-sample iso geodesic table (t, x0, x1) on river(5, 0.25), of
   ``experiments._write_points`` of a 120-point k-means ``points.csv``
@@ -315,15 +320,23 @@ def root_solve_times():
 
 
 INVERT_TARGETS = (118, 160)
+GEODESIC_SAMPLES = 120
+PROFILE_SAMPLES = 80
+
+
+def _seeded_lines():
+    """Each built-in geometry's name, manifold and the ``(2, d)`` ends of its seeded line."""
+    rng = np.random.default_rng(5)
+    for name, make in GEOMETRIES.items():
+        M = ig.PullbackManifold(make())
+        yield name, M, _points(name, M, rng, 2)
 
 
 def invert_times():
     """Per-call time (us) of one _invert of 118 and of 160 targets per geometry."""
-    rng = np.random.default_rng(5)
     times = {}
-    for name, make in GEOMETRIES.items():
-        M = ig.PullbackManifold(make())
-        a, b = M.diffeo.forward(_points(name, M, rng, 2))
+    for name, M, ends in _seeded_lines():
+        a, b = M.diffeo.forward(ends)
         w = b - a
         cumlen = isomaps._knot_lengths(M, a, w)
         times[name] = {}
@@ -331,6 +344,20 @@ def invert_times():
             target = np.linspace(0.0, cumlen[-1], n + 2)[1:-1]
             times[name][str(n)] = 1e6 * _best(
                 lambda: isomaps._invert(M, a, w, cumlen, target), number=50)
+    return times
+
+
+def iso_geodesic_times(number=50, repeat=5):
+    """Per-call time (us) of a 120-sample iso-geodesic's interior and an 80-sample
+    speed profile on each geometry's seeded line."""
+    ts = np.linspace(0.0, 1.0, GEODESIC_SAMPLES)[1:-1]
+    times = {}
+    for name, M, (x, y) in _seeded_lines():
+        calls = {f"iso_geodesic_{len(ts)}": lambda: ig.iso_geodesic(M, x, y, ts),
+                 f"speed_profile_{PROFILE_SAMPLES}":
+                     lambda: ig.speed_profile(M, x, y, PROFILE_SAMPLES)}
+        times[name] = {key: 1e6 * _best(call, number=number, repeat=repeat)
+                       for key, call in calls.items()}
     return times
 
 
@@ -588,6 +615,7 @@ def main(argv):
         "identity_batch": identity_batches(),
         "root_solve_us": root_solve_times(),
         "invert_us": invert_times(),
+        "iso_geodesic_us": iso_geodesic_times(),
         "output_us": output_times(),
         "rewrite_us": rewrite_times(),
         "kmeans": kmeans_times(),

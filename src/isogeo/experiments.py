@@ -222,9 +222,17 @@ def least_squares_screen(A, b):
     coef = 2.0 * (gamma(m) + 3.0 * gamma(d + 1))
     tiny = np.finfo(float).tiny
     abs_A, abs_b, column = np.abs(A), np.abs(b), b[:, None]
+    # The residuals of every chunk go into one buffer: a fresh (m, n) array
+    # per chunk is over glibc's mmap threshold at m = 3 and faults its pages
+    # in on every chunk.  The values a call returns live in it until the next.
+    work = np.empty(0)
 
     def screen(XT):
-        R = A @ XT
+        nonlocal work
+        n = XT.shape[1]
+        if work.size < m * n:
+            work = np.empty(m * n)
+        R = np.matmul(A, XT, out=work[:m * n].reshape(m, n))
         R -= column
         np.square(R, out=R)
         values = R[0]

@@ -19,6 +19,9 @@ batch of ``SHARED_PASSES`` whole-point passes or more (its last one may be
 partial) with at most half as many distinct (a_rest, w_rest) bit patterns, or
 keys, as lines (as a grid's field has) evaluates the factors once per key and
 the speed's finish per line.
+
+On a 1-D pullback the iso-geodesic, and so the speed profile, is the exact
+segment from x to y, with no knot table and no root solve.
 """
 
 import math
@@ -216,6 +219,25 @@ def iso_distance(M, x, y):
     return float(total) if total.ndim == 0 else total
 
 
+def _phi_line(M, x, y, t):
+    """The times t, checked to lie in [0, 1], and the phi-line a + t w from x to y."""
+    x, y = _point_pair(M, x, y)
+    t = np.asarray(t, dtype=float)
+    outside = t[~((t >= 0.0) & (t <= 1.0))]
+    if outside.size:
+        raise ValueError(f"the time change requires t in [0, 1], got {outside[0]}")
+    a = M.diffeo.forward(x)
+    return x, y, t, a, M.diffeo.forward(y) - a
+
+
+def _whole_length(total):
+    """The whole arc length of a curve as a float; DegenerateCurveError where it is 0."""
+    if total == 0.0:
+        raise DegenerateCurveError(
+            "the time change is undefined for coinciding endpoints")
+    return float(total)
+
+
 def _changed_times(M, x, y, t):
     """The phi-line a + t' w from x to y and the changed times t'(t).
 
@@ -223,18 +245,9 @@ def _changed_times(M, x, y, t):
     t = 1 map to 0 and 1 exactly (``_invert`` clamps the targets 0 and the
     whole length).  One table serves every entry of t.
     """
-    x, y = _point_pair(M, x, y)
-    t = np.asarray(t, dtype=float)
-    outside = t[~((t >= 0.0) & (t <= 1.0))]
-    if outside.size:
-        raise ValueError(f"the time change requires t in [0, 1], got {outside[0]}")
-    a = M.diffeo.forward(x)
-    w = M.diffeo.forward(y) - a
+    _, _, t, a, w = _phi_line(M, x, y, t)
     cumlen = _knot_lengths(M, a, w)
-    total = float(cumlen[-1])
-    if total == 0.0:
-        raise DegenerateCurveError(
-            "the time change is undefined for coinciding endpoints")
+    total = _whole_length(cumlen[-1])
     return a, w, _invert(M, a, w, cumlen, t.ravel() * total).reshape(t.shape)
 
 
@@ -253,10 +266,18 @@ def iso_geodesic(M, x, y, t):
     """Constant-speed geodesic: the Levi-Civita curve at the changed time.
 
     Batch-first in t: a ``(d,)`` point for a scalar t, ``(..., d)`` for an
-    ``(...)`` array of times.
+    ``(...)`` array of times.  On a 1-D pullback, whose diffeomorphism is
+    monotone, it is the exact segment (1 - t) x + t y, with no knot table
+    and no root solve: x and y at t = 0 and 1, within about an ulp of
+    max(|x|, |y|) between.  It raises what the time change raises.
     """
-    a, w, tp = _changed_times(M, x, y, t)
-    return M.diffeo.inverse(a + tp[..., None] * w)
+    if M.dim > 1:
+        a, w, tp = _changed_times(M, x, y, t)
+        return M.diffeo.inverse(a + tp[..., None] * w)
+    x, y, t, a, w = _phi_line(M, x, y, t)
+    _whole_length(M.diffeo.arc_length(a, w))
+    t = t[..., None]
+    return (1.0 - t) * x + t * y
 
 
 def _vectorchange(M, x, a, v):

@@ -42,8 +42,12 @@ class QuadratureConfig:
 
 def _count(key, value, low):
     """value as an int >= low, else ValueError naming key."""
-    # An integral float becomes an int, as a dim does; a bool is no count.
-    if isinstance(value, bool) or int(value) != value:
+    # An integral float becomes an int, as a dim does; a bool, inf or NaN is no count.
+    try:
+        whole = not isinstance(value, bool) and int(value) == value
+    except (OverflowError, ValueError):
+        whole = False
+    if not whole:
         raise ValueError(f"{key} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{key} must be >= {low}, got {value}")

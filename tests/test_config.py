@@ -367,6 +367,9 @@ def test_identity_dim_read_as_a_float_loads(tmp_path):
     ({"nodes_per_panel": False}, "nodes_per_panel must be an integer, got False"),
     ({"panels": "4"}, "panels must be an integer, got '4'"),
     ({"panels": -2.0}, "panels must be >= 1, got -2.0"),
+    *[({key: value}, f"{key} must be an integer, got {value}")
+      for key in ("panels", "nodes_per_panel")
+      for value in (float("inf"), float("-inf"), float("nan"))],
 ])
 def test_quadrature_counts_must_be_integers(kwargs, want):
     with pytest.raises(ValueError) as excinfo:
@@ -380,6 +383,9 @@ def test_quadrature_counts_must_be_integers(kwargs, want):
     ({"max_iters": True}, "max_iters must be an integer, got True"),
     ({"max_backtracks": False}, "max_backtracks must be an integer, got False"),
     ({"max_iters": "4"}, "max_iters must be an integer, got '4'"),
+    *[({key: value}, f"{key} must be an integer, got {value}")
+      for key in ("max_iters", "max_backtracks")
+      for value in (float("inf"), float("-inf"), float("nan"))],
 ])
 def test_line_search_counts_must_be_integers(kwargs, want):
     with pytest.raises(ValueError) as excinfo:

@@ -101,3 +101,7 @@ def test_dataset_counts_follow_the_integer_rule(river_manifold):
     for kwargs in ({"n": 2.5}, {"n": True}, {"seed": 1.5}):
         with pytest.raises(ValueError, match="must be an integer"):
             ig.DatasetSpec("river_band", **kwargs)
+    for key in ("n", "seed"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value}$"):
+                ig.DatasetSpec("river_band", **{key: value})

@@ -7,13 +7,15 @@ form; against a fine self-rule they are never worse than the 64x4 rule.
 No iso map on these three maps reaches that rule.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import isogeo as ig
 from isogeo import isomaps
 from isogeo.diffeos import _line_length
-from isogeo.errors import DomainError
+from isogeo.errors import DegenerateCurveError, DomainError
 from isogeo.isomaps import _arc_lengths, _knot_lengths, _speeds
 from isogeo.quadrature import composite_nodes
 
@@ -53,6 +55,66 @@ def test_sinh_iso_geodesic_and_iso_exp_are_linear(sinh_manifold):
         assert (np.abs(got - ((1.0 - t) * x[0] + t * y[0])) <= bound).all()
         back = ig.iso_exp(sinh_manifold, ig.TangentVector(x, y - x))
         assert abs(back[0] - y[0]) <= bound
+
+
+def test_sinh_iso_geodesic_is_the_segment_to_an_ulp(sinh_manifold):
+    # Each point against the exact rational (1 - t) x + t y; the time change
+    # of the phi-line was off by up to 260 ulp at |x| = 8.
+    rng = np.random.default_rng(138)
+    x, y = rng.uniform(-8.0, 8.0, (2, 20000))
+    t = rng.uniform(0.0, 1.0, 20000)
+    for xi, yi, ti in zip(x, y, t):
+        got = ig.iso_geodesic(sinh_manifold, [xi], [yi], np.array([0.0, ti, 1.0]))[:, 0]
+        assert np.array_equal(got[[0, 2]], [xi, yi])
+        exact = (1 - Fraction(ti)) * Fraction(xi) + Fraction(ti) * Fraction(yi)
+        assert abs(Fraction(got[1]) - exact) <= 2 * Fraction(np.spacing(max(abs(xi), abs(yi))))
+
+
+def test_a_1d_iso_geodesic_builds_no_table_and_solves_no_root(sinh_manifold, monkeypatch):
+    def reached(*args):
+        raise AssertionError("a knot table or a root solve was reached")
+
+    for name in ("_knot_lengths", "_invert", "newton_roots"):
+        monkeypatch.setattr(isomaps, name, reached)
+    t = np.linspace(0.0, 1.0, 7)
+    got = ig.iso_geodesic(sinh_manifold, [-2.0], [3.0], t)
+    assert got.shape == (7, 1) and np.array_equal(got[:, 0], (1.0 - t) * -2.0 + t * 3.0)
+    assert ig.iso_geodesic(sinh_manifold, [-2.0], [3.0], 0.25).shape == (1,)
+
+
+def _checked_log(x):
+    x = np.asarray(x, dtype=float)
+    if (x <= 0.0).any():
+        raise DomainError("log needs x > 0")
+    return np.log(x)
+
+
+def test_a_1d_iso_geodesic_keeps_the_errors_of_the_time_change(sinh_manifold):
+    # The same errors as on a 2-D map, whose iso-geodesic runs the time change.
+    for M, x, y in ((sinh_manifold, [-2.0], [3.0]),
+                    (make_manifold("river"), [0.0, 0.0], [1.0, 1.0])):
+        with pytest.raises(ValueError, match=r"^the time change requires t in \[0, 1\], got 1.5$"):
+            ig.iso_geodesic(M, x, y, np.array([0.5, 1.5]))
+        with pytest.raises(DegenerateCurveError):
+            ig.iso_geodesic(M, x, x, 0.5)
+        assert np.array_equal(ig.speed_profile(M, x, x, 4)[:, 1], np.zeros(4))
+    # log is defined on x > 0 only: phi at either endpoint raises.
+    M = ig.PullbackManifold(ig.Diffeomorphism(1, _checked_log, np.exp))
+    np.testing.assert_allclose(ig.iso_geodesic(M, [1.0], [3.0], 0.5), [2.0], rtol=1e-15)
+    for x, y in (([-1.0], [3.0]), ([1.0], [0.0])):
+        with pytest.raises(DomainError):
+            ig.iso_geodesic(M, x, y, 0.5)
+
+
+def test_sinh_speed_profile_is_the_coordinate_gap(sinh_manifold):
+    rng = np.random.default_rng(139)
+    x, y = rng.uniform(-8.0, 8.0, (2, 400))
+    for xi, yi in zip(x, y):
+        gap = abs(yi - xi)
+        if gap < 0.5:
+            continue
+        speeds = ig.speed_profile(sinh_manifold, [xi], [yi], 80)[:, 1]
+        assert (np.abs(speeds - gap) <= 1e-9 * gap).all()
 
 
 def test_default_arc_length_is_for_one_dimension_only():

@@ -282,7 +282,8 @@ def test_speed_profile_stencil_past_the_ends_reads_the_endpoints(identity2):
 
 @pytest.mark.parametrize("kwargs", [{"h": 0.0}, {"h": -1e-5}, {"h": np.nan}, {"h": np.inf},
                                     {"n_samples": -1}, {"n_samples": 2.5},
-                                    {"n_samples": True}])
+                                    {"n_samples": True}, {"n_samples": np.inf},
+                                    {"n_samples": -np.inf}, {"n_samples": np.nan}])
 def test_speed_profile_rejects_a_bad_step_or_count(identity2, kwargs):
     with pytest.raises(ValueError):
         ig.speed_profile(identity2, np.zeros(2), np.array([3.0, 4.0]), **kwargs)

@@ -1,5 +1,5 @@
 """The digest gate of ``scripts/output_digests.py``, the summary of
-``scripts/plot_ready_summary.py``, the grid-field row of
+``scripts/plot_ready_summary.py``, the grid-field and iso-geodesic rows of
 ``scripts/bench_layers.py`` and one warm pass of ``scripts/bench_passes.py``,
 run in-process."""
 
@@ -82,6 +82,15 @@ def test_bench_layers_times_the_grid_field_table(load_script):
     row = load_script("bench_layers").grid_field_times(grids=((4, 30),), repeat=1)
     assert list(row) == ["4x30"] and row["4x30"]["lines"] == 480
     assert row["4x30"]["on"] > 0.0 and row["4x30"]["off"] > 0.0
+
+
+def test_bench_layers_times_the_iso_geodesic_on_every_geometry(load_script):
+    bench = load_script("bench_layers")
+    row = bench.iso_geodesic_times(number=1, repeat=1)
+    assert list(row) == list(bench.GEOMETRIES)
+    for times in row.values():
+        assert list(times) == ["iso_geodesic_118", "speed_profile_80"]
+        assert all(t > 0.0 for t in times.values())
 
 
 def test_bench_passes_counts_river_factors(load_script, capsys):

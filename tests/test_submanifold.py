@@ -376,7 +376,7 @@ def test_rank_r_follows_the_integer_rule(banana_manifold):
     base = np.zeros(2)
     U = ig.iso_rank_r_approx(banana_manifold, pts, base, 2)
     assert np.array_equal(ig.iso_rank_r_approx(banana_manifold, pts, base, 2.0), U)
-    for r in (1.5, True):
+    for r in (1.5, True, np.inf, -np.inf, np.nan):
         for rank_r in (ig.iso_rank_r_approx, ig.submanifold_from_rank_r):
             with pytest.raises(ValueError, match="rank r must be an integer"):
                 rank_r(banana_manifold, pts, base, r)
