@@ -552,8 +552,7 @@ def grid_field_times(grids=GRID_FIELDS, repeat=5):
     config = load_config(ROOT / "configs" / "river_ratios.ini")
     M = experiments.build_manifold(config)
     d = M.diffeo
-    off = ig.PullbackManifold(ig.Diffeomorphism(2, d.forward, d.inverse, d.jvp, d.inv_jvp,
-                                                speed=d.speed))
+    off = ig.PullbackManifold(ig.Diffeomorphism(2, d.forward, d.inverse, d.jvp, d.inv_jvp))
     extras = config.extras
     box = ((extras["x1_min"], extras["x1_max"]), (extras["x2_min"], extras["x2_max"]))
     result = {}

@@ -19,10 +19,10 @@ pass:
   adds a few microseconds per call to ``wall_s``.  ``factors`` counts the
   ``coupling`` factors of a map that has one (river), wherever they run:
   in every pass, root-solve stencil and ``vectorchange`` probe of the rule,
-  which call them on the d - 1 other coordinates and not ``speed``, once
-  per shared (y_rest, w_rest) key in the batches that ``_arc_lengths``
-  shares, and inside a direct ``speed`` call (0 in a checkout without the
-  hook);
+  which call them on the d - 1 other coordinates and not ``speed``, and
+  once per shared (y_rest, w_rest) key in the batches that ``_arc_lengths``
+  shares (0 in a checkout without the hook); ``speed`` itself never calls
+  them;
 
 and the process's peak RSS.  ``--pass-bytes`` sets ``isomaps.PASS_BYTES``
 for a sweep of the pass size.  ``main`` puts back what it patches, so a

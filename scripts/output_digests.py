@@ -30,7 +30,9 @@ the end.
 With ``--compare OLD.json NEW.json`` it digests nothing: it prints the
 path of each digest that differs between two such reports (or is in one
 only), one per line, and exits 1 if there is any.  ``src_lines`` is no
-output, so it is left out of the comparison; its totals are printed.
+output, so it is left out of the comparison; its totals are printed, then
+each module whose lines changed, with the change in physical and code lines
+(a module in one report only counts 0 lines in the other).
 
 Usage:
     python scripts/output_digests.py --seeds 1 2 > digests.json
@@ -175,7 +177,12 @@ def compare(old_path, new_path):
     """Print each differing digest path; 1 if there is any, else 0."""
     old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
     old_lines, new_lines = old.pop("src_lines", {}), new.pop("src_lines", {})
-    print(f"src_lines total: {old_lines.get('total')} -> {new_lines.get('total')}")
+    modules = sorted((old_lines.keys() | new_lines.keys()) - {"total"})
+    for name in ["total"] + modules:
+        before, after = old_lines.get(name, [0, 0]), new_lines.get(name, [0, 0])
+        if name == "total" or before != after:
+            print(f"src_lines {name}: {before} -> {after}, physical "
+                  f"{after[0] - before[0]:+d}, code {after[1] - before[1]:+d}")
     changed = [" / ".join(path) for path in differences(old, new)]
     print("\n".join(changed) if changed else "no digest differs")
     return 1 if changed else 0

@@ -14,6 +14,7 @@ from .descent import LineSearchConfig, _solve, iso_barycentre
 from .errors import DimensionError
 from .isomaps import _arc_lengths
 from .pullback import as_point
+from .quadrature import _count
 
 KMEANS_MAX_ITERS = 300
 ISO_KMEANS_MAX_OUTER = 100
@@ -86,9 +87,10 @@ def euclidean_kmeans(points, K, seed):
 def _euclidean_kmeans(points, K, seed):
     """euclidean_kmeans of a validated ``(n, d)`` float array."""
     n = len(points)
-    if not 1 <= K <= n:
+    K = _count("K", K, 1)
+    if K > n:
         raise ValueError(f"K must satisfy 1 <= K <= N = {n}, got {K}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     centroids = _kmeans_pp_init(points, K, rng)
     labels = np.full(n, -1)
     converged = False
@@ -172,7 +174,7 @@ def iso_kmeans(M, points, K, seed, cfg=None, movement_tol=CENTROID_MOVEMENT_TOL)
     if not movement_tol > 0.0:
         raise ValueError(f"movement_tol must be > 0, got {movement_tol}")
     points = _point_stack(points, M.dim)
-    # riemannian_kmeans checks K.
+    # riemannian_kmeans checks K and the seed.
     init = riemannian_kmeans(M, points, K, seed)
     return _iso_kmeans(M, points, init,
                        cfg or LineSearchConfig(tol=1e-6), movement_tol)

@@ -110,6 +110,7 @@ def ird_descent(M, vector_field, x0, r, tol=1e-8, max_iters=500):
     tol or the iteration cap is hit.  Returns (point, trace).
     """
     x = as_point(x0, M.dim, "x0")
+    max_iters = _count("max_iters", max_iters, 0)
     xi = vector_field(x)
     trace = ConvergenceTrace()
     trace.append(x, xi.norm, r)

@@ -3,10 +3,10 @@
 All built-in maps act on the last axis of their input, so a single point is a
 ``(d,)`` array and a batch of points is ``(..., d)``.  Jacobian actions are
 analytic for every built-in; user-supplied maps that omit them fall back to
-central finite differences.  The speed is the norm of ``inv_jvp``, from the
-two factors of a ``coupling`` on river.  Spiral and banana give the arc
-lengths of phi-lines in closed form, and every 1-D map exactly; the other
-maps leave them to the rule.
+central finite differences.  Every map's speed is the norm of ``inv_jvp``;
+river also gives the two factors of a ``coupling``, which only the iso maps'
+rule reads.  Spiral and banana give the arc lengths of phi-lines in closed
+form, and every 1-D map exactly; the other maps leave them to the rule.
 """
 
 import math
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .quadrature import _sum_last
+from .quadrature import _count, _sum_last
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,10 +35,11 @@ def _fd_jvp(mapping):
 
 
 def _positive_dim(dim):
-    """``dim`` as an int; DimensionError unless it is a positive integral number."""
-    if int(dim) != dim or dim < 1:
-        raise DimensionError(f"dim must be a positive integer, got {dim}")
-    return int(dim)
+    """``dim`` as an int under ``_count``'s rule; DimensionError unless it is >= 1."""
+    try:
+        return _count("dim", dim, 1)
+    except ValueError:
+        raise DimensionError(f"dim must be a positive integer, got {dim}") from None
 
 
 def _stack(*components):
@@ -47,21 +48,6 @@ def _stack(*components):
     for k, component in enumerate(components):
         out[..., k] = component
     return out
-
-
-def _others(x, j):
-    """The coordinates of x other than its j-th: a view where j is the first or the last."""
-    if j == 0:
-        return x[..., 1:]
-    return x[..., :j] if j == x.shape[-1] - 1 else np.delete(x, j, axis=-1)
-
-
-def _coupled_speed(w_j, g, s):
-    """sqrt((w_j + g)^2 + s), the speed of a coupling from its factors, in place in g."""
-    g += w_j
-    np.square(g, out=g)
-    g += s
-    return np.sqrt(g, out=g)
 
 
 def _line_length(u0, q, c):
@@ -126,23 +112,15 @@ class Diffeomorphism:
     inv_jvp : callable, optional
         ``inv_jvp(y, w)``, the Jacobian of ``inverse`` at y applied to w.
         Defaults to central finite differences of ``inverse``.
-    speed : callable, optional
-        ``speed(y, w)``, the ``(...)`` l2 norms of ``inv_jvp(y, w)``: the
-        integrand the rule evaluates on a map without ``arc_length``, and on
-        every map the Newton derivative in t of the arc length of y + t w.
-        Defaults to the norm of ``inv_jvp``, with the bits of ``np.linalg.norm``.
     coupling : (int, callable), optional
         ``(j, factors)`` for an additive coupling layer (NICE), whose inverse
         is x_j = y_j + m(y_rest), x_rest = h(y_rest), y_rest the coordinates
-        other than j.  ``factors(y_rest, w_rest)`` gets the ``(..., d - 1)``
-        points y_rest and a w_rest that broadcasts against them (the rule
-        passes one per line, not per point), 0-d batches included, and
-        returns g = Dm w_rest, a new float array of the broadcast ``(...)``
-        shape, and s = |Dh w_rest|^2, which broadcasts against g; the speed
-        is sqrt((w_j + g)^2 + s), finished in g.  Where the rule runs (no
-        ``arc_length``) only y_rest is built, and a table of 169 lines or
-        more at d = 2 whose lines share their (y_rest, w_rest) calls it once
-        per distinct pair.  Not given with ``speed``.
+        other than j.  ``factors(y_rest, w_rest)`` gets ``(..., d - 1)``
+        points y_rest and a w_rest that broadcasts against them, 0-d batches
+        included, and returns g = Dm w_rest, a new float array of the
+        broadcast ``(...)`` shape, and s = |Dh w_rest|^2, which broadcasts
+        against g: the speed is sqrt((w_j + g)^2 + s).  Data that only the
+        rule of ``isomaps`` reads; ``speed`` does not.
     arc_length : callable, optional
         ``arc_length(y, w)``, the ``(...)`` l2 lengths of the curves
         ``inverse(y + t w)``, t in [0, 1], for y and w broadcast over
@@ -155,16 +133,12 @@ class Diffeomorphism:
     """
 
     def __init__(self, dim, forward, inverse, jvp=None, inv_jvp=None,
-                 name="custom", params=None, speed=None, arc_length=None, coupling=None):
+                 name="custom", params=None, arc_length=None, coupling=None):
         self.dim = _positive_dim(dim)
-        if speed is not None and coupling is not None:
-            raise ValueError("a coupling gives the speed: pass speed or coupling, not both")
         self.forward = forward
         self.inverse = inverse
         self.jvp = jvp if jvp is not None else _fd_jvp(forward)
         self.inv_jvp = inv_jvp if inv_jvp is not None else _fd_jvp(inverse)
-        if speed is not None:
-            self.speed = speed
         if arc_length is None and self.dim == 1:
             arc_length = self._monotone_length
         self.arc_length = arc_length
@@ -173,11 +147,8 @@ class Diffeomorphism:
         self.params = dict(params) if params else {}
 
     def speed(self, y, w):
-        """The norm of ``inv_jvp(y, w)`` with ``np.linalg.norm``'s bits, or a coupling's."""
-        if self.coupling is None:
-            return np.sqrt(_sum_last(np.square(self.inv_jvp(y, w))))
-        j, factors = self.coupling
-        return _coupled_speed(w[..., j], *factors(_others(y, j), _others(w, j)))
+        """The ``(...)`` l2 norms of ``inv_jvp(y, w)``, with ``np.linalg.norm``'s bits."""
+        return np.sqrt(_sum_last(np.square(self.inv_jvp(y, w))))
 
     def _monotone_length(self, y, w):
         """The default arc length of a 1-D map: its inverse is monotone."""
@@ -369,8 +340,6 @@ def sinh_shift_1d():
     def inv_jvp(y, w):
         return w / np.sqrt(1.0 + np.asarray(y, dtype=float) ** 2)
 
-    # Its arc lengths are exact (the 1-D default), so the default speed, the
-    # Newton derivative only, needs no fused kernel.
     return Diffeomorphism(1, forward, inverse, jvp, inv_jvp,
                           name="sinh_shift_1d", params={})
 

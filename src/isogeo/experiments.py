@@ -25,7 +25,7 @@ from .errors import (DegenerateBasisError, DegenerateCurveError, DomainError,
                      NonConvergenceError, StallError)
 from .isomaps import PASS_BYTES, _iso_log_vecs, _iso_transport_vecs, iso_geodesic
 from .pullback import PullbackManifold, as_point, closed_form_barycentre, lc_geodesic
-from .quadrature import _linspace_chunk
+from .quadrature import _count, _linspace_chunk
 from .serialize import _csv_text, _write_text, write_csv, write_json
 from .submanifold import GeodesicSubmanifold, _frame_submanifold, _rank_r_frame, l2pg_ird
 
@@ -60,7 +60,7 @@ def geodesic_rows(M, start, end, samples, iso):
     """The ``(samples, 1 + d)`` float table of times t and geodesic points."""
     ts = np.linspace(0.0, 1.0, samples)
     if not iso:
-        return np.column_stack([ts, lc_geodesic(M, start, end, ts[:, None])])
+        return np.column_stack([ts, lc_geodesic(M, start, end, ts)])
     # The endpoints are written as given; the interior times share one
     # table, and with none (samples <= 2) coincident endpoints are fine.
     points = np.where((ts == 0.0)[:, None], start, end).astype(float)
@@ -265,8 +265,7 @@ def grid_search_1d(S, f, s_min, s_max, n_points, screen=None):
     than the point of the smallest value, so the result is unchanged.  A
     chunk with a non-finite value or bound goes to f whole.
     """
-    if n_points < 2:
-        raise ValueError(f"grid search needs n_points >= 2, got {n_points}")
+    n_points = _count("n_points", n_points, 2)
     s_min, s_max = float(s_min), float(s_max)
     chunk = max(1, PASS_BYTES // (8 * S.manifold.dim))
     best = None

@@ -12,13 +12,15 @@ is integrated with the fixed Gauss-Legendre rule: ``_knot_lengths`` sums the
 one line that ``_invert`` brackets up to each panel knot, and ``_arc_lengths``
 evaluates a batch of phi-lines at every node in 96 kB passes, with the values
 of each line on its own, one pass after another on the calling thread, and
-keeps each line's total, its panels added in the knots' order.  A coupling
-map's (river's) points are built in the d - 1 coordinates its factors read
-alone, and its passes take more lines for the arrays they save.  A coupling
-batch of ``SHARED_PASSES`` whole-point passes or more (its last one may be
-partial) with at most half as many distinct (a_rest, w_rest) bit patterns, or
-keys, as lines (as a grid's field has) evaluates the factors once per key and
-the speed's finish per line.
+keeps each line's total, its panels added in the knots' order.  The rule's
+speed is the map's ``speed``, the norm of ``inv_jvp``, except on a map with a
+``coupling`` (river), which only this module reads: there it is
+sqrt((w_j + g)^2 + s) from the factors g and s of the d - 1 rest coordinates,
+the only ones built, with the bits of ``speed`` on river, and the passes take
+more lines for the arrays they save.  A coupling batch of ``SHARED_PASSES``
+whole-point passes or more (169 lines or more at d = 2) with at most half as
+many distinct (a_rest, w_rest) bit patterns, or keys, as lines (as a grid's
+field has) evaluates the factors once per key and the speed's finish per line.
 
 On a 1-D pullback the iso-geodesic, and so the speed profile, is the exact
 segment from x to y, with no knot table and no root solve.
@@ -28,7 +30,6 @@ import math
 
 import numpy as np
 
-from .diffeos import _coupled_speed, _others
 from .errors import DegenerateCurveError, DomainError, NonConvergenceError
 from .pullback import TangentVector, _point_pair, as_point
 from .quadrature import (NEWTON_MAXITER, REFINE_XTOL, _count, _leggauss, composite_nodes,
@@ -56,6 +57,21 @@ SHARED_PASSES = 8
 MAX_BRACKET_DOUBLINGS = 60
 
 
+def _others(x, j):
+    """The coordinates of x other than its j-th: a view where j is the first or the last."""
+    if j == 0:
+        return x[..., 1:]
+    return x[..., :j] if j == x.shape[-1] - 1 else np.delete(x, j, axis=-1)
+
+
+def _coupled_speed(w_j, g, s):
+    """sqrt((w_j + g)^2 + s), the speed of a coupling from its factors, in place in g."""
+    g += w_j
+    np.square(g, out=g)
+    g += s
+    return np.sqrt(g, out=g)
+
+
 def _points(a, w, ts):
     """The ``(L, n, d)`` points a + t w, a view of one C-contiguous ``(d, L, n)`` array.
 
@@ -72,12 +88,9 @@ def _speeds(M, a, w, ts):
         p = _points(a, w, ts)
         return M.diffeo.speed(p, np.broadcast_to(w[..., None, :], p.shape))
     j, factors = M.diffeo.coupling
-    return _coupled_speed(w[..., j, None], *_factors(factors, _others(a, j), _others(w, j), ts))
-
-
-def _factors(factors, a_rest, w_rest, ts):
-    """A coupling's factors on the rest coordinates of a + t w, w_rest broadcasting."""
-    return factors(_points(a_rest, w_rest, ts), w_rest[..., None, :])
+    a_rest, w_rest = _others(a, j), _others(w, j)
+    return _coupled_speed(w[..., j, None],
+                          *factors(_points(a_rest, w_rest, ts), w_rest[..., None, :]))
 
 
 def _arc_lengths(M, a, w):
@@ -113,7 +126,7 @@ def _arc_lengths(M, a, w):
         # Each key's factors are evaluated on the key's first line and taken by row.
         rows, own = order[part], key[part]
         first = heads[own[0]:own[-1] + 1]
-        g, s = _factors(factors, a_rest[first], w_rest[first], ts)
+        g, s = factors(_points(a_rest[first], w_rest[first], ts), w_rest[first, None, :])
         own = own - own[0]
         store(rows, _coupled_speed(w[rows, j, None], g[own], s[own]))
 

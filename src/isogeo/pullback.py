@@ -78,17 +78,20 @@ def lc_distance(M, x, y):
 
 
 def lc_geodesic(M, x, y, t):
-    """Geodesic point phi^-1((1-t) phi(x) + t phi(y)).
+    """Geodesic points phi^-1((1-t) phi(x) + t phi(y)), ``(..., d)`` for ``(...)`` times t.
 
     t outside [0, 1] extends the geodesic where phi^-1 is defined.
     """
     x, y = _point_pair(M, x, y)
     a, b = M.diffeo.forward(x), M.diffeo.forward(y)
+    t = np.asarray(t, dtype=float)[..., None]
     return M.diffeo.inverse((1.0 - t) * a + t * b)
 
 
 def lc_geodesic_velocity(M, x, y, t):
-    """Time derivative of the geodesic, based at the geodesic point."""
+    """Time derivative of the geodesic at a scalar t, based at the geodesic point."""
+    if np.ndim(t):
+        raise ValueError(f"lc_geodesic_velocity requires a scalar t, got shape {np.shape(t)}")
     x, y = _point_pair(M, x, y)
     a, b = M.diffeo.forward(x), M.diffeo.forward(y)
     p = (1.0 - t) * a + t * b

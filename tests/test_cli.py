@@ -1,6 +1,7 @@
 """Config parsing, experiment runner, and the isogeo command line."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -415,8 +416,18 @@ def test_grid_search_in_chunks_equals_one_shot_search(banana_manifold):
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w, equal_nan=True)
                     assert type(g) is type(w)
-    with pytest.raises(ValueError, match="n_points >= 2"):
-        experiments.grid_search_1d(S, f, -6.0, 6.0, 1)
+
+
+@pytest.mark.parametrize("n_points", [100.5, math.inf, -math.inf, math.nan, True, 1])
+def test_grid_search_n_points_follows_the_integer_rule(banana_manifold, n_points):
+    extras = {"rows": 3, "op_seed": 5, "noise": 0.05, "offset": 4.0, "s_true": 1.5}
+    S, _, _, _, f, _ = experiments.inverse_problem(banana_manifold, extras)
+    with pytest.raises(ValueError, match="^n_points must be"):
+        experiments.grid_search_1d(S, f, -6.0, 6.0, n_points)
+    # An integral float is the count it equals.
+    got = experiments.grid_search_1d(S, f, -6.0, 6.0, 100.0)
+    want = experiments.grid_search_1d(S, f, -6.0, 6.0, 100)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def _counting(f):

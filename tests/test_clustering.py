@@ -1,5 +1,6 @@
 """K-means variants and the adjusted Rand index."""
 
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -81,6 +82,27 @@ def test_kmeans_names_non_finite_phi_images(banana_manifold, kmeans):
     with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=r"phi\(points\) has non-finite entries"):
         kmeans(banana_manifold, pts, 2, seed=0)
+
+
+@pytest.mark.parametrize("kmeans", ["euclidean", "riemannian", "iso"])
+def test_kmeans_k_and_seed_follow_the_integer_rule(river_manifold, kmeans):
+    M = river_manifold
+    run = {"euclidean": lambda K, seed: ig.euclidean_kmeans(pts, K, seed),
+           "riemannian": lambda K, seed: ig.riemannian_kmeans(M, pts, K, seed),
+           "iso": lambda K, seed: ig.iso_kmeans(M, pts, K, seed)}[kmeans]
+    pts = np.random.default_rng(14).uniform(-3.0, 3.0, (20, 2))
+    for key, value in [(key, value) for key in ("K", "seed")
+                       for value in (1.5, math.inf, -math.inf, math.nan, True)]:
+        args = {"K": 2, "seed": 3, key: value}
+        with pytest.raises(ValueError) as excinfo:
+            run(**args)
+        assert str(excinfo.value) == f"{key} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        run(2, -1)
+    # An integral float is the count it equals.
+    want, got = run(2, 3), run(2.0, 3.0)
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.centroids, want.centroids)
 
 
 def test_euclidean_kmeans_invalid_k():

@@ -208,7 +208,7 @@ def test_every_schema_field_round_trips(tmp_path):
     ({"geometry": {"name": "identity", "beta": None, "eta": None, "dim": "0"}},
      "geometry: dim must be a positive integer, got 0"),
     ({"geometry": {"name": "identity", "beta": None, "eta": None, "dim": "inf"}},
-     "geometry: cannot convert float infinity to integer"),
+     "geometry: dim must be a positive integer, got inf"),
     ({"geometry": {"name": "sinh_shift_1d", "eta": None}},
      "geometry: sinh_shift_1d() got an unexpected keyword argument 'beta'"),
     ({"geometry": {"name": "identity", "beta": None, "eta": None, "dim": "2.5"}},

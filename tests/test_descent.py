@@ -1,5 +1,6 @@
 """Descent steps, Algorithm-1 barycentres, ratio and isometry diagnostics."""
 
+import math
 import warnings
 
 import numpy as np
@@ -158,6 +159,17 @@ def test_fixed_step_window_boundary_1d(sinh_manifold):
     fn = np.asarray(bad.field_norms)
     assert not bad.converged
     assert np.all(np.diff(fn) > 0)
+
+
+@pytest.mark.parametrize("max_iters", [2.5, math.inf, -math.inf, math.nan, True, -1])
+def test_ird_descent_max_iters_follows_the_integer_rule(sinh_manifold, max_iters):
+    field = barycentre_field(sinh_manifold, [np.array([v]) for v in (-0.6, 0.1, 0.5)])
+    with pytest.raises(ValueError, match="^max_iters must be"):
+        ig.ird_descent(sinh_manifold, field, np.array([0.2]), 0.5, max_iters=max_iters)
+    # An integral float is the count it equals.
+    got = ig.ird_descent(sinh_manifold, field, np.array([0.2]), 0.5, max_iters=3.0)[1]
+    want = ig.ird_descent(sinh_manifold, field, np.array([0.2]), 0.5, max_iters=3)[1]
+    assert got.field_norms == want.field_norms and len(got) == 4
 
 
 def test_monotonicity_ratio_identity(identity2):

@@ -153,8 +153,10 @@ def test_non_finite_parameters_rejected(factory, params, message):
 
 
 def test_identity_dim_must_be_integral():
-    with pytest.raises(ig.DimensionError, match="dim must be a positive integer, got 2.5"):
-        ig.identity(2.5)
+    for dim in (2.5, 0, math.inf, -math.inf, math.nan, True, False):
+        with pytest.raises(ig.DimensionError) as excinfo:
+            ig.identity(dim)
+        assert str(excinfo.value) == f"dim must be a positive integer, got {dim}"
     d = ig.identity(3.0)
     assert d.dim == 3 and d.params == {"dim": 3}
     assert d.forward(np.ones(3)).shape == (3,)
@@ -162,7 +164,7 @@ def test_identity_dim_must_be_integral():
 
 def test_diffeomorphism_dim_must_be_integral():
     river = ig.river()
-    for dim in (2.5, 0, -1, 0.5):
+    for dim in (2.5, 0, -1, 0.5, math.inf, math.nan, True):
         with pytest.raises(ig.DimensionError, match=f"dim must be a positive integer, got {dim}"):
             ig.Diffeomorphism(dim, river.forward, river.inverse)
     d = ig.Diffeomorphism(2.0, river.forward, river.inverse)

@@ -50,6 +50,25 @@ def test_lc_geodesic_endpoints(any_manifold):
     np.testing.assert_array_equal(ig.lc_geodesic(M, x, y, 1.0), y)
 
 
+def test_lc_geodesic_is_batch_first_in_t(any_manifold):
+    # (...) times give (...) points, each with the bits of its scalar call.
+    name, M = any_manifold
+    x, y = sample_pairs(name, M, np.random.default_rng(12), 1)[0]
+    for t in ([0.0, 0.5], [0.25, 0.5, 0.75], [[0.125, 1.0], [0.5, 0.0]]):
+        got = ig.lc_geodesic(M, x, y, t)
+        assert got.shape == np.shape(t) + (M.dim,)
+        want = [ig.lc_geodesic(M, x, y, s) for s in np.ravel(t)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_lc_geodesic_velocity_needs_a_scalar_t(banana_manifold):
+    for t in ([0.0, 0.5], np.array([0.5])):
+        with pytest.raises(ValueError, match="requires a scalar t"):
+            ig.lc_geodesic_velocity(banana_manifold, [-3.0, 0.0], [3.0, 2.0], t)
+    vel = ig.lc_geodesic_velocity(banana_manifold, [-3.0, 0.0], [3.0, 2.0], np.float64(0.5))
+    assert vel.vec.shape == (2,)
+
+
 def test_lc_geodesic_sinh_midpoint(sinh_manifold):
     got = ig.lc_geodesic(sinh_manifold, [0.0], [2.0], 0.5)
     want = math.asinh((math.sinh(1) + math.sinh(3)) / 2) - 1

@@ -49,8 +49,28 @@ def test_identical_digests_pass_the_gate(load_script, tmp_path, capsys):
     new = copy.deepcopy(REPORT)
     new["src_lines"] = {"isomaps.py": [450, 370], "total": [2921, 2311]}
     assert compare(load_script, tmp_path, REPORT, new) == 0
-    assert capsys.readouterr().out == ("src_lines total: [2931, 2321] -> [2921, 2311]\n"
-                                       "no digest differs\n")
+    assert capsys.readouterr().out == (
+        "src_lines total: [2931, 2321] -> [2921, 2311], physical -10, code -10\n"
+        "src_lines isomaps.py: [460, 380] -> [450, 370], physical -10, code -10\n"
+        "no digest differs\n")
+
+
+def test_the_gate_prints_each_changed_module(load_script, tmp_path, capsys):
+    # An unchanged module is left out; a new or removed one counts 0 lines
+    # in the report that lacks it.
+    old = copy.deepcopy(REPORT)
+    old["src_lines"] = {"cli.py": [119, 100], "isomaps.py": [460, 380],
+                        "old.py": [10, 8], "total": [589, 488]}
+    new = copy.deepcopy(REPORT)
+    new["src_lines"] = {"cli.py": [119, 100], "isomaps.py": [470, 379],
+                        "new.py": [5, 4], "total": [594, 483]}
+    assert compare(load_script, tmp_path, old, new) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "src_lines total: [589, 488] -> [594, 483], physical +5, code -5",
+        "src_lines isomaps.py: [460, 380] -> [470, 379], physical +10, code -1",
+        "src_lines new.py: [0, 0] -> [5, 4], physical +5, code +4",
+        "src_lines old.py: [10, 8] -> [0, 0], physical -10, code -8",
+        "no digest differs"]
 
 
 def test_a_changed_or_missing_digest_fails_the_gate(load_script, tmp_path, capsys):

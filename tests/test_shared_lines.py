@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import isogeo as ig
-from isogeo import isomaps
+from isogeo import clustering, isomaps
 from isogeo.experiments import ratio_grid_rows
 from isogeo.isomaps import SHARED_PASSES, _arc_lengths, _knot_lengths, _shared_keys
 from isogeo.quadrature import unit_rule
@@ -57,7 +57,7 @@ def middle_shear(hook=True):
     """A 3-D coupling that shears its middle coordinate by tanh(x0 + x2).
 
     Its factors unpack exactly two rest coordinates.  Without the hook, the
-    same map has the same operations as a plain ``speed``.
+    same map has the same operations as a speed set on the instance.
     """
     def shear(x, sign):
         return np.stack([x[..., 0], x[..., 1] + sign * np.tanh(x[..., 0] + x[..., 2]),
@@ -76,9 +76,11 @@ def middle_shear(hook=True):
         g, s = factors(y[..., ::2], w[..., ::2])
         return np.sqrt(np.square(g + w[..., 1]) + s)
 
-    return ig.Diffeomorphism(3, lambda x: shear(x, -1.0), lambda y: shear(y, 1.0),
-                             inv_jvp=inv_jvp, speed=None if hook else speed,
-                             coupling=(1, factors) if hook else None)
+    diffeo = ig.Diffeomorphism(3, lambda x: shear(x, -1.0), lambda y: shear(y, 1.0),
+                               inv_jvp=inv_jvp, coupling=(1, factors) if hook else None)
+    if not hook:
+        diffeo.speed = speed
+    return diffeo
 
 
 def signed_map():
@@ -120,6 +122,27 @@ def test_river_speed_is_the_fused_kernel():
         y, w = rng.standard_normal((2, 40, 17, 2)) * [3.0, 30.0]
         for args in ((y, w), (y, w[0, 0]), (y[0, 0], w), (y[0, 0], w[0, 0])):
             assert bits(np.asarray(river.speed(*args))) == bits(fused(*args))
+
+
+def test_river_never_falls_back_to_its_speed(monkeypatch):
+    # Every rule path reads river's coupling factors, never Diffeomorphism.speed,
+    # whose (..., d) inv_jvp temporary makes the slower default path.
+    river = ig.river()
+    M = ig.PullbackManifold(river)
+    calls, speed = [], river.speed
+    monkeypatch.setattr(river, "speed", lambda y, w: calls.append(y.shape) or speed(y, w))
+    rng = np.random.default_rng(292)
+    x, y = rng.uniform(-4.0, 4.0, (2, 300, 2))
+    nodes = np.stack(np.meshgrid(np.linspace(-4.0, 4.0, 8), np.linspace(-3.0, 3.0, 8)),
+                     axis=-1).reshape(-1, 2)
+    # Per-line passes, and a grid field whose 384 lines share 48 keys.
+    assert (ig.iso_distance(M, x, y) > 0.0).all()
+    assert (ig.iso_distance(M, nodes[:, None], y[None, :6]) > 0.0).all()
+    ig.timechange(M, x[0], y[0], np.linspace(0.0, 1.0, 9))
+    ig.iso_geodesic(M, x[1], y[1], np.linspace(0.0, 1.0, 9))
+    ig.iso_exp(M, ig.TangentVector(x[2], y[2] - x[2]))
+    clustering._nearest(M, x[:40], y[:3])
+    assert calls == []
 
 
 @pytest.mark.parametrize("passes", [SHARED_PASSES - 1, SHARED_PASSES, SHARED_PASSES + 1])
@@ -191,12 +214,6 @@ def test_a_middle_coordinate_coupling():
     d = M.diffeo
     plain = ig.PullbackManifold(ig.Diffeomorphism(3, d.forward, d.inverse, inv_jvp=d.inv_jvp))
     np.testing.assert_allclose(lengths, _arc_lengths(plain, a, w), rtol=1e-14, atol=0.0)
-
-
-def test_speed_and_coupling_are_exclusive():
-    with pytest.raises(ValueError, match="not both"):
-        ig.Diffeomorphism(2, lambda x: x, lambda y: y, speed=lambda y, w: w[..., 0],
-                          coupling=tanh_shear().coupling)
 
 
 def test_ratio_grid_rows_split_and_retry_on_shared_tables(monkeypatch):

@@ -97,7 +97,10 @@ def test_finite_difference_fallback_reads_the_transposed_view(monkeypatch):
 
 
 def test_default_speed_is_the_norm_of_inv_jvp():
-    # A map without a speed keeps the bits of np.linalg.norm, in every dimension.
+    # Every map's speed has the bits of np.linalg.norm of inv_jvp, in every
+    # dimension; there is no speed to pass instead.
+    with pytest.raises(TypeError, match="speed"):
+        ig.Diffeomorphism(2, lambda x: x, lambda y: y, speed=lambda y, w: w[..., 0])
     rng = np.random.default_rng(110)
     for dim in (1, 2, 7, 8, 9):
         B = rng.standard_normal((dim, dim)) + 3.0 * np.eye(dim)
@@ -142,18 +145,18 @@ def test_spiral_speed_raises_where_inv_jvp_does(r):
 
 
 def test_custom_speed_is_the_integrand_of_every_arc_length():
-    # A speed twice river's doubles every arc length bit for bit; the inversions
-    # and the vectorchange solve against it.
+    # An inv_jvp twice river's doubles its speed, and so every arc length, bit
+    # for bit; the inversions and the vectorchange solve against it.
     river = ig.river()
     calls = []
 
-    def speed(y, w):
+    def inv_jvp(y, w):
         calls.append(y.shape)
-        return 2.0 * river.speed(y, w)
+        return 2.0 * river.inv_jvp(y, w)
 
     M = ig.PullbackManifold(river)
     doubled = ig.PullbackManifold(ig.Diffeomorphism(
-        2, river.forward, river.inverse, river.jvp, river.inv_jvp, speed=speed))
+        2, river.forward, river.inverse, river.jvp, inv_jvp))
     rng = np.random.default_rng(120)
     a, w = phi_lines("river", M, rng)
     assert np.array_equal(_arc_lengths(doubled, a, w), 2.0 * _arc_lengths(M, a, w))
