@@ -15,6 +15,10 @@ Prints one JSON object:
   per task its exit code and ``workloads.output_digest`` (an experiment)
   or the sha256 of its result array (a speed profile), and the problems
   its check found;
+- ``accuracy``: for each ``perfbench`` workload at each ``--seeds`` seed, the
+  ``dist_rel_err``, ``roundtrip_err`` and ``speed_cv`` that
+  ``perfbench/accuracy.py`` measures on its probe pairs, so that a change
+  of any of them fails the comparison as a changed digest does;
 - ``src_lines``: physical and code lines (neither blank nor only a ``#``
   comment) of each ``src/isogeo`` module, with their totals;
 - ``stalls``: for each of ``river_barycentre``, ``river_ratios`` and
@@ -51,6 +55,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import accuracy  # noqa: E402
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from click.testing import CliRunner  # noqa: E402
@@ -130,12 +135,14 @@ def geodesic_digests(runner, workdir):
 
 
 def workload_digests(seeds, workdir):
-    out = {}
+    """The ``workloads`` and ``accuracy`` parts of the report."""
+    out, accurate = {}, {}
     for name, build in workloads.WORKLOADS.items():
         for seed in seeds:
-            tasks = build(seed, str(workdir / f"{name}-{seed}")).tasks
+            workload = build(seed, str(workdir / f"{name}-{seed}"))
+            accurate[f"{name} seed {seed}"] = accuracy.measure(workload.probes)
             digests = {}
-            for task in tasks:
+            for task in workload.tasks:
                 result = task.call()
                 if task.outdir is None:
                     array = np.ascontiguousarray(result, dtype=float)
@@ -146,7 +153,7 @@ def workload_digests(seeds, workdir):
                                           "files": workloads.output_digest(task.outdir)}
                 digests[task.name]["problems"] = task.check(result)
             out[f"{name} seed {seed}"] = digests
-    return out
+    return out, accurate
 
 
 def src_lines():
@@ -200,10 +207,9 @@ def main(argv=None):
     try:
         runner = CliRunner()
         report = {"configs": config_digests(runner, workdir),
-                  "geodesic": geodesic_digests(runner, workdir),
-                  "workloads": workload_digests(args.seeds, workdir),
-                  "stalls": stall_digests(runner, workdir),
-                  "src_lines": src_lines()}
+                  "geodesic": geodesic_digests(runner, workdir)}
+        report["workloads"], report["accuracy"] = workload_digests(args.seeds, workdir)
+        report.update(stalls=stall_digests(runner, workdir), src_lines=src_lines())
     finally:
         shutil.rmtree(workdir)
     print(json.dumps(report, indent=1, sort_keys=True))

@@ -197,28 +197,29 @@ def river(beta=5.0, eta=0.25):
         return _stack(v[..., 0] - beta * np.cos(x2) * v2,
                       eta * np.cosh(eta * x2) * v2)
 
-    def inv_jvp(y, w):
-        y2 = y[..., 1]
-        dx2 = w[..., 1] / (eta * np.sqrt(1.0 + y2 ** 2))
-        # w1 + beta cos(x2) dx2 at x2 = arcsinh(y2) / eta
-        return _stack(w[..., 0] + beta * np.cos(np.arcsinh(y2) / eta) * dx2, dx2)
-
-    def factors(y_rest, w_rest):
-        # g = beta cos(x2) dx2 and s = dx2^2: the operations of inv_jvp in two
-        # fresh buffers (a ufunc without out= returns a scalar on 0-d input).
-        y2 = y_rest[..., 0]
-        dx = np.square(y2, out=np.empty(np.broadcast(y_rest, w_rest).shape[:-1]))
+    def shear(y, w, square):
+        # (g, dx2), or (g, dx2^2) if square, with g = beta cos(x2) dx2,
+        # dx2 = w2 / (eta sqrt(1 + y2^2)) and x2 = arcsinh(y2) / eta, for y2 and
+        # w2 the last coordinates of y and w.  In place in fresh arrays, so g is
+        # an array on 0-d input, where a ufunc without out= returns a scalar.
+        dx = np.square(y[..., -1], out=np.empty(np.broadcast(y, w).shape[:-1]))
         dx += 1.0
         np.sqrt(dx, out=dx)
         dx *= eta
-        np.divide(w_rest[..., 0], dx, out=dx)
-        s = np.square(dx)
-        t = np.arcsinh(y2, out=np.empty_like(dx))
-        t /= eta
-        np.cos(t, out=t)
-        t *= beta
-        dx *= t
-        return dx, s
+        np.divide(w[..., -1], dx, out=dx)
+        g = np.arcsinh(y[..., -1], out=np.empty_like(dx))
+        g /= eta
+        np.cos(g, out=g)
+        g *= beta
+        g *= dx
+        return g, np.square(dx) if square else dx
+
+    def inv_jvp(y, w):
+        g, dx2 = shear(y, w, False)
+        return _stack(g + w[..., 0], dx2)
+
+    def factors(y_rest, w_rest):
+        return shear(y_rest, w_rest, True)
 
     return Diffeomorphism(2, forward, inverse, jvp, inv_jvp, name="river",
                           params={"beta": beta, "eta": eta}, coupling=(0, factors))

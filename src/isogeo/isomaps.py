@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import DegenerateCurveError, DomainError, NonConvergenceError
 from .pullback import TangentVector, _point_pair, as_point
-from .quadrature import (NEWTON_MAXITER, REFINE_XTOL, _count, _leggauss, composite_nodes,
-                         newton_roots, panel_integrals, unit_rule)
+from .quadrature import (_count, _leggauss, composite_nodes, newton_root, newton_roots,
+                         panel_integrals, residual_tolerance, unit_rule)
 
 # Bytes of the float (d, L, n) point array of one _arc_lengths pass: a pass takes
 # max(1, PASS_BYTES // (8 n d)) of the L lines of a batch, so peak memory does
@@ -300,7 +300,6 @@ def _vectorchange(M, x, a, v):
         return 0.0
     w = M.diffeo.jvp(x, v)
     q = M.quad
-    eps = 1e-15 * (1.0 + nv)
     arc_length = M.diffeo.arc_length
 
     if arc_length is not None:
@@ -332,7 +331,7 @@ def _vectorchange(M, x, a, v):
             g_hi = None
             hi = 0.5 * (lo + hi)
             continue
-        if abs(g_hi) <= eps:
+        if abs(g_hi) <= residual_tolerance(nv):
             return float(hi)
         if g_hi >= 0.0:
             break
@@ -346,27 +345,7 @@ def _vectorchange(M, x, a, v):
         raise NonConvergenceError(
             f"vectorchange failed to bracket within "
             f"{MAX_BRACKET_DOUBLINGS} doublings (|xi| = {nv})")
-    # newton_roots' steps on one lane, from the bracket's top end.
-    T, f, T_prev, f_prev = hi, g_hi, hi, math.inf
-    for _ in range(NEWTON_MAXITER):
-        if not math.isfinite(f):
-            raise NonConvergenceError(f"root solve: residual {f} at x = {T}")
-        slope = (f - f_prev) / (T - T_prev) if abs(f) > 0.5 * abs(f_prev) else speed
-        step = T - f / slope if slope != 0.0 else math.inf
-        if not lo <= step <= hi:
-            step = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-        if abs(step - T) < REFINE_XTOL:
-            return step
-        T_prev, f_prev, T = T, f, step
-        f, speed = g(T)
-        if abs(f) <= eps:
-            return T
-        if f < 0.0:
-            lo, g_lo = T, f
-        else:
-            hi, g_hi = T, f
-    raise NonConvergenceError(
-        f"root solve: 1 of 1 lanes open after {NEWTON_MAXITER} Newton iterations")
+    return newton_root(g, lo, hi, g_lo, g_hi, speed, nv)
 
 
 def vectorchange(M, xi):

@@ -4,12 +4,12 @@ The iso mappings integrate smooth positive speeds into arc lengths and
 invert them.  The inverses take Newton's method kept inside a bracket, with
 a regula falsi step where a Newton step leaves it, as in the ``rtsafe``
 routine of *Numerical Recipes* (Press et al.); an arc length's derivative
-is the speed, one quadrature node more.  ``newton_roots`` steps a batch in
-lockstep arrays.  ``isomaps.vectorchange`` takes the same steps on one root in
-Python floats (a test pins the bits): on one lane, numpy's per-call cost made
-it 50-80 us slower per call, and warm benchmark passes 9-21 % slower.
+is the speed, one quadrature node more.  Two loops take the same steps, bit
+for bit: ``newton_roots`` on a batch in lockstep arrays, and ``newton_root``
+on one root in Python floats, about 50 us a call faster than one lane of numpy.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -123,6 +123,11 @@ def panel_integrals(values, panels, nodes_per_panel):
     return _sum_last(values.reshape(*values.shape[:-1], panels, nodes_per_panel))
 
 
+def residual_tolerance(scale):
+    """The residual at or below which every root solve stops, for roots of size scale."""
+    return 1e-15 * (1.0 + abs(scale))
+
+
 def _check_finite(x, residual):
     if not np.isfinite(residual).all():
         bad = ~np.isfinite(residual)
@@ -139,14 +144,14 @@ def newton_roots(g, lo, hi, f_lo, f_hi, x, scale):
     Each step moves a bracket end to ``x`` and takes the Newton step, the
     bracket's regula falsi point where that step leaves it, or the secant of
     the last two iterates where the residual did not halve.  A lane returns ``x`` at
-    a residual within 1e-15 (1 + |scale|), and the stepped point after a step below
-    REFINE_XTOL.  Lanes share no arithmetic: each root is that of its own one-lane
-    solve.  Raises NonConvergenceError for a non-finite residual, a bracket without
-    a sign change, or a lane open after NEWTON_MAXITER steps.
+    a residual within ``residual_tolerance(scale)``, and the stepped point after a
+    step below REFINE_XTOL.  Lanes share no arithmetic: each root is that of its own
+    one-lane solve.  Raises NonConvergenceError for a non-finite residual, a bracket
+    without a sign change, or a lane open after NEWTON_MAXITER steps.
     """
     lo, hi, f_lo, f_hi, x = (np.array(v, dtype=float) for v in
                              np.broadcast_arrays(lo, hi, f_lo, f_hi, x))
-    eps = np.full(lo.shape, 1e-15 * (1.0 + np.abs(scale)))
+    eps = np.full(lo.shape, residual_tolerance(scale))
     _check_finite(lo, f_lo)
     _check_finite(hi, f_hi)
     wrong = (f_lo > 0.0) | (f_hi < 0.0)
@@ -191,3 +196,26 @@ def newton_roots(g, lo, hi, f_lo, f_hi, x, scale):
     raise NonConvergenceError(
         f"root solve: {len(live)} of {len(root)} lanes open after "
         f"{NEWTON_MAXITER} Newton iterations")
+
+
+def newton_root(g, lo, hi, f_lo, f_hi, df_hi, scale):
+    """``newton_roots`` on one lane, in Python floats, from the top end of a bracket:
+    ``g(x)`` gives the residual and derivative at x, ``df_hi`` the derivative at hi."""
+    x, f, df, x_prev, f_prev = hi, f_hi, df_hi, hi, math.inf
+    for k in range(NEWTON_MAXITER):
+        if k:
+            f, df = g(x)
+        if not math.isfinite(f):
+            raise NonConvergenceError(f"root solve: residual {f} at x = {x}")
+        if abs(f) <= residual_tolerance(scale):
+            return x
+        lo, f_lo, hi, f_hi = (x, f, hi, f_hi) if f < 0.0 else (lo, f_lo, x, f)
+        slope = (f - f_prev) / (x - x_prev) if abs(f) > 0.5 * abs(f_prev) else df
+        step = x - f / slope if slope != 0.0 else math.inf
+        if not lo <= step <= hi:
+            step = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        if abs(step - x) < REFINE_XTOL:
+            return step
+        x_prev, f_prev, x = x, f, step
+    raise NonConvergenceError(
+        f"root solve: 1 of 1 lanes open after {NEWTON_MAXITER} Newton iterations")

@@ -143,6 +143,14 @@ def test_malformed_ini_is_a_config_error(tmp_path, monkeypatch, text, want):
     assert result.stdout == "config.ini: config error\n"
 
 
+def test_unreadable_config_path_is_a_config_error(tmp_path):
+    # A missing file and a directory: configparser skips both without reading.
+    for path in (tmp_path / "missing.ini", tmp_path):
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert excinfo.value.problems == [f"cannot read config file {path!r}"]
+
+
 def test_config_missing_sections_are_exact(tmp_path):
     assert problems(tmp_path, drop=("geometry", "experiment")) == [
         "geometry: section is required", "experiment: section is required"]

@@ -54,6 +54,23 @@ def test_barycentre_field_values(sinh_manifold, river_manifold):
         ig.iso_barycentre_field(river_manifold, p, [])
 
 
+def test_barycentre_field_that_overflows_is_an_error(identity2):
+    # The mean of two iso-logs near the largest float overflows to inf.
+    points = [[1e308, 0.0], [1e308, 1.0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as excinfo:
+            ig.iso_barycentre_field(identity2, np.zeros(2), points)
+    assert str(excinfo.value) == "the barycentre field is not finite at [0. 0.]"
+
+
+@pytest.mark.parametrize("key, value", [("r0", 0.0), ("r0", -1.0), ("tol", 0.0),
+                                        ("tol", -1e-6)])
+def test_line_search_config_needs_a_positive_r0_and_tol(key, value):
+    with pytest.raises(ValueError) as excinfo:
+        ig.LineSearchConfig(**{key: value})
+    assert str(excinfo.value) == f"{key} must be > 0, got {value}"
+
+
 def test_two_point_field_vanishes_at_midpoint(river_manifold):
     rng = np.random.default_rng(1)
     for x, y in sample_pairs("river", river_manifold, rng, 10):
@@ -280,6 +297,16 @@ def test_restricted_isometry_matches_direct_recomputation(banana_manifold):
                       / ig.iso_distance(banana_manifold, x, y) ** 2)
     assert lo == pytest.approx(min(ratios) - 1.0, abs=1e-8)
     assert hi == pytest.approx(max(ratios) - 1.0, abs=1e-8)
+
+
+def test_restricted_isometry_needs_a_d_column_operator_and_pairs(banana_manifold):
+    pairs = [(np.array([1.0, 1.0]), np.array([2.0, 0.5]))]
+    for A in (np.eye(3), np.ones(2)):
+        with pytest.raises(ValueError) as excinfo:
+            ig.restricted_isometry_check(banana_manifold, A, pairs)
+        assert str(excinfo.value) == f"A must have 2 columns, got shape {A.shape}"
+    with pytest.raises(ValueError, match="^no non-degenerate pairs to check$"):
+        ig.restricted_isometry_check(banana_manifold, np.eye(2), iter([]))
 
 
 def test_restricted_isometry_skips_coincident(banana_manifold):

@@ -42,6 +42,8 @@ def test_spiral_domain_errors():
         d.inverse(np.array([-1.0, 0.0]))
     with pytest.raises(DomainError):
         d.inv_jvp(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+    with pytest.raises(DomainError, match="^spiral map is undefined at the origin$"):
+        d.jvp(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0]))
 
 
 def test_banana_analytic_values():

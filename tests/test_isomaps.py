@@ -209,6 +209,29 @@ def test_vectorchange_long_sinh_ray_is_exact(sinh_manifold):
     assert ig.iso_exp(sinh_manifold, xi)[0] == pytest.approx(x + v, abs=1e-14)
 
 
+# iso_exp(iso_log) on river(5, 0.25) from the origin to (3, x2).  The fixed
+# 64x4 rule resolves the ray's speed, which peaks near its start, up to
+# x2 = 20; beyond it the scale is wrong and nothing is raised (1 024
+# panels mend x2 = 25 and 30, not 40).
+RIVER_RAY_ORIGIN = np.array([0.0, 0.0])
+
+
+@pytest.mark.parametrize("x2", [6.0, 10.0, 16.0, 20.0])
+def test_iso_exp_returns_along_river_rays_the_rule_resolves(river_manifold, x2):
+    y = np.array([3.0, x2])
+    back = ig.iso_exp(river_manifold, ig.iso_log(river_manifold, RIVER_RAY_ORIGIN, y))
+    assert np.linalg.norm(back - y) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="the fixed 64x4 rule misses long river rays "
+                   "silently (ROADMAP item 7)")
+@pytest.mark.parametrize("x2", [25.0, 30.0, 40.0])
+def test_iso_exp_returns_along_long_river_rays(river_manifold, x2):
+    y = np.array([3.0, x2])
+    back = ig.iso_exp(river_manifold, ig.iso_log(river_manifold, RIVER_RAY_ORIGIN, y))
+    assert np.linalg.norm(back - y) <= 1e-12
+
+
 def test_iso_exp_zero_and_identity(identity2, river_manifold):
     x = np.array([1.0, 2.0])
     np.testing.assert_array_equal(

@@ -145,6 +145,12 @@ def test_transport_is_linear_and_invertible(river_manifold):
     np.testing.assert_allclose(back.vec, u, atol=1e-10)
 
 
+def test_lc_transport_requires_base_at_x(river_manifold):
+    x, y = np.array([1.0, 2.0]), np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match="^transported vector must be based at x$"):
+        ig.lc_transport(river_manifold, x, y, ig.TangentVector(y, np.ones(2)))
+
+
 def test_barycentre_identity_is_mean(identity2):
     rng = np.random.default_rng(7)
     pts = rng.uniform(-3, 3, (12, 2))

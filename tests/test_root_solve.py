@@ -2,6 +2,7 @@
 safe steps where Newton's leave the bracket or stall, typed failures, and
 arc-length inversions that do not depend on the batch."""
 
+import math
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ import isogeo as ig
 from isogeo import isomaps, quadrature
 from isogeo.errors import NonConvergenceError
 from isogeo.isomaps import _invert, _knot_lengths
-from isogeo.quadrature import NEWTON_MAXITER, REFINE_XTOL, newton_roots
+from isogeo.quadrature import NEWTON_MAXITER, REFINE_XTOL, newton_root, newton_roots
 
 from conftest import make_manifold, sample_pairs
 
@@ -383,3 +384,83 @@ def test_newton_roots_errors_equal_the_earlier_loop(case):
     with pytest.raises(NonConvergenceError) as got:
         newton_roots(*args)
     assert str(got.value) == str(want.value)
+
+
+def one_root(g, i, steps=None):
+    """Lane i of a lockstep residual g as the ``g(x)`` of ``newton_root``.
+
+    ``steps`` counts each probe after the first as a Newton, secant or
+    regula falsi step, by the rule ``newton_roots`` states.
+    """
+    probes = []
+
+    def lane(x):
+        f, df = (float(v[0]) for v in g(np.array([i]), np.array([x])))
+        if steps is not None and probes:
+            x1, f1, df1 = probes[-1]
+            x0, f0, _ = probes[-2] if len(probes) > 1 else (x1, math.inf, df1)
+            secant = abs(f1) > 0.5 * abs(f0)
+            slope = (f1 - f0) / (x1 - x0) if secant else df1
+            newton = x1 - f1 / slope if slope != 0.0 else None
+            steps["secant" if secant else "newton"] += x == newton
+            steps["regula falsi"] += x != newton
+        probes.append((x, f, df))
+        return f, df
+
+    lane.probes = probes
+    return lane
+
+
+def both_loops(g, i, lo, hi, f_lo, scale, steps=None):
+    """``newton_root`` and one-lane ``newton_roots`` on lane i of g from hi: each
+    root, or the message of its NonConvergenceError, and the points it probed."""
+    def solve(fn):
+        try:
+            return fn()
+        except NonConvergenceError as exc:
+            return str(exc)
+
+    lane = one_root(g, i, steps)
+    f_hi, df_hi = lane(hi)
+    alone = solve(lambda: newton_root(lane, lo, hi, f_lo, f_hi, df_hi, scale))
+    alone = alone, [x for x, _, _ in lane.probes]
+    lane = one_root(g, i)
+    lockstep = solve(lambda: float(newton_roots(
+        lambda _, x: tuple(np.array([v]) for v in lane(float(x[0]))),
+        [lo], [hi], [f_lo], [f_hi], [hi], scale)[0]))
+    return alone, (lockstep, [x for x, _, _ in lane.probes])
+
+
+def test_newton_root_is_newton_roots_on_one_lane_bit_for_bit():
+    steps = {"newton": 0, "secant": 0, "regula falsi": 0}
+    rng = np.random.default_rng(46)
+    n = 150
+    for family in FAMILIES:
+        lo = rng.uniform(-20, 5, n)
+        hi = lo + 10.0 ** rng.uniform(-3, 1.5, n)
+        g = family(rng, lo, hi)
+        f_lo = g(np.arange(n), lo)[0]
+        scales = np.where(rng.uniform(size=n) < 0.5, 1.0, 10.0 ** rng.uniform(-2, 16, n))
+        for i in range(n):
+            (alone, probes), (lockstep, lockstep_probes) = both_loops(
+                g, i, float(lo[i]), float(hi[i]), float(f_lo[i]), float(scales[i]), steps)
+            assert type(alone) is float and probes == lockstep_probes
+            assert np.float64(alone).view(np.int64) == np.float64(lockstep).view(np.int64)
+    assert min(steps.values()) >= 100
+
+
+def test_newton_root_fails_as_newton_roots_does():
+    # A NaN inside the bracket, and a step residual whose regula falsi
+    # bisections of a huge bracket need more than NEWTON_MAXITER steps.
+    def nan_inside(i, x):
+        return np.where((x > 0.0) & (x < 1.0), np.nan, x ** 3 - 0.125), 3 * x ** 2
+
+    def step(i, x):
+        return np.where(x < 0.3, -1.0, 1.0), np.zeros(len(x))
+
+    for g, lo, hi, f_lo, message in (
+            (nan_inside, 0.0, 1.0, -0.125, "root solve: residual nan at x = "),
+            (step, -1e30, 1e30, -1.0,
+             f"root solve: 1 of 1 lanes open after {NEWTON_MAXITER} Newton iterations")):
+        alone, lockstep = both_loops(g, 0, lo, hi, f_lo, 1.0)
+        assert alone == lockstep and alone[0].startswith(message)

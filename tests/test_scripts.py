@@ -6,6 +6,7 @@ run in-process."""
 import copy
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,6 +23,9 @@ REPORT = {
                                                           "summary.json": "cd34"}}},
     "geodesic": {"river 57 --iso": {"exit": [0, 0], "stdout": "ef56", "output": "ef56"},
                  "river --from zero": {"exit": 2}},
+    "accuracy": {"ratio_grid seed 7": {"dist_rel_err": 3.6657867772408495e-11,
+                                       "roundtrip_err": 8.191610388096e-15,
+                                       "speed_cv": 4.40961723580042e-08}},
     "src_lines": {"isomaps.py": [460, 380], "total": [2931, 2321]},
 }
 
@@ -85,6 +89,29 @@ def test_a_changed_or_missing_digest_fails_the_gate(load_script, tmp_path, capsy
         "geodesic / river 57 --iso / exit"]
 
 
+def test_a_changed_accuracy_fails_the_gate(load_script, tmp_path, capsys):
+    # One ulp more roundtrip error is a change.
+    new = copy.deepcopy(REPORT)
+    leaf = new["accuracy"]["ratio_grid seed 7"]
+    leaf["roundtrip_err"] = math.nextafter(leaf["roundtrip_err"], 1.0)
+    assert compare(load_script, tmp_path, REPORT, new) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "accuracy / ratio_grid seed 7 / roundtrip_err"]
+
+
+def test_output_digests_report_each_workloads_accuracy(load_script, tmp_path, monkeypatch):
+    # The accuracy part holds perfbench's three metrics on each workload's probes.
+    digests = load_script("output_digests")
+    measured = []
+    monkeypatch.setattr(digests.workloads, "WORKLOADS",
+                        {"ratio_grid": digests.workloads.WORKLOADS["ratio_grid"]})
+    monkeypatch.setattr(digests.accuracy, "measure",
+                        lambda probes: measured.append(len(probes)) or {"speed_cv": 0.5})
+    tasks, accurate = digests.workload_digests([7], tmp_path)
+    assert list(tasks) == list(accurate) == ["ratio_grid seed 7"]
+    assert accurate["ratio_grid seed 7"] == {"speed_cv": 0.5} and measured[0] > 0
+
+
 def test_plot_ready_summary_of_a_barycentre_run(load_script, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ISOGEO_OUTPUT_DIR", str(tmp_path))
     config = load_config(ROOT / "configs" / "river_barycentre.ini")
@@ -113,17 +140,35 @@ def test_bench_layers_times_the_iso_geodesic_on_every_geometry(load_script):
         assert all(t > 0.0 for t in times.values())
 
 
-def test_bench_passes_counts_river_factors(load_script, capsys):
+def test_bench_passes_counts_river_factors(load_script, capsys, monkeypatch):
     unpatched = isomaps.PASS_BYTES, isomaps.composite_nodes, diffeos.Diffeomorphism.__init__
-    argv = ["--workload", "geodesic_sampling", "--seed", "7", "--passes", "1",
+    bench = load_script("bench_passes")
+    # No timed pass runs under the counting wrappers: record, at each task
+    # call, whether they are installed.
+    wrapped, build = [], bench.workloads.WORKLOADS["geodesic_sampling"]
+
+    def watched(seed, workdir):
+        workload = build(seed, workdir)
+        for task in workload.tasks:
+            task.call = lambda call=task.call: wrapped.append(
+                diffeos.Diffeomorphism.__init__ is not unpatched[2]) or call()
+        return workload
+
+    monkeypatch.setitem(bench.workloads.WORKLOADS, "geodesic_sampling", watched)
+    argv = ["--workload", "geodesic_sampling", "--seed", "7", "--passes", "2",
             "--pass-bytes", "65536"]
-    assert load_script("bench_passes").main(argv) == 0
+    assert bench.main(argv) == 0
     assert (isomaps.PASS_BYTES, isomaps.composite_nodes,
             diffeos.Diffeomorphism.__init__) == unpatched
     report = json.loads(capsys.readouterr().out)
     assert list(report) == ["workload", "seed", "pass_bytes", "minflt", "wall_s", "quadratures",
-                            "diffeo_calls", "diffeo_points", "peak_rss_mb"]
-    assert report["pass_bytes"] == 65536 and len(report["minflt"]) == 1
+                            "diffeo_calls", "diffeo_points", "peak_rss_mb", "minflt_tasks"]
+    assert report["pass_bytes"] == 65536 and len(report["minflt"]) == len(report["wall_s"]) == 2
+    # The warm-up and two timed passes, then the counted pass.
+    n_tasks = len(report["minflt_tasks"])
+    assert wrapped == [False] * 3 * n_tasks + [True] * n_tasks
+    assert all(len(faults) == 2 for faults in report["minflt_tasks"].values())
+    assert [len(report[key]) for key in ("quadratures", "diffeo_calls", "diffeo_points")] == [1] * 3
     calls, points = report["diffeo_calls"][0], report["diffeo_points"][0]
     assert list(calls) == list(points) == ["forward", "inverse", "jvp", "inv_jvp", "speed",
                                            "arc_length", "factors"]

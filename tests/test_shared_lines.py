@@ -124,6 +124,26 @@ def test_river_speed_is_the_fused_kernel():
             assert bits(np.asarray(river.speed(*args))) == bits(fused(*args))
 
 
+def test_river_factors_are_its_inv_jvp_at_zero_w1():
+    # inv_jvp and the coupling factors run one kernel: at w1 = -0.0, the
+    # additive identity, inv_jvp is (g, dx2) and s = dx2^2, bit for bit,
+    # signed zeros of y and w2 included.
+    rng = np.random.default_rng(281)
+    for beta, eta in ((5.0, 0.25), (0.3, 2.0)):
+        river = ig.river(beta, eta)
+        j, factors = river.coupling
+        assert j == 0
+        y, w = rng.standard_normal((2, 40, 17, 2)) * [3.0, 30.0]
+        y[rng.uniform(size=y.shape) < 0.1] = -0.0
+        w[..., 1][rng.uniform(size=w.shape[:-1]) < 0.1] = -0.0
+        w[..., 0] = -0.0
+        for args in ((y, w), (y, w[0, 0]), (y[0, 0], w), (y[0, 0], w[0, 0])):
+            g, s = factors(args[0][..., 1:], args[1][..., 1:])
+            want = river.inv_jvp(*args)
+            assert bits(np.asarray(g)) == bits(want[..., 0])
+            assert bits(np.asarray(s)) == bits(np.square(want[..., 1]))
+
+
 def test_river_never_falls_back_to_its_speed(monkeypatch):
     # Every rule path reads river's coupling factors, never Diffeomorphism.speed,
     # whose (..., d) inv_jvp temporary makes the slower default path.

@@ -28,6 +28,10 @@ def test_constructor_validates_basis(identity2):
         ig.GeodesicSubmanifold(identity2, np.zeros(2), np.array([[1.0], [1.0]]))
     with pytest.raises(ValueError):
         ig.GeodesicSubmanifold(identity2, np.zeros(2), np.ones((2, 2)))
+    for basis, shape in ((np.ones(2), "(2,)"), (np.eye(3)[:, :1], "(3, 1)")):
+        with pytest.raises(ValueError) as excinfo:
+            ig.GeodesicSubmanifold(identity2, np.zeros(2), basis)
+        assert str(excinfo.value) == f"phi_basis must be (2, m), got shape {shape}"
 
 
 def test_membership_and_parameterization(banana_manifold):
