@@ -124,7 +124,7 @@ def panel_integrals(values, panels, nodes_per_panel):
 
 
 def residual_tolerance(scale):
-    """The residual at or below which every root solve stops, for roots of size scale."""
+    """The residual at or below which every root solve stops, for targets of size scale."""
     return 1e-15 * (1.0 + abs(scale))
 
 
