@@ -78,8 +78,7 @@ def count_diffeo_traffic(calls, points, built=()):
 
     def wrap(diffeo):
         if diffeo.coupling is not None:
-            j, factors = diffeo.coupling
-            diffeo.coupling = (j, counted("factors", factors))
+            diffeo.coupling = counted("factors", diffeo.coupling)
         current = (diffeo.forward, diffeo.inverse, diffeo.jvp, diffeo.inv_jvp, diffeo.speed,
                    diffeo.arc_length)
         for name, fn in zip(DIFFEO_CALLABLES, current):

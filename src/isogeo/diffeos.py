@@ -4,9 +4,9 @@ All built-in maps act on the last axis of their input, so a single point is a
 ``(d,)`` array and a batch of points is ``(..., d)``.  Jacobian actions are
 analytic for every built-in; user-supplied maps that omit them fall back to
 central finite differences.  Every map's speed is the norm of ``inv_jvp``;
-river also gives the two factors of a ``coupling``, which only the iso maps'
-rule reads.  Spiral and banana give the arc lengths of phi-lines in closed
-form, and every 1-D map exactly; the other maps leave them to the rule.
+river also gives the factors of a ``coupling``, which only the iso maps' rule
+reads.  Spiral and banana give the arc lengths of phi-lines in closed form,
+and every 1-D map exactly; the other maps leave them to the rule.
 """
 
 import math
@@ -112,15 +112,15 @@ class Diffeomorphism:
     inv_jvp : callable, optional
         ``inv_jvp(y, w)``, the Jacobian of ``inverse`` at y applied to w.
         Defaults to central finite differences of ``inverse``.
-    coupling : (int, callable), optional
-        ``(j, factors)`` for an additive coupling layer (NICE), whose inverse
-        is x_j = y_j + m(y_rest), x_rest = h(y_rest), y_rest the coordinates
-        other than j.  ``factors(y_rest, w_rest)`` gets ``(..., d - 1)``
-        points y_rest and a w_rest that broadcasts against them, 0-d batches
-        included, and returns g = Dm w_rest, a new float array of the
-        broadcast ``(...)`` shape, and s = |Dh w_rest|^2, which broadcasts
-        against g: the speed is sqrt((w_j + g)^2 + s).  Data that only the
-        rule of ``isomaps`` reads; ``speed`` does not.
+    coupling : callable, optional
+        ``factors`` of an additive coupling layer (NICE) on the first
+        coordinate, whose inverse is x_0 = y_0 + m(y_rest), x_rest =
+        h(y_rest) for the rest y_rest (permute to couple another one).
+        ``factors(y_rest, w_rest)`` gets ``(..., d - 1)`` points y_rest and
+        a w_rest that broadcasts against them, 0-d batches included, and
+        returns g = Dm w_rest, a new float array of the broadcast ``(...)``
+        shape, and s = |Dh w_rest|^2, which broadcasts against g: the speed
+        is sqrt((w_0 + g)^2 + s), which only ``isomaps``' rule reads.
     arc_length : callable, optional
         ``arc_length(y, w)``, the ``(...)`` l2 lengths of the curves
         ``inverse(y + t w)``, t in [0, 1], for y and w broadcast over
@@ -176,19 +176,29 @@ def identity(dim=2):
 
 
 def river(beta=5.0, eta=0.25):
-    """Shear along a meandering channel: (x1 - beta sin x2, sinh(eta x2))."""
+    """Shear along a meandering channel: (x1 - beta sin x2, sinh(eta x2)).
+
+    Defined where |sinh(eta x2)| < 2^511, whose square ``shear`` takes.
+    """
     _require_finite("river", beta=beta, eta=eta)
     if beta <= 0 or eta <= 0:
         raise ValueError(f"river requires beta, eta > 0, got {beta}, {eta}")
+    x2_max = math.asinh(2.0 ** 511) / eta
+
+    def outside(far):
+        if far.any():
+            raise DomainError("river map is undefined where |sinh(eta x2)| >= 2^511")
 
     def forward(x):
         x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
+        outside(np.abs(x2) >= x2_max)
         return _stack(x1 - beta * np.sin(x2), np.sinh(eta * x2))
 
     def inverse(y):
         y = np.asarray(y, dtype=float)
         y1, y2 = y[..., 0], y[..., 1]
+        outside(np.abs(y2) >= 2.0 ** 511)
         x2 = np.arcsinh(y2) / eta
         return _stack(y1 + beta * np.sin(x2), x2)
 
@@ -222,7 +232,7 @@ def river(beta=5.0, eta=0.25):
         return shear(y_rest, w_rest, True)
 
     return Diffeomorphism(2, forward, inverse, jvp, inv_jvp, name="river",
-                          params={"beta": beta, "eta": eta}, coupling=(0, factors))
+                          params={"beta": beta, "eta": eta}, coupling=factors)
 
 
 def spiral(beta=0.25):

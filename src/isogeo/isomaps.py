@@ -7,20 +7,21 @@ the timechange inverts the cumulative arc length, and the vectorchange
 rescales exponential arguments so that radial arc lengths match vector norms.
 
 Arc lengths come from one engine.  Where the diffeomorphism gives them,
-``arc_length`` is exact and ``speed`` is its derivative; elsewhere the speed
-is integrated with the fixed Gauss-Legendre rule: ``_knot_lengths`` sums the
-one line that ``_invert`` brackets up to each panel knot, and ``_arc_lengths``
-evaluates a batch of phi-lines at every node in 96 kB passes, with the values
-of each line on its own, one pass after another on the calling thread, and
-keeps each line's total, its panels added in the knots' order.  The rule's
-speed is the map's ``speed``, the norm of ``inv_jvp``, except on a map with a
-``coupling`` (river), which only this module reads: there it is
-sqrt((w_j + g)^2 + s) from the factors g and s of the d - 1 rest coordinates,
-the only ones built, with the bits of ``speed`` on river, and the passes take
-more lines for the arrays they save.  A coupling batch of ``SHARED_PASSES``
-whole-point passes or more (169 lines or more at d = 2) with at most half as
-many distinct (a_rest, w_rest) bit patterns, or keys, as lines (as a grid's
-field has) evaluates the factors once per key and the speed's finish per line.
+``arc_length`` is exact and ``speed`` is its derivative (``_exact_probe``
+reads both); elsewhere the speed is integrated with the fixed Gauss-Legendre
+rule: ``_knot_lengths`` sums the one line that ``_invert`` brackets up to
+each panel knot, and ``_arc_lengths`` evaluates a batch of phi-lines at every
+node in 96 kB passes, with the values of each line on its own, one pass after
+another on the calling thread, and keeps each line's total, its panels added
+in the knots' order.  The rule's speed is the map's ``speed``, the norm of
+``inv_jvp``, except on a map with a ``coupling`` (river), which only this
+module reads: there it is sqrt((w_0 + g)^2 + s) from the factors g and s of
+the d - 1 coordinates after the first, the only ones built, with the bits of
+``speed`` on river, and the passes take more lines for the arrays they save.
+A coupling batch of ``SHARED_PASSES`` whole-point passes or more (169 lines
+or more at d = 2) with at most half as many distinct (a_rest, w_rest) bit
+patterns, or keys, as lines (as a grid's field has) evaluates the factors
+once per key and the speed's finish per line.
 
 On a 1-D pullback the iso-geodesic, and so the speed profile, is the exact
 segment from x to y, with no knot table and no root solve.
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateCurveError, DomainError, NonConvergenceError
 from .pullback import TangentVector, _point_pair, as_point
-from .quadrature import (_count, _leggauss, composite_nodes, newton_root, newton_roots,
+from .quadrature import (_count, composite_nodes, gauss_panels, newton_root, newton_roots,
                          panel_integrals, residual_tolerance, unit_rule)
 
 # Bytes of the float (d, L, n) point array of one _arc_lengths pass: a pass takes
@@ -57,16 +58,9 @@ SHARED_PASSES = 8
 MAX_BRACKET_DOUBLINGS = 60
 
 
-def _others(x, j):
-    """The coordinates of x other than its j-th: a view where j is the first or the last."""
-    if j == 0:
-        return x[..., 1:]
-    return x[..., :j] if j == x.shape[-1] - 1 else np.delete(x, j, axis=-1)
-
-
-def _coupled_speed(w_j, g, s):
-    """sqrt((w_j + g)^2 + s), the speed of a coupling from its factors, in place in g."""
-    g += w_j
+def _coupled_speed(w_0, g, s):
+    """sqrt((w_0 + g)^2 + s), the speed of a coupling from its factors, in place in g."""
+    g += w_0
     np.square(g, out=g)
     g += s
     return np.sqrt(g, out=g)
@@ -84,13 +78,12 @@ def _points(a, w, ts):
 
 def _speeds(M, a, w, ts):
     """l2 speeds ``(n,)`` or ``(L, n)`` of one ``(d,)`` or ``(L, d)`` phi-line a + t w."""
-    if M.diffeo.coupling is None:
+    factors = M.diffeo.coupling
+    if factors is None:
         p = _points(a, w, ts)
         return M.diffeo.speed(p, np.broadcast_to(w[..., None, :], p.shape))
-    j, factors = M.diffeo.coupling
-    a_rest, w_rest = _others(a, j), _others(w, j)
-    return _coupled_speed(w[..., j, None],
-                          *factors(_points(a_rest, w_rest, ts), w_rest[..., None, :]))
+    return _coupled_speed(w[..., 0, None],
+                          *factors(_points(a[..., 1:], w[..., 1:], ts), w[..., None, 1:]))
 
 
 def _arc_lengths(M, a, w):
@@ -128,14 +121,13 @@ def _arc_lengths(M, a, w):
         first = heads[own[0]:own[-1] + 1]
         g, s = factors(_points(a_rest[first], w_rest[first], ts), w_rest[first, None, :])
         own = own - own[0]
-        store(rows, _coupled_speed(w[rows, j, None], g[own], s[own]))
+        store(rows, _coupled_speed(w[rows, 0, None], g[own], s[own]))
 
-    one_pass, width = per_line, step
-    if M.diffeo.coupling is not None:
-        j, factors = M.diffeo.coupling
+    one_pass, width, factors = per_line, step, M.diffeo.coupling
+    if factors is not None:
         width = step * (d + COUPLING_ARRAYS) // (d - 1 + COUPLING_ARRAYS)
         if len(w) > (SHARED_PASSES - 1) * step:
-            a_rest, w_rest = _others(a, j), _others(w, j)
+            a_rest, w_rest = a[:, 1:], w[:, 1:]
             order, key, heads = _shared_keys(a_rest, w_rest)
             if 2 * len(heads) <= len(w):
                 # d times the lines of a whole-point pass, in key order: their
@@ -171,6 +163,12 @@ def _knot_lengths(M, a, w):
     return cumlen
 
 
+def _exact_probe(M, a, w, t):
+    """The closed-form arc length along a + t w from 0 to t, and the speed at t."""
+    tw = t * w
+    return M.diffeo.arc_length(a, tw), M.diffeo.speed(a + tw, w)
+
+
 def _invert(M, a, w, cumlen, target):
     """Smallest t' whose arc length along a + t w is each target, refined past the table.
 
@@ -182,7 +180,6 @@ def _invert(M, a, w, cumlen, target):
     """
     q = M.quad
     knots = unit_rule(q)[2]
-    nodes, weights = _leggauss(q.nodes_per_panel)
     changed = np.where(target <= 0.0, 0.0, 1.0)
     inner = np.flatnonzero((target > 0.0) & (target < cumlen[-1]))
     target = target[inner]
@@ -190,23 +187,21 @@ def _invert(M, a, w, cumlen, target):
     lo, hi = knots[idx - 1], knots[idx]
     c_lo, c_hi = cumlen[idx - 1], cumlen[idx]
     guess = lo + (hi - lo) * (target - c_lo) / np.maximum(c_hi - c_lo, 1e-300)
-    arc_length = M.diffeo.arc_length
 
-    if arc_length is not None:
+    if M.diffeo.arc_length is not None:
         def g(lanes, tp):
             # Arc length from 0 to tp minus the target, and the speed at tp.
-            tw = tp[:, None] * w
-            return arc_length(a, tw) - target[lanes], M.diffeo.speed(a + tw, w)
+            length, speed = _exact_probe(M, a, w, tp[:, None])
+            return length - target[lanes], speed
     else:
         def g(lanes, tp):
-            # Arc length from 0 to tp minus the target, by the stencil
-            # composite_nodes(lo, tp, 1, n) on the lane's panel, and the speed at tp.
-            kn = lo[lanes]
-            half, mid = 0.5 * (tp - kn), 0.5 * (tp + kn)
-            ts = np.concatenate([mid[:, None] + half[:, None] * nodes, tp[:, None]], axis=1)
+            # Arc length from 0 to tp minus the target, by the rule on the
+            # lane's panel [knot, tp], and the speed at tp.
+            nodes, weights = gauss_panels(lo[lanes], tp, q.nodes_per_panel)
+            ts = np.concatenate([nodes, tp[:, None]], axis=1)
             speeds = _speeds(M, a, w, ts.ravel()).reshape(ts.shape)
             # vecdot runs the dot kernel of np.dot: each sum is the scalar one.
-            length = c_lo[lanes] + np.vecdot(speeds[:, :-1], half[:, None] * weights)
+            length = c_lo[lanes] + np.vecdot(speeds[:, :-1], weights)
             return length - target[lanes], speeds[:, -1]
 
     changed[inner] = newton_roots(g, lo, hi, c_lo - target, c_hi - target, guess,
@@ -300,12 +295,12 @@ def _vectorchange(M, x, a, v):
         return 0.0
     w = M.diffeo.jvp(x, v)
     q = M.quad
-    arc_length = M.diffeo.arc_length
 
-    if arc_length is not None:
+    if M.diffeo.arc_length is not None:
         def g(T):
             # Arc length to T minus |v|, and the speed at T.
-            return float(arc_length(a, T * w)) - nv, float(M.diffeo.speed(a + T * w, w))
+            length, speed = _exact_probe(M, a, w, T)
+            return float(length) - nv, float(speed)
     else:
         def g(T):
             # Arc length to T minus |v|, and the speed at T, from one _speeds call

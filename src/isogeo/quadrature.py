@@ -1,12 +1,13 @@
 """Composite Gauss-Legendre quadrature and root refinement.
 
-The iso mappings integrate smooth positive speeds into arc lengths and
-invert them.  The inverses take Newton's method kept inside a bracket, with
-a regula falsi step where a Newton step leaves it, as in the ``rtsafe``
-routine of *Numerical Recipes* (Press et al.); an arc length's derivative
-is the speed, one quadrature node more.  Two loops take the same steps, bit
-for bit: ``newton_roots`` on a batch in lockstep arrays, and ``newton_root``
-on one root in Python floats, about 50 us a call faster than one lane of numpy.
+The iso mappings integrate smooth positive speeds into arc lengths, on panels
+that only ``gauss_panels`` lays out, and invert them.  The inverses take
+Newton's method kept inside a bracket, with a regula falsi step where a Newton
+step leaves it, as in the ``rtsafe`` routine of *Numerical Recipes* (Press et
+al.); an arc length's derivative is the speed, one quadrature node more.  Two
+loops take the same steps, bit for bit: ``newton_roots`` on a batch in
+lockstep arrays, and ``newton_root`` on one root in Python floats, about 50 us
+a call faster than one lane of numpy.
 """
 
 import math
@@ -42,9 +43,10 @@ class QuadratureConfig:
 
 def _count(key, value, low):
     """value as an int >= low, else ValueError naming key."""
-    # An integral float becomes an int, as a dim does; a bool, inf or NaN is no count.
+    # An integral float becomes an int, as a dim does; a bool (numpy's too), inf
+    # or NaN is no count.
     try:
-        whole = not isinstance(value, bool) and int(value) == value
+        whole = not isinstance(value, (bool, np.bool_)) and int(value) == value
     except (OverflowError, ValueError):
         whole = False
     if not whole:
@@ -76,17 +78,20 @@ def _linspace_chunk(start, stop, num, i0, i1):
     return y
 
 
+def gauss_panels(lo, hi, n):
+    """The n Gauss-Legendre nodes and weights ``(k, n)`` of the k panels [lo_i, hi_i]."""
+    nodes, weights = _leggauss(n)
+    half = (0.5 * (hi - lo))[:, None]
+    return (0.5 * (hi + lo))[:, None] + half * nodes, half * weights
+
+
 def composite_nodes(a, b, panels, nodes_per_panel):
     """Flattened Gauss-Legendre nodes and weights for [a, b] split into panels.
 
     The panel edges are ``np.linspace(a, b, panels + 1)``, bit for bit.
     """
-    nodes, weights = _leggauss(nodes_per_panel)
     edges = _linspace_chunk(a, b, panels + 1, 0, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    t = mid[:, None] + half[:, None] * nodes[None, :]
-    w = half[:, None] * weights[None, :]
+    t, w = gauss_panels(edges[:-1], edges[1:], nodes_per_panel)
     return t.ravel(), w.ravel(), edges
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import isogeo as ig
+from isogeo.quadrature import _count
 
 
 def test_band_determinism(river_manifold):
@@ -92,6 +93,14 @@ def test_invalid_specs():
         ig.DatasetSpec(kind="river_band", n=0)
     with pytest.raises(ValueError):
         ig.DatasetSpec(kind="river_band", n=5, noise_sigma=-0.1)
+
+
+def test_a_numpy_bool_is_no_count():
+    for value in (True, np.True_, np.False_):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {value!r}$"):
+            _count("n", value, 0)
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            ig.DatasetSpec("river_band", n=value)
 
 
 def test_dataset_counts_follow_the_integer_rule(river_manifold):

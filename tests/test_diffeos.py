@@ -46,6 +46,30 @@ def test_spiral_domain_errors():
         d.jvp(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0]))
 
 
+def test_river_domain_ends_where_phi2_reaches_2_pow_511():
+    M = ig.PullbackManifold(ig.river(beta=5.0, eta=0.25))
+    d, far = M.diffeo, r"^river map is undefined where \|sinh\(eta x2\)\| >= 2\^511$"
+    edge = math.asinh(2.0 ** 511) / 0.25
+    # Past the edge river's shear would square phi2 past the float range.
+    for x2 in (edge, -edge, 1500.0, 3000.0, 1e308, math.inf):
+        with pytest.raises(DomainError, match=far):
+            d.forward(np.array([[0.0, 0.0], [0.0, x2]]))
+    for y2 in (2.0 ** 511, -2.0 ** 511, math.inf):
+        with pytest.raises(DomainError, match=far):
+            d.inverse(np.array([0.0, y2]))
+    below = math.nextafter(2.0 ** 511, 0.0)
+    assert np.isfinite(d.inv_jvp(np.array([0.0, below]), np.ones(2))).all()
+    assert np.isfinite(d.inverse(d.forward(np.array([0.0, 1400.0])))).all()
+    assert np.isfinite(ig.lc_log(M, (0.0, 1400.0), (0.0, 1390.0)).vec).all()
+    with pytest.raises(DomainError, match=far):
+        ig.lc_log(M, (0.0, 1500.0), (0.0, 1490.0))
+    x, y = (0.0, 0.0), (0.0, 3000.0)
+    for call in (lambda: ig.iso_distance(M, x, y), lambda: ig.timechange(M, x, y, 0.5),
+                 lambda: ig.iso_geodesic(M, x, y, np.linspace(0.0, 1.0, 5))):
+        with pytest.raises(DomainError, match=far):
+            call()
+
+
 def test_banana_analytic_values():
     d = ig.banana(a=1.0 / 9.0, z=0.0)
     np.testing.assert_allclose(d.forward(np.array([2.0, 3.0])), [1.0, 3.0],

@@ -169,6 +169,8 @@ def test_bench_passes_counts_river_factors(load_script, capsys, monkeypatch):
     assert wrapped == [False] * 3 * n_tasks + [True] * n_tasks
     assert all(len(faults) == 2 for faults in report["minflt_tasks"].values())
     assert [len(report[key]) for key in ("quadratures", "diffeo_calls", "diffeo_points")] == [1] * 3
+    # Root solves probe their panels through gauss_panels, not a full rule.
+    assert report["quadratures"] == [0]
     calls, points = report["diffeo_calls"][0], report["diffeo_points"][0]
     assert list(calls) == list(points) == ["forward", "inverse", "jvp", "inv_jvp", "speed",
                                            "arc_length", "factors"]

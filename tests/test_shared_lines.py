@@ -50,34 +50,34 @@ def tanh_shear(hook=True):
         return (1.0 - np.tanh(y_rest[..., 0]) ** 2) * w_rest[..., 0], np.square(w_rest[..., 0])
 
     return ig.Diffeomorphism(2, forward, inverse, inv_jvp=inv_jvp,
-                             coupling=(0, factors) if hook else None)
+                             coupling=factors if hook else None)
 
 
-def middle_shear(hook=True):
-    """A 3-D coupling that shears its middle coordinate by tanh(x0 + x2).
+def shear_3d(hook=True):
+    """A 3-D coupling that shears its first coordinate by tanh(x1 + x2).
 
     Its factors unpack exactly two rest coordinates.  Without the hook, the
     same map has the same operations as a speed set on the instance.
     """
     def shear(x, sign):
-        return np.stack([x[..., 0], x[..., 1] + sign * np.tanh(x[..., 0] + x[..., 2]),
+        return np.stack([x[..., 0] + sign * np.tanh(x[..., 1] + x[..., 2]), x[..., 1],
                          x[..., 2]], axis=-1)
 
     def factors(y_rest, w_rest):
-        (y0, y2), (w0, w2) = np.moveaxis(y_rest, -1, 0), np.moveaxis(w_rest, -1, 0)
-        slope = 1.0 - np.tanh(y0 + y2) ** 2
-        return slope * (w0 + w2), np.square(w0) + np.square(w2)
+        (y1, y2), (w1, w2) = np.moveaxis(y_rest, -1, 0), np.moveaxis(w_rest, -1, 0)
+        slope = 1.0 - np.tanh(y1 + y2) ** 2
+        return slope * (w1 + w2), np.square(w1) + np.square(w2)
 
     def inv_jvp(y, w):
-        g = factors(y[..., ::2], w[..., ::2])[0]
-        return np.stack([w[..., 0], w[..., 1] + g, w[..., 2]], axis=-1)
+        g = factors(y[..., 1:], w[..., 1:])[0]
+        return np.stack([w[..., 0] + g, w[..., 1], w[..., 2]], axis=-1)
 
     def speed(y, w):
-        g, s = factors(y[..., ::2], w[..., ::2])
-        return np.sqrt(np.square(g + w[..., 1]) + s)
+        g, s = factors(y[..., 1:], w[..., 1:])
+        return np.sqrt(np.square(g + w[..., 0]) + s)
 
     diffeo = ig.Diffeomorphism(3, lambda x: shear(x, -1.0), lambda y: shear(y, 1.0),
-                               inv_jvp=inv_jvp, coupling=(1, factors) if hook else None)
+                               inv_jvp=inv_jvp, coupling=factors if hook else None)
     if not hook:
         diffeo.speed = speed
     return diffeo
@@ -88,30 +88,28 @@ def signed_map():
     def factors(y_rest, w_rest):
         return np.copysign(0.5, w_rest[..., 0]) + y_rest[..., 0], np.square(w_rest[..., 0])
 
-    return ig.Diffeomorphism(2, lambda x: x, lambda y: y, coupling=(0, factors))
+    return ig.Diffeomorphism(2, lambda x: x, lambda y: y, coupling=factors)
 
 
 def shared_lines(M, n, group, seed=0):
     """n lines whose (a_rest, w_rest) repeat in groups of ``group``, shuffled."""
     rng = np.random.default_rng(seed)
     a, w = rng.uniform(-4.0, 4.0, (2, n, M.dim))
-    j = M.diffeo.coupling[0]
-    rest = [k for k in range(M.dim) if k != j]
     keys = rng.permutation(np.arange(n) // group)
-    a[:, rest], w[:, rest] = a[keys][:, rest], w[keys][:, rest]
+    a[:, 1:], w[:, 1:] = a[keys, 1:], w[keys, 1:]
     return a, w
 
 
 def count_factor_points(monkeypatch, M):
     """The points of each call of M's coupling factors, as a list."""
-    j, factors = M.diffeo.coupling
+    factors = M.diffeo.coupling
     points = []
 
     def counted(y_rest, w_rest):
         points.append(np.broadcast(y_rest, w_rest).size // y_rest.shape[-1])
         return factors(y_rest, w_rest)
 
-    monkeypatch.setattr(M.diffeo, "coupling", (j, counted))
+    monkeypatch.setattr(M.diffeo, "coupling", counted)
     return points
 
 
@@ -131,8 +129,7 @@ def test_river_factors_are_its_inv_jvp_at_zero_w1():
     rng = np.random.default_rng(281)
     for beta, eta in ((5.0, 0.25), (0.3, 2.0)):
         river = ig.river(beta, eta)
-        j, factors = river.coupling
-        assert j == 0
+        factors = river.coupling
         y, w = rng.standard_normal((2, 40, 17, 2)) * [3.0, 30.0]
         y[rng.uniform(size=y.shape) < 0.1] = -0.0
         w[..., 1][rng.uniform(size=w.shape[:-1]) < 0.1] = -0.0
@@ -225,8 +222,8 @@ def test_a_custom_coupling_with_and_without_its_hook(group, monkeypatch):
     assert points
 
 
-def test_a_middle_coordinate_coupling():
-    M = ig.PullbackManifold(middle_shear())
+def test_a_3d_coupling_on_shared_keys():
+    M = ig.PullbackManifold(shear_3d())
     a, w = shared_lines(M, 12 * lines_per_pass(M) + 3, group=9)
     lengths = _arc_lengths(M, a, w)
     assert bits(lengths) == bits(serial_table(M, a, w)[:, -1])
@@ -278,7 +275,7 @@ def old_river_factors(beta, eta):
 def test_river_factors_are_the_old_expression():
     rng = np.random.default_rng(290)
     for beta, eta in ((5.0, 0.25), (0.3, 2.0)):
-        new, old = ig.river(beta, eta).coupling[1], old_river_factors(beta, eta)
+        new, old = ig.river(beta, eta).coupling, old_river_factors(beta, eta)
         y, w = rng.standard_normal((2, 3000, 1)) * [[[3.0]], [[30.0]]]
         pairs = [(y[k], w[k]) for k in range(300)]   # one point: 0-d factors
         pairs += [(y, w), (y, w[0]), (y.reshape(60, 50, 1), w[:60, None]),
@@ -288,14 +285,14 @@ def test_river_factors_are_the_old_expression():
                 [bits(np.asarray(f)) for f in old(*pair)]
 
 
-STEP_3D = per_line_pass(ig.PullbackManifold(middle_shear()))
+STEP_3D = per_line_pass(ig.PullbackManifold(shear_3d()))
 
 
 @pytest.mark.parametrize("lines", sorted({1, 29, 30, 31, 60, 121, 20 * SHARED_PASSES, STEP_3D - 1,
                                           STEP_3D, STEP_3D + 1, 2 * STEP_3D + 1}))
 def test_the_coupled_path_reads_only_the_rest_coordinates(lines, monkeypatch):
-    hooked = ig.PullbackManifold(middle_shear())
-    plain = ig.PullbackManifold(middle_shear(hook=False))
+    hooked = ig.PullbackManifold(shear_3d())
+    plain = ig.PullbackManifold(shear_3d(hook=False))
     a, w = random_lines(hooked, lines, seed=lines)
     passes, speeds = [], isomaps._speeds
     monkeypatch.setattr(isomaps, "_speeds",
@@ -307,8 +304,8 @@ def test_the_coupled_path_reads_only_the_rest_coordinates(lines, monkeypatch):
 
 
 def test_coupled_timechange_and_vectorchange_equal_a_plain_speed():
-    hooked = ig.PullbackManifold(middle_shear())
-    plain = ig.PullbackManifold(middle_shear(hook=False))
+    hooked = ig.PullbackManifold(shear_3d())
+    plain = ig.PullbackManifold(shear_3d(hook=False))
     rng = np.random.default_rng(291)
     t = np.linspace(0.0, 1.0, 9)
     for _ in range(6):

@@ -15,7 +15,7 @@ import isogeo as ig
 from isogeo import clustering, descent, experiments, isomaps, pullback, submanifold
 from isogeo.descent import ConvergenceTrace
 from isogeo.errors import DomainError, StallError
-from isogeo.quadrature import _leggauss, _linspace_chunk, composite_nodes
+from isogeo.quadrature import _leggauss, _linspace_chunk, composite_nodes, gauss_panels, unit_rule
 
 from conftest import make_manifold
 
@@ -312,6 +312,41 @@ def test_composite_nodes_equal_the_linspace_rule():
             want = linspace_rule(a, b, panels, npp)
             with np.errstate(over="ignore", invalid="ignore"):
                 assert [bits(v) for v in got] == [bits(v) for v in want], (a, b, panels)
+
+
+def test_gauss_panels_are_the_panels_of_composite_nodes():
+    rng = np.random.default_rng(93)
+    for a, b in spans(rng, 100):
+        for panels, npp in ((64, 4), (1, 3), (7, 8)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                t, w, edges = composite_nodes(a, b, panels, npp)
+                for i in range(panels):
+                    nodes, weights = gauss_panels(edges[i:i + 1], edges[i + 1:i + 2], npp)
+                    panel = slice(i * npp, (i + 1) * npp)
+                    assert bits(nodes[0]) == bits(t[panel]), (a, b, panels, i)
+                    assert bits(weights[0]) == bits(w[panel]), (a, b, panels, i)
+
+
+def invert_stencil(kn, tp, npp):
+    """The root solve's panel [kn, tp], as ``isomaps._invert`` once wrote it inline."""
+    nodes, weights = _leggauss(npp)
+    half, mid = 0.5 * (tp - kn), 0.5 * (tp + kn)
+    return mid[:, None] + half[:, None] * nodes, half[:, None] * weights
+
+
+@pytest.mark.parametrize("quad", [ig.QuadratureConfig(), ig.QuadratureConfig(7, 3)])
+def test_gauss_panels_equal_the_inline_root_solve_stencil(quad):
+    rng = np.random.default_rng(94)
+    knots = unit_rule(quad)[2]
+    idx = rng.integers(1, len(knots), 500)
+    lo, hi = knots[idx - 1], knots[idx]
+    tp = lo + (hi - lo) * rng.uniform(size=500)
+    tp[::7] = lo[::7]   # zero-width panels
+    tp[1::7] = hi[1::7]
+    got = gauss_panels(lo, tp, quad.nodes_per_panel)
+    want = invert_stencil(lo, tp, quad.nodes_per_panel)
+    assert [bits(v) for v in got] == [bits(v) for v in want]
+    assert not got[1][::7].any()
 
 
 def test_linspace_chunks_equal_linspace_slices():
